@@ -117,8 +117,12 @@ def _evaluate(P: TracePolynomial, ctx: EvalContext, y_bindings) -> np.ndarray:
         term = np.asarray(scalar)[..., None, None] * body
         result = term if result is None else result + term
     if result is None:
-        # the zero polynomial; infer the batch shape from any binding
-        return np.zeros((ctx.n, ctx.n), dtype=complex)
+        # the zero polynomial: zeros with the batch shape of the bindings
+        mats = list(ctx.bindings.values())
+        for bound in y_bindings or ():
+            mats.extend(bound if isinstance(bound, (list, tuple)) else [bound])
+        batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+        return np.zeros(batch + (ctx.n, ctx.n), dtype=complex)
     return result
 
 

@@ -65,7 +65,8 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     n = values.shape[-1]
     dP, correction = ito_rhs_symbolic(P, model)
     ctx_all = EvalContext(n, {1: values})
-    lhs = eval_poly(P, ctx_all)
+    # a constant P evaluates without batch axes
+    lhs = np.broadcast_to(eval_poly(P, ctx_all), values.shape)
     lhs = lhs - lhs[..., 0:1, :, :]
     stoch = rs_integral(BoundBiprocess(dP, grid, n, {1: values}), values)
     dts = np.diff(grid.times)

@@ -74,7 +74,12 @@ def hermitian_onb(n: int) -> list[np.ndarray]:
 
 
 def hermitian_onb_array(n: int) -> np.ndarray:
-    """Basis stacked into an (n^2, n, n) array, cached per dimension."""
+    """Basis stacked into an (n^2, n, n) array, cached per dimension.
+
+    It takes 16 n^4 bytes.  Only the magic-formula sum and the selftest's
+    gamma-rule check use it; the Hermitian-BM sampler scatters its
+    coefficients without it.
+    """
     arr = _ONB_CACHE.get(n)
     if arr is None:
         arr = np.stack(hermitian_onb(n))

@@ -7,13 +7,15 @@ estimation, and the NCP1 binary path format.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .matrix_alg import hermitian_onb_array, lp_norm
+from .matrix_alg import lp_norm
 
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -155,10 +157,56 @@ class Ensemble:
         )
 
 
-def _hbm_increments_basis(n, dts, rng) -> np.ndarray:
-    onb = hermitian_onb_array(n).reshape(n * n, n * n)
+_SCATTER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _basis_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-n map from Hermitian-basis coefficients to matrix entries.
+
+    The basis (``matrix_alg.hermitian_onb``) has n diagonal units of size
+    1/sqrt(n), then for each k < l a symmetric element, 1/sqrt(2n) at (k, l)
+    and (l, k), and an antisymmetric one, -i/sqrt(2n) at (k, l) and
+    +i/sqrt(2n) at (l, k).  ``scale[e]`` is the size of element e.  Entry p
+    of the flat matrix takes its real and imaginary parts from columns
+    ``index[2p]`` and ``index[2p + 1]`` of the row ``[c, -c, 0]``, where c
+    holds the scaled coefficients.
+    """
+    cached = _SCATTER_CACHE.get(n)
+    if cached is not None:
+        return cached
+    nn = n * n
+    scale = np.full(nn, 1.0 / math.sqrt(2 * n))
+    scale[:n] = 1.0 / math.sqrt(n)
+    re = np.empty((n, n), dtype=np.intp)
+    im = np.full((n, n), 2 * nn, dtype=np.intp)
+    d = np.arange(n)
+    re[d, d] = d
+    k, l = np.triu_indices(n, k=1)
+    sym = n + 2 * np.arange(len(k))
+    re[k, l] = re[l, k] = sym
+    im[k, l] = nn + sym + 1
+    im[l, k] = sym + 1
+    index = np.stack([re, im], axis=-1).ravel()
+    scale.setflags(write=False)
+    index.setflags(write=False)
+    cached = _SCATTER_CACHE[n] = (scale, index)
+    return cached
+
+
+def _hbm_increments_basis(n, dts, rng, out: np.ndarray) -> None:
+    """Write the increments into ``out`` (C-contiguous (steps, n, n)).
+
+    Each entry is one scaled coefficient, rounded exactly as in the product
+    ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.
+    """
+    scale, index = _basis_scatter(n)
     coeffs = rng.standard_normal((len(dts), n * n)) * np.sqrt(dts)[:, None]
-    return (coeffs @ onb).reshape(len(dts), n, n)
+    coeffs *= scale
+    src = np.concatenate(
+        [coeffs, -coeffs, np.zeros((len(dts), 1))], axis=1
+    )
+    flat = out.view(np.float64).reshape(len(dts), 2 * n * n)
+    np.take(src, index, axis=1, out=flat, mode="clip")
 
 
 def _hbm_increments_entrywise(n, dts, rng) -> np.ndarray:
@@ -176,25 +224,39 @@ def _hbm_increments_entrywise(n, dts, rng) -> np.ndarray:
     return h / np.sqrt(n)
 
 
+def _check_hbm_args(n: int, method: str) -> None:
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if method not in ("basis", "entrywise"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _fill_hbm(values: np.ndarray, dts, rng, method: str) -> None:
+    """Fill ``values`` (C-contiguous (T, n, n)) with one path from X(0) = 0:
+    the increments go into values[1:], which is then summed in place."""
+    n = values.shape[-1]
+    inc = values[1:]
+    if method == "basis":
+        _hbm_increments_basis(n, dts, rng, inc)
+    else:
+        inc[...] = _hbm_increments_entrywise(n, dts, rng)
+    values[0] = 0
+    np.cumsum(inc, axis=0, out=inc)
+
+
 def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
                  method: str = "basis") -> ProcessPath:
     """One Hermitian-BM path with X(0) = 0.
 
     "basis" draws the coefficients over the orthonormal Hermitian basis,
-    which carries the normalization by construction; "entrywise" scales a
-    GUE Brownian motion by 1/sqrt(n).  The two agree in law.
+    which carries the normalization by construction, and writes each one
+    straight into its matrix entries: O(n^2) per step, with no dense basis
+    built.  "entrywise" scales a GUE Brownian motion by 1/sqrt(n).  The two
+    agree in law.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    dts = np.diff(grid.times)
-    if method == "basis":
-        inc = _hbm_increments_basis(n, dts, stream.generator)
-    elif method == "entrywise":
-        inc = _hbm_increments_entrywise(n, dts, stream.generator)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    values = np.zeros((len(grid.times), n, n), dtype=complex)
-    np.cumsum(inc, axis=0, out=values[1:])
+    _check_hbm_args(n, method)
+    values = np.empty((len(grid.times), n, n), dtype=complex)
+    _fill_hbm(values, np.diff(grid.times), stream.generator, method)
     return ProcessPath(
         grid, values, "martingale",
         seed_info=(stream.master_seed, stream.path_index, method),
@@ -205,9 +267,11 @@ def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
                           method: str = "basis") -> Ensemble:
     """Independent HBM paths; path i uses the stream keyed (seed, i), so
     the result is identical no matter how generation is scheduled."""
+    _check_hbm_args(n, method)
     values = np.empty((n_paths, len(grid.times), n, n), dtype=complex)
+    dts = np.diff(grid.times)
     for i in range(n_paths):
-        values[i] = simulate_hbm(n, grid, RngStream(seed, i), method).values
+        _fill_hbm(values[i], dts, RngStream(seed, i).generator, method)
     return Ensemble(grid, values, "martingale", seed_info=(seed, method))
 
 
@@ -279,6 +343,8 @@ def kappa_estimate(ensemble: Ensemble, s: float, t: float):
 
 # -- NCP1 binary format ---------------------------------------------------
 
+_HEADER = struct.Struct("<4sIIB")
+
 
 def _write_values(fh, values: np.ndarray):
     # complex128 viewed as float64 pairs is exactly (re, im) interleaved
@@ -286,10 +352,18 @@ def _write_values(fh, values: np.ndarray):
     fh.write(flat.tobytes())
 
 
-def _read_values(fh, count, n) -> np.ndarray:
-    raw = fh.read(count * n * n * 16)
-    if len(raw) != count * n * n * 16:
-        raise ValueError("truncated NCP1 value block")
+def _read_block(fh, size: int, block: str) -> bytes:
+    # checked against the file size first, so a corrupt header cannot ask
+    # for a huge read
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"truncated NCP1 {block}: expected {size} bytes, "
+                         f"found {left}")
+    return fh.read(size)
+
+
+def _read_values(fh, count, n, block) -> np.ndarray:
+    raw = _read_block(fh, count * n * n * 16, block)
     return np.frombuffer(raw, dtype="<c16").reshape(count, n, n).copy()
 
 
@@ -297,8 +371,7 @@ def save_ncp1(path: ProcessPath, filename: str) -> None:
     """Write a path in the NCP1 little-endian binary format."""
     with open(filename, "wb") as fh:
         t = len(path.grid.times)
-        fh.write(struct.pack("<4sIIB", b"NCP1", path.n, t,
-                             _ROLE_CODES[path.role]))
+        fh.write(_HEADER.pack(b"NCP1", path.n, t, _ROLE_CODES[path.role]))
         fh.write(np.ascontiguousarray(path.grid.times, dtype="<f8").tobytes())
         _write_values(fh, path.values)
         if path.role == "decomposable":
@@ -307,20 +380,25 @@ def save_ncp1(path: ProcessPath, filename: str) -> None:
 
 
 def load_ncp1(filename: str) -> ProcessPath:
-    """Read a path written by :func:`save_ncp1` (bit-exact round trip)."""
+    """Read a path written by :func:`save_ncp1`; a well-formed file round
+    trips bit-exactly.  A truncated block or trailing bytes raise
+    ValueError naming the block."""
     with open(filename, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIB"))
-        magic, n, t, role_code = struct.unpack("<4sIIB", header)
+        header = _read_block(fh, _HEADER.size, "header")
+        magic, n, t, role_code = _HEADER.unpack(header)
         if magic != b"NCP1":
             raise ValueError("not an NCP1 file")
         if role_code not in _ROLE_NAMES:
             raise ValueError(f"unknown role code {role_code}")
-        times = np.frombuffer(fh.read(t * 8), dtype="<f8").copy()
-        values = _read_values(fh, t, n)
+        times = np.frombuffer(_read_block(fh, t * 8, "times block"),
+                              dtype="<f8").copy()
+        values = _read_values(fh, t, n, "value block")
         role = _ROLE_NAMES[role_code]
         mart = fv = None
         if role == "decomposable":
-            mart = _read_values(fh, t, n)
-            fv = _read_values(fh, t, n)
+            mart = _read_values(fh, t, n, "martingale-part block")
+            fv = _read_values(fh, t, n, "FV-part block")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the NCP1 value blocks")
     return ProcessPath(TimeGrid(times), values, role,
                        mart_part=mart, fv_part=fv)

@@ -1,10 +1,15 @@
 """CLI driver: subcommand behavior, config handling, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nctrace
 from nctrace.cli import main
 from nctrace.process_sim import load_ncp1
 
@@ -71,6 +76,71 @@ def test_sim_byte_identical(tmp_path, capsys):
         assert a == b
         p = load_ncp1(tmp_path / f"a_{i:04d}.ncp1")
         assert p.values.shape == (101, 6, 6)
+
+
+# SHA-256 of the NCP1 files written by ``nctrace sim --mesh 0.05 --paths 2``
+# with the dense-basis sampler, keyed (n, seed, path index).  The O(n^2)
+# scatter must reproduce them byte for byte.
+SIM_SHA256 = {
+    (1, 0, 0): "3405c1a99078bf2667dccb631760c253e25369179e27bf1fc509d66f354784cc",
+    (1, 0, 1): "613d185760bbfc17609155e1ef395cede7c81b75993249d787b6c57eefcdac92",
+    (1, 5, 0): "28c6d0fa81634061339ecb72bddd0f6419d13e790d850132c9dca52fae2dd1a4",
+    (1, 5, 1): "09c78a88fadf903d49e90b6c8c783b2898d4122285088a8fd78d802b55f36e96",
+    (2, 0, 0): "d4eafe3b20160ecb9c125f9a2b0065d4bbdbc1b0c240e5b409b3125ad515e693",
+    (2, 0, 1): "d2bad62f7466bdd2e61865ae0852d3d823e77768068c0f9fe7ae994b974979d6",
+    (2, 5, 0): "c63d671dfea7624a6341c40d6e02ac1641d1abf70dd98b4cdd2d11ad94e7887e",
+    (2, 5, 1): "c68311f818a52e6b37fc070c31c98f0cce76d30f61040dfd66081ffcc97a8a58",
+    (8, 0, 0): "3d64fa17521b65dda547f6916215201e3de7abf2edba83fc059879925d35277d",
+    (8, 0, 1): "80123db427087286267efdef975c269d258fa1fec4b24b730801573318a0b7a7",
+    (8, 5, 0): "e2b5e2a14d06fc632988b23a444d9a628c424be3abe75c5de599400964f35161",
+    (8, 5, 1): "21887e40ed52d431888919f9dbc995cb4fa59befc348e6d3dd0bfced4d74cda0",
+    (16, 0, 0): "04a368e9f96e68ca533d48aa11741ace59bcd510448514d8d93ce709edbc5e80",
+    (16, 0, 1): "1a05b3fb22aa1bbf7f485faba15e92257c734036da1557b53be7ecb61f56e53d",
+    (16, 5, 0): "70c7f1c071472ac97f5a33d39ca59cdcf0ec7901425e390d25c0f690cacc0dd3",
+    (16, 5, 1): "2e07c87db0c375afaae74286bca9df3238cc99e97100accfd2200c4ce9956694",
+    (32, 0, 0): "d408e382b7187181ed8ac2b7d71008ec6824ff4152d2f20236810b66df81c002",
+    (32, 0, 1): "95d63174695e094df68bdeecada7483933b31ad77fad98feb32d40bed171f07d",
+    (32, 5, 0): "24aef518ae621546e7c8c264a5de1a2eeb4d9d284b7955b6b54fe8c00f5226ac",
+    (32, 5, 1): "2e071627d6858cc143638d4dd221765c0a149e4ff9208388d7d6556e137100e4",
+}
+
+
+@pytest.mark.parametrize("n", sorted({k[0] for k in SIM_SHA256}))
+def test_sim_matches_recorded_ncp1_hashes(tmp_path, capsys, n):
+    for seed in sorted({k[1] for k in SIM_SHA256 if k[0] == n}):
+        prefix = tmp_path / f"n{n}_s{seed}"
+        rc, _, _ = run(capsys, "sim", "--n", str(n), "--mesh", "0.05",
+                       "--paths", "2", "--seed", str(seed),
+                       "--out", str(prefix))
+        assert rc == 0
+        for i in range(2):
+            data = (tmp_path / f"n{n}_s{seed}_{i:04d}.ncp1").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == SIM_SHA256[n, seed, i]
+
+
+def test_sim_large_n(tmp_path, capsys):
+    rc, _, _ = run(capsys, "sim", "--n", "256", "--mesh", "0.5",
+                   "--paths", "1", "--out", str(tmp_path / "big"))
+    assert rc == 0
+    assert load_ncp1(tmp_path / "big_0000.ncp1").values.shape == (3, 256, 256)
+
+
+def test_sim_independent_of_blas_threads(tmp_path):
+    # the sampler uses no BLAS, so its files cannot depend on BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctrace.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    files = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        prefix = tmp_path / f"t{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "nctrace.cli", "sim", "--n", "8",
+             "--mesh", "0.05", "--paths", "2", "--seed", "3",
+             "--out", str(prefix)],
+            env=env, check=True, capture_output=True)
+        files.append([(tmp_path / f"t{threads}_{i:04d}.ncp1").read_bytes()
+                      for i in range(2)])
+    assert files[0] == files[1]
 
 
 def test_sim_seed_changes_output(tmp_path, capsys):

@@ -106,6 +106,19 @@ def test_batched_evaluation():
     assert np.max(np.abs(got[2, 4] - one)) < 1e-12
 
 
+def test_zero_polynomial_keeps_the_batch_shape():
+    batch = RNG.normal(size=(5, 7, 3, 3)) + 0j
+    zero = parse("x1 - x1")
+    assert zero.is_zero()
+    got = eval_poly(zero, EvalContext(3, {1: batch, 2: np.eye(3)}))
+    assert got.shape == (5, 7, 3, 3) and not np.any(got)
+    # slot bindings, coordinates included, broadcast with the x bindings
+    got = eval_multilinear(zero, EvalContext(3, {1: batch[0]}),
+                           [[batch[:, :1], batch[:, :1]]])
+    assert got.shape == (5, 7, 3, 3)
+    assert eval_poly(zero, EvalContext(3)).shape == (3, 3)
+
+
 def test_ensemble_trace_mode_averages():
     batch = np.stack([rand_matrix(3, herm=True) for _ in range(10)])
     ctx = EvalContext(3, {1: batch, 2: np.eye(3, dtype=complex)},

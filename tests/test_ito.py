@@ -57,6 +57,18 @@ def test_affine_polynomial_residual_is_zero():
         assert rep["sup_norm"] <= 1e-12
 
 
+def test_constant_polynomial_residual_is_zero():
+    # the zero dP keeps the batch shape, so constants run end to end
+    grid = TimeGrid.uniform(1.0, 8)
+    ens = simulate_hbm_ensemble(3, grid, 2, seed=4)
+    model = ContractionModel.matrix(3)
+    for driver in (ens, ens.path(0)):
+        for text in ("5", "0"):
+            rep = ito_residual(parse(text), driver, model)
+            assert rep["sup_norm"] == 0.0
+            assert rep["per_time"].shape == (9,)
+
+
 def test_residual_square_decreases_with_mesh():
     n = 8
     sups = []

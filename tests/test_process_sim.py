@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nctrace.matrix_alg import adjoint, trace_n
+import nctrace.matrix_alg
+from nctrace.matrix_alg import adjoint, hermitian_onb_array, trace_n
 from nctrace.process_sim import (
     Ensemble,
     ProcessPath,
@@ -20,6 +21,7 @@ from nctrace.process_sim import (
     stop,
     variation,
 )
+from nctrace.process_sim import _hbm_increments_basis
 
 
 def test_time_grid_validation():
@@ -50,6 +52,49 @@ def test_hbm_reproducible_and_streams_independent():
     c = simulate_hbm(3, grid, RngStream(11, 6))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+def test_basis_increments_match_dense_basis_product(n):
+    # the scatter writes each coefficient exactly as the dense product
+    # coeffs @ basis rounds it, signed zeros included
+    for steps in (1, 7, 50):
+        dts = np.diff(TimeGrid.uniform(1.0, steps).times)
+        got = np.empty((steps, n, n), dtype=complex)
+        _hbm_increments_basis(n, dts, RngStream(4, n).generator, got)
+        coeffs = RngStream(4, n).generator.standard_normal((steps, n * n))
+        coeffs = coeffs * np.sqrt(dts)[:, None]
+        want = coeffs @ hermitian_onb_array(n).reshape(n * n, n * n)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["basis", "entrywise"])
+def test_ensemble_paths_equal_single_paths(method):
+    grid = TimeGrid.uniform(1.0, 9)
+    ens = simulate_hbm_ensemble(5, grid, 3, seed=17, method=method)
+    for i in range(3):
+        one = simulate_hbm(5, grid, RngStream(17, i), method=method)
+        assert ens.values[i].tobytes() == one.values.tobytes()
+
+
+def test_hbm_large_n_builds_no_dense_basis(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the sampler must not build the dense basis")
+
+    monkeypatch.setattr(nctrace.matrix_alg, "hermitian_onb_array", refuse)
+    n = 256
+    path = simulate_hbm(n, TimeGrid.uniform(1.0, 2), RngStream(0, 0))
+    x1 = path.values[-1]
+    assert np.array_equal(x1, adjoint(x1))
+    assert abs(trace_n(x1 @ x1).real - 1.0) < 0.05
+
+
+def test_hbm_argument_errors():
+    grid = TimeGrid.uniform(1.0, 2)
+    with pytest.raises(ValueError):
+        simulate_hbm(0, grid, RngStream(0))
+    with pytest.raises(ValueError):
+        simulate_hbm_ensemble(2, grid, 1, seed=0, method="spectral")
 
 
 def test_hbm_increment_normalization():
@@ -181,6 +226,31 @@ def test_ncp1_decomposable_round_trip(tmp_path):
     assert back.role == "decomposable"
     assert np.array_equal(back.mart_part, mart)
     assert np.array_equal(back.fv_part, fv)
+
+
+def _ncp1_bytes(tmp_path) -> bytes:
+    f = tmp_path / "good.ncp1"
+    save_ncp1(simulate_hbm(2, TimeGrid.uniform(1.0, 3), RngStream(0)), str(f))
+    return f.read_bytes()
+
+
+@pytest.mark.parametrize("cut, block", [
+    (7, "header"),            # header is 13 bytes
+    (13 + 10, "times block"),  # 4 times of 8 bytes
+    (-3, "value block"),
+])
+def test_ncp1_truncated_block_is_named(tmp_path, cut, block):
+    f = tmp_path / "cut.ncp1"
+    f.write_bytes(_ncp1_bytes(tmp_path)[:cut])
+    with pytest.raises(ValueError, match=f"truncated NCP1 {block}"):
+        load_ncp1(str(f))
+
+
+def test_ncp1_rejects_trailing_bytes(tmp_path):
+    f = tmp_path / "long.ncp1"
+    f.write_bytes(_ncp1_bytes(tmp_path) + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_ncp1(str(f))
 
 
 def test_ncp1_rejects_garbage(tmp_path):
