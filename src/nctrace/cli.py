@@ -33,8 +33,13 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .selftest import ALL_CHECKS, _qc_gap_l1, run_selftest
-from .stoch_int import BoundBiprocess, bdg_stats, ito_isometry_check
+from .selftest import ALL_CHECKS, run_selftest
+from .stoch_int import (
+    BoundBiprocess,
+    bdg_stats,
+    ito_isometry_check,
+    qc_gap_l1,
+)
 from .evaluator import EvalContext, EvalError, eval_poly
 from .trace_poly import ContractionModel, LinearityError, derive, derive_k
 
@@ -46,8 +51,6 @@ class ConfigError(Exception):
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override keys")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; results do not depend on it")
     p.add_argument("--json", dest="json_out", help="write JSON report here")
     p.add_argument("--csv", dest="csv_out", help="write CSV report here")
 
@@ -62,6 +65,9 @@ def _effective(args, defaults: dict) -> dict:
             raise ConfigError(f"cannot read config: {e}")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
@@ -72,18 +78,23 @@ def _effective(args, defaults: dict) -> dict:
 
 
 def _meshes(value) -> list[float]:
+    """At least 3 meshes, each dividing the horizon t = 1 into whole steps,
+    so the slope is fitted against the meshes the grids really have."""
     if isinstance(value, str):
         value = [float(v) for v in value.split(",") if v]
     out = [float(v) for v in value]
-    if not out:
-        raise ConfigError("empty mesh list")
+    if len(out) < 3:
+        raise ConfigError("need at least 3 meshes")
+    for mesh in out:
+        steps = 1.0 / mesh if mesh > 0 else 0.0
+        if steps < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"mesh {mesh} does not divide the horizon 1")
     return out
 
 
 def _emit(records, cfg, args) -> None:
-    echo = {k: v for k, v in cfg.items() if k != "threads"}
     for rec in records:
-        rec.setdefault("config", echo)
+        rec.setdefault("config", cfg)
     if args.json_out:
         write_json(records, args.json_out)
     if args.csv_out:
@@ -161,14 +172,13 @@ def _cmd_qc(args) -> int:
     cfg = _effective(args, {"n": 16, "paths": 200, "seed": 0,
                             "meshes": "0.02,0.01,0.005,0.0025"})
     meshes = _meshes(cfg["meshes"])
-    if len(meshes) < 3:
-        raise ConfigError("need at least 3 meshes")
     n, paths, seed = int(cfg["n"]), int(cfg["paths"]), int(cfg["seed"])
     rng = np.random.default_rng(seed + 6)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (g + g.conj().T) / 2
     gaps = [
-        _qc_gap_l1(n, m, paths, seed * 977 + 6000 + i, a)
+        qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths, seed * 977 + 6000 + i,
+                  a)
         for i, m in enumerate(meshes)
     ]
     slope = fit_loglog_slope(meshes, gaps)
@@ -187,8 +197,6 @@ def _cmd_ito(args) -> int:
     cfg = _effective(args, {"poly": "x1^2", "n": 16, "paths": 100,
                             "seed": 0, "meshes": "0.02,0.01,0.005,0.0025"})
     meshes = _meshes(cfg["meshes"])
-    if len(meshes) < 3:
-        raise ConfigError("need at least 3 meshes")
     rep = convergence_study(
         "ito_residual", meshes,
         {"n": int(cfg["n"]), "paths": int(cfg["paths"]),

@@ -106,9 +106,16 @@ def _trace_value(word, ctx, y_bindings, cache):
 
 
 def _evaluate(P: TracePolynomial, ctx: EvalContext, y_bindings) -> np.ndarray:
+    # letterless results (constants, the zero polynomial) keep the batch
+    # shape of the bindings, x-variables and slots alike
+    mats = list(ctx.bindings.values())
+    for bound in y_bindings or ():
+        mats.extend(bound if isinstance(bound, (list, tuple)) else [bound])
+    batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+    shape = batch + (ctx.n, ctx.n)
     result = None
     cache: dict = {}
-    eye = np.eye(ctx.n, dtype=complex)
+    eye = np.broadcast_to(np.eye(ctx.n, dtype=complex), shape)
     for (traces, outer), coeff in P.terms.items():
         scalar = complex(coeff)
         for w in traces:
@@ -117,12 +124,7 @@ def _evaluate(P: TracePolynomial, ctx: EvalContext, y_bindings) -> np.ndarray:
         term = np.asarray(scalar)[..., None, None] * body
         result = term if result is None else result + term
     if result is None:
-        # the zero polynomial: zeros with the batch shape of the bindings
-        mats = list(ctx.bindings.values())
-        for bound in y_bindings or ():
-            mats.extend(bound if isinstance(bound, (list, tuple)) else [bound])
-        batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
-        return np.zeros(batch + (ctx.n, ctx.n), dtype=complex)
+        return np.zeros(shape, dtype=complex)
     return result
 
 

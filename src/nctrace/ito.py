@@ -15,17 +15,17 @@ from fractions import Fraction
 import numpy as np
 
 from .evaluator import EvalContext, eval_multilinear, eval_poly
-from .matrix_alg import ScalarFunctionSpec, moi, op_function
+from .matrix_alg import ScalarFunctionSpec, l1_trace_norms, moi, op_function
 from .rational import QC
 from .reports import fit_loglog_slope, make_report
-from .stoch_int import BoundBiprocess, rs_integral
+from .stoch_int import BoundBiprocess, cumulative_path, rs_integral
 from .trace_poly import (
     ContractionModel,
     TracePolynomial,
     derive_k,
     gamma_contract,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid, simulate_hbm_ensemble
+from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
 
 _HALF = QC(Fraction(1, 2))
 
@@ -43,16 +43,6 @@ def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
     return dP, correction
 
 
-def _trn_l1(values: np.ndarray) -> np.ndarray:
-    """tr_n-L^1 norm per time: mean over paths of tr_n |A(t)|."""
-    n = values.shape[-1]
-    s = np.linalg.svd(values, compute_uv=False)
-    per = np.sum(s, axis=-1) / n
-    if per.ndim > 1:
-        per = np.mean(per, axis=tuple(range(per.ndim - 1)))
-    return per
-
-
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
                       model: ContractionModel,
                       second_order: str = "contracted") -> np.ndarray:
@@ -64,30 +54,21 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     """
     n = values.shape[-1]
     dP, correction = ito_rhs_symbolic(P, model)
-    ctx_all = EvalContext(n, {1: values})
-    # a constant P evaluates without batch axes
-    lhs = np.broadcast_to(eval_poly(P, ctx_all), values.shape)
+    lhs = eval_poly(P, EvalContext(n, {1: values}))
     lhs = lhs - lhs[..., 0:1, :, :]
     stoch = rs_integral(BoundBiprocess(dP, grid, n, {1: values}), values)
     dts = np.diff(grid.times)
     left = values[..., :-1, :, :]
     ctx_left = EvalContext(n, {1: left})
     if second_order == "contracted":
-        c_vals = eval_poly(correction, ctx_left)
-        if c_vals.ndim == 2:
-            c_vals = np.broadcast_to(c_vals, (len(dts),) + c_vals.shape)
-        inc = c_vals * dts[:, None, None]
+        inc = eval_poly(correction, ctx_left) * dts[:, None, None]
     elif second_order == "quadratic":
         d2P = derive_k(P, 2)
         delta = values[..., 1:, :, :] - left
         inc = 0.5 * eval_multilinear(d2P, ctx_left, [delta, delta])
     else:
         raise ValueError(f"unknown second-order mode {second_order!r}")
-    second = np.zeros(np.broadcast_shapes(inc.shape[:-3], lhs.shape[:-3])
-                      + (len(grid.times),) + (n, n), dtype=complex)
-    np.cumsum(np.broadcast_to(
-        inc, second[..., 1:, :, :].shape), axis=-3, out=second[..., 1:, :, :])
-    return lhs - stoch - second
+    return lhs - stoch - cumulative_path(inc)
 
 
 def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
@@ -97,8 +78,9 @@ def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
         values, grid = driver.values, driver.grid
     else:
         raise TypeError("driver must be a ProcessPath or Ensemble")
-    res = ito_residual_path(P, values, grid, model, second_order)
-    per_time = _trn_l1(res)
+    per = l1_trace_norms(ito_residual_path(P, values, grid, model,
+                                           second_order))
+    per_time = np.mean(per, axis=tuple(range(per.ndim - 1)))
     return {
         "sup_norm": float(np.max(per_time)),
         "final_norm": float(per_time[-1]),
@@ -121,16 +103,13 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
     T = len(grid.times)
     res_norms = np.zeros(T)
     acc = np.zeros_like(values[0])
-    n = values.shape[-1]
     f0 = op_function(f, values[0])
     for i in range(T - 1):
         delta = values[i + 1] - values[i]
         first, second = functional_ito_step_terms(f, values[i], delta)
         acc = acc + first + second
         res = op_function(f, values[i + 1]) - f0 - acc
-        res_norms[i + 1] = float(
-            np.sum(np.linalg.svd(res, compute_uv=False)) / n
-        )
+        res_norms[i + 1] = l1_trace_norms(res)
     return {
         "sup_norm": float(np.max(res_norms)),
         "final_norm": float(res_norms[-1]),
@@ -141,61 +120,38 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
 # -- convergence studies --------------------------------------------------
 
 
-def _check_ito_residual(mesh: float, params: dict) -> float:
-    grid = TimeGrid.from_mesh(params.get("horizon", 1.0), mesh)
-    ens = simulate_hbm_ensemble(
-        params["n"], grid, params["paths"],
-        seed=params["seed"] + grid.steps,
-    )
-    rep = ito_residual(params["poly"], ens, params["model"],
-                       second_order=params.get("second_order", "contracted"))
-    return rep["sup_norm"]
-
-
-def _check_functional_ito_residual(mesh: float, params: dict) -> float:
-    grid = TimeGrid.from_mesh(params.get("horizon", 1.0), mesh)
-    ens = simulate_hbm_ensemble(
-        params["n"], grid, params.get("paths", 1),
-        seed=params["seed"] + grid.steps,
-    )
-    sups = [
-        functional_ito_residual(params["func"], ens.path(i))["sup_norm"]
-        for i in range(ens.n_paths)
-    ]
-    return float(np.mean(sups))
-
-
-def _check_qc_gap(mesh: float, params: dict) -> float:
-    from .stoch_int import BoundTriprocess, qc_closed_form, quad_rs_path
-
-    grid = TimeGrid.from_mesh(params.get("horizon", 1.0), mesh)
-    n = params["n"]
-    ens = simulate_hbm_ensemble(n, grid, params["paths"],
-                                seed=params["seed"] + grid.steps)
-    bindings = dict(params.get("bindings", {}))
-    L = BoundTriprocess(params["symbol"], grid, n, bindings)
-    q = quad_rs_path(L, ens, ens)[:, -1]
-    c = qc_closed_form(L, params["model"])[-1]
-    gap = q - np.broadcast_to(c, q.shape)
-    return _trn_l1(gap[:, None, :, :])[0]
-
-
-_CHECKS = {
-    "ito_residual": _check_ito_residual,
-    "functional_ito_residual": _check_functional_ito_residual,
-    "qc_gap": _check_qc_gap,
-}
+def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
+                      model: ContractionModel,
+                      second_order: str = "contracted",
+                      chunk: int = 25) -> list[float]:
+    """For each polynomial, the sup over grid times of the path mean of
+    tr_n |residual|, on HBM paths 0..paths-1 of ``seed``.  Each chunk of
+    paths is simulated once and feeds every polynomial."""
+    acc = np.zeros((len(polys), len(grid.times)))
+    for vals in hbm_chunks(n, grid, paths, seed, chunk):
+        for row, P in zip(acc, polys):
+            row += np.sum(l1_trace_norms(
+                ito_residual_path(P, vals, grid, model, second_order)), axis=0)
+    return [float(np.max(row / paths)) for row in acc]
 
 
 def convergence_study(check: str, meshes, params: dict) -> dict:
     """Run a named residual check over a geometric mesh family and fit
-    the log-log convergence slope."""
-    if check not in _CHECKS:
+    the log-log convergence slope.  The only check is "ito_residual": the
+    sup residual of ``params["poly"]`` on ``params["paths"]`` paths, seeded
+    ``params["seed"]`` plus the grid's step count."""
+    if check != "ito_residual":
         raise ValueError(f"unknown check {check!r}")
     meshes = list(meshes)
     if len(meshes) < 3:
         raise ValueError("need at least 3 meshes")
-    residuals = [_CHECKS[check](m, params) for m in meshes]
+    residuals = []
+    for m in meshes:
+        grid = TimeGrid.from_mesh(params.get("horizon", 1.0), m)
+        residuals += ito_sup_residuals(
+            [params["poly"]], params["n"], grid, params["paths"],
+            params["seed"] + grid.steps, params["model"],
+            params.get("second_order", "contracted"))
     slope = fit_loglog_slope(meshes, residuals)
     rep = make_report(
         f"convergence:{check}",

@@ -48,6 +48,11 @@ def lp_norm(a: np.ndarray, p: float) -> float:
     return float((np.sum(s**p) / n) ** (1.0 / p))
 
 
+def l1_trace_norms(a: np.ndarray) -> np.ndarray:
+    """tr_n |a| for each matrix of a (..., n, n) stack, shape (...)."""
+    return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1) / a.shape[-1]
+
+
 def hermitian_onb(n: int) -> list[np.ndarray]:
     """Orthonormal Hermitian basis of M_n(C) for <a,b>_n = n Tr(b* a).
 

@@ -11,7 +11,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -263,15 +263,28 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
     )
 
 
+def hbm_chunks(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
+               method: str = "basis") -> Iterator[np.ndarray]:
+    """HBM paths 0..n_paths-1 as (count, T, n, n) value chunks of at most
+    ``chunk`` paths.  Path i always uses the stream keyed (seed, i) and is
+    filled in place, so a path's values do not depend on the chunking."""
+    _check_hbm_args(n, method)
+    dts = np.diff(grid.times)
+    for start in range(0, n_paths, chunk):
+        values = np.empty((min(chunk, n_paths - start), len(grid.times), n, n),
+                          dtype=complex)
+        for i, path in enumerate(values, start):
+            _fill_hbm(path, dts, RngStream(seed, i).generator, method)
+        yield values
+
+
 def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
                           method: str = "basis") -> Ensemble:
     """Independent HBM paths; path i uses the stream keyed (seed, i), so
     the result is identical no matter how generation is scheduled."""
-    _check_hbm_args(n, method)
-    values = np.empty((n_paths, len(grid.times), n, n), dtype=complex)
-    dts = np.diff(grid.times)
-    for i in range(n_paths):
-        _fill_hbm(values[i], dts, RngStream(seed, i).generator, method)
+    empty = np.empty((0, len(grid.times), n, n), dtype=complex)
+    values = next(hbm_chunks(n, grid, n_paths, seed, max(n_paths, 1), method),
+                  empty)
     return Ensemble(grid, values, "martingale", seed_info=(seed, method))
 
 

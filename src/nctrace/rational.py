@@ -14,11 +14,9 @@ from numbers import Rational
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (Rational, str)):
+    if isinstance(x, (Rational, str, float)):
+        # a float converts to the exact binary value it holds
         return Fraction(x)
-    if isinstance(x, float):
-        # floats only appear from user input; keep them exact as given
-        return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 

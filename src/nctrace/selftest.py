@@ -16,14 +16,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from .evaluator import EvalContext, eval_multilinear, eval_poly
-from .ito import functional_ito_residual, ito_residual_path, ito_rhs_symbolic
+from .ito import ito_residual_path, ito_sup_residuals
 from .matrix_alg import (
     ScalarFunctionSpec,
-    adjoint,
     divided_diff,
     dk_operator_function,
     esd_distance,
     hermitian_onb_array,
+    l1_trace_norms,
     magic_sum,
     moi,
     op_function,
@@ -34,6 +34,7 @@ from .process_sim import (
     Ensemble,
     RngStream,
     TimeGrid,
+    hbm_chunks,
     kappa_estimate,
     make_fv,
     simulate_hbm,
@@ -47,7 +48,7 @@ from .stoch_int import (
     ElementaryPredictable,
     bdg_stats,
     ito_isometry_check,
-    qc_closed_form,
+    qc_gap_l1,
     qc_of_integrals_check,
     quad_rs_path,
     substitution_check,
@@ -234,33 +235,14 @@ def check_gamma_rules_mc(seed: int) -> dict:
 # 6. QC convergence --------------------------------------------------------
 
 
-def _qc_gap_l1(n, mesh, paths, seed, a, chunk=50) -> float:
-    grid = TimeGrid.from_mesh(1.0, mesh)
-    L_sym = parse("y1 x1 y2")
-    gaps = []
-    closed = trace_n(a) * 1.0 * np.eye(n)
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        vals = np.empty((count, len(grid.times), n, n), dtype=complex)
-        for i in range(count):
-            vals[i] = simulate_hbm(
-                n, grid, RngStream(seed, start + i)
-            ).values
-        L = BoundBiprocess(L_sym, grid, n, {1: a}, linearity=2)
-        q = quad_rs_path(L, vals, vals)[:, -1]
-        diff = q - closed
-        s = np.linalg.svd(diff, compute_uv=False)
-        gaps.extend((np.sum(s, axis=-1) / n).tolist())
-    return float(np.mean(gaps))
-
-
 def check_qc_convergence(seed: int) -> dict:
     n, paths = 16, 200
     rng = np.random.default_rng(seed + 6)
     a = _rand_hermitian(rng, n)
     meshes = [0.02, 0.01, 0.005, 0.0025]
     gaps = [
-        _qc_gap_l1(n, m, paths, seed * 977 + 6000 + i, a)
+        qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths, seed * 977 + 6000 + i,
+                  a)
         for i, m in enumerate(meshes)
     ]
     monotone = all(b < a_ for a_, b in zip(gaps, gaps[1:]))
@@ -276,21 +258,6 @@ def check_qc_convergence(seed: int) -> dict:
 # 7. Ito residual convergence ----------------------------------------------
 
 
-def _ito_sup_l1(P, n, mesh, paths, seed, model, chunk=25) -> float:
-    grid = TimeGrid.from_mesh(1.0, mesh)
-    T = len(grid.times)
-    acc = np.zeros(T)
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        vals = np.empty((count, T, n, n), dtype=complex)
-        for i in range(count):
-            vals[i] = simulate_hbm(n, grid, RngStream(seed, start + i)).values
-        res = ito_residual_path(P, vals, grid, model)
-        s = np.linalg.svd(res, compute_uv=False)
-        acc += np.sum(np.sum(s, axis=-1) / n, axis=0)
-    return float(np.max(acc / paths))
-
-
 def check_ito_residuals(seed: int) -> dict:
     n, paths = 16, 100
     model = ContractionModel.matrix(n)
@@ -298,12 +265,15 @@ def check_ito_residuals(seed: int) -> dict:
     worst_factor = math.inf
     details = {}
     ok = True
-    for text in ("x1^2", "x1^4", "tr(x1^2) x1"):
-        P = parse(text)
-        sups = [
-            _ito_sup_l1(P, n, m, paths, seed * 31 + 7000 + i, model)
-            for i, m in enumerate(meshes)
-        ]
+    texts = ("x1^2", "x1^4", "tr(x1^2) x1")
+    per_mesh = [
+        ito_sup_residuals([parse(t) for t in texts], n,
+                          TimeGrid.from_mesh(1.0, m), paths,
+                          seed * 31 + 7000 + i, model)
+        for i, m in enumerate(meshes)
+    ]
+    for k, text in enumerate(texts):
+        sups = [row[k] for row in per_mesh]
         factors = [a / b for a, b in zip(sups, sups[1:])]
         worst_factor = min(worst_factor, min(factors))
         details[f"residuals {text}"] = sups
@@ -407,13 +377,9 @@ def check_fv_kills_qc(seed: int) -> dict:
         grid = TimeGrid.from_mesh(1.0, mesh)
         A = make_fv(grid, n, g=math.sin)
         L = BoundTriprocess(parse("y1 y2"), grid, n)
-        per_path = []
-        for p in range(paths):
-            Xv = simulate_hbm(n, grid, RngStream(seed * 23 + 11 + i, p)).values
-            q = quad_rs_path(L, Xv, A.values)[-1]
-            per_path.append(float(np.sum(
-                np.linalg.svd(q, compute_uv=False)) / n))
-        finals.append(float(np.mean(per_path)))
+        ens = simulate_hbm_ensemble(n, grid, paths, seed * 23 + 11 + i)
+        q = quad_rs_path(L, ens, A.values)[:, -1]
+        finals.append(float(np.mean(l1_trace_norms(q))))
     slope = fit_loglog_slope(meshes, finals)
     ok = finals[-1] <= 1e-3 and slope >= 0.7
     return make_report("fv_kills_qc",
@@ -434,25 +400,16 @@ def check_substitution_qcsi(seed: int) -> dict:
     b = _rand_hermitian(rng, n)
     params = {"n": n, "paths": paths, "seed": seed, "mesh": grid.mesh,
               "t": 1.0}
+    H = BoundBiprocess(parse("x1 y1"), grid, n, {1: a})
+    K = BoundBiprocess(parse("y1 x2 + tr(x2 y1) x2"), grid, n, {2: b})
+    K2 = BoundBiprocess(parse("y1 x2"), grid, n, {2: b})
+    L = BoundTriprocess(parse("y1 y2"), grid, n)
     worst_sub = 0.0
     worst_qcsi = 0.0
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        vals = np.empty((count, len(grid.times), n, n), dtype=complex)
-        for i in range(count):
-            vals[i] = simulate_hbm(
-                n, grid, RngStream(seed * 29 + 12, start + i)
-            ).values
-        H = BoundBiprocess(parse("x1 y1"), grid, n, {1: a})
-        K = BoundBiprocess(parse("y1 x2 + tr(x2 y1) x2"), grid, n, {2: b})
+    for vals in hbm_chunks(n, grid, paths, seed * 29 + 12, chunk):
         rep = substitution_check(H, K, vals, params)
         worst_sub = max(worst_sub, rep["l1_gap"])
-        L = BoundTriprocess(parse("y1 y2"), grid, n)
-        rep2 = qc_of_integrals_check(
-            BoundBiprocess(parse("x1 y1"), grid, n, {1: a}),
-            BoundBiprocess(parse("y1 x2"), grid, n, {2: b}),
-            L, vals, vals, 1.0, params,
-        )
+        rep2 = qc_of_integrals_check(H, K2, L, vals, vals, 1.0, params)
         worst_qcsi = max(worst_qcsi, rep2["l1_gap"])
     tol = 1e-8
     ok = worst_sub <= tol and worst_qcsi <= tol

@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evaluator import EvalContext, eval_multilinear, eval_poly
+from .matrix_alg import l1_trace_norms, trace_n
+from .parsing import parse
 from .reports import make_report
 from .trace_poly import (
     ContractionModel,
@@ -25,7 +27,7 @@ from .trace_poly import (
     compose_linear,
     gamma_contract,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid
+from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
 
 
 def _values_of(X):
@@ -128,6 +130,15 @@ def elementary_integral(H: ElementaryPredictable, X, t: float) -> np.ndarray:
     return out
 
 
+def cumulative_path(inc: np.ndarray) -> np.ndarray:
+    """The path from 0 with increments ``inc``: (..., T-1, n, n) to
+    (..., T, n, n)."""
+    out = np.zeros(inc.shape[:-3] + (inc.shape[-3] + 1,) + inc.shape[-2:],
+                   dtype=complex)
+    np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
+    return out
+
+
 def rs_increments(H: BoundBiprocess, X) -> np.ndarray:
     """Per-step integrand values H(t_-)[Delta X], shape (..., T-1, n, n)."""
     values = _values_of(X)
@@ -136,11 +147,7 @@ def rs_increments(H: BoundBiprocess, X) -> np.ndarray:
 
 def rs_integral(H: BoundBiprocess, X) -> np.ndarray:
     """Cumulative left-endpoint integral path, shape (..., T, n, n)."""
-    inc = rs_increments(H, X)
-    out = np.zeros(inc.shape[:-3] + (inc.shape[-3] + 1,) + inc.shape[-2:],
-                   dtype=complex)
-    np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
-    return out
+    return cumulative_path(rs_increments(H, X))
 
 
 def quad_rs_increments(L: BoundBiprocess, X, Y) -> np.ndarray:
@@ -153,11 +160,7 @@ def quad_rs_increments(L: BoundBiprocess, X, Y) -> np.ndarray:
 
 def quad_rs_path(L: BoundBiprocess, X, Y) -> np.ndarray:
     """Cumulative quadratic Riemann-Stieltjes sum path."""
-    inc = quad_rs_increments(L, X, Y)
-    out = np.zeros(inc.shape[:-3] + (inc.shape[-3] + 1,) + inc.shape[-2:],
-                   dtype=complex)
-    np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
-    return out
+    return cumulative_path(quad_rs_increments(L, X, Y))
 
 
 def quad_rs_sum(L: BoundBiprocess, X, Y, t: float) -> np.ndarray:
@@ -176,30 +179,23 @@ def qc_closed_form(L: BoundBiprocess, model: ContractionModel) -> np.ndarray:
     G = gamma_contract(L.symbolic, model)
     dts = np.diff(L.grid.times)
     ctx = L.left_context()
-    vals = eval_poly(G, ctx)
-    if vals.ndim == 2:
-        # constant integrand: broadcast over the steps
-        vals = np.broadcast_to(vals, (len(dts),) + vals.shape)
-    inc = vals * dts[:, None, None]
-    out = np.zeros(inc.shape[:-3] + (inc.shape[-3] + 1,) + inc.shape[-2:],
-                   dtype=complex)
-    np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
-    return out
+    return cumulative_path(eval_poly(G, ctx) * dts[:, None, None])
 
 
-# -- norms over ensembles -------------------------------------------------
+# -- ensemble statistics --------------------------------------------------
 
 
-def ensemble_l1_trace_norm(values: np.ndarray) -> np.ndarray:
-    """Mean over leading path axes of tr_n |A|: the ensemble L^1 norm.
-
-    Accepts (..., n, n) and reduces everything but the matrix axes;
-    a time axis should be moved out before calling.
-    """
-    n = values.shape[-1]
-    s = np.linalg.svd(values, compute_uv=False)
-    per = np.sum(s, axis=-1) / n
-    return float(np.mean(per))
+def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
+              chunk: int = 50) -> float:
+    """Path mean of tr_n |Q - t tr_n(a) I|, where Q is the quadratic sum of
+    the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
+    0..paths-1 of ``seed`` simulated ``chunk`` at a time, and t tr_n(a) I is
+    its closed form."""
+    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
+    closed = trace_n(a) * grid.times[-1] * np.eye(n)
+    gaps = [l1_trace_norms(quad_rs_path(L, vals, vals)[:, -1] - closed)
+            for vals in hbm_chunks(n, grid, paths, seed, chunk)]
+    return float(np.mean(np.concatenate(gaps)))
 
 
 def _paired_stats(a: np.ndarray, b: np.ndarray):
@@ -281,12 +277,9 @@ def conditional_qc_check(L: BoundBiprocess, X, Y, t: float,
     q = quad_rs_path(L, X, Y)[..., idx, :, :]
     c = qc_closed_form(L, model)[..., idx, :, :]
     gap_paths = q - np.broadcast_to(c, q.shape)
-    lhs = ensemble_l1_trace_norm(q)
-    rhs = ensemble_l1_trace_norm(np.broadcast_to(c, q.shape))
-    n = q.shape[-1]
-    per_path_gap = np.sum(
-        np.linalg.svd(gap_paths, compute_uv=False), axis=-1
-    ) / n
+    lhs = float(np.mean(l1_trace_norms(q)))
+    rhs = float(np.mean(l1_trace_norms(np.broadcast_to(c, q.shape))))
+    per_path_gap = l1_trace_norms(gap_paths)
     se = (float(np.std(per_path_gap, ddof=1) / np.sqrt(per_path_gap.size))
           if per_path_gap.size > 1 else 0.0)
     return make_report("conditional_qc", params, lhs, rhs, se,
@@ -310,10 +303,10 @@ def substitution_check(H: BoundBiprocess, K: BoundBiprocess, X,
     gap = lhs_path[..., -1, :, :] - rhs_path[..., -1, :, :]
     return make_report(
         "substitution", params,
-        ensemble_l1_trace_norm(lhs_path[..., -1, :, :]),
-        ensemble_l1_trace_norm(rhs_path[..., -1, :, :]),
+        float(np.mean(l1_trace_norms(lhs_path[..., -1, :, :]))),
+        float(np.mean(l1_trace_norms(rhs_path[..., -1, :, :]))),
         0.0,
-        extra={"l1_gap": ensemble_l1_trace_norm(gap)},
+        extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))},
     )
 
 
@@ -335,8 +328,8 @@ def qc_of_integrals_check(H: BoundBiprocess, K: BoundBiprocess,
     gap = direct - via
     return make_report(
         "qc_of_integrals", params,
-        ensemble_l1_trace_norm(direct),
-        ensemble_l1_trace_norm(via),
+        float(np.mean(l1_trace_norms(direct))),
+        float(np.mean(l1_trace_norms(via))),
         0.0,
-        extra={"l1_gap": ensemble_l1_trace_norm(gap)},
+        extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))},
     )

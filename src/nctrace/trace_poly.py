@@ -16,10 +16,9 @@ Coefficients are exact complex rationals (:class:`nctrace.rational.QC`).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .rational import QC, QC_ONE
+from .rational import QC
 
 
 class Letter(NamedTuple):
@@ -265,23 +264,6 @@ class TracePolynomial:
         from .parsing import format_polynomial
 
         return format_polynomial(self)
-
-
-def algebra(op: str, *operands):
-    """Dispatch helper mirroring the basic *-algebra operations."""
-    if op == "add":
-        a, b = operands
-        return a + b
-    if op == "mul":
-        a, b = operands
-        return a * b
-    if op == "scalar_mul":
-        c, p = operands
-        return p.scale(c)
-    if op == "star":
-        (p,) = operands
-        return p.star()
-    raise ValueError(f"unknown algebra op {op!r}")
 
 
 # -- derivatives ---------------------------------------------------------

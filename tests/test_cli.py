@@ -173,6 +173,25 @@ def test_config_errors(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"pahts": 5}))
+    rc, _, err = run(capsys, "ito", "--config", str(cfg))
+    assert rc == 2 and "pahts" in err
+
+
+def test_meshes_must_divide_the_horizon(capsys):
+    # 1/0.3 is not a whole number of steps: the grid's mesh would be 1/3
+    rc, _, err = run(capsys, "ito", "--n", "4", "--paths", "2",
+                     "--meshes", "0.3,0.2,0.1")
+    assert rc == 2 and "0.3" in err
+    rc, _, err = run(capsys, "qc", "--n", "4", "--paths", "2",
+                     "--meshes", "0.3,0.2,0.1")
+    assert rc == 2 and "0.3" in err
+    rc, _, err = run(capsys, "qc", "--meshes", "0,0.2,0.1")
+    assert rc == 2
+
+
 def test_bdg_and_isometry_small(tmp_path, capsys):
     rc, out, _ = run(capsys, "bdg", "--n", "6", "--paths", "80",
                      "--seed", "2", "--mesh", "0.05")
@@ -232,17 +251,29 @@ def test_selftest_unknown_check(capsys):
     assert rc == 2 and "unknown checks" in err
 
 
-def test_selftest_reports_byte_identical(tmp_path, capsys):
-    paths = []
-    for tag in ("r1", "r2"):
-        out_json = tmp_path / f"{tag}.json"
-        rc, _, _ = run(capsys, "selftest",
-                       "--checks", "golden_partial,magic_formula",
-                       "--threads", "1" if tag == "r1" else "4",
-                       "--json", str(out_json))
-        assert rc == 0
-        paths.append(out_json)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+def test_selftest_reports_byte_identical(tmp_path):
+    # reports must not depend on BLAS threading: run each command in two
+    # subprocesses, one and two OpenBLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctrace.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = {
+        "selftest": ["selftest", "--checks", "golden_partial,magic_formula"],
+        "ito": ["ito", "--n", "6", "--paths", "4",
+                "--meshes", "0.1,0.05,0.025", "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            out_json = tmp_path / f"{name}_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "nctrace.cli", *argv,
+                 "--json", str(out_json)],
+                env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out_json.read_bytes())
+        assert reports[0] == reports[1]
 
 
 def test_no_subcommand_exits_2(capsys):

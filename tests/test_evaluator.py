@@ -119,6 +119,17 @@ def test_zero_polynomial_keeps_the_batch_shape():
     assert eval_poly(zero, EvalContext(3)).shape == (3, 3)
 
 
+def test_constant_polynomial_keeps_the_batch_shape():
+    batch = RNG.normal(size=(5, 7, 3, 3)) + 0j
+    got = eval_poly(parse("5"), EvalContext(3, {1: batch}))
+    assert got.shape == (5, 7, 3, 3)
+    assert np.array_equal(got, np.broadcast_to(5 * np.eye(3), got.shape))
+    got = eval_multilinear(parse("2i"), EvalContext(3, {1: batch[0]}),
+                           [batch[:, :1]])
+    assert got.shape == (5, 7, 3, 3)
+    assert eval_poly(parse("5"), EvalContext(3)).shape == (3, 3)
+
+
 def test_ensemble_trace_mode_averages():
     batch = np.stack([rand_matrix(3, herm=True) for _ in range(10)])
     ctx = EvalContext(3, {1: batch, 2: np.eye(3, dtype=complex)},

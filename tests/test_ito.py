@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nctrace.process_sim
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear
 from nctrace.ito import (
@@ -11,6 +12,7 @@ from nctrace.ito import (
     ito_residual,
     ito_residual_path,
     ito_rhs_symbolic,
+    ito_sup_residuals,
 )
 from nctrace.matrix_alg import ScalarFunctionSpec, moi
 from nctrace.process_sim import (
@@ -174,3 +176,26 @@ def test_convergence_study_reports_slope():
         convergence_study("nope", [0.1, 0.05, 0.025], {})
     with pytest.raises(ValueError):
         convergence_study("ito_residual", [0.1], {})
+
+
+def test_sup_residuals_fill_each_path_once(monkeypatch):
+    polys = [parse("x1^2"), parse("x1^4"), parse("tr(x1^2) x1")]
+    model = ContractionModel.matrix(4)
+    grids = {11: TimeGrid.uniform(1.0, 10), 12: TimeGrid.uniform(1.0, 20)}
+    # one polynomial at a time, on the same paths
+    singles = {seed: [ito_sup_residuals([P], 4, grid, 6, seed, model,
+                                        chunk=4)[0] for P in polys]
+               for seed, grid in grids.items()}
+    fill = nctrace.process_sim._fill_hbm
+    filled = []
+
+    def counting_fill(values, dts, rng, method):
+        filled.append((rng.bit_generator.seed_seq.entropy, len(values)))
+        fill(values, dts, rng, method)
+
+    monkeypatch.setattr(nctrace.process_sim, "_fill_hbm", counting_fill)
+    for seed, grid in grids.items():
+        sups = ito_sup_residuals(polys, 4, grid, 6, seed, model, chunk=4)
+        assert sups == singles[seed]
+    assert filled == [((seed, i), grid.steps + 1)
+                      for seed, grid in grids.items() for i in range(6)]

@@ -12,6 +12,7 @@ from nctrace.process_sim import (
     ProcessPath,
     RngStream,
     TimeGrid,
+    hbm_chunks,
     kappa_estimate,
     load_ncp1,
     make_fv,
@@ -75,6 +76,18 @@ def test_ensemble_paths_equal_single_paths(method):
     for i in range(3):
         one = simulate_hbm(5, grid, RngStream(17, i), method=method)
         assert ens.values[i].tobytes() == one.values.tobytes()
+
+
+@pytest.mark.parametrize("method", ["basis", "entrywise"])
+def test_chunks_equal_the_ensemble(method):
+    # 7 paths in chunks of 3: the last chunk is short
+    grid = TimeGrid.uniform(1.0, 9)
+    chunks = list(hbm_chunks(4, grid, 7, 23, 3, method=method))
+    assert [len(c) for c in chunks] == [3, 3, 1]
+    ens = simulate_hbm_ensemble(4, grid, 7, seed=23, method=method)
+    assert np.concatenate(chunks).tobytes() == ens.values.tobytes()
+    assert simulate_hbm_ensemble(4, grid, 0, seed=23).values.shape == (
+        0, 10, 4, 4)
 
 
 def test_hbm_large_n_builds_no_dense_basis(monkeypatch):

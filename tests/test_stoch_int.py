@@ -23,6 +23,7 @@ from nctrace.stoch_int import (
     elementary_integral,
     ito_isometry_check,
     qc_closed_form,
+    qc_gap_l1,
     qc_of_integrals_check,
     quad_rs_path,
     quad_rs_sum,
@@ -205,6 +206,14 @@ def test_qc_gap_shrinks_with_mesh():
     slope = np.polyfit(np.log([1 / s for s in (25, 50, 100, 200)]),
                        np.log(gaps), 1)[0]
     assert 0.2 < slope < 0.9
+
+
+def test_qc_gap_closed_form_grows_with_the_horizon():
+    # with a = I the closed form at the grid's end t is t I; one fixed at
+    # t = 1 would leave a gap near 1 on a grid to t = 2
+    for t in (1.0, 2.0):
+        gap = qc_gap_l1(4, TimeGrid.uniform(t, 400), 20, 5, np.eye(4) + 0j)
+        assert gap < 0.1 * t
 
 
 # -- isometry and BDG -----------------------------------------------------

@@ -24,6 +24,15 @@ from nctrace.trace_poly import canonical_rotation, relabel_slot, star_word, x, y
 # -- canonical form -------------------------------------------------------
 
 
+def test_floats_convert_exactly():
+    assert QC.from_value(1e-13) != 0
+    assert QC.from_value(1e-13).re == Fraction(1e-13)
+    assert QC.from_value(0.3333333333333) != QC(Fraction(1, 3))
+    scaled = parse("x1").scale(1e-13)
+    assert not scaled.is_zero()
+    assert scaled == parse("x1").scale(QC(Fraction(1e-13)))
+
+
 def test_traciality_canonicalizes_rotations():
     assert parse("tr(x1 x2 x3)") == parse("tr(x3 x1 x2)")
     assert parse("tr(x1 x2 x1)") == parse("tr(x1^2 x2)")
