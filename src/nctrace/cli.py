@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -92,6 +93,14 @@ def _meshes(value) -> list[float]:
     return out
 
 
+def _paths(cfg) -> int:
+    """The configured path count, which must be at least 1."""
+    paths = int(cfg["paths"])
+    if paths < 1:
+        raise ConfigError(f"paths must be at least 1, got {paths}")
+    return paths
+
+
 def _emit(records, cfg, args) -> None:
     for rec in records:
         rec.setdefault("config", cfg)
@@ -159,12 +168,13 @@ def _cmd_eval(args) -> int:
 def _cmd_sim(args) -> int:
     cfg = _effective(args, {"n": 8, "T": 1.0, "mesh": 0.01, "paths": 1,
                             "seed": 0, "out": "path", "method": "basis"})
+    paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["T"]), float(cfg["mesh"]))
-    for i in range(int(cfg["paths"])):
+    for i in range(paths):
         p = simulate_hbm(int(cfg["n"]), grid, RngStream(cfg["seed"], i),
                          method=cfg["method"])
         save_ncp1(p, f"{cfg['out']}_{i:04d}.ncp1")
-    print(f"wrote {cfg['paths']} path file(s) with prefix {cfg['out']}")
+    print(f"wrote {paths} path file(s) with prefix {cfg['out']}")
     return 0
 
 
@@ -172,7 +182,7 @@ def _cmd_qc(args) -> int:
     cfg = _effective(args, {"n": 16, "paths": 200, "seed": 0,
                             "meshes": "0.02,0.01,0.005,0.0025"})
     meshes = _meshes(cfg["meshes"])
-    n, paths, seed = int(cfg["n"]), int(cfg["paths"]), int(cfg["seed"])
+    n, paths, seed = int(cfg["n"]), _paths(cfg), int(cfg["seed"])
     rng = np.random.default_rng(seed + 6)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (g + g.conj().T) / 2
@@ -199,7 +209,7 @@ def _cmd_ito(args) -> int:
     meshes = _meshes(cfg["meshes"])
     rep = convergence_study(
         "ito_residual", meshes,
-        {"n": int(cfg["n"]), "paths": int(cfg["paths"]),
+        {"n": int(cfg["n"]), "paths": _paths(cfg),
          "seed": int(cfg["seed"]), "poly": parse(cfg["poly"]),
          "model": ContractionModel.matrix(int(cfg["n"]))},
     )
@@ -211,12 +221,13 @@ def _cmd_ito(args) -> int:
 def _cmd_bdg(args) -> int:
     cfg = _effective(args, {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02,
                             "p": 2, "t": 1.0})
+    paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["t"]), float(cfg["mesh"]))
-    ens = simulate_hbm_ensemble(int(cfg["n"]), grid, int(cfg["paths"]),
+    ens = simulate_hbm_ensemble(int(cfg["n"]), grid, paths,
                                 seed=int(cfg["seed"]))
     rep = bdg_stats(ens, int(cfg["p"]), float(cfg["t"]),
                     {"n": int(cfg["n"]), "mesh": grid.mesh,
-                     "paths": int(cfg["paths"]), "seed": int(cfg["seed"]),
+                     "paths": paths, "seed": int(cfg["seed"]),
                      "t": float(cfg["t"])})
     _emit([rep], cfg, args)
     return 0 if rep.get("passed", True) else 1
@@ -225,14 +236,13 @@ def _cmd_bdg(args) -> int:
 def _cmd_isometry(args) -> int:
     cfg = _effective(args, {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02,
                             "t": 1.0, "expr": "y1"})
+    paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["t"]), float(cfg["mesh"]))
     n = int(cfg["n"])
-    ens = simulate_hbm_ensemble(n, grid, int(cfg["paths"]),
-                                seed=int(cfg["seed"]))
+    ens = simulate_hbm_ensemble(n, grid, paths, seed=int(cfg["seed"]))
     H = BoundBiprocess(parse(cfg["expr"]), grid, n)
     rep = ito_isometry_check(H, ens, float(cfg["t"]),
-                             {"n": n, "mesh": grid.mesh,
-                              "paths": int(cfg["paths"]),
+                             {"n": n, "mesh": grid.mesh, "paths": paths,
                               "seed": int(cfg["seed"]), "t": float(cfg["t"])})
     _emit([rep], cfg, args)
     return 0 if rep["passed"] else 1
@@ -262,7 +272,14 @@ def _cmd_selftest(args) -> int:
         unknown = [c for c in checks if c not in known]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-    records = run_selftest(seed=int(cfg["seed"]), checks=checks)
+    records = []
+    for name in known:
+        if checks and name not in checks:
+            continue
+        start = time.perf_counter()
+        records += run_selftest(seed=int(cfg["seed"]), checks=[name])
+        print(f"time  {name}  {time.perf_counter() - start:.3f} s",
+              file=sys.stderr)
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"{status}  {rec['check']}")

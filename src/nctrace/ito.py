@@ -3,9 +3,10 @@
 The right-hand side for a trace polynomial P is the 1-linear derivative
 symbol plus half the gamma-contracted second derivative; for scalar
 functions the derivative terms are multiple operator integrals with
-divided-difference kernels.  Residuals of the discretized formula are
-measured in the ensemble-averaged tr_n-L^1 norm and fed into mesh
-convergence studies.
+divided-difference kernels, evaluated for all time steps of a path at
+once from one eigendecomposition per grid point.  Residuals of the
+discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
+and fed into mesh convergence studies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .evaluator import EvalContext, eval_multilinear, eval_poly
-from .matrix_alg import ScalarFunctionSpec, l1_trace_norms, moi, op_function
+from .matrix_alg import (
+    ScalarFunctionSpec,
+    l1_trace_norms,
+    moi,
+    op_function,
+    spectral_data,
+)
 from .rational import QC
 from .reports import fit_loglog_slope, make_report
 from .stoch_int import BoundBiprocess, cumulative_path, rs_integral
@@ -88,28 +95,21 @@ def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
     }
 
 
-def functional_ito_step_terms(f: ScalarFunctionSpec, x_left: np.ndarray,
-                              delta: np.ndarray):
-    """One step's MOI terms (first-order, second-order)."""
-    first = moi(f, 1, (x_left, x_left), (delta,))
-    second = moi(f, 2, (x_left, x_left, x_left), (delta, delta))
-    return first, second
-
-
 def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
-    """Residual of the scalar-function Ito formula along one path."""
+    """Residual of the scalar-function Ito formula along one path:
+    f(X_t) - f(X_0) minus the sum over earlier steps of the first- and
+    second-order MOI terms f^[1](X_s)[dX] + f^[2](X_s)[dX, dX].
+
+    One eigendecomposition of the whole (T, n, n) path feeds f(X_t) and
+    both MOIs, which run batched over the time axis."""
     values = path.values
-    grid = path.grid
-    T = len(grid.times)
-    res_norms = np.zeros(T)
-    acc = np.zeros_like(values[0])
-    f0 = op_function(f, values[0])
-    for i in range(T - 1):
-        delta = values[i + 1] - values[i]
-        first, second = functional_ito_step_terms(f, values[i], delta)
-        acc = acc + first + second
-        res = op_function(f, values[i + 1]) - f0 - acc
-        res_norms[i + 1] = l1_trace_norms(res)
+    sd = spectral_data(values)
+    left = sd[:-1]
+    delta = np.diff(values, axis=0)
+    inc = (moi(f, 1, (left, left), (delta,))
+           + moi(f, 2, (left, left, left), (delta, delta)))
+    fx = op_function(f, sd)
+    res_norms = l1_trace_norms(fx - fx[0] - cumulative_path(inc))
     return {
         "sup_norm": float(np.max(res_norms)),
         "final_norm": float(res_norms[-1]),

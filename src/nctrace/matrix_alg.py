@@ -3,6 +3,11 @@
 Norms, the Hermitian orthonormal basis and its magic-formula identities,
 functional calculus, divided differences, and multiple operator integrals
 (MOIs) realized as exact spectral sums.
+
+The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
+``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
+shape (..., m) with leading batch axes, where a single matrix is the stack
+without batch axes.  Each batch element gives what a call on it alone gives.
 """
 
 from __future__ import annotations
@@ -32,8 +37,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    scale = np.max(np.abs(a)) or 1.0
-    return bool(np.max(np.abs(a - adjoint(a))) <= tol * scale)
+    """Whether every matrix of a (..., n, n) stack is Hermitian to ``tol``
+    relative to its own largest entry."""
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    dev = np.max(np.abs(a - adjoint(a)), axis=(-2, -1), initial=0.0)
+    return bool(np.all(dev <= tol * np.where(scale == 0, 1.0, scale)))
 
 
 def lp_norm(a: np.ndarray, p: float) -> float:
@@ -230,15 +238,21 @@ def divided_diff(f: ScalarFunctionSpec, nodes: Sequence) -> complex:
     return col[0]
 
 
-def _poly_divdiff_grid(f: ScalarFunctionSpec, vectors, k: int) -> np.ndarray:
+def _tensor_axes(vectors) -> list[np.ndarray]:
+    """Reshape node vectors (..., m_j) so that vector j varies along grid
+    axis j of a (..., m_0, ..., m_k) tensor grid."""
+    k = len(vectors) - 1
+    return [
+        v.reshape(v.shape[:-1] + (1,) * j + v.shape[-1:] + (1,) * (k - j))
+        for j, v in enumerate(vectors)
+    ]
+
+
+def _poly_divdiff_grid(f: ScalarFunctionSpec, shaped) -> np.ndarray:
     """Closed-form polynomial divided difference on a tensor grid:
     sum_i c_i * h_{i-k}(lambda_1, ..., lambda_{k+1})."""
-    shaped = []
-    for axis, v in enumerate(vectors):
-        shape = [1] * (k + 1)
-        shape[axis] = len(v)
-        shaped.append(np.asarray(v, dtype=complex).reshape(shape))
-    out_shape = tuple(len(v) for v in vectors)
+    k = len(shaped) - 1
+    out_shape = np.broadcast_shapes(*(v.shape for v in shaped))
     out = np.zeros(out_shape, dtype=complex)
     for i, c in enumerate(f.coeffs):
         if c == 0 or i < k:
@@ -261,159 +275,213 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _exp_dd1(xi: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable first divided difference of e^{i xi lambda} on broadcast
-    arrays."""
-    return (
-        1j * xi
-        * np.exp(1j * xi * (a + b) / 2.0)
-        * np.sinc(xi * (a - b) / (2.0 * np.pi))
-    )
+def _exp_dd1(f: ScalarFunctionSpec, a: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """First divided difference of the exponential sum ``f`` on broadcast
+    node arrays, stable at coalescence:
+    g^[1](a, b) = i xi e^{i xi a/2} e^{i xi b/2} sinc(xi (a - b) / 2 pi)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                   dtype=complex)
+    for c, xi in f.atoms:
+        out += (
+            (complex(c) * 1j * xi)
+            * (np.exp(0.5j * xi * a) * np.exp(0.5j * xi * b))
+            * np.sinc(xi * (a - b) / (2.0 * np.pi))
+        )
+    return out
 
 
-def _exp_dd2(xi: float, a, b, c, scale: float) -> np.ndarray:
-    """Stable second divided difference of e^{i xi lambda} (symmetric)."""
-    delta = CONFLUENT_TOL * (scale or 1.0)
-    bc = np.abs(b - c)
-    # generic recursion, guarding the denominator
-    den = np.where(bc < delta, 1.0, b - c)
-    generic = (_exp_dd1(xi, a, b) - _exp_dd1(xi, a, c)) / den
-    # b ~ c, a separated: (g'(m) - g^[1](m, a)) / (m - a)
-    m = (b + c) / 2.0
-    am = np.abs(m - a)
-    den2 = np.where(am < delta, 1.0, m - a)
-    conf2 = (1j * xi * np.exp(1j * xi * m) - _exp_dd1(xi, m, a)) / den2
-    # all three coincide: g''(mean) / 2
-    mean = (a + b + c) / 3.0
-    conf3 = (1j * xi) ** 2 * np.exp(1j * xi * mean) / 2.0
-    out = np.where(bc < delta, conf2, generic)
-    out = np.where((bc < delta) & (am < delta), conf3, out)
+def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
+    """Second divided difference of the exponential sum ``f`` on the tensor
+    grid of node vectors (..., m_0), (..., m_1), (..., m_2).
+
+    Entries with |b - c| >= delta difference the first-order tables,
+    (g^[1](a, b) - g^[1](a, c)) / (b - c).  The confluent formulas run only
+    on the pairs with |b - c| < delta: (g'(m) - g^[1](m, a)) / (m - a) at
+    m = (b + c) / 2, or g''(mean) / 2 when a is within delta of m too.
+    """
+    a, b, c = _tensor_axes(vecs)
+    batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
+    d_ab = _exp_dd1(f, a[..., 0], b[..., 0])        # (..., m_0, m_1)
+    d_ac = _exp_dd1(f, a[..., 0, :], c[..., 0, :])  # (..., m_0, m_2)
+    bc = b[..., 0, :, :] - c[..., 0, :, :]           # (..., m_1, m_2)
+    close = np.abs(bc) < delta[..., None, None]
+    inv = 1.0 / np.where(close, 1.0, bc)
+    out = d_ab[..., :, :, None] - d_ac[..., :, None, :]
+    out *= inv[..., None, :, :]
+    if not np.any(close):
+        return out
+    # (batch..., j, l) of each confluent pair; a-nodes of its batch element
+    idx = np.nonzero(np.broadcast_to(close, batch + close.shape[-2:]))
+    av = np.broadcast_to(vecs[0], batch + vecs[0].shape[-1:])[idx[:-2]]
+    bv = np.broadcast_to(vecs[1], batch + vecs[1].shape[-1:])[idx[:-1]]
+    cv = np.broadcast_to(vecs[2], batch + vecs[2].shape[-1:])[
+        idx[:-2] + idx[-1:]]
+    dl = np.broadcast_to(delta, batch)[idx[:-2]][..., None]
+    m = ((bv + cv) / 2.0)[:, None]
+    am = m - av
+    near = np.abs(am) < dl
+    conf = (f.derivative(1)(m) - _exp_dd1(f, m, av)) / np.where(near, 1.0, am)
+    if np.any(near):
+        mean = (av + bv[:, None] + cv[:, None]) / 3.0
+        conf = np.where(near, f.derivative(2)(mean) / 2.0, conf)
+    np.moveaxis(out, -3, -1)[idx] = conf
     return out
 
 
 def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
     """Divided difference f^[k] on the tensor grid of k+1 node vectors.
 
-    Vectorized and cancellation-safe; this is the kernel evaluation used
-    by the MOI sums.  Supports k <= 2 for exponential sums and any k for
-    polynomials.
+    Each vector has shape (..., m_j) with broadcastable leading batch axes,
+    and the result has shape (..., m_0, ..., m_k); a batch element's entries
+    depend only on its own nodes.  Vectorized and cancellation-safe; this is
+    the kernel evaluation used by the MOI sums.  Supports k <= 2 for
+    exponential sums and any k for polynomials.
     """
     k = len(vectors) - 1
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if f.kind == "polynomial":
-        return _poly_divdiff_grid(f, vecs, k)
+        return _poly_divdiff_grid(
+            f, _tensor_axes([v.astype(complex) for v in vecs]))
     if k == 0:
         return f(vecs[0]).astype(complex)
-    scale = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in vecs)
-    shaped = []
-    for axis, v in enumerate(vecs):
-        shape = [1] * (k + 1)
-        shape[axis] = len(v)
-        shaped.append(v.reshape(shape))
-    out_shape = tuple(len(v) for v in vecs)
-    out = np.zeros(out_shape, dtype=complex)
-    for c, xi in f.atoms:
-        if k == 1:
-            part = _exp_dd1(xi, shaped[0], shaped[1])
-        elif k == 2:
-            # symmetrize over which pair feeds the guarded recursion
-            part = (
-                _exp_dd2(xi, shaped[0], shaped[1], shaped[2], scale)
-                + _exp_dd2(xi, shaped[1], shaped[2], shaped[0], scale)
-                + _exp_dd2(xi, shaped[2], shaped[0], shaped[1], scale)
-            ) / 3.0
-        else:
-            raise NotImplementedError(
-                "exp_sum divided differences support k <= 2 on grids"
-            )
-        out = out + complex(c) * np.broadcast_to(part, out_shape)
-    return out
+    if k == 1:
+        a, b = _tensor_axes(vecs)
+        return _exp_dd1(f, a, b)
+    if k == 2:
+        scale = 0.0
+        for v in vecs:
+            scale = np.maximum(scale, np.max(np.abs(v), axis=-1, initial=0.0))
+        return _exp_dd2(f, vecs,
+                        CONFLUENT_TOL * np.where(scale == 0, 1.0, scale))
+    raise NotImplementedError(
+        "exp_sum divided differences support k <= 2 on grids"
+    )
 
 
 # -- spectral data and operator functions ---------------------------------
 
+# complex entries per block of an MOI kernel: ``moi`` builds the
+# (..., n, ..., n) divided-difference tables over at most this many entries
+# at a time, so its memory grows like batch * n^2 rather than batch * n^(k+1)
+MOI_BLOCK_ENTRIES = 2**16
+
 
 @dataclass
 class SpectralData:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    clusters: list  # list of index ranges (start, stop)
+    """Eigendecomposition of a (..., n, n) stack of Hermitian matrices.
 
-    @property
-    def cluster_values(self) -> np.ndarray:
-        return np.array(
-            [self.eigenvalues[a:b].mean() for a, b in self.clusters]
-        )
+    ``snapped`` is ``eigenvalues`` with each cluster of near-degenerate
+    eigenvalues replaced by its mean; the MOI kernels take their nodes from
+    it.  Indexing selects along the leading batch axes.
+    """
+
+    eigenvalues: np.ndarray   # (..., n), ascending
+    eigenvectors: np.ndarray  # (..., n, n), one eigenvector per column
+    snapped: np.ndarray       # (..., n)
+
+    def __getitem__(self, idx) -> "SpectralData":
+        return SpectralData(self.eigenvalues[idx], self.eigenvectors[idx],
+                            self.snapped[idx])
 
 
 def spectral_data(a: np.ndarray, tol: float = CLUSTER_TOL) -> SpectralData:
-    """Eigendecomposition with near-degenerate eigenvalues grouped."""
+    """Eigendecomposition of each matrix of a (..., n, n) Hermitian stack,
+    with near-degenerate eigenvalues snapped to their cluster mean.
+
+    Raises ``ValueError`` if any matrix is not Hermitian.  Neighbouring
+    eigenvalues join a cluster when they differ by at most ``tol`` times
+    the matrix's spectral radius (or ``tol`` for the zero matrix).
+    """
     if not is_hermitian(a, tol=1e-10):
         raise ValueError("spectral data requires a Hermitian matrix")
     lam, u = np.linalg.eigh(a)
-    scale = max(abs(lam[0]), abs(lam[-1])) or 1.0
-    clusters = []
-    start = 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] - lam[i - 1] > tol * scale:
-            clusters.append((start, i))
-            start = i
-    return SpectralData(lam, u, clusters)
+    scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+    scale = np.where(scale == 0, 1.0, scale)
+    joined = np.diff(lam, axis=-1) <= tol * scale[..., None]
+    if not np.any(joined):
+        return SpectralData(lam, u, lam)
+    # cluster id of each eigenvalue, unique across the flattened stack
+    n = lam.shape[-1]
+    flat = lam.reshape(-1, n)
+    ids = np.zeros(flat.shape, dtype=np.intp)
+    np.cumsum(~joined.reshape(-1, n - 1), axis=-1, out=ids[:, 1:])
+    ids += n * np.arange(flat.shape[0])[:, None]
+    sums = np.bincount(ids.ravel(), weights=flat.ravel())
+    counts = np.maximum(np.bincount(ids.ravel()), 1)
+    return SpectralData(lam, u, (sums / counts)[ids].reshape(lam.shape))
 
 
-def op_function(f: ScalarFunctionSpec, a: np.ndarray) -> np.ndarray:
-    """Functional calculus f(a) for Hermitian a."""
-    sd = spectral_data(a)
+def _spectral(a) -> SpectralData:
+    return a if isinstance(a, SpectralData) else spectral_data(a)
+
+
+def op_function(f: ScalarFunctionSpec, a) -> np.ndarray:
+    """Functional calculus f(a) for each matrix of a Hermitian (..., n, n)
+    stack, or of the stack whose ``SpectralData`` is given."""
+    sd = _spectral(a)
     vals = f(sd.eigenvalues)
-    return (sd.eigenvectors * vals) @ adjoint(sd.eigenvectors)
+    return (sd.eigenvectors * vals[..., None, :]) @ adjoint(sd.eigenvectors)
 
 
-def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence[np.ndarray],
+def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
         b_tuple: Sequence[np.ndarray]) -> np.ndarray:
     """Multiple operator integral I^a f^[k] [b_1, ..., b_k].
 
     Exact finite spectral sum: the divided-difference kernel weighted by
     spectral projections of the k+1 Hermitian arguments, contracted with
-    the k perturbation directions.
+    the k perturbation directions.  Every argument is a (..., n, n) stack
+    (a Hermitian argument may be given as its ``SpectralData``); the
+    leading batch axes broadcast, and the result has their shape followed
+    by (n, n).  The kernel is built in blocks of the flattened batch of at
+    most ``MOI_BLOCK_ENTRIES`` entries.
     """
     if len(a_tuple) != k + 1 or len(b_tuple) != k:
         raise ValueError("need k+1 Hermitian arguments and k directions")
-    n = a_tuple[0].shape[-1]
-    if any(m.shape[-1] != n for m in (*a_tuple, *b_tuple)):
+    shapes = [a.eigenvectors.shape if isinstance(a, SpectralData)
+              else np.shape(a) for a in a_tuple]
+    shapes += [np.shape(b) for b in b_tuple]
+    n = shapes[0][-1]
+    if any(s[-2:] != (n, n) for s in shapes):
         raise ValueError("dimension mismatch")
-    sds = [spectral_data(a) for a in a_tuple]
+    sds = [_spectral(a) for a in a_tuple]
     if k == 0:
-        return op_function(f, a_tuple[0])
-    # eigenvalue vectors with within-cluster values replaced by the
-    # cluster representative, to keep the kernel well conditioned
-    lam_vecs = []
-    for sd in sds:
-        lam = sd.eigenvalues.copy()
-        for a0, b0 in sd.clusters:
-            lam[a0:b0] = lam[a0:b0].mean()
-        lam_vecs.append(lam)
-    phi = divided_diff_grid(f, lam_vecs)
-    mids = [
-        adjoint(sds[m].eigenvectors) @ b_tuple[m] @ sds[m + 1].eigenvectors
-        for m in range(k)
-    ]
+        return op_function(f, sds[0])
+    batch = np.broadcast_shapes(*(s[:-2] for s in shapes))
+    size = math.prod(batch)
+
+    def flat(x, tail):
+        return np.broadcast_to(x, batch + tail).reshape((size,) + tail)
+
+    vecs = [flat(sd.snapped, (n,)) for sd in sds]
+    us = [flat(sd.eigenvectors, (n, n)) for sd in sds]
+    bs = [flat(b, (n, n)) for b in b_tuple]
     letters = "abcdefgh"[: k + 1]
-    spec = letters + "," + ",".join(
-        letters[m] + letters[m + 1] for m in range(k)
-    ) + "->" + letters[0] + letters[-1]
-    core = np.einsum(spec, phi, *mids)
-    return sds[0].eigenvectors @ core @ adjoint(sds[-1].eigenvectors)
+    spec = "..." + letters + "," + ",".join(
+        "..." + letters[m] + letters[m + 1] for m in range(k)
+    ) + "->..." + letters[0] + letters[-1]
+    out = np.empty((size, n, n), dtype=complex)
+    step = max(1, MOI_BLOCK_ENTRIES // n ** (k + 1))
+    for lo in range(0, size, step):
+        blk = slice(lo, lo + step)
+        u = [x[blk] for x in us]
+        mids = [adjoint(u[m]) @ bs[m][blk] @ u[m + 1] for m in range(k)]
+        phi = divided_diff_grid(f, [v[blk] for v in vecs])
+        out[blk] = u[0] @ np.einsum(spec, phi, *mids) @ adjoint(u[-1])
+    return out.reshape(batch + (n, n))
 
 
 def dk_operator_function(f: ScalarFunctionSpec, a: np.ndarray, k: int,
                          b_tuple: Sequence[np.ndarray]) -> np.ndarray:
     """k-th derivative of the operator function a -> f(a): the symmetrized
-    MOI over all orderings of the directions."""
+    MOI over all orderings of the directions, for a Hermitian (..., n, n)
+    stack ``a``."""
     if len(b_tuple) != k:
         raise ValueError("need k directions")
+    sd = spectral_data(a)
     out = np.zeros_like(a, dtype=complex)
     for perm in itertools.permutations(range(k)):
-        out = out + moi(f, k, [a] * (k + 1), [b_tuple[p] for p in perm])
+        out = out + moi(f, k, [sd] * (k + 1), [b_tuple[p] for p in perm])
     return out
 
 

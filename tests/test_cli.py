@@ -192,6 +192,28 @@ def test_meshes_must_divide_the_horizon(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ito", "--n", "3", "--paths", "0", "--meshes", "0.5,0.25,0.125"],
+    ["qc", "--n", "3", "--paths", "0", "--meshes", "0.5,0.25,0.125"],
+    ["bdg", "--n", "3", "--paths", "0"],
+    ["isometry", "--n", "3", "--paths", "-2"],
+    ["sim", "--n", "3", "--paths", "-1"],
+], ids=lambda argv: argv[0])
+def test_paths_below_one_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "sim":
+        argv = argv + ["--out", str(tmp_path / "p")]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and "paths" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+def test_paths_below_one_from_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"paths": 0}))
+    rc, _, err = run(capsys, "bdg", "--n", "3", "--config", str(cfg))
+    assert rc == 2 and "paths" in err
+
+
 def test_bdg_and_isometry_small(tmp_path, capsys):
     rc, out, _ = run(capsys, "bdg", "--n", "6", "--paths", "80",
                      "--seed", "2", "--mesh", "0.05")
@@ -244,6 +266,21 @@ def test_selftest_subset_and_reports(tmp_path, capsys):
     recs = json.loads(out_json.read_text())
     assert [r["check"] for r in recs] == ["golden_partial", "magic_formula"]
     assert out_csv.read_bytes().count(b"\r\n") == 3
+
+
+def test_selftest_prints_each_check_time_to_stderr(capsys):
+    rc, out, err = run(capsys, "selftest",
+                       "--checks", "magic_formula,golden_partial")
+    assert rc == 0
+    # stdout keeps its bytes: status lines, then the report
+    assert out.startswith("PASS  golden_partial\nPASS  magic_formula\n[")
+    assert "time" not in out
+    lines = err.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["time", "golden_partial"], ["time", "magic_formula"]]
+    for line in lines:
+        _, _, seconds, unit = line.split()
+        assert float(seconds) >= 0 and unit == "s"
 
 
 def test_selftest_unknown_check(capsys):

@@ -12,7 +12,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from nctrace import matrix_alg
 from nctrace.matrix_alg import (
+    CLUSTER_TOL,
+    CONFLUENT_TOL,
     ScalarFunctionSpec,
     adjoint,
     divided_diff,
@@ -315,6 +318,148 @@ def test_moi_adjoint_symmetry():
     f_bar = ScalarFunctionSpec.exp_sum([(1.0, -0.8)])
     rhs = moi(f_bar, 1, (a2, a1), (adjoint(b),))
     assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+# -- batched stacks -------------------------------------------------------
+#
+# A (..., n, n) stack must give what one call per matrix gives.
+
+EXP = ScalarFunctionSpec.exp_sum([(1.0, 1.1), (0.4j, -0.6)])
+CUBIC = ScalarFunctionSpec.polynomial([0.5, -1.0, 0.0, 2.0, 0.0, 1.0])
+
+
+def mixed_stack(rng, n=6):
+    """Hermitian (2, 3, n, n) stack: a generic spectrum, eigenvalues within
+    CLUSTER_TOL (snapped), within CONFLUENT_TOL but not CLUSTER_TOL, a
+    1e-3-scale matrix, an exact double eigenvalue, and the zero matrix."""
+    def with_spectrum(lam):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u, _ = np.linalg.qr(g)
+        a = (u * np.asarray(lam)) @ u.conj().T
+        return (a + a.conj().T) / 2
+    rest = list(np.linspace(1.2, 2.6, n - 3))
+    mats = [
+        rand_hermitian(n, rng),
+        with_spectrum([0.4, 0.4 + 1e-11, 0.4 + 2e-11] + rest),
+        with_spectrum([0.7, 0.7 + 1e-7, 3.0] + rest),
+        rand_hermitian(n, rng, scale=1e-3),
+        with_spectrum([-0.3, -0.3, 1.1] + rest),
+        np.zeros((n, n), dtype=complex),
+    ]
+    return np.stack(mats).reshape(2, 3, n, n)
+
+
+def assert_rel(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def per_matrix(fn, *stacks):
+    """fn applied to each matrix of equal-batch stacks, restacked."""
+    batch = stacks[0].shape[:-2]
+    outs = [fn(*(s[idx] for s in stacks)) for idx in np.ndindex(batch)]
+    return np.stack(outs).reshape(batch + outs[0].shape)
+
+
+def test_spectral_data_stack_matches_per_matrix():
+    a = mixed_stack(np.random.default_rng(1))
+    sd = spectral_data(a)
+    assert sd.eigenvalues.shape == (2, 3, 6)
+    for idx in np.ndindex(2, 3):
+        one = spectral_data(a[idx])
+        assert np.array_equal(sd.eigenvalues[idx], one.eigenvalues)
+        assert np.array_equal(sd.eigenvectors[idx], one.eigenvectors)
+        assert np.array_equal(sd.snapped[idx], one.snapped)
+    # snapping: the triple within CLUSTER_TOL shares its mean; the pair
+    # 1e-7 apart and the small-scale matrix are left alone
+    snapped = sd.snapped[0, 1]
+    assert snapped[0] == snapped[1] == snapped[2]
+    assert snapped[0] == pytest.approx(0.4 + 1e-11, abs=1e-14)
+    assert np.array_equal(sd.snapped[0, 2], sd.eigenvalues[0, 2])
+    assert np.array_equal(sd.snapped[1, 0], sd.eigenvalues[1, 0])
+    assert np.all(sd.snapped[1, 2] == 0.0)
+    gap = np.diff(sd.eigenvalues[0, 2])[0]
+    assert CLUSTER_TOL * 3.0 < gap < CONFLUENT_TOL * 3.0
+
+
+def test_op_function_stack_matches_per_matrix():
+    a = mixed_stack(np.random.default_rng(2))
+    for f in (EXP, CUBIC):
+        want = per_matrix(lambda m: op_function(f, m), a)
+        assert_rel(op_function(f, a), want)
+        assert_rel(op_function(f, spectral_data(a)), op_function(f, a), rel=0)
+
+
+def test_divided_diff_grid_stack_matches_per_row():
+    sd = spectral_data(mixed_stack(np.random.default_rng(3)))
+    lam = sd.snapped.reshape(6, 6)
+    other = sd.eigenvalues.reshape(6, 6)[::-1]
+    cases = [(CUBIC, [lam, other, lam, lam])]
+    cases += [(EXP, [lam, other, lam][: k + 1]) for k in range(3)]
+    for f, vecs in cases:
+        got = divided_diff_grid(f, vecs)
+        want = np.stack([divided_diff_grid(f, [v[i] for v in vecs])
+                         for i in range(6)])
+        assert_rel(got, want)
+    # leading axes broadcast: one node vector against a batch of them
+    got = divided_diff_grid(EXP, [lam[2], lam, other])
+    want = np.stack([divided_diff_grid(EXP, [lam[2], lam[i], other[i]])
+                     for i in range(6)])
+    assert_rel(got, want)
+
+
+def test_moi_stack_matches_per_matrix():
+    rng = np.random.default_rng(4)
+    a1, a2, a3 = (mixed_stack(rng) for _ in range(3))
+    b1 = np.stack([rand_hermitian(6, rng) for _ in range(6)]).reshape(a1.shape)
+    b2 = rng.normal(size=a1.shape) + 1j * rng.normal(size=a1.shape)
+    cases = [
+        (EXP, 0, (a1,), ()),
+        (EXP, 1, (a1, a2), (b1,)),
+        (EXP, 2, (a1, a1, a1), (b1, b1)),
+        (EXP, 2, (a1, a2, a3), (b1, b2)),
+        (CUBIC, 3, (a1, a2, a1, a3), (b2, b1, b2)),
+    ]
+    for f, k, a_tuple, b_tuple in cases:
+        got = moi(f, k, a_tuple, b_tuple)
+        want = per_matrix(
+            lambda *m: moi(f, k, m[: k + 1], m[k + 1:]), *a_tuple, *b_tuple)
+        assert_rel(got, want)
+        sds = [spectral_data(a) for a in a_tuple]
+        assert_rel(moi(f, k, sds, b_tuple), got, rel=0)
+    got = dk_operator_function(EXP, a1, 2, (b1, b2))
+    want = per_matrix(lambda a, x, y: dk_operator_function(EXP, a, 2, (x, y)),
+                      a1, b1, b2)
+    assert_rel(got, want)
+
+
+def test_moi_blocks_do_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = mixed_stack(rng).reshape(6, 6, 6)
+    b = np.stack([rand_hermitian(6, rng) for _ in range(6)])
+    whole = moi(EXP, 2, (a, a, a), (b, b))
+    # 216 kernel entries per matrix: blocks of one matrix each
+    monkeypatch.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", 300)
+    assert_rel(moi(EXP, 2, (a, a, a), (b, b)), whole, rel=0)
+
+
+def test_stack_with_one_non_hermitian_matrix_raises():
+    a = mixed_stack(np.random.default_rng(6))
+    a[1, 1, 0, 2] += 1e-6
+    b = np.zeros_like(a)
+    with pytest.raises(ValueError):
+        spectral_data(a)
+    with pytest.raises(ValueError):
+        op_function(EXP, a)
+    with pytest.raises(ValueError):
+        moi(EXP, 1, (a, a), (b,))
+    spectral_data(np.delete(a, 1, axis=1))
+    # each matrix is checked against its own scale: 1e-12 is small next
+    # to the stack's largest entry but not next to the 1e-3-scale matrix
+    a = mixed_stack(np.random.default_rng(7))
+    a[1, 0, 0, 2] += 1e-12
+    with pytest.raises(ValueError):
+        spectral_data(a)
 
 
 # -- semicircle comparison ------------------------------------------------
