@@ -6,7 +6,10 @@ functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
-and fed into mesh convergence studies.
+and fed into mesh convergence studies.  The studies walk each chunk of
+paths in blocks of ``STUDY_TIME_BLOCK`` grid times, carrying the running
+integral from block to block, so no (paths, T, n, n) temporary is made;
+``ito_residual_path`` is the one-block case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .matrix_alg import (
 )
 from .rational import QC
 from .reports import fit_loglog_slope, make_report
-from .stoch_int import BoundBiprocess, cumulative_path, rs_integral
+from .stoch_int import STUDY_TIME_BLOCK, cumulative_path
 from .trace_poly import (
     ContractionModel,
     TracePolynomial,
@@ -50,6 +53,50 @@ def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
     return dP, correction
 
 
+def _residual_blocks(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
+                     model: ContractionModel, second_order: str,
+                     block: int):
+    """Yield (i0, i1, residual) for consecutive blocks [i0, i1) of at most
+    ``block`` grid points, the residual shaped (..., i1 - i0, n, n).
+
+    Each block evaluates P, the increments dP[dX] plus the second-order
+    term, and one cumsum on block-sized arrays; the running integral is
+    carried from block to block, so the blocks together hold the same
+    sequential sums as one block over the whole grid."""
+    if second_order not in ("contracted", "quadratic"):
+        raise ValueError(f"unknown second-order mode {second_order!r}")
+    n, T = values.shape[-1], values.shape[-3]
+    dP, correction = ito_rhs_symbolic(P, model)
+    d2P = derive_k(P, 2) if second_order == "quadratic" else None
+    dts = np.diff(grid.times)
+    p0 = eval_poly(P, EvalContext(n, {1: values[..., :1, :, :]}))
+    carry = None
+    for i0 in range(0, T, block):
+        i1 = min(i0 + block, T)
+        res = eval_poly(P, EvalContext(n, {1: values[..., i0:i1, :, :]}))
+        res -= p0
+        # each point t_j+1 > 0 of the block closes the step [t_j, t_j+1]
+        j0, j1 = max(i0, 1) - 1, i1 - 1
+        if j1 > j0:
+            left = values[..., j0:j1, :, :]
+            delta = values[..., j0 + 1:i1, :, :] - left
+            ctx = EvalContext(n, {1: left})
+            inc = eval_multilinear(dP, ctx, [delta])
+            if second_order == "contracted":
+                second = eval_poly(correction, ctx)
+                second *= dts[j0:j1, None, None]
+            else:
+                second = eval_multilinear(d2P, ctx, [delta, delta])
+                second *= 0.5
+            inc += second
+            if carry is not None:
+                inc[..., 0, :, :] += carry
+            np.cumsum(inc, axis=-3, out=inc)
+            carry = inc[..., -1, :, :].copy()
+            res[..., j0 + 1 - i0:, :, :] -= inc
+        yield i0, i1, res
+
+
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
                       model: ContractionModel,
                       second_order: str = "contracted") -> np.ndarray:
@@ -57,25 +104,13 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
 
     "contracted" integrates the gamma-contracted correction against dt
     (the Ito form); "quadratic" subtracts the pathwise quadratic sums of
-    the second derivative, which is exact for smooth drivers.
+    the second derivative, which is exact for smooth drivers.  This is the
+    one-block case of the studies' time-blocked residual.
     """
-    n = values.shape[-1]
-    dP, correction = ito_rhs_symbolic(P, model)
-    lhs = eval_poly(P, EvalContext(n, {1: values}))
-    lhs = lhs - lhs[..., 0:1, :, :]
-    stoch = rs_integral(BoundBiprocess(dP, grid, n, {1: values}), values)
-    dts = np.diff(grid.times)
-    left = values[..., :-1, :, :]
-    ctx_left = EvalContext(n, {1: left})
-    if second_order == "contracted":
-        inc = eval_poly(correction, ctx_left) * dts[:, None, None]
-    elif second_order == "quadratic":
-        d2P = derive_k(P, 2)
-        delta = values[..., 1:, :, :] - left
-        inc = 0.5 * eval_multilinear(d2P, ctx_left, [delta, delta])
-    else:
-        raise ValueError(f"unknown second-order mode {second_order!r}")
-    return lhs - stoch - cumulative_path(inc)
+    T = values.shape[-3]
+    ((_, _, res),) = _residual_blocks(P, values, grid, model, second_order,
+                                      max(T, 1))
+    return res
 
 
 def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
@@ -126,12 +161,15 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
                       chunk: int = 25) -> list[float]:
     """For each polynomial, the sup over grid times of the path mean of
     tr_n |residual|, on HBM paths 0..paths-1 of ``seed``.  Each chunk of
-    paths is simulated once and feeds every polynomial."""
+    paths is simulated once and feeds every polynomial, whose residual is
+    built and reduced ``STUDY_TIME_BLOCK`` grid points at a time."""
     acc = np.zeros((len(polys), len(grid.times)))
     for vals in hbm_chunks(n, grid, paths, seed, chunk):
         for row, P in zip(acc, polys):
-            row += np.sum(l1_trace_norms(
-                ito_residual_path(P, vals, grid, model, second_order)), axis=0)
+            for i0, i1, res in _residual_blocks(P, vals, grid, model,
+                                                second_order,
+                                                STUDY_TIME_BLOCK):
+                row[i0:i1] += np.sum(l1_trace_norms(res), axis=0)
     return [float(np.max(row / paths)) for row in acc]
 
 

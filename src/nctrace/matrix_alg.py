@@ -4,6 +4,9 @@ Norms, the Hermitian orthonormal basis and its magic-formula identities,
 functional calculus, divided differences, and multiple operator integrals
 (MOIs) realized as exact spectral sums.
 
+``l1_trace_norms`` is the one tr_n-L^1 reducer: Hermitian matrices go
+through ``eigvalsh``, the rest through the singular values.
+
 The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
 ``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
 shape (..., m) with leading batch axes, where a single matrix is the stack
@@ -36,12 +39,20 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
+def _hermitian_mask(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Per matrix of a (..., n, n) stack: Hermitian to ``tol`` relative to
+    its own largest entry (a zero matrix is Hermitian)."""
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    defect = adjoint(a)
+    defect -= a  # in place: ``a - adjoint(a)`` iterates mixed layouts slowly
+    dev = np.max(np.abs(defect), axis=(-2, -1), initial=0.0)
+    return dev <= tol * np.where(scale == 0, 1.0, scale)
+
+
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     """Whether every matrix of a (..., n, n) stack is Hermitian to ``tol``
     relative to its own largest entry."""
-    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    dev = np.max(np.abs(a - adjoint(a)), axis=(-2, -1), initial=0.0)
-    return bool(np.all(dev <= tol * np.where(scale == 0, 1.0, scale)))
+    return bool(np.all(_hermitian_mask(a, tol)))
 
 
 def lp_norm(a: np.ndarray, p: float) -> float:
@@ -57,7 +68,33 @@ def lp_norm(a: np.ndarray, p: float) -> float:
 
 
 def l1_trace_norms(a: np.ndarray) -> np.ndarray:
-    """tr_n |a| for each matrix of a (..., n, n) stack, shape (...)."""
+    """tr_n |a| for each matrix of a (..., n, n) stack, shape (...).
+
+    Matrices Hermitian to a relative 1e-12 (as ``is_hermitian`` tests
+    them) reduce through ``eigvalsh`` of their Hermitian part, as the sum
+    of |eigenvalues|; the rest through the singular values.  Dropping an
+    anti-Hermitian part E moves tr_n |a| only at second order in E."""
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    herm = _hermitian_mask(a)
+    if herm.all():
+        return _l1_hermitian(a)
+    if not herm.any():
+        return _l1_general(a)
+    out = np.empty(herm.shape)
+    out[herm] = _l1_hermitian(a[herm])
+    out[~herm] = _l1_general(a[~herm])
+    return out
+
+
+def _l1_hermitian(a: np.ndarray) -> np.ndarray:
+    h = adjoint(a)
+    h += a
+    h *= 0.5
+    return np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1) / a.shape[-1]
+
+
+def _l1_general(a: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1) / a.shape[-1]
 
 

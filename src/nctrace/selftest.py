@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .evaluator import EvalContext, eval_multilinear, eval_poly
 from .ito import ito_residual_path, ito_sup_residuals
@@ -423,6 +422,10 @@ def check_substitution_qcsi(seed: int) -> dict:
 
 
 def _simplex_dd_quad(f: ScalarFunctionSpec, nodes) -> complex:
+    # imported here: scipy.integrate takes most of a second to import, and
+    # this one check is its only user
+    from scipy.integrate import quad
+
     k = len(nodes) - 1
     fk = f.derivative(k)
 

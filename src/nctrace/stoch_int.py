@@ -29,6 +29,12 @@ from .trace_poly import (
 )
 from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
 
+# block length of the time-blocked studies: ``ito.ito_sup_residuals`` works
+# through this many grid times at once and ``qc_gap_l1`` through this many
+# steps, so their per-time arrays are (paths, block, n, n), not (paths, T,
+# n, n)
+STUDY_TIME_BLOCK = 64
+
 
 def _values_of(X):
     if isinstance(X, (ProcessPath, Ensemble)):
@@ -190,11 +196,19 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     """Path mean of tr_n |Q - t tr_n(a) I|, where Q is the quadratic sum of
     the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
     0..paths-1 of ``seed`` simulated ``chunk`` at a time, and t tr_n(a) I is
-    its closed form."""
-    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
+    its closed form.  Q is summed ``STUDY_TIME_BLOCK`` steps at a time."""
+    L = parse("y1 x1 y2")
+    ctx = EvalContext(n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
-    gaps = [l1_trace_norms(quad_rs_path(L, vals, vals)[:, -1] - closed)
-            for vals in hbm_chunks(n, grid, paths, seed, chunk)]
+    gaps = []
+    for vals in hbm_chunks(n, grid, paths, seed, chunk):
+        q = np.zeros((len(vals), n, n), dtype=complex)
+        for j0 in range(0, vals.shape[1] - 1, STUDY_TIME_BLOCK):
+            delta = np.diff(vals[:, j0:j0 + STUDY_TIME_BLOCK + 1], axis=1)
+            inc = eval_multilinear(L, ctx, [delta, delta])
+            inc[:, 0] += q
+            q = np.sum(inc, axis=1)
+        gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))
 
 

@@ -313,6 +313,19 @@ def test_selftest_reports_byte_identical(tmp_path):
         assert reports[0] == reports[1]
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate took most of a second of every command's start-up;
+    # only the divided-differences check needs it, and imports it itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nctrace.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nctrace.cli; print('scipy.integrate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_no_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

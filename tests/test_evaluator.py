@@ -1,11 +1,22 @@
 """Evaluation maps: homomorphism, linearity, trace modes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctrace import parse
-from nctrace.evaluator import EvalContext, EvalError, eval_multilinear, eval_poly
+from nctrace.evaluator import (
+    EvalContext,
+    EvalError,
+    compile_plan,
+    eval_multilinear,
+    eval_poly,
+)
 from nctrace.matrix_alg import adjoint, trace_n
+from nctrace.rational import QC
+from nctrace.trace_poly import TracePolynomial, x, y
 
 RNG = np.random.default_rng(991)
 
@@ -152,3 +163,121 @@ def test_error_conditions():
         eval_multilinear(parse("y1 x1"), ctx_of(a), [np.eye(4, dtype=complex)])
     with pytest.raises(EvalError):
         eval_multilinear(parse("y1 y2 x1"), ctx_of(a), [a])
+
+
+# -- compiled plans against the term-by-term reference ------------------------
+
+
+def _ref_letter(letter, ctx, y_bindings):
+    if letter.family == "x":
+        m = ctx.bindings[letter.index]
+    else:
+        bound = y_bindings[letter.index - 1]
+        m = bound[letter.coord - 1] if isinstance(bound, tuple) else bound
+    m = np.asarray(m, dtype=complex)
+    return adjoint(m) if letter.star else m
+
+
+def _ref_word(word, ctx, y_bindings):
+    out = np.eye(ctx.n, dtype=complex)
+    for letter in word:
+        out = out @ _ref_letter(letter, ctx, y_bindings)
+    return out
+
+
+def _reference(P, ctx, y_bindings):
+    """Term-by-term evaluation: every word multiplied out left to right,
+    every trace factor from its own word, every term scaled and summed.
+    Returns the value and the sum of the terms' largest entries."""
+    mats = list(ctx.bindings.values())
+    for bound in y_bindings or ():
+        mats.extend(bound if isinstance(bound, tuple) else [bound])
+    batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+    result = np.zeros(batch + (ctx.n, ctx.n), dtype=complex)
+    scale = 0.0
+    for (traces, outer), coeff in P.terms.items():
+        scalar = complex(coeff)
+        for w in traces:
+            t = trace_n(_ref_word(w, ctx, y_bindings))
+            scalar = scalar * (np.mean(t) if ctx.trace_mode == "ensemble"
+                               else t)
+        term = np.asarray(scalar)[..., None, None] * _ref_word(
+            outer, ctx, y_bindings)
+        scale += float(np.max(np.abs(term)))
+        result = result + term
+    return result, scale
+
+
+# x1 and x2 with stars; slot 1 carries two coordinates, slot 2 is scalar
+_X_LETTERS = [x(1), x(1, star=True), x(2)]
+_Y_LETTERS = [y(1, 1), y(1, 2, star=True), y(2), y(2, star=True)]
+_COEFFS = [1, -1, 2, Fraction(1, 3), QC(0, 1), QC(Fraction(3, 2), -2)]
+
+
+@st.composite
+def _words(draw, letters):
+    # runs of one letter, so that powers occur
+    runs = draw(st.lists(st.tuples(st.sampled_from(letters),
+                                   st.integers(1, 4)), max_size=3))
+    return tuple(l for l, k in runs for _ in range(k))
+
+
+@st.composite
+def _plan_polys(draw):
+    letters = _X_LETTERS + (_Y_LETTERS if draw(st.booleans()) else [])
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        traces = draw(st.lists(_words(letters), max_size=3))
+        if traces and draw(st.booleans()):
+            traces.append(traces[0])  # a repeated trace factor
+        terms[(tuple(traces), draw(_words(letters)))] = draw(
+            st.sampled_from(_COEFFS))
+    return TracePolynomial(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_polys(), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["pathwise", "ensemble"]), st.integers(0, 2**32 - 1))
+def test_plan_matches_the_term_by_term_reference(P, n, mode, seed):
+    rng = np.random.default_rng(seed)
+
+    def mats(*batch):
+        shape = batch + (n, n)
+        return 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    ctx = EvalContext(n, {1: mats(2, 3), 2: mats(3)}, trace_mode=mode)
+    if P.slots_used():
+        y_bindings = [(mats(2, 1), mats(1, 3)), mats(3)]
+        got = eval_multilinear(P, ctx, y_bindings)
+    else:
+        y_bindings = None
+        got = eval_poly(P, ctx)
+    want, scale = _reference(P, ctx, y_bindings)
+    assert got.shape == want.shape == (2, 3, n, n)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_plan_is_compiled_once_per_polynomial():
+    P = parse("x1^4 + 2 tr(x1^2) x1 - 3")
+    plan = compile_plan(P)
+    # an equal polynomial built another way gets the cached plan
+    assert compile_plan(parse("-3 + 2 tr(x1 x1) x1 + x1 x1 x1 x1")) is plan
+
+
+def test_plan_shares_powers_and_prefixes():
+    # the derivative symbol of x1^4: x1^2 and x1^3 are computed once, so
+    # its four words take 8 matrix products, not 12
+    plan = compile_plan(parse("x1^3 y1 + x1^2 y1 x1 + x1 y1 x1^2 + y1 x1^3"))
+    assert sum(op == "mul" for op, *_ in plan.steps) == 8
+    # a trace of two factors is a contraction, not a product
+    plan = compile_plan(parse("tr(x1 y1) x1"))
+    assert not any(op == "mul" for op, *_ in plan.steps)
+
+
+def test_plan_result_is_a_new_array():
+    a = RNG.normal(size=(4, 3, 3)) + 0j
+    for text in ("x1", "x1^2", "2 x1", "5", "tr(x1) x1"):
+        got = eval_poly(parse(text), ctx_of(a))
+        assert not np.shares_memory(got, a)
+        got += 1  # writable

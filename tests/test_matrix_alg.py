@@ -23,6 +23,7 @@ from nctrace.matrix_alg import (
     dk_operator_function,
     esd_distance,
     hermitian_onb,
+    l1_trace_norms,
     lp_norm,
     magic_sum,
     moi,
@@ -493,3 +494,66 @@ def test_esd_distance_semicircle_quantiles_small():
     lam = np.interp(targets, cdf, grid)
     a = np.diag(lam).astype(complex)
     assert esd_distance(a, t) <= 1.0 / n + 1e-3
+
+
+# -- the tr_n-L1 reducer ------------------------------------------------------
+
+
+def _svd_l1(a):
+    return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1) / a.shape[-1]
+
+
+def _count_routes(monkeypatch):
+    """Matrices reduced through eigvalsh and through svd, counted at the
+    numpy module attribute the reducer calls."""
+    counts = {"eigvalsh": 0, "svd": 0}
+    for name in counts:
+        fn = getattr(np.linalg, name)
+
+        def counting(a, *args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += math.prod(np.shape(a)[:-2])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def _reducer_stacks():
+    herm = np.stack([rand_hermitian(5, scale=s) for s in (1e-3, 1.0, 40.0)])
+    general = RNG.normal(size=(3, 5, 5)) + 1j * RNG.normal(size=(3, 5, 5))
+    # Hermitian up to a relative 1e-14 anti-Hermitian part
+    skew = 1j * np.stack([rand_hermitian(5) for _ in range(3)])
+    near = herm + 1e-14 * skew * (np.max(np.abs(herm), axis=(1, 2))
+                                  / np.max(np.abs(skew), axis=(1, 2)))[:, None, None]
+    mixed = np.stack([herm[0], general[0], np.zeros((5, 5)), near[1],
+                      general[2], herm[2]]).reshape(2, 3, 5, 5)
+    one_herm = RNG.normal(size=(4, 1, 1)) + 0j
+    one_general = RNG.normal(size=(4, 1, 1)) + 1j * RNG.normal(size=(4, 1, 1))
+    return {
+        "hermitian": (herm, (3, 0)),
+        "general": (general, (0, 3)),
+        "near_hermitian": (near, (3, 0)),
+        "mixed": (mixed, (4, 2)),
+        "zero": (np.zeros((2, 4, 4), dtype=complex), (2, 0)),
+        "n1_hermitian": (one_herm, (4, 0)),
+        "n1_general": (one_general, (0, 4)),
+        "single_matrix": (herm[1], (1, 0)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reducer_stacks()))
+def test_l1_trace_norms_match_the_singular_value_sum(name, monkeypatch):
+    a, (n_eig, n_svd) = _reducer_stacks()[name]
+    want = _svd_l1(a)
+    counts = _count_routes(monkeypatch)
+    got = l1_trace_norms(a)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # Hermitian matrices go through eigvalsh, the rest through the SVD
+    assert counts == {"eigvalsh": n_eig, "svd": n_svd}
+
+
+def test_l1_trace_norms_of_integer_and_broadcast_input():
+    assert l1_trace_norms(np.array([[1, 2], [2, 1]])) == pytest.approx(2.0)
+    a = np.broadcast_to(rand_hermitian(3), (4, 3, 3))
+    assert np.allclose(l1_trace_norms(a), _svd_l1(a), rtol=1e-12, atol=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nctrace import ContractionModel, parse
+from nctrace.matrix_alg import trace_n
 from nctrace.process_sim import (
     Ensemble,
     RngStream,
@@ -15,6 +16,7 @@ from nctrace.process_sim import (
     simulate_hbm_ensemble,
 )
 from nctrace.stoch_int import (
+    STUDY_TIME_BLOCK,
     BoundBiprocess,
     BoundTriprocess,
     ElementaryPredictable,
@@ -330,3 +332,21 @@ def test_qc_of_integrals_fv_leg_vanishes():
     )
     assert rep["lhs"] < 0.05
     assert rep["rhs"] < 0.05
+
+
+@pytest.mark.parametrize("points", [2, STUDY_TIME_BLOCK, STUDY_TIME_BLOCK + 1,
+                                    STUDY_TIME_BLOCK + 2, 801])
+def test_blocked_qc_gap_matches_the_cumulative_quadratic_sum(points):
+    n, paths, seed = 3, 5, 4
+    grid = TimeGrid.uniform(1.0, points - 1)
+    rng = np.random.default_rng(points)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (g + g.conj().T) / 2
+    got = qc_gap_l1(n, grid, paths, seed, a, chunk=2)
+    vals = simulate_hbm_ensemble(n, grid, paths, seed).values
+    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
+    gap = (quad_rs_path(L, vals, vals)[:, -1]
+           - trace_n(a) * grid.times[-1] * np.eye(n))
+    want = float(np.mean(
+        np.sum(np.linalg.svd(gap, compute_uv=False), axis=-1) / n))
+    assert abs(got - want) <= 1e-12 * want
