@@ -39,7 +39,7 @@ from .stoch_int import (
     BoundBiprocess,
     bdg_stats,
     ito_isometry_check,
-    qc_gap_l1,
+    qc_convergence_gaps,
 )
 from .evaluator import EvalContext, EvalError, eval_poly
 from .trace_poly import ContractionModel, LinearityError, derive, derive_k
@@ -79,17 +79,13 @@ def _effective(args, defaults: dict) -> dict:
 
 
 def _meshes(value) -> list[float]:
-    """At least 3 meshes, each dividing the horizon t = 1 into whole steps,
-    so the slope is fitted against the meshes the grids really have."""
+    """At least 3 meshes; ``TimeGrid.from_mesh`` checks that each divides
+    the horizon, so the slope is fitted against the grids' real meshes."""
     if isinstance(value, str):
         value = [float(v) for v in value.split(",") if v]
     out = [float(v) for v in value]
     if len(out) < 3:
         raise ConfigError("need at least 3 meshes")
-    for mesh in out:
-        steps = 1.0 / mesh if mesh > 0 else 0.0
-        if steps < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ConfigError(f"mesh {mesh} does not divide the horizon 1")
     return out
 
 
@@ -183,14 +179,7 @@ def _cmd_qc(args) -> int:
                             "meshes": "0.02,0.01,0.005,0.0025"})
     meshes = _meshes(cfg["meshes"])
     n, paths, seed = int(cfg["n"]), _paths(cfg), int(cfg["seed"])
-    rng = np.random.default_rng(seed + 6)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = (g + g.conj().T) / 2
-    gaps = [
-        qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths, seed * 977 + 6000 + i,
-                  a)
-        for i, m in enumerate(meshes)
-    ]
+    gaps = qc_convergence_gaps(n, meshes, paths, seed)
     slope = fit_loglog_slope(meshes, gaps)
     rep = make_report(
         "qc_convergence",
@@ -208,12 +197,14 @@ def _cmd_ito(args) -> int:
                             "seed": 0, "meshes": "0.02,0.01,0.005,0.0025"})
     meshes = _meshes(cfg["meshes"])
     rep = convergence_study(
-        "ito_residual", meshes,
+        meshes,
         {"n": int(cfg["n"]), "paths": _paths(cfg),
          "seed": int(cfg["seed"]), "poly": parse(cfg["poly"]),
          "model": ContractionModel.matrix(int(cfg["n"]))},
     )
-    rep["passed"] = rep["residuals"][-1] < rep["residuals"][0]
+    # a polynomial of degree <= 1 telescopes: every residual is rounding
+    res = rep["residuals"]
+    rep["passed"] = res[-1] < res[0] or max(res) <= 1e-12
     _emit([rep], cfg, args)
     return 0 if rep["passed"] else 1
 

@@ -6,10 +6,11 @@ functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
-and fed into mesh convergence studies.  The studies walk each chunk of
-paths in blocks of ``STUDY_TIME_BLOCK`` grid times, carrying the running
-integral from block to block, so no (paths, T, n, n) temporary is made;
-``ito_residual_path`` is the one-block case of the same code.
+and fed into mesh convergence studies.  The residual is P(X) - P(X_0)
+minus the ``stoch_int.carried_sums`` of the per-step terms dP[dX] plus the
+second-order term; the studies walk each chunk of paths in blocks of
+``STUDY_TIME_BLOCK`` grid times, so no (paths, T, n, n) temporary is made,
+and ``ito_residual_path`` is the one-block case of the same code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .matrix_alg import (
 )
 from .rational import QC
 from .reports import fit_loglog_slope, make_report
-from .stoch_int import STUDY_TIME_BLOCK, cumulative_path
+from .stoch_int import STUDY_TIME_BLOCK, carried_sums, cumulative_path
 from .trace_poly import (
     ContractionModel,
     TracePolynomial,
@@ -57,43 +58,34 @@ def _residual_blocks(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
                      model: ContractionModel, second_order: str,
                      block: int):
     """Yield (i0, i1, residual) for consecutive blocks [i0, i1) of at most
-    ``block`` grid points, the residual shaped (..., i1 - i0, n, n).
-
-    Each block evaluates P, the increments dP[dX] plus the second-order
-    term, and one cumsum on block-sized arrays; the running integral is
-    carried from block to block, so the blocks together hold the same
-    sequential sums as one block over the whole grid."""
+    ``block`` grid points, the residual shaped (..., i1 - i0, n, n): P(X)
+    - P(X_0) on the block minus the carried sums of dP[dX] plus the
+    correction times dt ("contracted") or plus 1/2 d2P[dX, dX]
+    ("quadratic")."""
     if second_order not in ("contracted", "quadratic"):
         raise ValueError(f"unknown second-order mode {second_order!r}")
-    n, T = values.shape[-1], values.shape[-3]
+    n = values.shape[-1]
     dP, correction = ito_rhs_symbolic(P, model)
     d2P = derive_k(P, 2) if second_order == "quadratic" else None
     dts = np.diff(grid.times)
+
+    def step_terms(left, delta, steps):
+        ctx = EvalContext(n, {1: left})
+        terms = eval_multilinear(dP, ctx, [delta])
+        if d2P is None:
+            second = eval_poly(correction, ctx)
+            second *= dts[steps, None, None]
+        else:
+            second = eval_multilinear(d2P, ctx, [delta, delta])
+            second *= 0.5
+        terms += second
+        return terms
+
     p0 = eval_poly(P, EvalContext(n, {1: values[..., :1, :, :]}))
-    carry = None
-    for i0 in range(0, T, block):
-        i1 = min(i0 + block, T)
+    for i0, i1, sums in carried_sums(values, step_terms, block):
         res = eval_poly(P, EvalContext(n, {1: values[..., i0:i1, :, :]}))
         res -= p0
-        # each point t_j+1 > 0 of the block closes the step [t_j, t_j+1]
-        j0, j1 = max(i0, 1) - 1, i1 - 1
-        if j1 > j0:
-            left = values[..., j0:j1, :, :]
-            delta = values[..., j0 + 1:i1, :, :] - left
-            ctx = EvalContext(n, {1: left})
-            inc = eval_multilinear(dP, ctx, [delta])
-            if second_order == "contracted":
-                second = eval_poly(correction, ctx)
-                second *= dts[j0:j1, None, None]
-            else:
-                second = eval_multilinear(d2P, ctx, [delta, delta])
-                second *= 0.5
-            inc += second
-            if carry is not None:
-                inc[..., 0, :, :] += carry
-            np.cumsum(inc, axis=-3, out=inc)
-            carry = inc[..., -1, :, :].copy()
-            res[..., j0 + 1 - i0:, :, :] -= inc
+        res -= sums
         yield i0, i1, res
 
 
@@ -173,29 +165,26 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     return [float(np.max(row / paths)) for row in acc]
 
 
-def convergence_study(check: str, meshes, params: dict) -> dict:
-    """Run a named residual check over a geometric mesh family and fit
-    the log-log convergence slope.  The only check is "ito_residual": the
-    sup residual of ``params["poly"]`` on ``params["paths"]`` paths, seeded
+def convergence_study(meshes, params: dict) -> dict:
+    """The Ito residual study over a geometric mesh family on [0, 1], with
+    its fitted log-log convergence slope: the sup residual of
+    ``params["poly"]`` on ``params["paths"]`` paths, seeded
     ``params["seed"]`` plus the grid's step count."""
-    if check != "ito_residual":
-        raise ValueError(f"unknown check {check!r}")
     meshes = list(meshes)
     if len(meshes) < 3:
         raise ValueError("need at least 3 meshes")
     residuals = []
     for m in meshes:
-        grid = TimeGrid.from_mesh(params.get("horizon", 1.0), m)
+        grid = TimeGrid.from_mesh(1.0, m)
         residuals += ito_sup_residuals(
             [params["poly"]], params["n"], grid, params["paths"],
-            params["seed"] + grid.steps, params["model"],
-            params.get("second_order", "contracted"))
+            params["seed"] + grid.steps, params["model"])
     slope = fit_loglog_slope(meshes, residuals)
     rep = make_report(
-        f"convergence:{check}",
+        "convergence:ito_residual",
         {"n": params.get("n"), "mesh": meshes[-1],
          "paths": params.get("paths"), "seed": params.get("seed"),
-         "t": params.get("horizon", 1.0)},
+         "t": 1.0},
         residuals[0], residuals[-1], 0.0, slope=slope,
         extra={"meshes": meshes, "residuals": residuals},
     )

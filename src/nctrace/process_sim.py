@@ -1,7 +1,7 @@
 """Discretized matrix-valued processes.
 
 Hermitian matrix Brownian motion normalized so E tr_n((X(t)-X(s))^2)
-equals t - s, finite-variation paths, stopping, Doleans time-marginal
+equals t - s, finite-variation paths, Doleans time-marginal
 estimation, and the NCP1 binary path format.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,8 +46,14 @@ class TimeGrid:
 
     @classmethod
     def from_mesh(cls, horizon: float, mesh: float) -> "TimeGrid":
-        steps = max(1, int(round(horizon / mesh)))
-        return cls.uniform(horizon, steps)
+        """The uniform grid of step ``mesh`` on [0, horizon]; the mesh must
+        be positive and divide the horizon into whole steps."""
+        steps = horizon / mesh if mesh > 0 else 0.0
+        if (not 1 <= steps < math.inf
+                or abs(steps - round(steps)) > 1e-9 * steps):
+            raise ValueError(
+                f"mesh {mesh} does not divide the horizon {horizon}")
+        return cls.uniform(horizon, round(steps))
 
     @property
     def mesh(self) -> float:
@@ -318,23 +324,6 @@ def variation(path: ProcessPath, s: float = None, t: float = None,
             for i in range(i0, i1)
         )
     )
-
-
-def stop(path: ProcessPath, t: float) -> ProcessPath:
-    """Freeze the path after time t (grid projection of X(. ^ t))."""
-    if t < 0:
-        raise ValueError("stopping time must be >= 0")
-    idx = int(np.searchsorted(path.grid.times, t, side="right") - 1)
-    values = path.values.copy()
-    values[idx + 1:] = values[idx]
-    out = replace(path, values=values)
-    if path.role == "decomposable":
-        mart = path.mart_part.copy()
-        mart[idx + 1:] = mart[idx]
-        fv = path.fv_part.copy()
-        fv[idx + 1:] = fv[idx]
-        out = replace(out, mart_part=mart, fv_part=fv)
-    return out
 
 
 def kappa_estimate(ensemble: Ensemble, s: float, t: float):

@@ -95,4 +95,6 @@ def fit_loglog_slope(xs, ys) -> float:
     my = sum(ly) / len(ly)
     num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
     den = sum((a - mx) ** 2 for a in lx)
+    if den == 0:
+        raise ValueError("a slope needs at least two distinct x values")
     return num / den

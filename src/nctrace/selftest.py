@@ -47,9 +47,10 @@ from .stoch_int import (
     ElementaryPredictable,
     bdg_stats,
     ito_isometry_check,
-    qc_gap_l1,
+    qc_convergence_gaps,
     qc_of_integrals_check,
     quad_rs_path,
+    rs_integral,
     substitution_check,
 )
 from .trace_poly import (
@@ -236,15 +237,9 @@ def check_gamma_rules_mc(seed: int) -> dict:
 
 def check_qc_convergence(seed: int) -> dict:
     n, paths = 16, 200
-    rng = np.random.default_rng(seed + 6)
-    a = _rand_hermitian(rng, n)
     meshes = [0.02, 0.01, 0.005, 0.0025]
-    gaps = [
-        qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths, seed * 977 + 6000 + i,
-                  a)
-        for i, m in enumerate(meshes)
-    ]
-    monotone = all(b < a_ for a_, b in zip(gaps, gaps[1:]))
+    gaps = qc_convergence_gaps(n, meshes, paths, seed)
+    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     slope = fit_loglog_slope(meshes, gaps)
     ok = monotone and 0.3 <= slope <= 0.7
     return make_report("qc_convergence",
@@ -324,15 +319,11 @@ def check_bdg(seed: int) -> dict:
     params = {"n": n, "paths": paths, "seed": seed, "mesh": grid.mesh,
               "t": 1.0}
     rep_hbm = bdg_stats(ens, 2, 1.0, params)
-    # elementary integral of M is itself a martingale; window (0, 0.5]
+    # the integral of c dM is itself a martingale; stopped at t = 0.5
     rng = np.random.default_rng(seed + 9)
     c = _rand_hermitian(rng, n)
-    H = ElementaryPredictable([(0.0, 0.5, parse("x1 y1"), {1: c})])
+    u_vals = rs_integral(BoundBiprocess(parse("x1 y1"), grid, n, {1: c}), ens)
     stopped_idx = grid.index_of(0.5)
-    u_vals = np.zeros_like(ens.values)
-    seg = ens.values[:, : stopped_idx + 1]
-    inc = c @ (seg[:, 1:] - seg[:, :-1])
-    np.cumsum(inc, axis=1, out=u_vals[:, 1: stopped_idx + 1])
     u_vals[:, stopped_idx + 1:] = u_vals[:, stopped_idx:stopped_idx + 1]
     u_ens = Ensemble(grid, u_vals, "martingale")
     rep_int = bdg_stats(u_ens, 2, 1.0, params)

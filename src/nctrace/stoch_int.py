@@ -2,10 +2,13 @@
 
 Bound bi-/triprocesses pair a 1- or 2-linear trace polynomial symbol with
 adapted argument paths; integrals and quadratic Riemann-Stieltjes sums
-are left-endpoint sums on the stored grid.  Quadratic covariation admits
-a closed form through the gamma contraction, and the standard identities
-(Ito isometry, BDG p=2, substitution, QC of integrals) are exposed as
-report-producing checks.
+are left-endpoint sums on the stored grid.  Whole-path integrals are one
+``cumulative_path`` of their step terms; the time-blocked studies (the Ito
+residuals and the QC gap) run the same sums through ``carried_sums``,
+which walks a path block by block and carries the running sum across.
+Quadratic covariation admits a closed form through the gamma contraction,
+and the standard identities (Ito isometry, BDG p=2, substitution, QC of
+integrals) are exposed as report-producing checks.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .trace_poly import (
 )
 from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
 
-# block length of the time-blocked studies: ``ito.ito_sup_residuals`` works
-# through this many grid times at once and ``qc_gap_l1`` through this many
-# steps, so their per-time arrays are (paths, block, n, n), not (paths, T,
-# n, n)
+# block length of the time-blocked studies: ``ito.ito_sup_residuals`` and
+# ``qc_gap_l1`` pass it to ``carried_sums``, so their per-time arrays are
+# (paths, block, n, n), not (paths, T, n, n)
 STUDY_TIME_BLOCK = 64
 
 
@@ -145,6 +147,35 @@ def cumulative_path(inc: np.ndarray) -> np.ndarray:
     return out
 
 
+def carried_sums(values: np.ndarray, step_terms, block: int):
+    """Running sums of per-step terms along a (..., T, n, n) path, walked
+    ``block`` grid points at a time.
+
+    ``step_terms(left, delta, steps)`` gets the left endpoints X(t_j) and
+    the increments X(t_j+1) - X(t_j) of the steps j in the slice ``steps``
+    and returns a new (..., len, n, n) array of their terms.  Yields
+    (i0, i1, sums) for consecutive blocks [i0, i1) of grid points, ``sums``
+    holding the running sum at each of them (0 at t_0): the first block is
+    ``cumulative_path`` of its terms and each later block carries the last
+    sum in, so the blocks hold the same bits as one cumsum over the path.
+    """
+    T = values.shape[-3]
+    for i0 in range(0, T, block):
+        i1 = min(i0 + block, T)
+        # each point t_j+1 > 0 of the block closes the step [t_j, t_j+1]
+        steps = slice(max(i0, 1) - 1, i1 - 1)
+        left = values[..., steps, :, :]
+        terms = step_terms(left, values[..., steps.start + 1:i1, :, :] - left,
+                           steps)
+        if i0:
+            terms[..., 0, :, :] += carry
+            sums = np.cumsum(terms, axis=-3, out=terms)
+        else:
+            sums = cumulative_path(terms)
+        carry = sums[..., -1, :, :].copy()
+        yield i0, i1, sums
+
+
 def rs_increments(H: BoundBiprocess, X) -> np.ndarray:
     """Per-step integrand values H(t_-)[Delta X], shape (..., T-1, n, n)."""
     values = _values_of(X)
@@ -196,20 +227,33 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     """Path mean of tr_n |Q - t tr_n(a) I|, where Q is the quadratic sum of
     the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
     0..paths-1 of ``seed`` simulated ``chunk`` at a time, and t tr_n(a) I is
-    its closed form.  Q is summed ``STUDY_TIME_BLOCK`` steps at a time."""
+    its closed form.  Q is the last of the ``carried_sums`` of the quadratic
+    terms, ``STUDY_TIME_BLOCK`` grid points at a time."""
     L = parse("y1 x1 y2")
     ctx = EvalContext(n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
+
+    def quad_terms(left, delta, steps):
+        return eval_multilinear(L, ctx, [delta, delta])
+
     gaps = []
     for vals in hbm_chunks(n, grid, paths, seed, chunk):
-        q = np.zeros((len(vals), n, n), dtype=complex)
-        for j0 in range(0, vals.shape[1] - 1, STUDY_TIME_BLOCK):
-            delta = np.diff(vals[:, j0:j0 + STUDY_TIME_BLOCK + 1], axis=1)
-            inc = eval_multilinear(L, ctx, [delta, delta])
-            inc[:, 0] += q
-            q = np.sum(inc, axis=1)
+        for _, _, sums in carried_sums(vals, quad_terms, STUDY_TIME_BLOCK):
+            q = sums[:, -1]
         gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))
+
+
+def qc_convergence_gaps(n: int, meshes, paths: int, seed: int) -> list[float]:
+    """The QC study: ``qc_gap_l1`` on [0, 1] at each mesh, a drawn from
+    ``default_rng(seed + 6)`` as a Hermitian matrix and mesh i simulated
+    with the seed ``seed * 977 + 6000 + i``."""
+    rng = np.random.default_rng(seed + 6)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (g + g.conj().T) / 2
+    return [qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths,
+                      seed * 977 + 6000 + i, a)
+            for i, m in enumerate(meshes)]
 
 
 def _paired_stats(a: np.ndarray, b: np.ndarray):
@@ -282,22 +326,6 @@ def bdg_stats(M: Ensemble, p: int, t: float, params: dict) -> dict:
     ratio = lhs / rhs if rhs else np.inf
     return make_report("bdg_p4", params, lhs, rhs, 0.0,
                        extra={"ratio": ratio})
-
-
-def conditional_qc_check(L: BoundBiprocess, X, Y, t: float,
-                         model: ContractionModel, params: dict) -> dict:
-    """Quadratic sums against the conditional (contracted) closed form."""
-    idx = L.grid.index_of(t)
-    q = quad_rs_path(L, X, Y)[..., idx, :, :]
-    c = qc_closed_form(L, model)[..., idx, :, :]
-    gap_paths = q - np.broadcast_to(c, q.shape)
-    lhs = float(np.mean(l1_trace_norms(q)))
-    rhs = float(np.mean(l1_trace_norms(np.broadcast_to(c, q.shape))))
-    per_path_gap = l1_trace_norms(gap_paths)
-    se = (float(np.std(per_path_gap, ddof=1) / np.sqrt(per_path_gap.size))
-          if per_path_gap.size > 1 else 0.0)
-    return make_report("conditional_qc", params, lhs, rhs, se,
-                       extra={"l1_gap": float(np.mean(per_path_gap))})
 
 
 def substitution_check(H: BoundBiprocess, K: BoundBiprocess, X,

@@ -74,10 +74,6 @@ class TPTerm(NamedTuple):
     outer: Word
 
 
-class ArityError(ValueError):
-    """Operands have incompatible variable/slot signatures."""
-
-
 class LinearityError(ValueError):
     """A slot-linearity requirement is violated."""
 
@@ -354,10 +350,6 @@ def classify_linearity(P: TracePolynomial, k: int | None = None) -> str:
         if any(c != 1 for c in counts.values()):
             return "not-linear"
     return "real-%d-linear" % k if saw_star else "complex-%d-linear" % k
-
-
-def is_k_linear(P: TracePolynomial, k: int) -> bool:
-    return classify_linearity(P, k) != "not-linear"
 
 
 # -- gamma contraction ---------------------------------------------------

@@ -192,6 +192,18 @@ def test_meshes_must_divide_the_horizon(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("mesh", ["0", "-1", "0.3"])
+@pytest.mark.parametrize("cmd", ["bdg", "isometry", "sim"])
+def test_bad_mesh_exits_2(tmp_path, capsys, cmd, mesh):
+    # 0 divided by zero, -1 ran one step and 0.3 ran the mesh 1/3
+    argv = [cmd, "--n", "3", "--paths", "2", "--mesh", mesh]
+    if cmd == "sim":
+        argv += ["--out", str(tmp_path / "p")]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and f"mesh {float(mesh)}" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["ito", "--n", "3", "--paths", "0", "--meshes", "0.5,0.25,0.125"],
     ["qc", "--n", "3", "--paths", "0", "--meshes", "0.5,0.25,0.125"],
@@ -246,6 +258,20 @@ def test_ito_small(capsys):
     assert rec["slope"] > 0.2
     rc, _, err = run(capsys, "ito", "--meshes", "0.1,0.05")
     assert rc == 2
+    rc, _, err = run(capsys, "ito", "--n", "2", "--paths", "1",
+                     "--meshes", "0.5,0.5,0.5")
+    assert rc == 2 and "distinct" in err
+
+
+@pytest.mark.parametrize("argv", [["--poly", "5"], ["--poly", "0"],
+                                  ["--poly", "x1", "--n", "1"]])
+def test_ito_passes_for_degree_at_most_one(capsys, argv):
+    # the residuals are exactly 0, so they cannot decrease with the mesh
+    rc, out, _ = run(capsys, "ito", "--n", "3", "--paths", "2",
+                     "--meshes", "0.5,0.25,0.125", *argv)
+    rec = json.loads(out)[0]
+    assert rc == 0 and rec["passed"]
+    assert rec["residuals"] == [0.0, 0.0, 0.0]
 
 
 def test_esd(capsys):

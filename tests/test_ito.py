@@ -243,7 +243,7 @@ def test_functional_residual_memory_is_blocked():
 
 def test_convergence_study_reports_slope():
     rep = convergence_study(
-        "ito_residual", [0.04, 0.02, 0.01],
+        [0.04, 0.02, 0.01],
         {"n": 6, "paths": 20, "seed": 5, "poly": parse("x1^2"),
          "model": ContractionModel.matrix(6)},
     )
@@ -251,9 +251,7 @@ def test_convergence_study_reports_slope():
     assert rep["slope"] > 0.2
     assert rep["residuals"][-1] < rep["residuals"][0]
     with pytest.raises(ValueError):
-        convergence_study("nope", [0.1, 0.05, 0.025], {})
-    with pytest.raises(ValueError):
-        convergence_study("ito_residual", [0.1], {})
+        convergence_study([0.1], {})
 
 
 def test_sup_residuals_fill_each_path_once(monkeypatch):

@@ -1,0 +1,118 @@
+"""Exact bits of the time-blocked studies and of two selftest records.
+
+The values were recorded from the studies' hand-written block loops; the
+carried-sum integrator must reproduce them with ``==``, not to a tolerance.
+With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one step, one
+block, one block and one point, two points past it, and just past two
+blocks.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from nctrace import ContractionModel, parse
+from nctrace.ito import ito_residual_path, ito_sup_residuals
+from nctrace.process_sim import TimeGrid, simulate_hbm_ensemble
+from nctrace.selftest import check_bdg, check_fv_kills_qc
+from nctrace.stoch_int import qc_gap_l1
+
+N = 3
+POLYS = ("x1^2", "x1^4", "tr(x1^2) x1")
+
+SUP_RESIDUALS = {
+    (2, "contracted"): [0.6540723876533997, 1.3670620970939076,
+                        0.7617025065735474],
+    (2, "quadratic"): [0.0, 1.3670620970939076, 0.7617025065735474],
+    (64, "contracted"): [0.10758738522597847, 0.18906397385706147,
+                         0.052748492932055566],
+    (64, "quadratic"): [1.8586567794654785e-16, 0.03719415603857771,
+                        0.015428850250879514],
+    (65, "contracted"): [0.10667284889407266, 0.2004427927498182,
+                         0.05315889679989418],
+    (65, "quadratic"): [1.9094830563788167e-16, 0.0382687949379124,
+                        0.015785462813108962],
+    (66, "contracted"): [0.10510298961767199, 0.19432276428479403,
+                         0.051936883441270176],
+    (66, "quadratic"): [1.8026283582039915e-16, 0.03717745050358874,
+                        0.015422587592009266],
+    (130, "contracted"): [0.08106736723727341, 0.23401868450059554,
+                          0.0459846290218564],
+    (130, "quadratic"): [2.950289744119591e-16, 0.030428555694777905,
+                         0.009550470969528572],
+}
+
+QC_GAPS = {2: 0.8549353179708248, 64: 0.11086350166174999,
+           65: 0.10456953363239832, 66: 0.10215779368487424,
+           130: 0.08759466292658888}
+
+BDG_RECORD = (
+    '{"check": "bdg_pair", "gap": -1.1959701834068495, "hbm": {"check": '
+    '"bdg_p2", "gap": -0.010314704864126112, "lhs": 0.9903417118340365, '
+    '"params": {"mesh": 0.020000000000000018, "n": 8, "paths": 800, '
+    '"seed": 0, "t": 1.0}, "passed": true, "rhs": 1.0006564166981626, '
+    '"se": 0.005717591122526502, "zscore": -1.8040298165931505}, '
+    '"integral": {"check": "bdg_p2", "gap": -0.019537903739511364, '
+    '"lhs": 4.711833296508143, "params": {"mesh": 0.020000000000000018, '
+    '"n": 8, "paths": 800, "seed": 0, "t": 1.0}, "passed": true, '
+    '"rhs": 4.731371200247654, "se": 0.03485381820023717, '
+    '"zscore": -0.5605670984815779}, "lhs": 1.8040298165931505, '
+    '"params": {"mesh": 0.020000000000000018, "n": 8, "paths": 800, '
+    '"seed": 0, "t": 1.0}, "passed": true, "rhs": 3.0, "se": 0.0, '
+    '"zscore": Infinity}'
+)
+
+FV_KILLS_QC_RECORD = (
+    '{"check": "fv_kills_qc", "gap": -0.000927165491270074, '
+    '"lhs": 7.283450872992602e-05, "meshes": [0.01, 0.001, 0.0001], '
+    '"params": {"mesh": 0.0001, "n": 4, "paths": 4, "seed": 0, "t": 1.0}, '
+    '"passed": true, "residuals": [0.006211235370673482, '
+    '0.0007582318361928944, 7.283450872992602e-05], "rhs": 0.001, '
+    '"se": 0.0, "slope": 0.9654203958065286, "zscore": Infinity}'
+)
+
+
+def _sandwich_matrix():
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return (g + g.conj().T) / 2
+
+
+@pytest.mark.parametrize("points, second_order", sorted(SUP_RESIDUALS))
+def test_sup_residuals_are_bitwise_pinned(points, second_order):
+    grid = TimeGrid.uniform(1.0, points - 1)
+    got = ito_sup_residuals([parse(t) for t in POLYS], N, grid, 5, 1,
+                            ContractionModel.matrix(N), second_order,
+                            chunk=2)
+    assert got == SUP_RESIDUALS[points, second_order]
+
+
+@pytest.mark.parametrize("points", sorted(QC_GAPS))
+def test_qc_gap_is_bitwise_pinned(points):
+    grid = TimeGrid.uniform(1.0, points - 1)
+    got = qc_gap_l1(N, grid, 5, 1, _sandwich_matrix(), chunk=2)
+    assert got == QC_GAPS[points]
+
+
+def test_bdg_record_is_bitwise_pinned():
+    assert json.dumps(check_bdg(0), sort_keys=True) == BDG_RECORD
+
+
+def test_fv_kills_qc_record_is_bitwise_pinned():
+    assert json.dumps(check_fv_kills_qc(0), sort_keys=True) == \
+        FV_KILLS_QC_RECORD
+
+
+def test_one_point_grid():
+    grid = TimeGrid([0.0])
+    vals = simulate_hbm_ensemble(N, grid, 2, seed=3).values
+    model = ContractionModel.matrix(N)
+    for text in POLYS + ("3 x1 + 2", "5"):
+        for second_order in ("contracted", "quadratic"):
+            res = ito_residual_path(parse(text), vals, grid, model,
+                                    second_order)
+            assert res.shape == (2, 1, N, N)
+            assert not np.any(res)
+    assert np.isfinite(qc_gap_l1(N, grid, 2, 3, _sandwich_matrix(),
+                                 chunk=2))

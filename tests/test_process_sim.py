@@ -1,4 +1,4 @@
-"""Process simulation: normalization, law agreement, stopping, file IO."""
+"""Process simulation: normalization, law agreement, file IO."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 import nctrace.matrix_alg
 from nctrace.matrix_alg import adjoint, hermitian_onb_array, trace_n
 from nctrace.process_sim import (
-    Ensemble,
     ProcessPath,
     RngStream,
     TimeGrid,
@@ -19,7 +18,6 @@ from nctrace.process_sim import (
     save_ncp1,
     simulate_hbm,
     simulate_hbm_ensemble,
-    stop,
     variation,
 )
 from nctrace.process_sim import _hbm_increments_basis
@@ -36,6 +34,13 @@ def test_time_grid_validation():
     assert g.index_of(0.5) == 2
     with pytest.raises(ValueError):
         g.index_of(0.3)
+    assert TimeGrid.from_mesh(1.0, 0.25) == g
+    # a mesh that is not positive or does not divide the horizon
+    for mesh in (0.0, -0.25, 0.3, 2.0, math.nan):
+        with pytest.raises(ValueError, match=f"mesh {mesh}"):
+            TimeGrid.from_mesh(1.0, mesh)
+    with pytest.raises(ValueError, match="horizon inf"):
+        TimeGrid.from_mesh(math.inf, 0.25)
 
 
 def test_hbm_starts_at_zero_and_is_hermitian():
@@ -163,30 +168,6 @@ def test_variation_of_sine():
     grid = TimeGrid.uniform(math.pi, 10000)
     path = make_fv(grid, 2, g=math.sin)
     assert variation(path) == pytest.approx(2.0, abs=1e-3)
-
-
-def test_stop_freezes_path():
-    grid = TimeGrid.uniform(1.0, 10)
-    path = simulate_hbm(3, grid, RngStream(2, 0))
-    stopped = stop(path, 0.5)
-    assert stopped.role == "martingale"
-    i = grid.index_of(0.5)
-    assert np.array_equal(stopped.values[: i + 1], path.values[: i + 1])
-    for j in range(i, len(grid.times)):
-        assert np.array_equal(stopped.values[j], path.values[i])
-    assert np.array_equal(stop(path, 2.0).values, path.values)
-
-
-def test_stopped_kappa():
-    grid = TimeGrid.uniform(1.0, 4)
-    ens = simulate_hbm_ensemble(6, grid, 3000, seed=13)
-    stopped = Ensemble(
-        grid,
-        np.stack([stop(ens.path(i), 0.5).values for i in range(ens.n_paths)]),
-        "martingale",
-    )
-    est, se = kappa_estimate(stopped, 0.0, 0.75)
-    assert abs(est - 0.5) <= 3 * se
 
 
 def test_martingale_pythagoras():

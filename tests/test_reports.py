@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from nctrace.reports import (
     fit_loglog_slope,
     make_report,
@@ -45,3 +47,5 @@ def test_loglog_slope_recovers_power_law():
     xs = [0.04, 0.02, 0.01, 0.005]
     ys = [3.0 * x ** 1.5 for x in xs]
     assert abs(fit_loglog_slope(xs, ys) - 1.5) < 1e-12
+    with pytest.raises(ValueError, match="distinct"):
+        fit_loglog_slope([0.5, 0.5, 0.5], ys[:3])

@@ -21,7 +21,6 @@ from nctrace.stoch_int import (
     BoundTriprocess,
     ElementaryPredictable,
     bdg_stats,
-    conditional_qc_check,
     elementary_integral,
     ito_isometry_check,
     qc_closed_form,
@@ -177,21 +176,6 @@ def test_qc_closed_form_sandwich():
     assert np.max(np.abs(closed - tr_a * np.eye(n))) < 1e-12
     gap = np.mean(np.abs(q - closed))
     assert gap < 0.15 * max(abs(tr_a), 1.0)
-
-
-def test_conditional_qc_report():
-    n = 8
-    grid = TimeGrid.uniform(1.0, 200)
-    ens = simulate_hbm_ensemble(n, grid, 100, seed=41)
-    a = rand_hermitian(n)
-    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
-    rep = conditional_qc_check(L, ens, ens, 1.0, ContractionModel.matrix(n),
-                               {"n": n, "paths": 100, "seed": 41, "t": 1.0,
-                                "mesh": grid.mesh})
-    assert rep["check"] == "conditional_qc"
-    scale = max(1.0, rep["rhs"])
-    assert rep["l1_gap"] < 0.25 * scale
-    assert abs(rep["lhs"] - rep["rhs"]) < 0.15 * scale
 
 
 def test_qc_gap_shrinks_with_mesh():
