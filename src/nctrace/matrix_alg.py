@@ -140,12 +140,9 @@ def hermitian_onb_array(n: int) -> np.ndarray:
 _ONB_CACHE: dict[int, np.ndarray] = {}
 
 
-def magic_sum(a: np.ndarray, basis: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def magic_sum(a: np.ndarray) -> np.ndarray:
     """Sum_e e a e over the Hermitian basis; equals tr_n(a) * I."""
-    n = a.shape[-1]
-    es = np.stack(basis) if basis is not None else hermitian_onb_array(n)
-    if es.shape[-1] != n:
-        raise ValueError("basis dimension does not match the matrix")
+    es = hermitian_onb_array(a.shape[-1])
     return np.einsum("eij,jk,ekl->il", es, a, es)
 
 
@@ -422,20 +419,21 @@ class SpectralData:
                             self.snapped[idx])
 
 
-def spectral_data(a: np.ndarray, tol: float = CLUSTER_TOL) -> SpectralData:
+def spectral_data(a: np.ndarray) -> SpectralData:
     """Eigendecomposition of each matrix of a (..., n, n) Hermitian stack,
     with near-degenerate eigenvalues snapped to their cluster mean.
 
     Raises ``ValueError`` if any matrix is not Hermitian.  Neighbouring
-    eigenvalues join a cluster when they differ by at most ``tol`` times
-    the matrix's spectral radius (or ``tol`` for the zero matrix).
+    eigenvalues join a cluster when they differ by at most ``CLUSTER_TOL``
+    times the matrix's spectral radius (or ``CLUSTER_TOL`` for the zero
+    matrix).
     """
     if not is_hermitian(a, tol=1e-10):
         raise ValueError("spectral data requires a Hermitian matrix")
     lam, u = np.linalg.eigh(a)
     scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
     scale = np.where(scale == 0, 1.0, scale)
-    joined = np.diff(lam, axis=-1) <= tol * scale[..., None]
+    joined = np.diff(lam, axis=-1) <= CLUSTER_TOL * scale[..., None]
     if not np.any(joined):
         return SpectralData(lam, u, lam)
     # cluster id of each eigenvalue, unique across the flattened stack

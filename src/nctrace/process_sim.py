@@ -93,9 +93,6 @@ class RngStream:
         key = np.random.SeedSequence((self.master_seed, self.path_index))
         self.generator = np.random.Generator(np.random.Philox(key))
 
-    def child(self, path_index: int) -> "RngStream":
-        return RngStream(self.master_seed, path_index)
-
 
 @dataclass(frozen=True)
 class ProcessPath:

@@ -98,8 +98,3 @@ class QC:
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
-
-
-QC_ZERO = QC(0, 0)
-QC_ONE = QC(1, 0)
-QC_I = QC(0, 1)

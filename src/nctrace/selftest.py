@@ -39,7 +39,6 @@ from .process_sim import (
     simulate_hbm,
     simulate_hbm_ensemble,
 )
-from .rational import QC
 from .reports import fit_loglog_slope, make_report
 from .stoch_int import (
     BoundBiprocess,
@@ -90,27 +89,17 @@ def check_golden_partial(seed: int) -> dict:
 
 def _power_derivative_closed_form(n_pow: int, k: int) -> TracePolynomial:
     """Independent construction: sum over permutations and compositions."""
-    out: dict = {}
-
-    # compositions of n_pow - k into k + 1 nonnegative parts
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    terms = []
     for perm in itertools.permutations(range(1, k + 1)):
-        for delta in compositions(n_pow - k, k + 1):
+        # compositions of n_pow - k into k + 1 nonnegative parts
+        for delta in _compositions(n_pow - k, k + 1):
             word = []
             for m in range(k):
                 word.extend([x(1)] * delta[m])
                 word.append(y(perm[m]))
             word.extend([x(1)] * delta[k])
-            key = ((), tuple(word))
-            out[key] = out.get(key, QC(0)) + QC(1)
-    return TracePolynomial(out)
+            terms.append((((), tuple(word)), 1))
+    return TracePolynomial(terms)
 
 
 def check_power_derivatives(seed: int) -> dict:

@@ -257,11 +257,17 @@ def qc_convergence_gaps(n: int, meshes, paths: int, seed: int) -> list[float]:
 
 
 def _paired_stats(a: np.ndarray, b: np.ndarray):
-    """Means of a and b with the paired standard error of mean(a - b)."""
+    """Means of a and b with the paired standard error of mean(a - b).
+
+    Raises ``ValueError`` for fewer than 2 paths, where there is no
+    standard error to test against."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     diff = a - b
-    se = float(np.std(diff, ddof=1) / np.sqrt(len(diff))) if len(diff) > 1 else 0.0
+    if len(diff) < 2:
+        raise ValueError(
+            f"a paired z-test needs at least 2 paths, got {len(diff)}")
+    se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
     return float(np.mean(a)), float(np.mean(b)), se
 
 

@@ -9,7 +9,10 @@ indeterminates ``x_i`` (possibly starred) or linear-slot indeterminates
 ``y_{j,l}`` used to represent multilinear forms.  The abstract trace is
 tracial, so each trace word is stored as its lexicographically minimal
 cyclic rotation; terms are keyed by their (sorted traces, outer word) pair.
-Equality of polynomials is therefore equality of canonical forms.
+The :class:`TracePolynomial` constructor is the one place that builds this
+canonical form; every symbolic operation here yields raw terms and hands
+them to it.  Equality of polynomials is therefore equality of canonical
+forms.
 
 Coefficients are exact complex rationals (:class:`nctrace.rational.QC`).
 """
@@ -81,28 +84,28 @@ class LinearityError(ValueError):
 class TracePolynomial:
     """Canonical-form trace *-polynomial.
 
-    Immutable.  ``terms`` maps (traces, outer) keys to nonzero QC
-    coefficients.  Two polynomials are equal iff their canonical
+    Immutable.  The constructor takes an iterable of raw
+    ``((traces, outer), coeff)`` pairs and is the only canonicaliser: it
+    rotates each trace word to its canonical form, sorts the trace factors,
+    sums the coefficients of equal keys and drops zeros.  Every operation
+    below just yields raw pairs.  ``terms`` maps (traces, outer) keys to
+    nonzero QC coefficients; two polynomials are equal iff their canonical
     representations are identical.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
         canon = {}
-        if terms:
-            for (traces, outer), coeff in terms.items():
-                coeff = QC.from_value(coeff)
-                if coeff.is_zero():
-                    continue
-                key = (
-                    tuple(sorted(canonical_rotation(w) for w in traces)),
-                    tuple(outer),
-                )
-                acc = canon.get(key)
-                canon[key] = coeff if acc is None else acc + coeff
-                if canon[key].is_zero():
-                    del canon[key]
+        for (traces, outer), coeff in terms:
+            key = (
+                tuple(sorted(canonical_rotation(w) for w in traces)),
+                tuple(outer),
+            )
+            coeff = QC.from_value(coeff)
+            acc = canon.get(key)
+            canon[key] = coeff if acc is None else acc + coeff
+        canon = {key: c for key, c in canon.items() if not c.is_zero()}
         object.__setattr__(self, "_terms", canon)
 
     def __setattr__(self, name, value):
@@ -116,11 +119,11 @@ class TracePolynomial:
 
     @classmethod
     def constant(cls, c) -> "TracePolynomial":
-        return cls({((), ()): QC.from_value(c)})
+        return cls([(((), ()), c)])
 
     @classmethod
     def from_word(cls, word: Iterable[Letter], coeff=1) -> "TracePolynomial":
-        return cls({((), tuple(word)): QC.from_value(coeff)})
+        return cls([(((), tuple(word)), coeff)])
 
     @classmethod
     def variable(cls, i: int, star: bool = False) -> "TracePolynomial":
@@ -170,44 +173,33 @@ class TracePolynomial:
     def __add__(self, other):
         if not isinstance(other, TracePolynomial):
             other = TracePolynomial.constant(other)
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = merged.get(key)
-            merged[key] = c if acc is None else acc + c
-        return TracePolynomial(merged)
+        return TracePolynomial([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, TracePolynomial):
-            other = TracePolynomial.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return TracePolynomial.constant(other) - self
 
     def __neg__(self):
-        return TracePolynomial(
-            {key: -c for key, c in self._terms.items()}
-        )
+        return TracePolynomial((key, -c) for key, c in self._terms.items())
 
     def scale(self, c) -> "TracePolynomial":
         c = QC.from_value(c)
         return TracePolynomial(
-            {key: coeff * c for key, coeff in self._terms.items()}
+            (key, coeff * c) for key, coeff in self._terms.items()
         )
 
     def __mul__(self, other):
         if not isinstance(other, TracePolynomial):
             return self.scale(other)
-        out: dict = {}
-        for (tr1, o1), c1 in self._terms.items():
-            for (tr2, o2), c2 in other._terms.items():
-                key = (tuple(sorted(tr1 + tr2)), o1 + o2)
-                c = c1 * c2
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return TracePolynomial(out)
+        return TracePolynomial(
+            ((tr1 + tr2, o1 + o2), c1 * c2)
+            for (tr1, o1), c1 in self._terms.items()
+            for (tr2, o2), c2 in other._terms.items()
+        )
 
     def __rmul__(self, other):
         # scalars commute; trace polynomials use __mul__ directly
@@ -216,29 +208,19 @@ class TracePolynomial:
     def star(self) -> "TracePolynomial":
         """Adjoint: conjugate coefficients, star trace factors, reverse-star
         the outer word."""
-        out: dict = {}
-        for (traces, outer), c in self._terms.items():
-            key = (
-                tuple(sorted(canonical_rotation(star_word(w)) for w in traces)),
-                star_word(outer),
-            )
-            acc = out.get(key)
-            cc = c.conjugate()
-            out[key] = cc if acc is None else acc + cc
-        return TracePolynomial(out)
+        return TracePolynomial(
+            ((tuple(star_word(w) for w in traces), star_word(outer)),
+             c.conjugate())
+            for (traces, outer), c in self._terms.items()
+        )
 
     def tr(self) -> "TracePolynomial":
         """Apply the abstract trace: the outer word moves into a trace
         factor; tr(1) = 1."""
-        out: dict = {}
-        for (traces, outer), c in self._terms.items():
-            new_traces = traces if not outer else tuple(
-                sorted(traces + (canonical_rotation(outer),))
-            )
-            key = (new_traces, ())
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return TracePolynomial(out)
+        return TracePolynomial(
+            ((traces + (outer,) if outer else traces, ()), c)
+            for (traces, outer), c in self._terms.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TracePolynomial):
@@ -265,6 +247,20 @@ class TracePolynomial:
 # -- derivatives ---------------------------------------------------------
 
 
+def _partial_terms(P: TracePolynomial, i: int, slot: int, coord: int):
+    """Raw terms of the Leibniz derivative of ``P`` with respect to x_i."""
+    for (traces, outer), c in P._terms.items():
+        for ti, word in enumerate(traces):
+            for pos, l in enumerate(word):
+                if l.family == "x" and l.index == i:
+                    new_word = word[:pos] + (y(slot, coord, l.star),) + word[pos + 1:]
+                    yield (traces[:ti] + (new_word,) + traces[ti + 1:], outer), c
+        for pos, l in enumerate(outer):
+            if l.family == "x" and l.index == i:
+                new_outer = outer[:pos] + (y(slot, coord, l.star),) + outer[pos + 1:]
+                yield (traces, new_outer), c
+
+
 def derive(P: TracePolynomial, i: int, slot: int | None = None,
            coord: int = 1) -> TracePolynomial:
     """Leibniz derivative with respect to x_i.
@@ -280,25 +276,7 @@ def derive(P: TracePolynomial, i: int, slot: int | None = None,
         slot = max(P.slots_used(), default=0) + 1
     elif slot in P.slots_used():
         raise LinearityError(f"slot {slot} already used in the polynomial")
-    out: dict = {}
-
-    def add_term(traces, outer, c):
-        key = (tuple(sorted(canonical_rotation(w) for w in traces)), outer)
-        acc = out.get(key)
-        out[key] = c if acc is None else acc + c
-
-    for (traces, outer), c in P._terms.items():
-        for ti, word in enumerate(traces):
-            for pos, l in enumerate(word):
-                if l.family == "x" and l.index == i:
-                    new_word = word[:pos] + (y(slot, coord, l.star),) + word[pos + 1:]
-                    new_traces = traces[:ti] + (new_word,) + traces[ti + 1:]
-                    add_term(new_traces, outer, c)
-        for pos, l in enumerate(outer):
-            if l.family == "x" and l.index == i:
-                new_outer = outer[:pos] + (y(slot, coord, l.star),) + outer[pos + 1:]
-                add_term(traces, new_outer, c)
-    return TracePolynomial(out)
+    return TracePolynomial(_partial_terms(P, i, slot, coord))
 
 
 def derive_k(P: TracePolynomial, k: int, n_vars: int | None = None) -> TracePolynomial:
@@ -315,10 +293,10 @@ def derive_k(P: TracePolynomial, k: int, n_vars: int | None = None) -> TracePoly
     n = P.n_vars() if n_vars is None else n_vars
     result = P
     for j in range(1, k + 1):
-        step = TracePolynomial.zero()
-        for i in range(1, n + 1):
-            step = step + derive(result, i, slot=j, coord=i)
-        result = step
+        result = TracePolynomial(
+            term for i in range(1, n + 1)
+            for term in _partial_terms(result, i, j, i)
+        )
     return result
 
 
@@ -402,67 +380,54 @@ def gamma_contract(P: TracePolynomial, model: ContractionModel) -> TracePolynomi
     """
     if classify_linearity(P, 2) == "not-linear":
         raise LinearityError("gamma_contract input must be 2-linear in (y1, y2)")
-    out: dict = {}
-
-    def add(traces, outer, c):
-        if c.is_zero():
-            return
-        key = (tuple(sorted(canonical_rotation(w) for w in traces)), outer)
-        acc = out.get(key)
-        out[key] = c if acc is None else acc + c
-
     inv_n2 = None
     if model.kind == "matrix":
         inv_n2 = QC(1, 0) / QC(model.n * model.n, 0)
     elif model.kind != "free":
         raise ValueError(f"unknown contraction model {model.kind!r}")
 
-    for (traces, outer), c in P._terms.items():
-        loc1 = _slot_location(traces, outer, 1)
-        loc2 = _slot_location(traces, outer, 2)
-        if loc1[3].star or loc2[3].star:
-            raise LinearityError(
-                "starred slot letters are not allowed (driver is self-adjoint)"
-            )
-        if loc1[0] == "outer" and loc2[0] == "outer":
-            p, q = sorted((loc1[1], loc2[1]))
-            u, v, w = outer[:p], outer[p + 1:q], outer[q + 1:]
-            new_traces = traces if not v else traces + (v,)
-            add(new_traces, u + w, c)
-        elif loc1[0] == "trace" and loc2[0] == "trace" and loc1[1] == loc2[1]:
-            word = traces[loc1[1]]
-            p, q = sorted((loc1[2], loc2[2]))
-            v = word[p + 1:q]
-            u = word[q + 1:] + word[:p]
-            rest = traces[:loc1[1]] + traces[loc1[1] + 1:]
-            new_traces = rest + tuple(s for s in (u, v) if s)
-            add(new_traces, outer, c)
-        elif loc1[0] == "trace" and loc2[0] == "trace":
-            if model.kind == "free":
+    def terms():
+        for (traces, outer), c in P._terms.items():
+            loc1 = _slot_location(traces, outer, 1)
+            loc2 = _slot_location(traces, outer, 2)
+            if loc1[3].star or loc2[3].star:
+                raise LinearityError(
+                    "starred slot letters are not allowed (driver is self-adjoint)"
+                )
+            if loc1[0] == "outer" and loc2[0] == "outer":
+                p, q = sorted((loc1[1], loc2[1]))
+                u, v, w = outer[:p], outer[p + 1:q], outer[q + 1:]
+                yield (traces if not v else traces + (v,), u + w), c
+            elif loc1[0] == "trace" and loc2[0] == "trace" and loc1[1] == loc2[1]:
+                word = traces[loc1[1]]
+                p, q = sorted((loc1[2], loc2[2]))
+                v = word[p + 1:q]
+                u = word[q + 1:] + word[:p]
+                rest = traces[:loc1[1]] + traces[loc1[1] + 1:]
+                yield (rest + tuple(s for s in (u, v) if s), outer), c
+            elif model.kind == "free":
+                # the cross patterns below carry n^-2 and vanish in the limit
                 continue
-            (_, t1, p1, _), (_, t2, p2, _) = loc1, loc2
-            w1, w2 = traces[t1], traces[t2]
-            u = w1[p1 + 1:] + w1[:p1]
-            v = w2[p2 + 1:] + w2[:p2]
-            rest = tuple(
-                w for ti, w in enumerate(traces) if ti not in (t1, t2)
-            )
-            uv = u + v
-            new_traces = rest + ((uv,) if uv else ())
-            add(new_traces, outer, c * inv_n2)
-        else:
-            # one slot in a trace factor, the other in the outer word
-            if model.kind == "free":
-                continue
-            tloc = loc1 if loc1[0] == "trace" else loc2
-            oloc = loc2 if loc1[0] == "trace" else loc1
-            _, ti, p1, _ = tloc
-            word = traces[ti]
-            u = word[p1 + 1:] + word[:p1]
-            p = oloc[1]
-            rest = traces[:ti] + traces[ti + 1:]
-            add(rest, outer[:p] + u + outer[p + 1:], c * inv_n2)
-    return TracePolynomial(out)
+            elif loc1[0] == "trace" and loc2[0] == "trace":
+                (_, t1, p1, _), (_, t2, p2, _) = loc1, loc2
+                w1, w2 = traces[t1], traces[t2]
+                uv = w1[p1 + 1:] + w1[:p1] + w2[p2 + 1:] + w2[:p2]
+                rest = tuple(
+                    w for ti, w in enumerate(traces) if ti not in (t1, t2)
+                )
+                yield (rest + ((uv,) if uv else ()), outer), c * inv_n2
+            else:
+                # one slot in a trace factor, the other in the outer word
+                tloc = loc1 if loc1[0] == "trace" else loc2
+                oloc = loc2 if loc1[0] == "trace" else loc1
+                _, ti, p1, _ = tloc
+                word = traces[ti]
+                u = word[p1 + 1:] + word[:p1]
+                p = oloc[1]
+                rest = traces[:ti] + traces[ti + 1:]
+                yield (rest, outer[:p] + u + outer[p + 1:]), c * inv_n2
+
+    return TracePolynomial(terms())
 
 
 def drop_martingale_null(P: TracePolynomial) -> TracePolynomial:
@@ -473,12 +438,10 @@ def drop_martingale_null(P: TracePolynomial) -> TracePolynomial:
     """
     if classify_linearity(P, 1) == "not-linear":
         raise LinearityError("drop_martingale_null input must be 1-linear")
-    out: dict = {}
-    for (traces, outer), c in P._terms.items():
-        loc = _slot_location(traces, outer, 1)
-        if loc[0] == "outer":
-            out[(traces, outer)] = c
-    return TracePolynomial(out)
+    return TracePolynomial(
+        (key, c) for key, c in P._terms.items()
+        if _slot_location(*key, 1)[0] == "outer"
+    )
 
 
 # -- symbol composition (substitution of 1-linear symbols) ----------------
@@ -486,20 +449,15 @@ def drop_martingale_null(P: TracePolynomial) -> TracePolynomial:
 
 def relabel_slot(P: TracePolynomial, old: int, new: int) -> TracePolynomial:
     """Rename slot ``old`` to ``new`` in every term."""
-    out: dict = {}
-    for (traces, outer), c in P._terms.items():
-        def fix(word):
-            return tuple(
-                l._replace(index=new) if l.family == "y" and l.index == old else l
-                for l in word
-            )
-        key = (
-            tuple(sorted(canonical_rotation(fix(w)) for w in traces)),
-            fix(outer),
+    def fix(word):
+        return tuple(
+            l._replace(index=new) if l.family == "y" and l.index == old else l
+            for l in word
         )
-        acc = out.get(key)
-        out[key] = c if acc is None else acc + c
-    return TracePolynomial(out)
+    return TracePolynomial(
+        ((tuple(fix(w) for w in traces), fix(outer)), c)
+        for (traces, outer), c in P._terms.items()
+    )
 
 
 def compose_linear(H: TracePolynomial, K: TracePolynomial,
@@ -513,29 +471,24 @@ def compose_linear(H: TracePolynomial, K: TracePolynomial,
     """
     if classify_linearity(K, 1) == "not-linear":
         raise LinearityError("K must be 1-linear")
-    fresh = max(
-        [*H.slots_used(), *K.slots_used()], default=0
-    ) + 1
-    K = relabel_slot(K, 1, fresh)
+    # K has only slot-1 letters and every term of H loses its one ``slot``
+    # letter, so K's letters can take that label before the splice
+    K = relabel_slot(K, 1, slot)
     K_star = K.star()
-    out = TracePolynomial.zero()
-    for (traces, outer), c in H._terms.items():
-        loc = _slot_location(traces, outer, slot)
-        source = K_star if loc[3].star else K
-        for (ktr, kout), kc in source._terms.items():
-            coeff = c * kc
-            if loc[0] == "outer":
-                p = loc[1]
-                new_outer = outer[:p] + kout + outer[p + 1:]
-                out = out + TracePolynomial(
-                    {(tuple(sorted(traces + ktr)), new_outer): coeff}
-                )
-            else:
-                _, ti, pos, _ = loc
-                word = traces[ti]
-                new_word = word[:pos] + kout + word[pos + 1:]
-                new_traces = traces[:ti] + (new_word,) + traces[ti + 1:] + ktr
-                out = out + TracePolynomial(
-                    {(tuple(sorted(new_traces)), outer): coeff}
-                )
-    return relabel_slot(out, fresh, slot)
+
+    def terms():
+        for (traces, outer), c in H._terms.items():
+            loc = _slot_location(traces, outer, slot)
+            source = K_star if loc[3].star else K
+            for (ktr, kout), kc in source._terms.items():
+                if loc[0] == "outer":
+                    p = loc[1]
+                    yield (traces + ktr, outer[:p] + kout + outer[p + 1:]), c * kc
+                else:
+                    _, ti, pos, _ = loc
+                    word = traces[ti]
+                    new_word = word[:pos] + kout + word[pos + 1:]
+                    new_traces = traces[:ti] + (new_word,) + traces[ti + 1:] + ktr
+                    yield (new_traces, outer), c * kc
+
+    return TracePolynomial(terms())

@@ -226,6 +226,23 @@ def test_paths_below_one_from_config_exits_2(tmp_path, capsys):
     assert rc == 2 and "paths" in err
 
 
+@pytest.mark.parametrize("cmd", ["bdg", "isometry"])
+def test_one_path_z_test_exits_2(capsys, cmd):
+    # one path has no standard error, so the 3-sigma test could never pass
+    rc, out, err = run(capsys, cmd, "--n", "2", "--paths", "1",
+                       "--mesh", "0.25")
+    assert rc == 2 and "at least 2 paths, got 1" in err
+    assert out == ""
+
+
+def test_bdg_p4_runs_on_one_path(capsys):
+    # the p = 4 ratio is reported, not z-tested
+    rc, out, _ = run(capsys, "bdg", "--n", "2", "--paths", "1", "--p", "4",
+                     "--mesh", "0.25")
+    assert rc == 0
+    assert json.loads(out)[0]["check"] == "bdg_p4"
+
+
 def test_bdg_and_isometry_small(tmp_path, capsys):
     rc, out, _ = run(capsys, "bdg", "--n", "6", "--paths", "80",
                      "--seed", "2", "--mesh", "0.05")

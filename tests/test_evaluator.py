@@ -232,7 +232,7 @@ def _plan_polys(draw):
             traces.append(traces[0])  # a repeated trace factor
         terms[(tuple(traces), draw(_words(letters)))] = draw(
             st.sampled_from(_COEFFS))
-    return TracePolynomial(terms)
+    return TracePolynomial(terms.items())
 
 
 @settings(max_examples=300, deadline=None)

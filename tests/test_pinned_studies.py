@@ -1,10 +1,11 @@
-"""Exact bits of the time-blocked studies and of two selftest records.
+"""Exact bits of the time-blocked studies and of six selftest records.
 
-The values were recorded from the studies' hand-written block loops; the
-carried-sum integrator must reproduce them with ``==``, not to a tolerance.
-With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one step, one
-block, one block and one point, two points past it, and just past two
-blocks.
+The study values were recorded from the studies' hand-written block loops;
+the carried-sum integrator must reproduce them with ``==``, not to a
+tolerance.  With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one
+step, one block, one block and one point, two points past it, and just past
+two blocks.  The four symbolic records pin the canonical forms of
+``derive`` and ``derive_k`` and the values evaluated from them.
 """
 
 import json
@@ -15,7 +16,14 @@ import pytest
 from nctrace import ContractionModel, parse
 from nctrace.ito import ito_residual_path, ito_sup_residuals
 from nctrace.process_sim import TimeGrid, simulate_hbm_ensemble
-from nctrace.selftest import check_bdg, check_fv_kills_qc
+from nctrace.selftest import (
+    check_bdg,
+    check_finite_difference,
+    check_fv_kills_qc,
+    check_golden_partial,
+    check_moi_pairing,
+    check_power_derivatives,
+)
 from nctrace.stoch_int import qc_gap_l1
 
 N = 3
@@ -72,6 +80,32 @@ FV_KILLS_QC_RECORD = (
     '"se": 0.0, "slope": 0.9654203958065286, "zscore": Infinity}'
 )
 
+_UNSIZED = '"mesh": null, "n": null, "paths": null'
+SYMBOLIC_RECORDS = {
+    check_golden_partial: (
+        '{"check": "golden_partial", "gap": 0.0, "lhs": 1.0, "params": {'
+        + _UNSIZED + ', "seed": 0, "t": null}, "passed": true, "rhs": 1.0, '
+        '"se": 0.0, "zscore": 0.0}'
+    ),
+    check_power_derivatives: (
+        '{"check": "power_derivatives", "gap": 0.0, "lhs": 15.0, "params": {'
+        + _UNSIZED + ', "seed": 0, "t": null}, "passed": true, "rhs": 15.0, '
+        '"se": 0.0, "zscore": 0.0}'
+    ),
+    check_finite_difference: (
+        '{"check": "finite_difference", "gap": -9.642820260467588e-07, '
+        '"lhs": 3.571797395324122e-08, "params": {"mesh": null, "n": 8, '
+        '"paths": null, "seed": 0, "t": null}, "passed": true, '
+        '"rhs": 1e-06, "se": 0.0, "zscore": Infinity}'
+    ),
+    check_moi_pairing: (
+        '{"check": "moi_pairing", "gap": -9.999339415180817e-11, '
+        '"lhs": 6.605848191829598e-15, "params": {"mesh": null, "n": 6, '
+        '"paths": null, "seed": 0, "t": null}, "passed": true, '
+        '"rhs": 1e-10, "se": 0.0, "zscore": Infinity}'
+    ),
+}
+
 
 def _sandwich_matrix():
     rng = np.random.default_rng(11)
@@ -102,6 +136,12 @@ def test_bdg_record_is_bitwise_pinned():
 def test_fv_kills_qc_record_is_bitwise_pinned():
     assert json.dumps(check_fv_kills_qc(0), sort_keys=True) == \
         FV_KILLS_QC_RECORD
+
+
+@pytest.mark.parametrize("check", list(SYMBOLIC_RECORDS),
+                         ids=lambda check: check.__name__)
+def test_symbolic_record_is_bitwise_pinned(check):
+    assert json.dumps(check(0), sort_keys=True) == SYMBOLIC_RECORDS[check]
 
 
 def test_one_point_grid():

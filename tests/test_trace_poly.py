@@ -42,6 +42,19 @@ def test_traciality_does_not_touch_outer_words():
     assert parse("x1 x2") != parse("x2 x1")
 
 
+def test_constructor_sums_duplicate_and_rotated_raw_keys():
+    a, b, c = x(1), x(2), x(3)
+    P = TracePolynomial([
+        ((((a, b, c),), (a,)), 1),
+        ((((b, c, a),), (a,)), 2),               # a rotation of the word
+        ((((c, a, b),), (a,)), QC(0, 1)),
+        ((((a, b, c),), (a,)), Fraction(1, 2)),  # the same raw key again
+        ((((b,), (a,)), ()), 1),                 # unsorted trace factors
+        ((((a,), (b,)), ()), -1),                # cancels the line above
+    ])
+    assert P.terms == {(((a, b, c),), (a,)): QC(Fraction(7, 2), 1)}
+
+
 def test_like_terms_merge_and_cancel():
     assert parse("tr(x2 x1) x3 - tr(x1 x2) x3").is_zero()
     assert parse("x1 + x1") == parse("2 x1")
@@ -201,6 +214,45 @@ def test_compose_linear_respects_starred_slots():
     H = parse("y1' x1")
     K = parse("x2 y1")
     assert compose_linear(H, K) == parse("y1' x2' x1")
+
+
+def test_compose_linear_into_a_trace_factor():
+    # K's outer word replaces the slot inside tr(x1 y1); K's own trace
+    # factor joins the term's trace factors
+    H = parse("tr(x1 y1) x2 + 3 x2 y1")
+    K = parse("tr(x3) x4 y1 + 2 y1 x1")
+    assert compose_linear(H, K) == parse(
+        "tr(x3) tr(x1 x4 y1) x2 + 2 tr(x1 y1 x1) x2"
+        " + 3 tr(x3) x2 x4 y1 + 6 x2 y1 x1"
+    )
+
+
+def test_compose_linear_into_slot_2_of_a_bilinear_symbol():
+    # the double composition of qc_of_integrals_check; slot 1 is untouched
+    # by the second step and K's letters take the label 2
+    L = parse("x1 y1 y2 + tr(y2 x2) y1")
+    H = parse("y1 x4")
+    K = parse("x3 y1")
+    assert compose_linear(L, K, slot=2) == parse(
+        "x1 y1 x3 y2 + tr(x3 y2 x2) y1"
+    )
+    assert compose_linear(compose_linear(L, H, slot=1), K, slot=2) == parse(
+        "x1 y1 x4 x3 y2 + tr(x3 y2 x2) y1 x4"
+    )
+
+
+def test_compose_linear_merges_and_cancels_terms():
+    # (x1 y1 + y1 x1) x1 - x1 (x1 y1 + y1 x1): the two x1 y1 x1 cancel
+    K = parse("x1 y1 + y1 x1")
+    assert compose_linear(parse("y1 x1 - x1 y1"), K) == parse(
+        "y1 x1^2 - x1^2 y1"
+    )
+    # x1 y1 x1 arises twice and merges
+    assert compose_linear(parse("x1 y1 + y1 x1"), K) == parse(
+        "x1^2 y1 + 2 x1 y1 x1 + y1 x1^2"
+    )
+    # tr(x1 x1 y1) - tr(x1 y1 x1) is zero by traciality
+    assert compose_linear(parse("tr(x1 y1)"), parse("x1 y1 - y1 x1")).is_zero()
 
 
 # -- property tests -------------------------------------------------------
