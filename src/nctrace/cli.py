@@ -56,6 +56,26 @@ def _add_common(p):
     p.add_argument("--csv", dest="csv_out", help="write CSV report here")
 
 
+# JSON types of the config values whose default does not show them (null
+# is taken where the default is null): a tuple lists the types a value may
+# take, [t] a list of values of type t
+_VALUE_TYPES = {"expr": str, "var": str, "matrices": str, "order": int,
+                "meshes": (str, [float]), "checks": (str, [str])}
+
+
+def _has_type(value, want) -> bool:
+    """Whether a JSON value has type ``want``: an int passes for a float,
+    and a bool (an int to Python) passes for nothing."""
+    if isinstance(want, tuple):
+        return any(_has_type(value, w) for w in want)
+    if isinstance(want, list):
+        return isinstance(value, list) and all(
+            _has_type(v, want[0]) for v in value)
+    if want is float:
+        want = (int, float)
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
 def _effective(args, defaults: dict) -> dict:
     cfg = dict(defaults)
     if args.config:
@@ -69,6 +89,12 @@ def _effective(args, defaults: dict) -> dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            default = defaults[key]
+            if not ((value is None and default is None) or _has_type(
+                    value, _VALUE_TYPES.get(key, type(default)))):
+                raise ConfigError(
+                    f"config key {key!r} cannot take {json.dumps(value)}")
         cfg.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)

@@ -55,18 +55,6 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(_hermitian_mask(a, tol)))
 
 
-def lp_norm(a: np.ndarray, p: float) -> float:
-    """Noncommutative L^p norm (tr_n |a|^p)^(1/p); p = inf gives the
-    operator norm."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    s = np.linalg.svd(a, compute_uv=False)
-    if math.isinf(p):
-        return float(s[0])
-    n = a.shape[-1]
-    return float((np.sum(s**p) / n) ** (1.0 / p))
-
-
 def l1_trace_norms(a: np.ndarray) -> np.ndarray:
     """tr_n |a| for each matrix of a (..., n, n) stack, shape (...).
 
@@ -200,15 +188,6 @@ class ScalarFunctionSpec:
         return ScalarFunctionSpec.exp_sum(
             [(c * (1j * xi) ** order, xi) for c, xi in self.atoms]
         )
-
-    def degree(self) -> int:
-        if self.kind != "polynomial":
-            raise ValueError("degree is defined for polynomials only")
-        deg = -1
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                deg = i
-        return deg
 
 
 # -- divided differences --------------------------------------------------

@@ -15,8 +15,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .matrix_alg import lp_norm
-
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
@@ -308,19 +306,6 @@ def make_fv(grid: TimeGrid, n: int,
         if values.shape[1:] != (n, n):
             raise ValueError("generator output has the wrong dimension")
     return ProcessPath(grid, values, "fv")
-
-
-def variation(path: ProcessPath, s: float = None, t: float = None,
-              p: float = np.inf) -> float:
-    """Grid total variation sum ||Delta A|| over (s, t]."""
-    i0 = 0 if s is None else path.grid.index_of(s)
-    i1 = len(path.grid.times) - 1 if t is None else path.grid.index_of(t)
-    return float(
-        sum(
-            lp_norm(path.values[i + 1] - path.values[i], p)
-            for i in range(i0, i1)
-        )
-    )
 
 
 def kappa_estimate(ensemble: Ensemble, s: float, t: float):

@@ -85,9 +85,10 @@ class QC:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if not isinstance(other, (QC, int, Fraction, complex)):
+        try:
+            other = QC.from_value(other)
+        except (TypeError, ValueError, OverflowError):
             return NotImplemented
-        other = QC.from_value(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

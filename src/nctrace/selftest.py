@@ -311,9 +311,8 @@ def check_bdg(seed: int) -> dict:
     # the integral of c dM is itself a martingale; stopped at t = 0.5
     rng = np.random.default_rng(seed + 9)
     c = _rand_hermitian(rng, n)
-    u_vals = rs_integral(BoundBiprocess(parse("x1 y1"), grid, n, {1: c}), ens)
-    stopped_idx = grid.index_of(0.5)
-    u_vals[:, stopped_idx + 1:] = u_vals[:, stopped_idx:stopped_idx + 1]
+    u_vals = rs_integral(
+        ElementaryPredictable([(0.0, 0.5, parse("x1 y1"), {1: c})]), ens)
     u_ens = Ensemble(grid, u_vals, "martingale")
     rep_int = bdg_stats(u_ens, 2, 1.0, params)
     ok = rep_hbm["passed"] and rep_int["passed"]

@@ -1,11 +1,12 @@
 """Left-endpoint stochastic integration on discretized paths.
 
 Bound bi-/triprocesses pair a 1- or 2-linear trace polynomial symbol with
-adapted argument paths; integrals and quadratic Riemann-Stieltjes sums
-are left-endpoint sums on the stored grid.  Whole-path integrals are one
-``cumulative_path`` of their step terms; the time-blocked studies (the Ito
-residuals and the QC gap) run the same sums through ``carried_sums``,
-which walks a path block by block and carries the running sum across.
+adapted argument paths, and elementary predictable integrands freeze a
+symbol on time windows.  ``rs_increments`` is the one function that turns
+any integrand into its per-step left-endpoint terms: integrals, quadratic
+sums and the isometry check sum them, whole paths as one ``cumulative_path``.
+The time-blocked studies (Ito residuals, QC gap) run their sums through
+``carried_sums``, which carries the running sum from block to block.
 Quadratic covariation admits a closed form through the gamma contraction,
 and the standard identities (Ito isometry, BDG p=2, substitution, QC of
 integrals) are exposed as report-producing checks.
@@ -14,7 +15,7 @@ integrals) are exposed as report-producing checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +45,10 @@ def _values_of(X):
     return np.asarray(X, dtype=complex)
 
 
-def _grid_of(X, fallback=None):
+def _grid_of(X):
     if isinstance(X, (ProcessPath, Ensemble)):
         return X.grid
-    if fallback is None:
-        raise ValueError("a grid is required for raw value arrays")
-    return fallback
+    raise ValueError("a grid is required for raw value arrays")
 
 
 def _left(values):
@@ -62,7 +61,8 @@ def _increments(values):
 
 @dataclass(frozen=True)
 class BoundBiprocess:
-    """A 1-linear symbol bound to adapted argument paths on one grid.
+    """A 1-linear (``BoundTriprocess``: 2-linear) symbol bound to adapted
+    argument paths on one grid.
 
     ``bindings`` maps x-variable indices to value arrays shaped
     (..., T, n, n); a plain (n, n) matrix is treated as constant in time.
@@ -72,7 +72,7 @@ class BoundBiprocess:
     grid: TimeGrid
     n: int
     bindings: Mapping[int, np.ndarray] = field(default_factory=dict)
-    linearity: int = 1
+    linearity: ClassVar[int] = 1
 
     def __post_init__(self):
         if classify_linearity(self.symbolic, self.linearity) == "not-linear":
@@ -99,8 +99,7 @@ class BoundBiprocess:
 
 
 class BoundTriprocess(BoundBiprocess):
-    def __init__(self, symbolic, grid, n, bindings=None):
-        super().__init__(symbolic, grid, n, bindings or {}, linearity=2)
+    linearity: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
@@ -122,20 +121,10 @@ class ElementaryPredictable:
 
 
 def elementary_integral(H: ElementaryPredictable, X, t: float) -> np.ndarray:
-    """Sum_i H_i[X(t_i ^ t) - X(s_i ^ t)] evaluated on the grid."""
-    grid = _grid_of(X)
-    values = _values_of(X)
-    n = values.shape[-1]
-    out = np.zeros(values.shape[:-3] + (n, n), dtype=complex)
-    for s, w, sym, bindings in H.pieces:
-        i0 = grid.index_of(min(s, t))
-        i1 = grid.index_of(min(w, t))
-        if i1 == i0:
-            continue
-        delta = values[..., i1, :, :] - values[..., i0, :, :]
-        ctx = EvalContext(n, bindings)
-        out = out + eval_multilinear(sym, ctx, [delta])
-    return out
+    """Sum_i H_i[X(t_i ^ t) - X(s_i ^ t)]: the ``rs_increments`` terms
+    summed up to t."""
+    terms = rs_increments(H, X)
+    return np.sum(terms[..., :_grid_of(X).index_of(t), :, :], axis=-3)
 
 
 def cumulative_path(inc: np.ndarray) -> np.ndarray:
@@ -176,35 +165,42 @@ def carried_sums(values: np.ndarray, step_terms, block: int):
         yield i0, i1, sums
 
 
-def rs_increments(H: BoundBiprocess, X) -> np.ndarray:
-    """Per-step integrand values H(t_-)[Delta X], shape (..., T-1, n, n)."""
-    values = _values_of(X)
-    return eval_multilinear(H.symbolic, H.left_context(), [_increments(values)])
+def rs_increments(H, *drivers) -> np.ndarray:
+    """Per-step left-endpoint terms H(t_j)[Delta X_j, ...], (..., T-1, n, n).
+
+    A ``BoundBiprocess`` takes one driver and a ``BoundTriprocess`` two,
+    bindings frozen at left endpoints.  An ``ElementaryPredictable`` takes
+    one path or ensemble; each piece adds its terms on the steps inside its
+    window (s_i, t_i], clipped at the grid's end."""
+    deltas = [_increments(_values_of(X)) for X in drivers]
+    if not isinstance(H, ElementaryPredictable):
+        return eval_multilinear(H.symbolic, H.left_context(), deltas)
+    (delta,) = deltas
+    grid = _grid_of(drivers[0])
+    end = grid.times[-1]
+    out = np.zeros(delta.shape, dtype=complex)
+    for s, w, sym, bindings in H.pieces:
+        steps = slice(grid.index_of(min(s, end)), grid.index_of(min(w, end)))
+        out[..., steps, :, :] += eval_multilinear(
+            sym, EvalContext(delta.shape[-1], bindings),
+            [delta[..., steps, :, :]])
+    return out
 
 
-def rs_integral(H: BoundBiprocess, X) -> np.ndarray:
+def rs_integral(H, X) -> np.ndarray:
     """Cumulative left-endpoint integral path, shape (..., T, n, n)."""
     return cumulative_path(rs_increments(H, X))
 
 
-def quad_rs_increments(L: BoundBiprocess, X, Y) -> np.ndarray:
-    """Per-step quadratic sum terms Lambda(s_-)[Delta X, Delta Y]."""
-    return eval_multilinear(
-        L.symbolic, L.left_context(),
-        [_increments(_values_of(X)), _increments(_values_of(Y))],
-    )
-
-
 def quad_rs_path(L: BoundBiprocess, X, Y) -> np.ndarray:
     """Cumulative quadratic Riemann-Stieltjes sum path."""
-    return cumulative_path(quad_rs_increments(L, X, Y))
+    return cumulative_path(rs_increments(L, X, Y))
 
 
 def quad_rs_sum(L: BoundBiprocess, X, Y, t: float) -> np.ndarray:
     """Quadratic sum at time t."""
-    idx = L.grid.index_of(t)
-    inc = quad_rs_increments(L, X, Y)
-    return np.sum(inc[..., :idx, :, :], axis=-3)
+    terms = rs_increments(L, X, Y)
+    return np.sum(terms[..., :L.grid.index_of(t), :, :], axis=-3)
 
 
 def qc_closed_form(L: BoundBiprocess, model: ContractionModel) -> np.ndarray:
@@ -256,8 +252,9 @@ def qc_convergence_gaps(n: int, meshes, paths: int, seed: int) -> list[float]:
             for i, m in enumerate(meshes)]
 
 
-def _paired_stats(a: np.ndarray, b: np.ndarray):
-    """Means of a and b with the paired standard error of mean(a - b).
+def _paired_z_report(check: str, params: dict, a, b) -> dict:
+    """Paired z-test report of mean(a) = mean(b) over paths: passes when
+    the means differ by at most 3 standard errors of mean(a - b).
 
     Raises ``ValueError`` for fewer than 2 paths, where there is no
     standard error to test against."""
@@ -268,7 +265,9 @@ def _paired_stats(a: np.ndarray, b: np.ndarray):
         raise ValueError(
             f"a paired z-test needs at least 2 paths, got {len(diff)}")
     se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
-    return float(np.mean(a)), float(np.mean(b)), se
+    lhs, rhs = float(np.mean(a)), float(np.mean(b))
+    return make_report(check, params, lhs, rhs, se,
+                       passed=abs(lhs - rhs) <= 3 * se + 1e-12)
 
 
 def _tr_quad(v: np.ndarray) -> np.ndarray:
@@ -281,29 +280,12 @@ def _tr_quad(v: np.ndarray) -> np.ndarray:
 
 
 def ito_isometry_check(H, M: Ensemble, t: float, params: dict) -> dict:
-    """Compare ||int H[dM](t)||_2^2 against the QC form E int (H dM)*(H dM)."""
-    idx = M.grid.index_of(t)
-    if isinstance(H, ElementaryPredictable):
-        u_t = elementary_integral(H, M, t)
-        # per-window quadratic terms
-        rhs_paths = np.zeros(M.n_paths)
-        for s, w, sym, bindings in H.pieces:
-            i0 = M.grid.index_of(min(s, t))
-            i1 = M.grid.index_of(min(w, t))
-            if i1 == i0:
-                continue
-            seg = M.values[:, i0:i1 + 1]
-            ctx = EvalContext(M.n, bindings)
-            inc = eval_multilinear(sym, ctx, [_increments(seg)])
-            rhs_paths = rhs_paths + np.sum(_tr_quad(inc), axis=-1)
-    else:
-        inc = rs_increments(H, M)
-        u_t = np.sum(inc[..., :idx, :, :], axis=-3)
-        rhs_paths = np.sum(_tr_quad(inc[..., :idx, :, :]), axis=-1)
-    lhs_paths = _tr_quad(u_t)
-    lhs, rhs, se = _paired_stats(lhs_paths, rhs_paths)
-    return make_report("ito_isometry", params, lhs, rhs, se,
-                       passed=abs(lhs - rhs) <= 3 * se + 1e-12)
+    """Compare ||int H[dM](t)||_2^2 against the QC form E int (H dM)*(H dM),
+    both from the same ``rs_increments`` terms up to t."""
+    terms = rs_increments(H, M)[..., :M.grid.index_of(t), :, :]
+    return _paired_z_report("ito_isometry", params,
+                            _tr_quad(np.sum(terms, axis=-3)),
+                            np.sum(_tr_quad(terms), axis=-1))
 
 
 def bdg_stats(M: Ensemble, p: int, t: float, params: dict) -> dict:
@@ -315,10 +297,7 @@ def bdg_stats(M: Ensemble, p: int, t: float, params: dict) -> dict:
     inc = _increments(M.values[:, :idx + 1])
     qv_paths = np.sum(_tr_quad(inc), axis=-1)
     if p == 2:
-        lhs_paths = _tr_quad(m_t)
-        lhs, rhs, se = _paired_stats(lhs_paths, qv_paths)
-        return make_report("bdg_p2", params, lhs, rhs, se,
-                           passed=abs(lhs - rhs) <= 3 * se + 1e-12)
+        return _paired_z_report("bdg_p2", params, _tr_quad(m_t), qv_paths)
     # p = 4: fourth-moment norm against the H^4 proxy built from the
     # quadratic variation matrix; reported as a ratio, not asserted
     n = M.n

@@ -224,9 +224,9 @@ class TracePolynomial:
 
     def __eq__(self, other):
         if not isinstance(other, TracePolynomial):
-            if isinstance(other, (int, complex)) or hasattr(other, "is_zero"):
+            try:
                 other = TracePolynomial.constant(other)
-            else:
+            except (TypeError, ValueError, OverflowError):
                 return NotImplemented
         return self._terms == other._terms
 

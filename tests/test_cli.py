@@ -180,6 +180,32 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert rc == 2 and "pahts" in err
 
 
+@pytest.mark.parametrize("cmd, config", [
+    ("bdg", {"n": None}),
+    ("ito", {"meshes": 5}),
+    ("qc", {"paths": [3]}),
+    ("selftest", {"checks": 5}),
+    ("selftest", {"checks": [5]}),
+    ("bdg", {"n": True}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, cmd,
+                                                config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run(capsys, cmd, "--config", str(cfg))
+    key = next(iter(config))
+    assert rc == 2 and f"config key '{key}'" in err
+    assert out == ""
+
+
+def test_config_takes_null_where_the_default_is_null(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"checks": None, "seed": 1}))
+    rc, out, _ = run(capsys, "selftest", "--config", str(cfg),
+                     "--checks", "golden_partial")
+    assert rc == 0 and "PASS  golden_partial" in out
+
+
 def test_meshes_must_divide_the_horizon(capsys):
     # 1/0.3 is not a whole number of steps: the grid's mesh would be 1/3
     rc, _, err = run(capsys, "ito", "--n", "4", "--paths", "2",

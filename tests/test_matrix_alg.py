@@ -24,7 +24,6 @@ from nctrace.matrix_alg import (
     esd_distance,
     hermitian_onb,
     l1_trace_norms,
-    lp_norm,
     magic_sum,
     moi,
     op_function,
@@ -39,29 +38,6 @@ RNG = np.random.default_rng(20240817)
 def rand_hermitian(n, rng=RNG, scale=1.0):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (g + g.conj().T) / 2
-
-
-# -- norms ----------------------------------------------------------------
-
-
-def test_lp_norm_hand_values():
-    a = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
-    assert lp_norm(a, 2) == pytest.approx(1.0)
-    assert lp_norm(a, 1) == pytest.approx(0.5)
-    assert lp_norm(a, math.inf) == pytest.approx(2.0)
-
-
-def test_lp_norm_is_unitarily_invariant():
-    a = rand_hermitian(6)
-    q, _ = np.linalg.qr(rand_hermitian(6))
-    b = q @ a @ q.conj().T
-    for p in (1, 2, 4, math.inf):
-        assert lp_norm(b, p) == pytest.approx(lp_norm(a, p), rel=1e-12)
-
-
-def test_lp_norm_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        lp_norm(np.eye(2, dtype=complex), 0.5)
 
 
 # -- Hermitian basis and magic formula ------------------------------------
@@ -106,7 +82,6 @@ def test_polynomial_eval_and_derivative():
     assert p(2.0) == pytest.approx(1 - 8 + 8)
     assert p.derivative()(2.0) == pytest.approx(-8 + 12)
     assert p.derivative(3)(0.0) == pytest.approx(6)
-    assert p.degree() == 3
 
 
 def test_exp_sum_eval_and_derivative():

@@ -1,11 +1,13 @@
-"""Exact bits of the time-blocked studies and of six selftest records.
+"""Exact bits of the time-blocked studies and of seven selftest records.
 
 The study values were recorded from the studies' hand-written block loops;
 the carried-sum integrator must reproduce them with ``==``, not to a
 tolerance.  With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one
 step, one block, one block and one point, two points past it, and just past
 two blocks.  The four symbolic records pin the canonical forms of
-``derive`` and ``derive_k`` and the values evaluated from them.
+``derive`` and ``derive_k`` and the values evaluated from them; the
+isometry record pins both integrands of ``check_ito_isometry`` as they run
+through ``rs_increments``.
 """
 
 import json
@@ -21,6 +23,7 @@ from nctrace.selftest import (
     check_finite_difference,
     check_fv_kills_qc,
     check_golden_partial,
+    check_ito_isometry,
     check_moi_pairing,
     check_power_derivatives,
 )
@@ -80,6 +83,21 @@ FV_KILLS_QC_RECORD = (
     '"se": 0.0, "slope": 0.9654203958065286, "zscore": Infinity}'
 )
 
+_ISOMETRY_PARAMS = ('"params": {"mesh": 0.025000000000000022, "n": 8, '
+                    '"paths": 1000, "seed": 0, "t": 1.0}')
+ITO_ISOMETRY_RECORD = (
+    '{"check": "ito_isometry_pair", "gap": -1.8350709191617736, '
+    '"identity": {"check": "ito_isometry", "gap": -0.0063460187838340065, '
+    f'"lhs": 0.9930396919364742, {_ISOMETRY_PARAMS}, "passed": true, '
+    '"rhs": 0.9993857107203082, "se": 0.005447558042990668, '
+    '"zscore": -1.1649290808382264}, "lhs": 1.1649290808382264, '
+    f'{_ISOMETRY_PARAMS}, "passed": true, "rhs": 3.0, '
+    '"sandwich": {"check": "ito_isometry", "gap": -0.18488655724717518, '
+    f'"lhs": 39.23214472783576, {_ISOMETRY_PARAMS}, "passed": true, '
+    '"rhs": 39.417031285082935, "se": 0.4592867142810742, '
+    '"zscore": -0.4025515032294802}, "se": 0.0, "zscore": Infinity}'
+)
+
 _UNSIZED = '"mesh": null, "n": null, "paths": null'
 SYMBOLIC_RECORDS = {
     check_golden_partial: (
@@ -131,6 +149,11 @@ def test_qc_gap_is_bitwise_pinned(points):
 
 def test_bdg_record_is_bitwise_pinned():
     assert json.dumps(check_bdg(0), sort_keys=True) == BDG_RECORD
+
+
+def test_ito_isometry_record_is_bitwise_pinned():
+    assert json.dumps(check_ito_isometry(0), sort_keys=True) == \
+        ITO_ISOMETRY_RECORD
 
 
 def test_fv_kills_qc_record_is_bitwise_pinned():

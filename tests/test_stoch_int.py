@@ -75,6 +75,17 @@ def test_elementary_additivity_and_disjoint_windows():
     assert np.max(np.abs(head - mid)) < 1e-12
 
 
+def test_elementary_window_past_the_grid_end_is_clipped():
+    grid = TimeGrid.uniform(1.0, 10)
+    X = simulate_hbm(3, grid, RngStream(3, 0))
+    H = ElementaryPredictable([(0.5, 3.0, identity_symbol(), {})])
+    want = X.at(1.0) - X.at(0.5)
+    assert np.max(np.abs(elementary_integral(H, X, 1.0) - want)) < 1e-12
+    path = rs_integral(H, X)
+    assert not np.any(path[:6])
+    assert np.max(np.abs(path[-1] - want)) < 1e-12
+
+
 def test_elementary_windows_validated():
     with pytest.raises(ValueError):
         ElementaryPredictable([(0.5, 0.5, identity_symbol(), {})])
@@ -229,6 +240,19 @@ def test_ito_isometry_elementary_sandwich():
     # closed form: E tr_n(c dX dX c) over the window = 0.5 tr_n(c^2)
     want = 0.5 * np.trace(c @ c).real / n
     assert rep["rhs"] == pytest.approx(want, rel=0.2)
+
+
+def test_ito_isometry_overlapping_windows():
+    # the windows overlap on (0.25, 0.75], where the integrand is 2 y1:
+    # E ||u_1||_2^2 = 0.25 + 4 * 0.5 + 0.25 = 2.5, cross terms included
+    grid = TimeGrid.uniform(1.0, 4)
+    ens = simulate_hbm_ensemble(4, grid, 2000, seed=15)
+    H = ElementaryPredictable([(0.0, 0.75, identity_symbol(), {}),
+                               (0.25, 1.0, identity_symbol(), {})])
+    rep = ito_isometry_check(H, ens, 1.0,
+                             {"n": 4, "paths": 2000, "seed": 15, "t": 1.0})
+    assert rep["passed"]
+    assert rep["rhs"] == pytest.approx(2.5, abs=0.1)
 
 
 def test_bdg_p2_identity():

@@ -33,6 +33,18 @@ def test_floats_convert_exactly():
     assert scaled == parse("x1").scale(QC(Fraction(1e-13)))
 
 
+def test_constants_equal_every_value_the_constructors_take():
+    for value in (2, Fraction(1, 2), 0.5, 1e-13, 1.5 - 2j, QC(0, 3)):
+        assert QC.from_value(value) == value and value == QC.from_value(value)
+        assert TracePolynomial.constant(value) == value
+        assert value == TracePolynomial.constant(value)
+    assert TracePolynomial.constant(0.5) != Fraction(1, 3)
+    assert QC(1) != 1.0000000000000002
+    # values no constructor takes compare unequal instead of raising
+    for other in (None, [1], "x1", float("nan"), float("inf")):
+        assert QC(1) != other and TracePolynomial.constant(1) != other
+
+
 def test_traciality_canonicalizes_rotations():
     assert parse("tr(x1 x2 x3)") == parse("tr(x3 x1 x2)")
     assert parse("tr(x1 x2 x1)") == parse("tr(x1^2 x2)")
