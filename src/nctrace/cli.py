@@ -163,8 +163,7 @@ def _matrix_from_json(obj) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _effective(args, {"expr": None, "matrices": None,
-                            "trace_mode": "pathwise", "seed": 0})
+    cfg = _effective(args, {"expr": None, "matrices": None, "seed": 0})
     if not cfg["expr"] or not cfg["matrices"]:
         raise ConfigError("eval needs --expr and --matrices")
     try:
@@ -178,10 +177,7 @@ def _cmd_eval(args) -> int:
     if not bindings:
         raise ConfigError("no bindings in the matrices file")
     n = next(iter(bindings.values())).shape[-1]
-    result = eval_poly(
-        parse(cfg["expr"]),
-        EvalContext(n, bindings, trace_mode=cfg["trace_mode"]),
-    )
+    result = eval_poly(parse(cfg["expr"]), EvalContext(n, bindings))
     out = np.stack([result.real, result.imag], axis=-1)
     print(json.dumps(out.tolist()))
     return 0
@@ -322,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate an expression on matrices")
     e.add_argument("--expr")
     e.add_argument("--matrices")
-    e.add_argument("--trace-mode", dest="trace_mode",
-                   choices=["pathwise", "ensemble"])
     _add_common(e)
     e.set_defaults(func=_cmd_eval)
 

@@ -4,7 +4,8 @@ Evaluation is a *-homomorphism: words become matrix products, trace
 factors become tr_n scalars, and k-linear slot letters receive bound
 matrices (the adjoint for starred slot letters).  All operations
 broadcast over leading batch axes, so an ensemble of paths evaluates in
-one call.
+one call; each trace factor reduces to one tr_n per leading index, never
+averaged across paths or times.
 
 Each polynomial is compiled once into a straight-line plan
 (``compile_plan``, cached by the polynomial).  The plan computes each
@@ -36,18 +37,14 @@ class EvalError(ValueError):
 class EvalContext:
     """Bindings of x-variables to matrices of one dimension.
 
-    ``trace_mode`` selects how trace factors reduce: "pathwise" keeps the
-    per-sample tr_n (a scalar per leading index), "ensemble" additionally
-    averages tr_n over all leading axes, estimating the state E tr_n.
+    Bindings may carry leading batch axes; trace factors reduce to one
+    tr_n scalar per leading index.
     """
 
     n: int
     bindings: Mapping[int, np.ndarray] = field(default_factory=dict)
-    trace_mode: str = "pathwise"
 
     def __post_init__(self):
-        if self.trace_mode not in ("pathwise", "ensemble"):
-            raise EvalError(f"unknown trace mode {self.trace_mode!r}")
         for i, a in self.bindings.items():
             a = np.asarray(a)
             if a.shape[-2:] != (self.n, self.n):
@@ -231,10 +228,10 @@ def _run(plan: Plan, ctx: EvalContext, y_bindings) -> np.ndarray:
         elif op == "trace":
             a, b = args
             if b is None:
-                val = np.trace(regs[a], axis1=-2, axis2=-1) / n
+                val = np.trace(regs[a], axis1=-2, axis2=-1)
             else:
-                val = np.einsum("...ij,...ji->...", regs[a], regs[b]) / n
-            regs[dest] = np.mean(val) if ctx.trace_mode == "ensemble" else val
+                val = np.einsum("...ij,...ji->...", regs[a], regs[b])
+            regs[dest] = val / n
         elif op == "leaf":
             regs[dest] = _leaf(args[0], ctx, y_bindings)
         else:

@@ -114,9 +114,8 @@ def hermitian_onb(n: int) -> list[np.ndarray]:
 def hermitian_onb_array(n: int) -> np.ndarray:
     """Basis stacked into an (n^2, n, n) array, cached per dimension.
 
-    It takes 16 n^4 bytes.  Only the magic-formula sum and the selftest's
-    gamma-rule check use it; the Hermitian-BM sampler scatters its
-    coefficients without it.
+    It takes 16 n^4 bytes.  Only the magic-formula sum uses it; the
+    Hermitian-BM sampler scatters its coefficients without it.
     """
     arr = _ONB_CACHE.get(n)
     if arr is None:
@@ -131,7 +130,7 @@ _ONB_CACHE: dict[int, np.ndarray] = {}
 def magic_sum(a: np.ndarray) -> np.ndarray:
     """Sum_e e a e over the Hermitian basis; equals tr_n(a) * I."""
     es = hermitian_onb_array(a.shape[-1])
-    return np.einsum("eij,jk,ekl->il", es, a, es)
+    return (es @ a @ es).sum(0)
 
 
 # -- scalar function specs ------------------------------------------------

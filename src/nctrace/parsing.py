@@ -19,17 +19,11 @@ import re
 from fractions import Fraction
 
 from .rational import QC
-from .trace_poly import (
-    LinearityError,
-    TracePolynomial,
-    classify_linearity,
-    x,
-    y,
-)
+from .trace_poly import TracePolynomial, x, y
 
 
 class ParseError(ValueError):
-    """Syntax or arity error, with the offending position."""
+    """Syntax error, with the offending position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -179,42 +173,21 @@ class _Parser:
         return TracePolynomial.from_word([y(index, coord, starred)])
 
 
-def parse(text: str, n_vars: int | None = None,
-          slot_signature: tuple | None = None) -> TracePolynomial:
+def parse(text: str) -> TracePolynomial:
     """Parse ``text`` into canonical form.
 
-    ``n_vars`` bounds the allowed x-variable indices; ``slot_signature``
-    (d_1, ..., d_k) declares a k-linear shape, which is then enforced.
+    Any x-variable and slot indices are accepted; whether a slot
+    polynomial is k-linear is for its consumer to check.
     """
     parser = _Parser(text)
     result = parser.parse_expr()
     kind, tok, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {tok!r}", pos)
-    if n_vars is not None and result.n_vars() > n_vars:
-        raise ParseError(
-            f"unknown identifier x{result.n_vars()} (declared n={n_vars})", 0
-        )
-    if slot_signature is not None:
-        k = len(slot_signature)
-        used = result.slots_used()
-        for j, coord_max in used.items():
-            if j > k or coord_max > slot_signature[j - 1]:
-                raise ParseError(
-                    f"slot letter y{j} exceeds the declared signature", 0
-                )
-        if classify_linearity(result, k) == "not-linear":
-            raise LinearityError(
-                "expression is not k-linear in the declared slots"
-            )
     return result
 
 
 # -- canonical printer ----------------------------------------------------
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def _coeff_str(c: QC):
@@ -223,14 +196,14 @@ def _coeff_str(c: QC):
     if c.im == 0:
         sign = "-" if c.re < 0 else "+"
         mag = abs(c.re)
-        return sign, "" if mag == 1 else _frac_str(mag)
+        return sign, "" if mag == 1 else str(mag)
     if c.re == 0:
         sign = "-" if c.im < 0 else "+"
         mag = abs(c.im)
-        return sign, "i" if mag == 1 else _frac_str(mag) + "i"
-    re_s = _frac_str(c.re)
+        return sign, "i" if mag == 1 else str(mag) + "i"
+    re_s = str(c.re)
     im_mag = abs(c.im)
-    im_s = ("i" if im_mag == 1 else _frac_str(im_mag) + "i")
+    im_s = ("i" if im_mag == 1 else str(im_mag) + "i")
     op = "-" if c.im < 0 else "+"
     return "+", f"({re_s} {op} {im_s})"
 

@@ -290,21 +290,11 @@ def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
 
 
 def make_fv(grid: TimeGrid, n: int,
-            g: Callable[[float], float] | None = None,
-            generator: Callable[[float], np.ndarray] | None = None) -> ProcessPath:
-    """Finite-variation path: scalar g(t)*I or a smooth matrix generator."""
-    if (g is None) == (generator is None):
-        raise ValueError("give exactly one of g or generator")
-    if g is not None:
-        values = np.stack(
-            [complex(g(t)) * np.eye(n, dtype=complex) for t in grid.times]
-        )
-    else:
-        values = np.stack(
-            [np.asarray(generator(t), dtype=complex) for t in grid.times]
-        )
-        if values.shape[1:] != (n, n):
-            raise ValueError("generator output has the wrong dimension")
+            g: Callable[[float], float]) -> ProcessPath:
+    """Finite-variation path g(t) * I."""
+    values = np.stack(
+        [complex(g(t)) * np.eye(n, dtype=complex) for t in grid.times]
+    )
     return ProcessPath(grid, values, "fv")
 
 

@@ -7,6 +7,7 @@ must never round.  A coefficient is a pair of ``fractions.Fraction`` values
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -92,7 +93,15 @@ class QC:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # hash like the Python number this equals; for im != 0 that is
+        # CPython's complex hash, wrapped to a signed machine word
+        if self.im == 0:
+            return hash(self.re)
+        bits = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << bits)
+        if h >= 1 << (bits - 1):
+            h -= 1 << bits
+        return -2 if h == -1 else h
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -18,10 +18,10 @@ from .evaluator import EvalContext, eval_multilinear, eval_poly
 from .ito import ito_residual_path, ito_sup_residuals
 from .matrix_alg import (
     ScalarFunctionSpec,
+    _compositions,
     divided_diff,
     dk_operator_function,
     esd_distance,
-    hermitian_onb_array,
     l1_trace_norms,
     magic_sum,
     moi,
@@ -33,6 +33,7 @@ from .process_sim import (
     Ensemble,
     RngStream,
     TimeGrid,
+    _hbm_increments_basis,
     hbm_chunks,
     kappa_estimate,
     make_fv,
@@ -179,12 +180,11 @@ def check_gamma_rules_mc(seed: int) -> dict:
     n, dt, total, chunk = 8, 1e-3, 100_000, 10_000
     rng = np.random.default_rng(seed + 5)
     u, v, w, probe = (_rand_hermitian(rng, n) for _ in range(4))
-    onb = hermitian_onb_array(n).reshape(n * n, n * n)
+    dts = np.full(chunk, dt)
+    dx = np.empty((chunk, n, n), dtype=complex)
     stats = {name: [] for name in ("R1", "R2", "R3", "R4")}
     for c in range(total // chunk):
-        g = RngStream(seed + 5, c).generator
-        dx = (g.standard_normal((chunk, n * n)) * math.sqrt(dt) @ onb)
-        dx = dx.reshape(chunk, n, n)
+        _hbm_increments_basis(n, dts, RngStream(seed + 5, c).generator, dx)
         udxv = u @ dx @ v
         tr_udx = np.einsum("ij,pji->p", u, dx) / n
         tr_vdx = np.einsum("ij,pji->p", v, dx) / n
@@ -456,15 +456,6 @@ def check_divided_differences(seed: int) -> dict:
     return make_report("divided_differences", {"seed": seed},
                        worst, 1e-8, passed=ok,
                        extra={"exact_failures": exact_fail})
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # 14. MOI derivative checks ------------------------------------------------

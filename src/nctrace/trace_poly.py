@@ -125,14 +125,6 @@ class TracePolynomial:
     def from_word(cls, word: Iterable[Letter], coeff=1) -> "TracePolynomial":
         return cls([(((), tuple(word)), coeff)])
 
-    @classmethod
-    def variable(cls, i: int, star: bool = False) -> "TracePolynomial":
-        return cls.from_word([x(i, star)])
-
-    @classmethod
-    def slot(cls, j: int, coord: int = 1, star: bool = False) -> "TracePolynomial":
-        return cls.from_word([y(j, coord, star)])
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -231,6 +223,9 @@ class TracePolynomial:
         return self._terms == other._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {((), ())}:
+            # zero or a constant: hash like the scalar it equals
+            return hash(self._terms.get(((), ()), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
@@ -261,40 +256,35 @@ def _partial_terms(P: TracePolynomial, i: int, slot: int, coord: int):
                 yield (traces, new_outer), c
 
 
-def derive(P: TracePolynomial, i: int, slot: int | None = None,
-           coord: int = 1) -> TracePolynomial:
+def derive(P: TracePolynomial, i: int) -> TracePolynomial:
     """Leibniz derivative with respect to x_i.
 
     Every occurrence of x_i or x_i* (in trace factors and in the outer
     word) is replaced, one at a time, by the fresh slot letter y^eps; the
-    resulting polynomials are summed.  The output is real 1-linear in the
-    fresh slot.
+    resulting polynomials are summed.  The fresh slot is one past the
+    largest slot of P, with coordinate 1; the output is real 1-linear in it.
     """
     if i < 1:
         raise ValueError("variable index out of range")
-    if slot is None:
-        slot = max(P.slots_used(), default=0) + 1
-    elif slot in P.slots_used():
-        raise LinearityError(f"slot {slot} already used in the polynomial")
-    return TracePolynomial(_partial_terms(P, i, slot, coord))
+    slot = max(P.slots_used(), default=0) + 1
+    return TracePolynomial(_partial_terms(P, i, slot, 1))
 
 
-def derive_k(P: TracePolynomial, k: int, n_vars: int | None = None) -> TracePolynomial:
+def derive_k(P: TracePolynomial, k: int) -> TracePolynomial:
     """Algebraic k-th total derivative.
 
-    Sums the iterated partials over all index tuples, with the j-th
-    application writing into slot j with the coordinate of the
-    differentiated variable.
+    Sums the iterated partials over all index tuples (x_1, ..., x_m, with m
+    the largest index in P), with the j-th application writing into slot j
+    with the coordinate of the differentiated variable.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
     if P.slots_used():
         raise LinearityError("derive_k input must not contain slot letters")
-    n = P.n_vars() if n_vars is None else n_vars
     result = P
     for j in range(1, k + 1):
         result = TracePolynomial(
-            term for i in range(1, n + 1)
+            term for i in range(1, P.n_vars() + 1)
             for term in _partial_terms(result, i, j, i)
         )
     return result

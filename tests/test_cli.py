@@ -64,6 +64,30 @@ def test_eval_missing_file(capsys):
     assert rc == 2
 
 
+def _eval_matrices(tmp_path):
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps({"bindings": {"1": [[1.0, 0.0], [0.0, 2.0]]}}))
+    return str(mats)
+
+
+def test_eval_rejects_the_trace_mode_flag(tmp_path, capsys):
+    # trace factors always reduce to one tr_n per leading index
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--expr", "tr(x1^2)", "--matrices",
+              _eval_matrices(tmp_path), "--trace-mode", "ensemble"])
+    assert e.value.code == 2
+    assert "--trace-mode" in capsys.readouterr().err
+
+
+def test_eval_config_with_trace_mode_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"trace_mode": "ensemble"}))
+    rc, out, err = run(capsys, "eval", "--expr", "tr(x1^2)", "--matrices",
+                       _eval_matrices(tmp_path), "--config", str(cfg))
+    assert rc == 2 and "unknown config keys: trace_mode" in err
+    assert out == ""
+
+
 def test_sim_byte_identical(tmp_path, capsys):
     args = ["sim", "--n", "6", "--T", "1", "--mesh", "0.01",
             "--paths", "2", "--seed", "7"]

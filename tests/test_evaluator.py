@@ -1,4 +1,4 @@
-"""Evaluation maps: homomorphism, linearity, trace modes."""
+"""Evaluation maps: homomorphism, linearity, per-index trace factors."""
 
 from fractions import Fraction
 
@@ -26,10 +26,9 @@ def rand_matrix(n, herm=False):
     return (g + g.conj().T) / 2 if herm else g
 
 
-def ctx_of(*mats, n=None, trace_mode="pathwise"):
+def ctx_of(*mats, n=None):
     n = n or mats[0].shape[-1]
-    return EvalContext(n, {i + 1: m for i, m in enumerate(mats)},
-                       trace_mode=trace_mode)
+    return EvalContext(n, {i + 1: m for i, m in enumerate(mats)})
 
 
 def test_identity_and_scalar_terms():
@@ -141,16 +140,6 @@ def test_constant_polynomial_keeps_the_batch_shape():
     assert eval_poly(parse("5"), EvalContext(3)).shape == (3, 3)
 
 
-def test_ensemble_trace_mode_averages():
-    batch = np.stack([rand_matrix(3, herm=True) for _ in range(10)])
-    ctx = EvalContext(3, {1: batch, 2: np.eye(3, dtype=complex)},
-                      trace_mode="ensemble")
-    got = eval_poly(parse("tr(x1^2) x2"), ctx)
-    want = np.mean([trace_n(m @ m) for m in batch]) * np.eye(3)
-    # ensemble mode collapses the trace factor to one number
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
 def test_error_conditions():
     a = rand_matrix(3)
     with pytest.raises(EvalError):
@@ -198,9 +187,7 @@ def _reference(P, ctx, y_bindings):
     for (traces, outer), coeff in P.terms.items():
         scalar = complex(coeff)
         for w in traces:
-            t = trace_n(_ref_word(w, ctx, y_bindings))
-            scalar = scalar * (np.mean(t) if ctx.trace_mode == "ensemble"
-                               else t)
+            scalar = scalar * trace_n(_ref_word(w, ctx, y_bindings))
         term = np.asarray(scalar)[..., None, None] * _ref_word(
             outer, ctx, y_bindings)
         scale += float(np.max(np.abs(term)))
@@ -236,16 +223,15 @@ def _plan_polys(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_plan_polys(), st.sampled_from([1, 2, 3]),
-       st.sampled_from(["pathwise", "ensemble"]), st.integers(0, 2**32 - 1))
-def test_plan_matches_the_term_by_term_reference(P, n, mode, seed):
+@given(_plan_polys(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_plan_matches_the_term_by_term_reference(P, n, seed):
     rng = np.random.default_rng(seed)
 
     def mats(*batch):
         shape = batch + (n, n)
         return 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
-    ctx = EvalContext(n, {1: mats(2, 3), 2: mats(3)}, trace_mode=mode)
+    ctx = EvalContext(n, {1: mats(2, 3), 2: mats(3)})
     if P.slots_used():
         y_bindings = [(mats(2, 1), mats(1, 3)), mats(3)]
         got = eval_multilinear(P, ctx, y_bindings)

@@ -26,7 +26,6 @@ from nctrace.process_sim import (
     ProcessPath,
     RngStream,
     TimeGrid,
-    make_fv,
     simulate_hbm,
     simulate_hbm_ensemble,
 )
@@ -103,9 +102,9 @@ def test_fv_driver_quadratic_mode_hits_noise_floor():
     # quadratic second-order term the residual is third order per step
     grid = TimeGrid.from_mesh(1.0, 1e-4)
     n = 4
-    A = make_fv(grid, n, generator=lambda t: np.diag(
-        [np.sin(t + k) for k in range(n)]).astype(complex))
-    res = ito_residual_path(parse("x1^3"), A.values, grid,
+    A = np.stack([np.diag([np.sin(t + k) for k in range(n)]).astype(complex)
+                  for t in grid.times])
+    res = ito_residual_path(parse("x1^3"), A, grid,
                             ContractionModel.matrix(n),
                             second_order="quadratic")
     per = np.max(np.abs(res))

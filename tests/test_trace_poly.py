@@ -45,6 +45,18 @@ def test_constants_equal_every_value_the_constructors_take():
         assert QC(1) != other and TracePolynomial.constant(1) != other
 
 
+def test_scalars_hash_like_the_numbers_they_equal():
+    assert len({QC(1), 1}) == 1
+    assert {QC(1): "a"}.get(1) == "a"
+    assert hash(QC(0.5)) == hash(0.5)
+    assert hash(QC(1, 2)) == hash(1 + 2j)
+    assert hash(QC(-1000004, 1)) == hash(complex(-1000004, 1)) == -2
+    assert hash(TracePolynomial.constant(2)) == hash(2)
+    assert hash(TracePolynomial.constant(1.5 - 2j)) == hash(1.5 - 2j)
+    assert hash(TracePolynomial.zero()) == hash(0)
+    assert {TracePolynomial.constant(2): "b"}.get(2) == "b"
+
+
 def test_traciality_canonicalizes_rotations():
     assert parse("tr(x1 x2 x3)") == parse("tr(x3 x1 x2)")
     assert parse("tr(x1 x2 x1)") == parse("tr(x1^2 x2)")
@@ -116,14 +128,8 @@ def test_second_derivative_of_cube():
 
 
 def test_derive_k_slot_coordinates_track_variables():
-    got = derive_k(parse("x1 x2"), 1, n_vars=2)
+    got = derive_k(parse("x1 x2"), 1)
     assert got == parse("y1_1 x2 + x1 y1_2")
-
-
-def test_derive_refuses_occupied_slot():
-    P = parse("y1 x1")
-    with pytest.raises(LinearityError):
-        derive(P, 1, slot=1)
 
 
 # -- linearity classification --------------------------------------------
@@ -335,6 +341,6 @@ def test_star_word_is_involutive(w):
 @settings(max_examples=100, deadline=None)
 @given(_polys(), _polys())
 def test_derive_is_a_derivation(P, Q):
-    lhs = derive(P * Q, 1, slot=1)
-    rhs = derive(P, 1, slot=1) * Q + P * derive(Q, 1, slot=1)
+    lhs = derive(P * Q, 1)
+    rhs = derive(P, 1) * Q + P * derive(Q, 1)
     assert lhs == rhs
