@@ -15,6 +15,24 @@ adds letterless terms on the diagonal only, skips the multiply for
 coefficient 1, and accumulates every term in place into one output
 buffer, dropping each intermediate after its last use.  Results are new
 arrays, never views of the bindings.
+
+``eval_step_block`` serves the Ito studies with one plan per block
+(``compile_step_plan``) and two outputs: P at the L points of a path window
+and step[dX] + timed * dt at its L - 1 left endpoints.  x1 is bound once
+to the window; a letter power made there is read on the left endpoints
+through the view [..., :-1], so x1^2 and each trace factor are made once
+per grid time for P, dP and the correction together.  Evaluation is a
+*-homomorphism, which the step plan uses: when the window equals its
+adjoint bitwise (as every Hermitian Brownian path does) and the
+polynomials of an output are self-adjoint on Hermitian letters
+(``trace_poly.is_self_adjoint``), each term w comes with its adjoint w*.
+Such an output takes one product per pair {w, w*}: the plan sums one
+term of each pair, plus half of each term with w = w*, into a half H and
+returns H + H^H.  For d(x1^4)[dX] that is A + A^H + B + B^H with
+A = X^3 dX and B = X^2 dX X, and x1^4 takes 6 products per grid time
+where its three separate plans took 11.  Any other output (a polynomial
+that is not self-adjoint, non-Hermitian bindings, or no pair to share)
+keeps the unpaired terms.
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .matrix_alg import adjoint
-from .trace_poly import TracePolynomial
+from .trace_poly import TracePolynomial, hermitian_form, is_self_adjoint
 
 
 class EvalError(ValueError):
@@ -89,29 +107,52 @@ def _slot_matrix(letter, y_bindings, n):
 #
 # A plan is a straight line of steps over a register file.  Each step is
 # (op, dest, args, frees): it writes register ``dest`` and then clears the
-# registers in ``frees``, whose last use it was.
-#   "leaf"  args = (letter,)            the bound matrix, adjoint if starred
-#   "mul"   args = (a, b)               a @ b
-#   "trace" args = (a, b)               tr_n(a b) by an n^2 contraction;
-#                                       b is None for tr_n(a)
-#   "term"  args = (coeff, scalars, a)  out += coeff * prod(scalars) * a;
-#                                       a is None for the identity (added
-#                                       on the diagonal), coeff is None for 1
+# registers in ``frees``, whose last use it was.  A register read is a
+# (register, cut) pair.  In a step plan the letter powers live on all L
+# points of the window and whatever is made with the increment lives on its
+# L - 1 left endpoints, so a left-endpoint step reads a window register
+# through ``cut``, the view [..., :-1] of its time axis; cut is None
+# everywhere else.
+#   "leaf"  args = (letter,)              the bound matrix, adjoint if starred
+#   "dt"    args = ()                     the step lengths (step plans only)
+#   "mul"   args = (a, b)                 a @ b
+#   "trace" args = (a, b)                 tr_n(a b) by an n^2 contraction;
+#                                         b is None for tr_n(a)
+#   "term"  dest = sink k,                sink k += coeff * prod(scalars) * a;
+#           args = (coeff, scalars,       a is None for the identity (added on
+#                   a, half)              the diagonal), coeff is None for 1;
+#                                         a ``half`` term goes to the sink's
+#                                         half H instead, and a sink with a
+#                                         half ends as H + H^H
+
+_CUT_MATRIX = (Ellipsis, slice(None, -1), slice(None), slice(None))
+_CUT_SCALAR = (Ellipsis, slice(None, -1))
 
 
 @dataclass(frozen=True)
 class Plan:
-    """A trace polynomial compiled into straight-line steps."""
+    """A trace polynomial, or a step plan's polynomials, compiled into
+    straight-line steps writing ``sinks`` results."""
 
     steps: tuple
     registers: int
     has_slots: bool
+    sinks: int = 1
+    # step plans: P, the step symbol and the timed symbol are self-adjoint
+    self_adjoint: bool = False
+
+    @property
+    def matmuls(self) -> int:
+        return sum(op == "mul" for op, *_ in self.steps)
 
 
 class _Compiler:
-    def __init__(self):
+    def __init__(self, left_sinks=()):
         self.steps: list = []  # (op, dest, args, registers read)
         self.nodes: dict = {}  # (op, args) -> register
+        self.left_sinks = frozenset(left_sinks)  # sinks on left endpoints
+        self.left: set = set()  # registers on left endpoints
+        self.scalars: set = set()  # registers holding tr_n values or dt
 
     def _node(self, op, args, reads=()):
         key = (op, args)
@@ -119,6 +160,12 @@ class _Compiler:
         if reg is None:
             reg = self.nodes[key] = len(self.nodes)
             self.steps.append((op, reg, args, reads))
+            if op in ("trace", "dt"):
+                self.scalars.add(reg)
+            if self.left_sinks and (
+                    op == "dt" or (op == "leaf" and args[0].family == "y")
+                    or not self.left.isdisjoint(reads)):
+                self.left.add(reg)
         return reg
 
     def _mul(self, a, b):
@@ -154,22 +201,46 @@ class _Compiler:
         a, b = self._split(word)
         return self._node("trace", (a, b), (a, b))
 
-    def term(self, coeff, traces, outer):
+    def term(self, coeff, traces, outer, sink=0, timed=False, half=False):
         c = complex(coeff)
         c = None if c == 1 else (c.real if c.imag == 0 else c)
         scalars = tuple(self.trace(w) for w in traces if w)  # tr(1) = 1
+        if timed:
+            scalars += (self._node("dt", ()),)
         reg = self.word(outer) if outer else None
         reads = scalars + (() if reg is None else (reg,))
-        self.steps.append(("term", None, (c, scalars, reg), reads))
+        self.steps.append(("term", sink, (c, scalars, reg, half), reads))
 
-    def finish(self, has_slots) -> Plan:
+    def _read(self, reg, left):
+        """How a step on the left endpoints (``left``) or on the whole
+        window reads ``reg``."""
+        if reg is None:
+            return None
+        cut = None
+        if left and reg not in self.left:
+            cut = _CUT_SCALAR if reg in self.scalars else _CUT_MATRIX
+        return reg, cut
+
+    def _reads(self, op, dest, args):
+        if op in ("mul", "trace"):
+            return tuple(self._read(r, dest in self.left) for r in args)
+        if op == "term":
+            c, scalars, a, half = args
+            left = dest in self.left_sinks
+            return (c, tuple(self._read(r, left) for r in scalars),
+                    self._read(a, left), half)
+        return args
+
+    def finish(self, has_slots, sinks=1, self_adjoint=False) -> Plan:
         # walking backwards, a read not seen yet is the register's last use
         seen: set = set()
         steps = []
         for op, dest, args, reads in reversed(self.steps):
-            steps.append((op, dest, args, tuple(sorted(set(reads) - seen))))
+            steps.append((op, dest, self._reads(op, dest, args),
+                          tuple(sorted(set(reads) - seen))))
             seen.update(reads)
-        return Plan(tuple(reversed(steps)), len(self.nodes), has_slots)
+        return Plan(tuple(reversed(steps)), len(self.nodes), has_slots,
+                    sinks, self_adjoint)
 
 
 @functools.lru_cache(maxsize=512)
@@ -179,6 +250,54 @@ def compile_plan(P: TracePolynomial) -> Plan:
     for coeff, traces, outer in P.term_list():
         comp.term(coeff, traces, outer)
     return comp.finish(bool(P.slots_used()))
+
+
+def _adjoint_key(traces, outer):
+    """Canonical key of the adjoint of a star-free term on Hermitian
+    letters: every word reversed."""
+    (key,) = TracePolynomial(
+        [((tuple(w[::-1] for w in traces), outer[::-1]), 1)]).terms
+    return key
+
+
+def _sink_terms(pieces, hermitian):
+    """(coeff, traces, outer, timed, half) for each term one sink computes
+    from its ``pieces``, pairs of (polynomial, timed).
+
+    On Hermitian bindings, pieces that are all self-adjoint hold each term
+    w together with its adjoint w*, whose scalar is the conjugate of w's.
+    Then one term of each pair {w, w*} goes to the sink's half H with its
+    coefficient and each term w = w* with half of it, so H + H^H is the
+    sink's value at one product per pair.  A sink without a pair is left
+    unpaired: there the half would only cost elementwise passes."""
+    if hermitian and all(is_self_adjoint(p) for p, _ in pieces):
+        terms = [(t, timed) for p, timed in pieces
+                 for t in hermitian_form(p).term_list()]
+        adjoints = [_adjoint_key(t.traces, t.outer) for t, _ in terms]
+        if any(key != (t.traces, t.outer)
+               for key, (t, _) in zip(adjoints, terms)):
+            return [(t.coeff if (t.traces, t.outer) < key else t.coeff / 2,
+                     t.traces, t.outer, timed, True)
+                    for key, (t, timed) in zip(adjoints, terms)
+                    if (t.traces, t.outer) <= key]
+    return [(*t, timed, False) for p, timed in pieces for t in p.term_list()]
+
+
+@functools.lru_cache(maxsize=512)
+def compile_step_plan(P: TracePolynomial, step: TracePolynomial,
+                      timed: TracePolynomial, hermitian: bool) -> Plan:
+    """One plan for ``eval_step_block``: sink 0 is P on the window's points,
+    sink 1 is step + timed * dt on its left endpoints.  ``hermitian`` says
+    the bindings are Hermitian, which lets self-adjoint sinks pair their
+    terms with their adjoints (``_sink_terms``)."""
+    comp = _Compiler(left_sinks=(1,))
+    sinks = ([(P, False)], [(step, False), (timed, True)])
+    for sink, pieces in enumerate(sinks):
+        for coeff, traces, outer, in_dt, half in _sink_terms(pieces,
+                                                              hermitian):
+            comp.term(coeff, traces, outer, sink, in_dt, half)
+    return comp.finish(bool(step.slots_used()), len(sinks),
+                       all(map(is_self_adjoint, (P, step, timed))))
 
 
 def _leaf(letter, ctx: EvalContext, y_bindings) -> np.ndarray:
@@ -215,41 +334,65 @@ def _accumulate(out, m, s, mine, shape):
     return np.broadcast_to(m, shape).astype(complex)
 
 
-def _run(plan: Plan, ctx: EvalContext, y_bindings) -> np.ndarray:
-    n = ctx.n
-    shape = _batch_shape(ctx, y_bindings) + (n, n)
+def _get(regs, read):
+    reg, cut = read
+    return regs[reg] if cut is None else regs[reg][cut]
+
+
+def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
+    """Run ``plan``: ``leaf(letter)`` is a letter's bound matrix, ``dts``
+    the step lengths and ``shapes[k]`` the shape of sink k."""
     regs: list = [None] * plan.registers
     owned = [False] * plan.registers  # made here, so free to overwrite
-    out = None
+    outs: list = [None] * plan.sinks
+    halves: list = [None] * plan.sinks
     for op, dest, args, frees in plan.steps:
         if op == "mul":
-            regs[dest] = regs[args[0]] @ regs[args[1]]
+            regs[dest] = _get(regs, args[0]) @ _get(regs, args[1])
             owned[dest] = True
         elif op == "trace":
             a, b = args
             if b is None:
-                val = np.trace(regs[a], axis1=-2, axis2=-1)
+                val = np.trace(_get(regs, a), axis1=-2, axis2=-1)
             else:
-                val = np.einsum("...ij,...ji->...", regs[a], regs[b])
+                val = np.einsum("...ij,...ji->...", _get(regs, a),
+                                _get(regs, b))
             regs[dest] = val / n
         elif op == "leaf":
-            regs[dest] = _leaf(args[0], ctx, y_bindings)
+            regs[dest] = leaf(args[0])
+        elif op == "dt":
+            regs[dest] = dts
         else:
-            coeff, scalars, a = args
+            coeff, scalars, a, half = args
+            acc = halves if half else outs
             s = coeff
             for r in scalars:
-                s = regs[r] if s is None else s * regs[r]
+                s = _get(regs, r) if s is None else s * _get(regs, r)
             if a is None:
-                if out is None:
-                    out = np.zeros(shape, dtype=complex)
-                diag = np.einsum("...ii->...i", out)  # a writable view
+                if acc[dest] is None:
+                    acc[dest] = np.zeros(shapes[dest], dtype=complex)
+                diag = np.einsum("...ii->...i", acc[dest])  # a writable view
                 diag += 1 if s is None else np.asarray(s)[..., None]
             else:
-                out = _accumulate(out, regs[a], s, owned[a] and a in frees,
-                                  shape)
+                acc[dest] = _accumulate(acc[dest], _get(regs, a), s,
+                                        owned[a[0]] and a[0] in frees,
+                                        shapes[dest])
         for r in frees:
             regs[r] = None
-    return np.zeros(shape, dtype=complex) if out is None else out
+    for k, half in enumerate(halves):
+        if half is not None:  # a paired sink sends every term to its half
+            outs[k] = np.conjugate(np.swapaxes(half, -1, -2),
+                                   out=np.empty(shapes[k], dtype=complex))
+            outs[k] += half
+    return [np.zeros(shape, dtype=complex) if out is None else out
+            for out, shape in zip(outs, shapes)]
+
+
+def _run_bound(plan: Plan, ctx: EvalContext, y_bindings) -> np.ndarray:
+    shape = _batch_shape(ctx, y_bindings) + (ctx.n, ctx.n)
+    (out,) = _run(plan, lambda letter: _leaf(letter, ctx, y_bindings),
+                  [shape], ctx.n)
+    return out
 
 
 def eval_poly(P: TracePolynomial, ctx: EvalContext) -> np.ndarray:
@@ -257,7 +400,7 @@ def eval_poly(P: TracePolynomial, ctx: EvalContext) -> np.ndarray:
     plan = compile_plan(P)
     if plan.has_slots:
         raise EvalError("eval_poly input must not contain slot letters")
-    return _run(plan, ctx, None)
+    return _run_bound(plan, ctx, None)
 
 
 def eval_multilinear(P: TracePolynomial, ctx: EvalContext,
@@ -267,4 +410,40 @@ def eval_multilinear(P: TracePolynomial, ctx: EvalContext,
     ``y_bindings[j-1]`` is the matrix for slot j, or a sequence of
     matrices when the slot carries coordinates.
     """
-    return _run(compile_plan(P), ctx, y_bindings)
+    return _run_bound(compile_plan(P), ctx, y_bindings)
+
+
+def eval_step_block(P: TracePolynomial, step: TracePolynomial,
+                    timed: TracePolynomial, window: np.ndarray,
+                    dts: np.ndarray):
+    """P at the points of a path window and step[dX] + timed * dt on its
+    steps, from one plan.
+
+    ``window`` is (..., L, n, n): x1 is bound to its L points, y1 to the
+    L - 1 increments window[j+1] - window[j] and dt to ``dts``, the L - 1
+    step lengths; P and ``timed`` are in x1 only, ``step`` in x1 and y1.
+    Returns (P, terms, hermitian): P at each point (..., L, n, n), the terms
+    at each left endpoint (..., L - 1, n, n), and whether both are
+    Hermitian, which holds when the window equals its adjoint bitwise and
+    all three polynomials are self-adjoint (``is_self_adjoint``).
+    """
+    window = np.asarray(window, dtype=complex)
+    hermitian = np.array_equal(window, adjoint(window))
+    plan = compile_step_plan(P, step, timed, hermitian)
+
+    def leaf(letter):
+        if letter.family == "x":
+            if letter.index != 1:
+                raise EvalError(f"variable x{letter.index} is not bound")
+            m = window
+        elif letter.index == 1 and letter.coord == 1:
+            # made here, so the register file frees it after its last use
+            m = window[..., 1:, :, :] - window[..., :-1, :, :]
+        else:
+            raise EvalError(f"slot y{letter.index} is not bound")
+        return adjoint(m) if letter.star else m
+
+    *batch, L, n, _ = window.shape
+    p, terms = _run(plan, leaf, [window.shape, (*batch, L - 1, n, n)], n,
+                    dts)
+    return p, terms, hermitian and plan.self_adjoint

@@ -10,7 +10,14 @@ and fed into mesh convergence studies.  The residual is P(X) - P(X_0)
 minus the ``stoch_int.carried_sums`` of the per-step terms dP[dX] plus the
 second-order term; the studies walk each chunk of paths in blocks of
 ``STUDY_TIME_BLOCK`` grid times, so no (paths, T, n, n) temporary is made,
-and ``ito_residual_path`` is the one-block case of the same code.
+and ``ito_residual_path`` is the one-block case of the same code.  Each
+block is one ``evaluator.eval_step_block`` call, which makes P, dP[dX]
+and the second-order term from one plan.  The driver is self-adjoint, so
+x1' is read as x1.  When the evaluator finds the block's path bitwise
+Hermitian and P self-adjoint, the residual is Hermitian and the studies
+reduce it with ``l1_trace_norms(..., hermitian=True)``, skipping the
+reducer's per-matrix Hermitian test; every other residual, and the
+scalar-function route, keeps the tested reducer.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evaluator import EvalContext, eval_multilinear, eval_poly
+from .evaluator import eval_step_block
 from .matrix_alg import (
     ScalarFunctionSpec,
     l1_trace_norms,
@@ -35,6 +42,8 @@ from .trace_poly import (
     TracePolynomial,
     derive_k,
     gamma_contract,
+    hermitian_form,
+    relabel_slot,
 )
 from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
 
@@ -42,13 +51,16 @@ _HALF = QC(Fraction(1, 2))
 
 
 def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
-    """Symbolic right-hand side pieces (dP, half-contracted d2P)."""
+    """Symbolic right-hand side pieces (dP, half-contracted d2P).
+
+    The driver is self-adjoint, so x1' is read as x1 (``hermitian_form``)."""
     if P.slots_used():
         raise ValueError("the polynomial must be slot-free")
     if P.n_vars() > 1:
         raise ValueError("Ito synthesis drives a single process (x1 only)")
     if P.n_vars() == 0:
         return TracePolynomial.zero(), TracePolynomial.zero()
+    P = hermitian_form(P)
     dP = derive_k(P, 1)
     correction = gamma_contract(derive_k(P, 2), model).scale(_HALF)
     return dP, correction
@@ -57,36 +69,39 @@ def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
 def _residual_blocks(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
                      model: ContractionModel, second_order: str,
                      block: int):
-    """Yield (i0, i1, residual) for consecutive blocks [i0, i1) of at most
-    ``block`` grid points, the residual shaped (..., i1 - i0, n, n): P(X)
-    - P(X_0) on the block minus the carried sums of dP[dX] plus the
-    correction times dt ("contracted") or plus 1/2 d2P[dX, dX]
-    ("quadratic")."""
+    """Yield (i0, i1, residual, hermitian) for consecutive blocks [i0, i1)
+    of at most ``block`` grid points, the residual shaped
+    (..., i1 - i0, n, n): P(X) - P(X_0) on the block minus the carried sums
+    of dP[dX] plus the correction times dt ("contracted") or plus
+    1/2 d2P[dX, dX] ("quadratic").  One ``eval_step_block`` plan per block
+    makes P, dP and the second-order term; ``hermitian`` is its verdict that
+    the residual is Hermitian."""
     if second_order not in ("contracted", "quadratic"):
         raise ValueError(f"unknown second-order mode {second_order!r}")
-    n = values.shape[-1]
+    P = hermitian_form(P)
     dP, correction = ito_rhs_symbolic(P, model)
-    d2P = derive_k(P, 2) if second_order == "quadratic" else None
+    if second_order == "contracted":
+        step, timed = dP, correction
+    else:
+        # both slots take the same increment, so d2P's slots merge into y1
+        d2P = relabel_slot(derive_k(P, 2), 2, 1)
+        step, timed = dP + d2P.scale(_HALF), TracePolynomial.zero()
     dts = np.diff(grid.times)
 
-    def step_terms(left, delta, steps):
-        ctx = EvalContext(n, {1: left})
-        terms = eval_multilinear(dP, ctx, [delta])
-        if d2P is None:
-            second = eval_poly(correction, ctx)
-            second *= dts[steps, None, None]
-        else:
-            second = eval_multilinear(d2P, ctx, [delta, delta])
-            second *= 0.5
-        terms += second
-        return terms
+    def block_terms(window, steps):
+        p, terms, hermitian = eval_step_block(P, step, timed, window,
+                                              dts[steps])
+        return terms, (p, hermitian)
 
-    p0 = eval_poly(P, EvalContext(n, {1: values[..., :1, :, :]}))
-    for i0, i1, sums in carried_sums(values, step_terms, block):
-        res = eval_poly(P, EvalContext(n, {1: values[..., i0:i1, :, :]}))
+    p0 = None
+    for i0, i1, sums, (p, hermitian) in carried_sums(values, block_terms,
+                                                     block):
+        res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
+        if p0 is None:
+            p0 = res[..., :1, :, :].copy()
         res -= p0
         res -= sums
-        yield i0, i1, res
+        yield i0, i1, res, hermitian
 
 
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
@@ -100,8 +115,8 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     one-block case of the studies' time-blocked residual.
     """
     T = values.shape[-3]
-    ((_, _, res),) = _residual_blocks(P, values, grid, model, second_order,
-                                      max(T, 1))
+    ((_, _, res, _),) = _residual_blocks(P, values, grid, model,
+                                         second_order, max(T, 1))
     return res
 
 
@@ -158,10 +173,10 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     acc = np.zeros((len(polys), len(grid.times)))
     for vals in hbm_chunks(n, grid, paths, seed, chunk):
         for row, P in zip(acc, polys):
-            for i0, i1, res in _residual_blocks(P, vals, grid, model,
-                                                second_order,
-                                                STUDY_TIME_BLOCK):
-                row[i0:i1] += np.sum(l1_trace_norms(res), axis=0)
+            for i0, i1, res, hermitian in _residual_blocks(
+                    P, vals, grid, model, second_order, STUDY_TIME_BLOCK):
+                row[i0:i1] += np.sum(l1_trace_norms(res, hermitian=hermitian),
+                                     axis=0)
     return [float(np.max(row / paths)) for row in acc]
 
 

@@ -5,7 +5,9 @@ functional calculus, divided differences, and multiple operator integrals
 (MOIs) realized as exact spectral sums.
 
 ``l1_trace_norms`` is the one tr_n-L^1 reducer: Hermitian matrices go
-through ``eigvalsh``, the rest through the singular values.
+through ``eigvalsh``, the rest through the singular values.  It tests each
+matrix for being Hermitian unless the caller passes ``hermitian=True``,
+as the Ito studies do for a self-adjoint P on a bitwise Hermitian path.
 
 The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
 ``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
@@ -55,15 +57,21 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(_hermitian_mask(a, tol)))
 
 
-def l1_trace_norms(a: np.ndarray) -> np.ndarray:
+def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """tr_n |a| for each matrix of a (..., n, n) stack, shape (...).
 
     Matrices Hermitian to a relative 1e-12 (as ``is_hermitian`` tests
     them) reduce through ``eigvalsh`` of their Hermitian part, as the sum
     of |eigenvalues|; the rest through the singular values.  Dropping an
-    anti-Hermitian part E moves tr_n |a| only at second order in E."""
+    anti-Hermitian part E moves tr_n |a| only at second order in E.
+    ``hermitian=True`` is the caller's word that every matrix is Hermitian
+    (the Ito studies pass it when the evaluator has found the driver
+    bitwise Hermitian and P self-adjoint): the test is skipped and the
+    whole stack takes the ``eigvalsh`` route."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a, 1.0), copy=False)
+    if hermitian:
+        return _l1_hermitian(a)
     herm = _hermitian_mask(a)
     if herm.all():
         return _l1_hermitian(a)

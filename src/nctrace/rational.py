@@ -86,6 +86,10 @@ class QC:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, str):
+            # "1/2" builds a QC, but a str hashes as itself, so equal
+            # objects would hash unequally
+            return NotImplemented
         try:
             other = QC.from_value(other)
         except (TypeError, ValueError, OverflowError):

@@ -136,33 +136,33 @@ def cumulative_path(inc: np.ndarray) -> np.ndarray:
     return out
 
 
-def carried_sums(values: np.ndarray, step_terms, block: int):
+def carried_sums(values: np.ndarray, block_terms, block: int):
     """Running sums of per-step terms along a (..., T, n, n) path, walked
     ``block`` grid points at a time.
 
-    ``step_terms(left, delta, steps)`` gets the left endpoints X(t_j) and
-    the increments X(t_j+1) - X(t_j) of the steps j in the slice ``steps``
-    and returns a new (..., len, n, n) array of their terms.  Yields
-    (i0, i1, sums) for consecutive blocks [i0, i1) of grid points, ``sums``
-    holding the running sum at each of them (0 at t_0): the first block is
-    ``cumulative_path`` of its terms and each later block carries the last
-    sum in, so the blocks hold the same bits as one cumsum over the path.
+    ``block_terms(window, steps)`` gets the grid points
+    ``values[..., steps.start:steps.stop + 1, :, :]`` that bound the steps j
+    in the slice ``steps`` and returns (terms, extra): a new (..., len, n, n)
+    array of their terms and whatever the caller wants back with the sums.
+    Yields (i0, i1, sums, extra) for consecutive blocks [i0, i1) of grid
+    points, ``sums`` holding the running sum at each of them (0 at t_0): the
+    first block is ``cumulative_path`` of its terms and each later block
+    carries the last sum in, so the blocks hold the same bits as one cumsum
+    over the path.
     """
     T = values.shape[-3]
     for i0 in range(0, T, block):
         i1 = min(i0 + block, T)
         # each point t_j+1 > 0 of the block closes the step [t_j, t_j+1]
         steps = slice(max(i0, 1) - 1, i1 - 1)
-        left = values[..., steps, :, :]
-        terms = step_terms(left, values[..., steps.start + 1:i1, :, :] - left,
-                           steps)
+        terms, extra = block_terms(values[..., steps.start:i1, :, :], steps)
         if i0:
             terms[..., 0, :, :] += carry
             sums = np.cumsum(terms, axis=-3, out=terms)
         else:
             sums = cumulative_path(terms)
         carry = sums[..., -1, :, :].copy()
-        yield i0, i1, sums
+        yield i0, i1, sums, extra
 
 
 def rs_increments(H, *drivers) -> np.ndarray:
@@ -229,12 +229,14 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     ctx = EvalContext(n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
 
-    def quad_terms(left, delta, steps):
-        return eval_multilinear(L, ctx, [delta, delta])
+    def quad_terms(window, steps):
+        delta = window[..., 1:, :, :] - window[..., :-1, :, :]
+        return eval_multilinear(L, ctx, [delta, delta]), None
 
     gaps = []
     for vals in hbm_chunks(n, grid, paths, seed, chunk):
-        for _, _, sums in carried_sums(vals, quad_terms, STUDY_TIME_BLOCK):
+        for _, _, sums, _ in carried_sums(vals, quad_terms,
+                                          STUDY_TIME_BLOCK):
             q = sums[:, -1]
         gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))

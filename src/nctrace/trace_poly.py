@@ -215,6 +215,8 @@ class TracePolynomial:
         )
 
     def __eq__(self, other):
+        if isinstance(other, str):
+            return NotImplemented  # as QC.__eq__: a str hashes as itself
         if not isinstance(other, TracePolynomial):
             try:
                 other = TracePolynomial.constant(other)
@@ -237,6 +239,25 @@ class TracePolynomial:
         from .parsing import format_polynomial
 
         return format_polynomial(self)
+
+
+def hermitian_form(P: TracePolynomial) -> TracePolynomial:
+    """``P`` with every starred letter replaced by its plain letter: the
+    polynomial ``P`` equals when every letter is bound to a Hermitian
+    matrix."""
+    def plain(word):
+        return tuple(l._replace(star=False) for l in word)
+    return TracePolynomial(
+        ((tuple(plain(w) for w in traces), plain(outer)), c)
+        for (traces, outer), c in P._terms.items()
+    )
+
+
+def is_self_adjoint(P: TracePolynomial) -> bool:
+    """Whether ``P`` evaluates to a Hermitian matrix whenever its letters
+    are bound to Hermitian matrices: P equals its star once x' = x (and
+    y' = y).  ``x1^4`` is; ``x1 + i x1^2`` is not."""
+    return hermitian_form(P) == hermitian_form(P.star())
 
 
 # -- derivatives ---------------------------------------------------------

@@ -330,6 +330,19 @@ def test_ito_small(capsys):
     assert rc == 2 and "distinct" in err
 
 
+def test_ito_reads_starred_driver_letters_as_plain(capsys):
+    # x1'^2 exited 2 ("starred slot letters are not allowed") while x1'
+    # ran; the driver is self-adjoint, so it is the x1^2 study
+    common = ["--n", "4", "--paths", "3", "--meshes", "0.1,0.05,0.025",
+              "--seed", "2"]
+    rc, starred, err = run(capsys, "ito", "--poly", "x1'^2", *common)
+    assert rc == 0, err
+    rc, plain, _ = run(capsys, "ito", "--poly", "x1^2", *common)
+    assert rc == 0
+    assert json.loads(starred)[0]["residuals"] == \
+        json.loads(plain)[0]["residuals"]
+
+
 @pytest.mark.parametrize("argv", [["--poly", "5"], ["--poly", "0"],
                                   ["--poly", "x1", "--n", "1"]])
 def test_ito_passes_for_degree_at_most_one(capsys, argv):
@@ -390,6 +403,11 @@ def test_selftest_reports_byte_identical(tmp_path):
         "selftest": ["selftest", "--checks", "golden_partial,magic_formula"],
         "ito": ["ito", "--n", "6", "--paths", "4",
                 "--meshes", "0.1,0.05,0.025", "--seed", "3"],
+        # the paired step plan and the eigvalsh-only reducer
+        "ito_x1_4": ["ito", "--poly", "x1^4", "--n", "6", "--paths", "4",
+                     "--meshes", "0.1,0.05,0.025", "--seed", "3"],
+        "qc": ["qc", "--n", "6", "--paths", "4",
+               "--meshes", "0.1,0.05,0.025", "--seed", "3"],
     }
     for name, argv in commands.items():
         reports = []

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctrace import parse
+from nctrace import ContractionModel, parse
 from nctrace.evaluator import (
     EvalContext,
     EvalError,
     compile_plan,
+    compile_step_plan,
     eval_multilinear,
     eval_poly,
+    eval_step_block,
 )
+from nctrace.ito import ito_rhs_symbolic
 from nctrace.matrix_alg import adjoint, trace_n
 from nctrace.rational import QC
-from nctrace.trace_poly import TracePolynomial, x, y
+from nctrace.trace_poly import TracePolynomial, is_self_adjoint, x, y
 
 RNG = np.random.default_rng(991)
 
@@ -267,3 +270,103 @@ def test_plan_result_is_a_new_array():
         got = eval_poly(parse(text), ctx_of(a))
         assert not np.shares_memory(got, a)
         got += 1  # writable
+
+
+# -- the step plan against the term-by-term reference -------------------------
+
+_X1 = [x(1), x(1, star=True)]
+_STEP_LETTERS = _X1 + [y(1), y(1, star=True)]
+
+
+@st.composite
+def _step_polys(draw, letters):
+    """A random polynomial in ``letters``, made self-adjoint (P + P*) in
+    about half the draws; the other half are mostly not self-adjoint."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        traces = draw(st.lists(_words(letters), max_size=2))
+        terms[(tuple(traces), draw(_words(letters)))] = draw(
+            st.sampled_from(_COEFFS))
+    P = TracePolynomial(terms.items())
+    return P + P.star() if draw(st.booleans()) else P
+
+
+def _step_reference(P, step, timed, window, dts):
+    """P at every point, and step[dX] + timed * dt at every left endpoint,
+    each from the term-by-term reference; with their reference scales."""
+    n = window.shape[-1]
+    left, delta = window[..., :-1, :, :], np.diff(window, axis=-3)
+    p, p_scale = _reference(P, EvalContext(n, {1: window}), None)
+    s, s_scale = _reference(step, EvalContext(n, {1: left}), [delta])
+    t, t_scale = _reference(timed, EvalContext(n, {1: left}), None)
+    return p, s + t * dts[:, None, None], p_scale, s_scale + t_scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_polys(_X1), _step_polys(_STEP_LETTERS), _step_polys(_X1),
+       st.booleans(), st.booleans(), st.sampled_from([1, 2, 3]),
+       st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_step_plan_matches_the_term_by_term_reference(P, step, timed,
+                                                      all_self_adjoint, herm,
+                                                      n, points, seed):
+    if all_self_adjoint:
+        P, step, timed = (Q + Q.star() for Q in (P, step, timed))
+    rng = np.random.default_rng(seed)
+    shape = (2, points, n, n)
+    window = 0.6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    if herm:
+        window = (window + adjoint(window)) / 2
+    assert np.array_equal(window, adjoint(window)) == herm
+    dts = rng.uniform(0.1, 1.0, size=points - 1)
+    p, terms, hermitian = eval_step_block(P, step, timed, window, dts)
+    want_p, want_t, p_scale, t_scale = _step_reference(P, step, timed,
+                                                       window, dts)
+    assert p.shape == want_p.shape and terms.shape == want_t.shape
+    assert np.max(np.abs(p - want_p)) <= 1e-12 * p_scale
+    assert np.max(np.abs(terms - want_t)) <= 1e-12 * t_scale
+    assert not np.shares_memory(p, window)
+    assert hermitian == (herm and all(map(is_self_adjoint,
+                                          (P, step, timed))))
+    plan = compile_step_plan(P, step, timed, herm)
+    # terms are paired only on Hermitian bindings and self-adjoint symbols
+    halves = {dest for op, dest, args, _ in plan.steps
+              if op == "term" and args[-1]}
+    if not herm:
+        assert not halves
+    if not is_self_adjoint(P):
+        assert 0 not in halves
+    if not (is_self_adjoint(step) and is_self_adjoint(timed)):
+        assert 1 not in halves
+
+
+def test_step_plan_pairs_only_self_adjoint_sinks():
+    model = ContractionModel.matrix(4)
+    for text, paired in (("x1^4", True), ("x1 + i x1^2", False)):
+        P = parse(text)
+        dP, correction = ito_rhs_symbolic(P, model)
+        plan = compile_step_plan(P, dP, correction, True)
+        halves = [args[-1] for op, _, args, _ in plan.steps if op == "term"]
+        assert any(halves) == paired, text
+
+
+def test_step_plan_for_x1_to_the_fourth_takes_6_products_per_grid_time():
+    # P = x1^4, dP[dX] and the correction share x1^2; x1^2, x1^4 and x1^3
+    # are made once on the window's points and read on the left endpoints
+    # through views.  Unpaired: X^2, X^4, X^3, X^3 dX, X^2 dX, X^2 dX X.
+    # Paired on a Hermitian path, dP[dX] = A + A^H + B + B^H with
+    # A = X^3 dX and B = X^2 dX X, one product per pair {w, w*}.
+    P = parse("x1^4")
+    dP, correction = ito_rhs_symbolic(P, ContractionModel.matrix(16))
+    assert compile_step_plan(P, dP, correction, True).matmuls == 6
+    assert compile_step_plan(P, dP, correction, False).matmuls == 9
+    # the three separate plans this replaces took 2 + 8 + 1
+    assert sum(compile_plan(Q).matmuls for Q in (P, dP, correction)) == 11
+
+
+def test_step_plan_results_on_one_point():
+    window = np.zeros((3, 1, 2, 2), dtype=complex) + np.eye(2)
+    P, dP = parse("x1^2 + 1"), parse("x1 y1 + y1 x1")
+    p, terms, hermitian = eval_step_block(P, dP, parse("1"), window,
+                                          np.zeros(0))
+    assert np.array_equal(p, 2 * window) and terms.shape == (3, 0, 2, 2)
+    assert hermitian

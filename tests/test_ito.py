@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nctrace.matrix_alg
 import nctrace.process_sim
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
@@ -62,6 +63,18 @@ def test_rhs_symbolic_constant_and_errors():
         ito_rhs_symbolic(parse("y1"), MATRIX8)
     with pytest.raises(ValueError):
         ito_rhs_symbolic(parse("x1 x2"), MATRIX8)
+
+
+def test_starred_driver_letters_read_as_plain():
+    # the driver is self-adjoint: x1' is x1, so the correction exists
+    assert ito_rhs_symbolic(parse("x1'^2"), MATRIX8) == \
+        ito_rhs_symbolic(parse("x1^2"), MATRIX8)
+    grid = TimeGrid.uniform(1.0, 70)
+    for second_order in ("contracted", "quadratic"):
+        sups = [ito_sup_residuals([parse(t)], 3, grid, 3, 5,
+                                  ContractionModel.matrix(3), second_order)
+                for t in ("x1'^2", "x1^2", "x1' x1")]
+        assert sups[0] == sups[1] == sups[2]
 
 
 def test_affine_polynomial_residual_is_zero():
@@ -340,3 +353,37 @@ def test_sup_residuals_hold_no_whole_path_temporaries():
         tracemalloc.stop()
     assert np.isfinite(sup)
     assert peak < 3 * chunk_bytes
+
+
+@pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3"])
+def test_self_adjoint_residuals_take_the_hermitian_route(text, monkeypatch):
+    # on HBM paths a self-adjoint P gives a Hermitian residual: the study
+    # reduces it without the reducer's Hermitian test, to the same figures
+    n, paths, seed = 4, 3, 2
+    grid = TimeGrid.uniform(1.0, STUDY_TIME_BLOCK + 5)
+    P = parse(text)
+    vals = simulate_hbm_ensemble(n, grid, paths, seed).values
+    res = ito_residual_path(P, vals, grid, ContractionModel.matrix(n))
+    assert np.max(np.abs(res - np.conj(np.swapaxes(res, -1, -2)))) \
+        <= 1e-13 * np.max(np.abs(res))
+    masked = np.max(np.mean(l1_trace_norms(res), axis=0))
+    monkeypatch.setattr("nctrace.matrix_alg._hermitian_mask", None)
+    (sup,) = ito_sup_residuals([P], n, grid, paths, seed,
+                               ContractionModel.matrix(n))
+    assert abs(sup - masked) <= 1e-13 * masked
+
+
+def test_non_self_adjoint_residuals_keep_the_masked_reducer(monkeypatch):
+    n, paths, seed = 3, 2, 4
+    grid = TimeGrid.uniform(1.0, 20)
+    P = parse("x1 + i x1^2")
+    vals = simulate_hbm_ensemble(n, grid, paths, seed).values
+    res = ito_residual_path(P, vals, grid, ContractionModel.matrix(n))
+    want = float(np.max(np.mean(l1_trace_norms(res), axis=0)))
+    calls = []
+    mask = nctrace.matrix_alg._hermitian_mask
+    monkeypatch.setattr("nctrace.matrix_alg._hermitian_mask",
+                        lambda a: calls.append(a.shape) or mask(a))
+    (sup,) = ito_sup_residuals([P], n, grid, paths, seed,
+                               ContractionModel.matrix(n))
+    assert calls and abs(sup - want) <= 1e-12 * want

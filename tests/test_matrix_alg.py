@@ -532,3 +532,16 @@ def test_l1_trace_norms_of_integer_and_broadcast_input():
     assert l1_trace_norms(np.array([[1, 2], [2, 1]])) == pytest.approx(2.0)
     a = np.broadcast_to(rand_hermitian(3), (4, 3, 3))
     assert np.allclose(l1_trace_norms(a), _svd_l1(a), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["hermitian", "near_hermitian", "zero",
+                                  "n1_hermitian", "single_matrix"])
+def test_l1_trace_norms_on_the_callers_word_skip_the_test(name, monkeypatch):
+    a, (n_eig, _) = _reducer_stacks()[name]
+    want = l1_trace_norms(a)
+    monkeypatch.setattr("nctrace.matrix_alg._hermitian_mask", None)
+    counts = _count_routes(monkeypatch)
+    got = l1_trace_norms(a, hermitian=True)
+    # the same eigvalsh of the same Hermitian parts, without the test
+    assert np.array_equal(got, want)
+    assert counts == {"eigvalsh": n_eig, "svd": 0}

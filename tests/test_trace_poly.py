@@ -18,7 +18,15 @@ from nctrace import (
     gamma_contract,
     parse,
 )
-from nctrace.trace_poly import canonical_rotation, relabel_slot, star_word, x, y
+from nctrace.trace_poly import (
+    canonical_rotation,
+    hermitian_form,
+    is_self_adjoint,
+    relabel_slot,
+    star_word,
+    x,
+    y,
+)
 
 
 # -- canonical form -------------------------------------------------------
@@ -55,6 +63,16 @@ def test_scalars_hash_like_the_numbers_they_equal():
     assert hash(TracePolynomial.constant(1.5 - 2j)) == hash(1.5 - 2j)
     assert hash(TracePolynomial.zero()) == hash(0)
     assert {TracePolynomial.constant(2): "b"}.get(2) == "b"
+
+
+def test_strings_never_equal_scalars():
+    # "1/2" would build QC(1/2), but a str hashes as itself: equal objects
+    # must hash equally, so a str compares unequal to every scalar
+    assert QC(0.5) != "1/2" and "1/2" != QC(0.5)
+    assert TracePolynomial.constant(0.5) != "1/2"
+    assert "1/2" != TracePolynomial.constant(0.5)
+    assert len({QC(0.5), "1/2"}) == 2
+    assert {QC(0.5): "a"}.get("1/2") is None
 
 
 def test_traciality_canonicalizes_rotations():
@@ -315,6 +333,33 @@ def test_star_laws(P, Q):
     assert P.star().star() == P
     assert (P * Q).star() == Q.star() * P.star()
     assert (P + Q).star() == P.star() + Q.star()
+
+
+def test_hermitian_form_reads_starred_letters_as_plain():
+    assert hermitian_form(parse("x1'^2 + tr(x1' x2) y1'")) == parse(
+        "x1^2 + tr(x1 x2) y1")
+    # the plain form canonicalises again: tr(x2 x1') and tr(x1 x2) merge
+    assert hermitian_form(parse("tr(x2 x1') - tr(x1 x2)")).is_zero()
+
+
+def test_self_adjointness_on_hermitian_letters():
+    # x1^4 is not its own star as a *-polynomial, only on Hermitian x1
+    assert parse("x1^4").star() != parse("x1^4")
+    for text in ("x1^4", "tr(x1^2) x1", "x1 x1'", "i x1 x2 - i x2 x1",
+                 "tr(x1 x2 x3) + tr(x3 x2 x1)", "x1 y1 x1^2 + x1^2 y1 x1",
+                 "5", "0"):
+        assert is_self_adjoint(parse(text)), text
+    for text in ("x1 + i x1^2", "x1 x2", "i x1", "tr(x1 x2 x3)",
+                 "x1 y1 x1^2"):
+        assert not is_self_adjoint(parse(text)), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys())
+def test_hermitian_parts_are_self_adjoint(P):
+    assert is_self_adjoint(P + P.star())
+    assert is_self_adjoint((P - P.star()).scale(QC(0, 1)))
+    assert is_self_adjoint(P) == is_self_adjoint(P.star())
 
 
 @settings(max_examples=200, deadline=None)
