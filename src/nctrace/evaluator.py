@@ -14,7 +14,8 @@ trace factor once as an n^2 contraction tr_n(AB) rather than a product,
 adds letterless terms on the diagonal only, skips the multiply for
 coefficient 1, and accumulates every term in place into one output
 buffer, dropping each intermediate after its last use.  Results are new
-arrays, never views of the bindings.
+arrays, never views of the bindings; products and outputs are made with
+``buffers.empty``, so within a blocked study they reuse recycled buffers.
 
 ``eval_step_block`` serves the Ito studies with one plan per block
 (``compile_step_plan``) and two outputs: P at the L points of a path window
@@ -26,6 +27,9 @@ per grid time for P, dP and the correction together.  Evaluation is a
 adjoint bitwise (as every Hermitian Brownian path does) and the
 polynomials of an output are self-adjoint on Hermitian letters
 (``trace_poly.is_self_adjoint``), each term w comes with its adjoint w*.
+The blocked studies pass that verdict for their walks' windows, which are
+Hermitian by construction; other callers have the window compared with its
+adjoint.
 Such an output takes one product per pair {w, w*}: the plan sums one
 term of each pair, plus half of each term with w = w*, into a half H and
 returns H + H^H.  For d(x1^4)[dX] that is A + A^H + B + B^H with
@@ -43,6 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import buffers
 from .matrix_alg import adjoint
 from .trace_poly import TracePolynomial, hermitian_form, is_self_adjoint
 
@@ -322,16 +327,19 @@ def _accumulate(out, m, s, mine, shape):
     at its last use), so it is scaled in place or becomes the output."""
     if s is not None:
         s = np.asarray(s)[..., None, None]
-        if mine and np.broadcast_shapes(s.shape, m.shape) == m.shape:
+        scaled = np.broadcast_shapes(s.shape, m.shape)
+        if mine and scaled == m.shape:
             m *= s
         else:
-            m, mine = m * s, True
+            m, mine = np.multiply(m, s, out=buffers.empty(scaled)), True
     if out is not None:
         out += m
         return out
     if mine and m.shape == shape:
         return m
-    return np.broadcast_to(m, shape).astype(complex)
+    out = buffers.empty(shape)
+    np.copyto(out, m)
+    return out
 
 
 def _get(regs, read):
@@ -348,7 +356,10 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     halves: list = [None] * plan.sinks
     for op, dest, args, frees in plan.steps:
         if op == "mul":
-            regs[dest] = _get(regs, args[0]) @ _get(regs, args[1])
+            a, b = _get(regs, args[0]), _get(regs, args[1])
+            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            regs[dest] = np.matmul(a, b, out=buffers.empty(
+                shape + (a.shape[-2], b.shape[-1])))
             owned[dest] = True
         elif op == "trace":
             a, b = args
@@ -370,7 +381,7 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
                 s = _get(regs, r) if s is None else s * _get(regs, r)
             if a is None:
                 if acc[dest] is None:
-                    acc[dest] = np.zeros(shapes[dest], dtype=complex)
+                    acc[dest] = buffers.zeros(shapes[dest])
                 diag = np.einsum("...ii->...i", acc[dest])  # a writable view
                 diag += 1 if s is None else np.asarray(s)[..., None]
             else:
@@ -382,9 +393,9 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     for k, half in enumerate(halves):
         if half is not None:  # a paired sink sends every term to its half
             outs[k] = np.conjugate(np.swapaxes(half, -1, -2),
-                                   out=np.empty(shapes[k], dtype=complex))
+                                   out=buffers.empty(shapes[k]))
             outs[k] += half
-    return [np.zeros(shape, dtype=complex) if out is None else out
+    return [buffers.zeros(shape) if out is None else out
             for out, shape in zip(outs, shapes)]
 
 
@@ -415,20 +426,24 @@ def eval_multilinear(P: TracePolynomial, ctx: EvalContext,
 
 def eval_step_block(P: TracePolynomial, step: TracePolynomial,
                     timed: TracePolynomial, window: np.ndarray,
-                    dts: np.ndarray):
+                    dts: np.ndarray, hermitian: bool | None = None):
     """P at the points of a path window and step[dX] + timed * dt on its
     steps, from one plan.
 
     ``window`` is (..., L, n, n): x1 is bound to its L points, y1 to the
     L - 1 increments window[j+1] - window[j] and dt to ``dts``, the L - 1
     step lengths; P and ``timed`` are in x1 only, ``step`` in x1 and y1.
+    ``hermitian`` says whether the window equals its adjoint bitwise; when
+    it is None, as for any window not known to be Hermitian by
+    construction, the window is compared with its adjoint.
     Returns (P, terms, hermitian): P at each point (..., L, n, n), the terms
     at each left endpoint (..., L - 1, n, n), and whether both are
-    Hermitian, which holds when the window equals its adjoint bitwise and
-    all three polynomials are self-adjoint (``is_self_adjoint``).
+    Hermitian, which holds when the window is and all three polynomials
+    are self-adjoint (``is_self_adjoint``).
     """
     window = np.asarray(window, dtype=complex)
-    hermitian = np.array_equal(window, adjoint(window))
+    if hermitian is None:
+        hermitian = np.array_equal(window, adjoint(window))
     plan = compile_step_plan(P, step, timed, hermitian)
 
     def leaf(letter):
@@ -438,12 +453,13 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
             m = window
         elif letter.index == 1 and letter.coord == 1:
             # made here, so the register file frees it after its last use
-            m = window[..., 1:, :, :] - window[..., :-1, :, :]
+            m = np.subtract(window[..., 1:, :, :], window[..., :-1, :, :],
+                            out=buffers.empty(dx_shape))
         else:
             raise EvalError(f"slot y{letter.index} is not bound")
         return adjoint(m) if letter.star else m
 
     *batch, L, n, _ = window.shape
-    p, terms = _run(plan, leaf, [window.shape, (*batch, L - 1, n, n)], n,
-                    dts)
+    dx_shape = (*batch, L - 1, n, n)
+    p, terms = _run(plan, leaf, [window.shape, dx_shape], n, dts)
     return p, terms, hermitian and plan.self_adjoint

@@ -8,14 +8,19 @@ once from one eigendecomposition per grid point.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies.  The residual is P(X) - P(X_0)
 minus the ``stoch_int.carried_sums`` of the per-step terms dP[dX] plus the
-second-order term; the studies walk each chunk of paths in blocks of
-``STUDY_TIME_BLOCK`` grid times, so no (paths, T, n, n) temporary is made,
-and ``ito_residual_path`` is the one-block case of the same code.  Each
-block is one ``evaluator.eval_step_block`` call, which makes P, dP[dX]
-and the second-order term from one plan.  The driver is self-adjoint, so
-x1' is read as x1.  When the evaluator finds the block's path bitwise
-Hermitian and P self-adjoint, the residual is Hermitian and the studies
-reduce it with ``l1_trace_norms(..., hermitian=True)``, skipping the
+second-order term.  The studies stream their paths: each chunk is one
+``process_sim.hbm_windows`` walk of ``STUDY_TIME_BLOCK`` grid points at a
+time, and each window feeds every polynomial of the study, which keeps its
+own carried sum and P(X_0) and reduces its residual block there.  So no
+(paths, T, n, n) array is made, and the blocks' arrays come from recycled
+buffers (``buffers``).  ``ito_residual_path`` is the one-window case of the
+same code.  Each block is one ``evaluator.eval_step_block`` call, which
+makes P, dP[dX] and the second-order term from one plan.  The driver is
+self-adjoint, so x1' is read as x1.  The walk's windows are bitwise
+Hermitian by construction, so the studies give the evaluator that verdict;
+``ito_residual_path`` has it compare the path with its adjoint.  On a
+Hermitian path with P self-adjoint, the residual is Hermitian and is
+reduced with ``l1_trace_norms(..., hermitian=True)``, skipping the
 reducer's per-matrix Hermitian test; every other residual, and the
 scalar-function route, keeps the tested reducer.
 """
@@ -26,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import buffers
 from .evaluator import eval_step_block
 from .matrix_alg import (
     ScalarFunctionSpec,
@@ -45,7 +51,7 @@ from .trace_poly import (
     hermitian_form,
     relabel_slot,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
+from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
 
 _HALF = QC(Fraction(1, 2))
 
@@ -66,42 +72,54 @@ def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
     return dP, correction
 
 
-def _residual_blocks(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
-                     model: ContractionModel, second_order: str,
-                     block: int):
-    """Yield (i0, i1, residual, hermitian) for consecutive blocks [i0, i1)
-    of at most ``block`` grid points, the residual shaped
-    (..., i1 - i0, n, n): P(X) - P(X_0) on the block minus the carried sums
-    of dP[dX] plus the correction times dt ("contracted") or plus
-    1/2 d2P[dX, dX] ("quadratic").  One ``eval_step_block`` plan per block
-    makes P, dP and the second-order term; ``hermitian`` is its verdict that
-    the residual is Hermitian."""
+def _step_symbols(P: TracePolynomial, model: ContractionModel,
+                  second_order: str):
+    """(P, step, timed) for ``eval_step_block``: the residual subtracts the
+    sums of step[dX] + timed * dt, where step is dP plus, in "quadratic"
+    mode, 1/2 d2P[dX, dX], and timed is the contracted correction in
+    "contracted" mode."""
     if second_order not in ("contracted", "quadratic"):
         raise ValueError(f"unknown second-order mode {second_order!r}")
     P = hermitian_form(P)
     dP, correction = ito_rhs_symbolic(P, model)
     if second_order == "contracted":
-        step, timed = dP, correction
-    else:
-        # both slots take the same increment, so d2P's slots merge into y1
-        d2P = relabel_slot(derive_k(P, 2), 2, 1)
-        step, timed = dP + d2P.scale(_HALF), TracePolynomial.zero()
+        return P, dP, correction
+    # both slots take the same increment, so d2P's slots merge into y1
+    d2P = relabel_slot(derive_k(P, 2), 2, 1)
+    return P, dP + d2P.scale(_HALF), TracePolynomial.zero()
+
+
+def _residual_blocks(polys, windows, grid: TimeGrid,
+                     model: ContractionModel, second_order: str,
+                     hermitian: bool | None = None):
+    """Yield (i0, i1, k, res, hermitian) for each of the ``carried_sums``
+    windows of one path chunk and each polynomial ``polys[k]`` in turn: res
+    is shaped (..., i1 - i0, n, n), P(X) - P(X_0) on the block minus the
+    carried sums of dP[dX] plus the correction times dt ("contracted") or
+    plus 1/2 d2P[dX, dX] ("quadratic"), and ``hermitian`` is the
+    evaluator's verdict that res is Hermitian.  One ``eval_step_block``
+    plan per polynomial and window makes P, dP and the second-order term,
+    when the caller asks for that polynomial's block; the ``hermitian``
+    argument says whether the windows are Hermitian, None to have the
+    evaluator compare each with its adjoint."""
+    symbols = [_step_symbols(P, model, second_order) for P in polys]
     dts = np.diff(grid.times)
 
     def block_terms(window, steps):
-        p, terms, hermitian = eval_step_block(P, step, timed, window,
-                                              dts[steps])
-        return terms, (p, hermitian)
+        for sym in symbols:
+            p, terms, h = eval_step_block(*sym, window, dts[steps], hermitian)
+            yield terms, (p, h)
+            del p, terms  # let go before the next polynomial is evaluated
 
-    p0 = None
-    for i0, i1, sums, (p, hermitian) in carried_sums(values, block_terms,
-                                                     block):
+    p0 = {}
+    for i0, i1, k, sums, (p, h) in carried_sums(windows, block_terms):
         res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
-        if p0 is None:
-            p0 = res[..., :1, :, :].copy()
-        res -= p0
+        if not i0:
+            p0[k] = res[..., :1, :, :].copy()
+        res -= p0[k]
         res -= sums
-        yield i0, i1, res, hermitian
+        yield i0, i1, k, res, h
+        del sums, p, res  # let go before the next block is made
 
 
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
@@ -112,11 +130,11 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     "contracted" integrates the gamma-contracted correction against dt
     (the Ito form); "quadratic" subtracts the pathwise quadratic sums of
     the second derivative, which is exact for smooth drivers.  This is the
-    one-block case of the studies' time-blocked residual.
+    one-window case of the studies' time-blocked residual.
     """
-    T = values.shape[-3]
-    ((_, _, res, _),) = _residual_blocks(P, values, grid, model,
-                                         second_order, max(T, 1))
+    window = (0, values.shape[-3], values)
+    ((_, _, _, res, _),) = _residual_blocks([P], [window], grid, model,
+                                            second_order)
     return res
 
 
@@ -168,15 +186,20 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
                       chunk: int = 25) -> list[float]:
     """For each polynomial, the sup over grid times of the path mean of
     tr_n |residual|, on HBM paths 0..paths-1 of ``seed``.  Each chunk of
-    paths is simulated once and feeds every polynomial, whose residual is
-    built and reduced ``STUDY_TIME_BLOCK`` grid points at a time."""
+    paths is walked once, ``STUDY_TIME_BLOCK`` grid points at a time, and
+    each window feeds every polynomial, whose residual block is reduced
+    there.  The walk's windows are Hermitian by construction, so the
+    evaluator takes that verdict without comparing them with their
+    adjoints."""
     acc = np.zeros((len(polys), len(grid.times)))
-    for vals in hbm_chunks(n, grid, paths, seed, chunk):
-        for row, P in zip(acc, polys):
-            for i0, i1, res, hermitian in _residual_blocks(
-                    P, vals, grid, model, second_order, STUDY_TIME_BLOCK):
-                row[i0:i1] += np.sum(l1_trace_norms(res, hermitian=hermitian),
-                                     axis=0)
+    with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
+        for windows in hbm_windows(n, grid, paths, seed, chunk,
+                                   STUDY_TIME_BLOCK):
+            for i0, i1, k, res, hermitian in _residual_blocks(
+                    polys, windows, grid, model, second_order, True):
+                acc[k, i0:i1] += np.sum(
+                    l1_trace_norms(res, hermitian=hermitian), axis=0)
+                del res  # so the next block can reuse its buffer
     return [float(np.max(row / paths)) for row in acc]
 
 

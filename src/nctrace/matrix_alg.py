@@ -26,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import buffers
+
 # relative gap below which divided differences switch to confluent entries
 CONFLUENT_TOL = 1e-6
 # relative tolerance for grouping near-degenerate eigenvalues
@@ -84,7 +86,8 @@ def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
 
 
 def _l1_hermitian(a: np.ndarray) -> np.ndarray:
-    h = adjoint(a)
+    h = np.conjugate(np.swapaxes(a, -1, -2),
+                     out=buffers.empty(a.shape, a.dtype))
     h += a
     h *= 0.5
     return np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1) / a.shape[-1]

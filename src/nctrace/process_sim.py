@@ -1,8 +1,23 @@
 """Discretized matrix-valued processes.
 
-Hermitian matrix Brownian motion normalized so E tr_n((X(t)-X(s))^2)
-equals t - s, finite-variation paths, Doleans time-marginal
-estimation, and the NCP1 binary path format.
+Hermitian matrix Brownian motion (HBM) normalized so E tr_n((X(t)-X(s))^2)
+equals t - s, finite-variation paths, ``kappa_estimate`` (a Monte-Carlo
+estimate of kappa((s, t]) = E tr_n |M(t) - M(s)|^2), and the NCP1 binary
+path format.
+
+Every HBM path comes from one window walk (``hbm_windows``).  For each
+chunk of paths it yields consecutive windows: the grid points [i0, i1) of
+a block plus the one point before them, as a (count, <= block + 1, n, n)
+array.  Each path draws from its own ``RngStream(seed, i)``, one window of
+increments at a time, and sums them onto the carried last point, so its
+bits do not depend on the chunk or block size.  The time-blocked studies
+walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never hold a
+whole path; a window that covers the whole path is what ``simulate_hbm``,
+``simulate_hbm_ensemble`` and ``hbm_chunks`` return.  Windows are bitwise
+Hermitian by construction: the scatter writes conjugate entries from the
+same draws, and the sums keep the symmetry.  The entrywise sampler draws a
+whole path's diagonal before its off-diagonal entries, so it walks whole
+paths only.
 """
 
 from __future__ import annotations
@@ -14,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+
+from . import buffers
 
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -194,35 +211,87 @@ def _basis_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _hbm_increments_basis(n, dts, rng, out: np.ndarray) -> None:
+def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
+                          scratch: tuple | None = None) -> None:
     """Write the increments into ``out`` (C-contiguous (steps, n, n)).
 
     Each entry is one scaled coefficient, rounded exactly as in the product
-    ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.
+    ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.  ``scratch``
+    is a pair of float arrays of at least ``steps`` rows, with n^2 columns
+    for the draws and 2 n^2 + 1 for the row ``[c, -c, 0]`` of scaled
+    coefficients c; a pair is made when it is None.
     """
+    steps, nn = len(dts), n * n
     scale, index = _basis_scatter(n)
-    coeffs = rng.standard_normal((len(dts), n * n)) * np.sqrt(dts)[:, None]
+    if scratch is None:
+        scratch = np.empty((steps, nn)), np.empty((steps, 2 * nn + 1))
+    draws, src = scratch[0][:steps], scratch[1][:steps]
+    rng.standard_normal(out=draws)
+    coeffs = src[:, :nn]
+    np.multiply(draws, np.sqrt(dts)[:, None], out=coeffs)
     coeffs *= scale
-    src = np.concatenate(
-        [coeffs, -coeffs, np.zeros((len(dts), 1))], axis=1
-    )
-    flat = out.view(np.float64).reshape(len(dts), 2 * n * n)
+    np.negative(coeffs, out=src[:, nn:2 * nn])
+    src[:, 2 * nn] = 0
+    flat = out.view(np.float64).reshape(steps, 2 * nn)
     np.take(src, index, axis=1, out=flat, mode="clip")
 
 
-def _hbm_increments_entrywise(n, dts, rng) -> np.ndarray:
+_ENTRYWISE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _entrywise_scatter(n: int) -> np.ndarray:
+    """Per-n map from the entrywise sampler's draws to matrix entries.
+
+    A step's row is ``[d, a, b, -b, 0]``: the n scaled diagonal draws d,
+    then for each k < l (in ``triu_indices`` order) the scaled real parts a
+    and imaginary parts b.  Entry (k, l) is a + ib, (l, k) is a - ib and the
+    diagonal is real; columns ``index[2p]`` and ``index[2p + 1]`` of the row
+    give the real and imaginary parts of flat entry p."""
+    cached = _ENTRYWISE_CACHE.get(n)
+    if cached is not None:
+        return cached
+    m = n * (n - 1) // 2
+    zero = n + 3 * m
+    re = np.empty((n, n), dtype=np.intp)
+    im = np.full((n, n), zero, dtype=np.intp)
+    d = np.arange(n)
+    re[d, d] = d
+    k, l = np.triu_indices(n, k=1)
+    pair = np.arange(m)
+    re[k, l] = re[l, k] = n + pair
+    im[k, l] = n + m + pair
+    im[l, k] = n + 2 * m + pair
+    index = np.stack([re, im], axis=-1).ravel()
+    index.setflags(write=False)
+    cached = _ENTRYWISE_CACHE[n] = index
+    return cached
+
+
+def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
+    """Write GUE Brownian increments scaled by 1/sqrt(n) into ``out``
+    (C-contiguous (steps, n, n)): the off-diagonal (re + i im)/sqrt(2)
+    and the diagonal of standard normal draws, times sqrt(dt).  The draws
+    are scaled by multiplying with 1/sqrt(2) and 1/sqrt(n), which rounds as
+    NumPy's division of a complex array by a real scalar does."""
     steps = len(dts)
-    sd = np.sqrt(dts)
-    diag = rng.standard_normal((steps, n)) * sd[:, None]
+    sd = np.sqrt(dts)[:, None]
+    rn = 1.0 / np.sqrt(n)
+    r2 = 1.0 / np.sqrt(2.0)
+    diag = rng.standard_normal((steps, n))
     re = rng.standard_normal((steps, n, n))
     im = rng.standard_normal((steps, n, n))
-    h = np.zeros((steps, n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    g = (re[:, iu[0], iu[1]] + 1j * im[:, iu[0], iu[1]]) / np.sqrt(2.0)
-    h[:, iu[0], iu[1]] = g * sd[:, None]
-    h[:, iu[1], iu[0]] = np.conj(g) * sd[:, None]
-    h[:, np.arange(n), np.arange(n)] = diag
-    return h / np.sqrt(n)
+    k, l = np.triu_indices(n, k=1)
+    m = len(k)
+    src = np.empty((steps, n + 3 * m + 1))
+    np.multiply(diag, sd, out=src[:, :n])
+    np.multiply(re[:, k, l], r2, out=src[:, n:n + m])
+    np.multiply(im[:, k, l], r2, out=src[:, n + m:n + 2 * m])
+    src[:, n:n + 2 * m] *= sd
+    src[:, :n + 2 * m] *= rn
+    np.negative(src[:, n + m:n + 2 * m], out=src[:, n + 2 * m:n + 3 * m])
+    src[:, -1] = 0
+    flat = out.view(np.float64).reshape(steps, 2 * n * n)
+    np.take(src, _entrywise_scatter(n), axis=1, out=flat, mode="clip")
 
 
 def _check_hbm_args(n: int, method: str) -> None:
@@ -232,17 +301,75 @@ def _check_hbm_args(n: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _fill_hbm(values: np.ndarray, dts, rng, method: str) -> None:
-    """Fill ``values`` (C-contiguous (T, n, n)) with one path from X(0) = 0:
-    the increments go into values[1:], which is then summed in place."""
-    n = values.shape[-1]
-    inc = values[1:]
-    if method == "basis":
-        _hbm_increments_basis(n, dts, rng, inc)
-    else:
-        inc[...] = _hbm_increments_entrywise(n, dts, rng)
-    values[0] = 0
-    np.cumsum(inc, axis=0, out=inc)
+def _hbm_walk(n: int, dts: np.ndarray, generators, block: int,
+              method: str) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The window walk over one path per generator, from X(0) = 0.
+
+    Yields (i0, i1, window) for consecutive blocks [i0, i1) of at most
+    ``block`` grid points: ``window`` is (paths, L, n, n) and holds the
+    points i0 - 1 .. i1 - 1, except that the first window starts at t_0.
+    Each window is a new array (``buffers.empty``), so a recycled buffer is
+    overwritten only once the caller has let go of it.  The increments of
+    each window are drawn from each path's generator in turn and summed in
+    place onto the carried last point of the window before, so the windows
+    hold the bits of one cumsum over the whole path."""
+    T = len(dts) + 1
+    # the windows of a blocked walk share one scratch, carved from one
+    # buffer; a whole-path window has nothing to share it with, and makes
+    # and drops its own
+    scratch = None
+    if method == "basis" and block < T:
+        nn = n * n
+        flat = buffers.empty((block * (3 * nn + 1),), float)
+        scratch = (flat[:block * nn].reshape(block, nn),
+                   flat[block * nn:].reshape(block, 2 * nn + 1))
+    carry = np.zeros((len(generators), n, n), dtype=complex)
+    for i0 in range(0, T, block):
+        i1 = min(i0 + block, T)
+        lo = max(i0, 1) - 1
+        window = buffers.empty((len(generators), i1 - lo, n, n))
+        window[:, 0] = carry
+        for path, rng in zip(window, generators):
+            inc = path[1:]
+            if method == "basis":
+                _hbm_increments_basis(n, dts[lo:i1 - 1], rng, inc, scratch)
+            else:
+                _hbm_increments_entrywise(n, dts[lo:i1 - 1], rng, inc)
+            # the first window's t_0 is 0, which the sum leaves out
+            summed = path[1:] if i0 == 0 else path
+            np.cumsum(summed, axis=0, out=summed)
+        carry = window[:, -1].copy()
+        yield i0, i1, window
+
+
+def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
+                block: int | None = None, method: str = "basis"):
+    """HBM paths 0..n_paths-1 in chunks of at most ``chunk`` paths, each
+    chunk walked ``block`` grid points at a time.
+
+    Returns an iterator over the chunks; each chunk is an iterator of
+    (i0, i1, window) as ``_hbm_walk`` makes them, a window being the
+    (count, <= block + 1, n, n) grid points [i0, i1) plus the point before
+    them.  Path i always draws from the stream keyed (seed, i), opened once
+    per walk, and its windows hold the same bits whatever the chunk and
+    block sizes.  ``block`` None (or at least the grid's length) walks each
+    chunk as one whole-path window.  The entrywise method draws a whole
+    path's diagonal before its off-diagonal entries, so its windows could
+    not hold the same bits: it walks whole paths only, and a smaller
+    ``block`` raises ValueError."""
+    _check_hbm_args(n, method)
+    T = len(grid.times)
+    block = T if block is None else block
+    if block < 1:
+        raise ValueError("the block needs at least one grid point")
+    if method == "entrywise" and block < T:
+        raise ValueError("the entrywise sampler walks whole paths only")
+    dts = np.diff(grid.times)
+    return (_hbm_walk(n, dts, [RngStream(seed, i).generator
+                               for i in range(start,
+                                              min(start + chunk, n_paths))],
+                      block, method)
+            for start in range(0, n_paths, chunk))
 
 
 def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
@@ -253,13 +380,14 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
     which carries the normalization by construction, and writes each one
     straight into its matrix entries: O(n^2) per step, with no dense basis
     built.  "entrywise" scales a GUE Brownian motion by 1/sqrt(n).  The two
-    agree in law.
+    agree in law.  This is the whole-path, one-path window of the walk.
     """
     _check_hbm_args(n, method)
-    values = np.empty((len(grid.times), n, n), dtype=complex)
-    _fill_hbm(values, np.diff(grid.times), stream.generator, method)
+    T = len(grid.times)
+    ((_, _, values),) = _hbm_walk(n, np.diff(grid.times), [stream.generator],
+                                  T, method)
     return ProcessPath(
-        grid, values, "martingale",
+        grid, values[0], "martingale",
         seed_info=(stream.master_seed, stream.path_index, method),
     )
 
@@ -267,15 +395,9 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
 def hbm_chunks(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
                method: str = "basis") -> Iterator[np.ndarray]:
     """HBM paths 0..n_paths-1 as (count, T, n, n) value chunks of at most
-    ``chunk`` paths.  Path i always uses the stream keyed (seed, i) and is
-    filled in place, so a path's values do not depend on the chunking."""
-    _check_hbm_args(n, method)
-    dts = np.diff(grid.times)
-    for start in range(0, n_paths, chunk):
-        values = np.empty((min(chunk, n_paths - start), len(grid.times), n, n),
-                          dtype=complex)
-        for i, path in enumerate(values, start):
-            _fill_hbm(path, dts, RngStream(seed, i).generator, method)
+    ``chunk`` paths: the whole-path windows of ``hbm_windows``."""
+    for windows in hbm_windows(n, grid, n_paths, seed, chunk, None, method):
+        ((_, _, values),) = windows
         yield values
 
 

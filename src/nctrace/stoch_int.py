@@ -4,9 +4,12 @@ Bound bi-/triprocesses pair a 1- or 2-linear trace polynomial symbol with
 adapted argument paths, and elementary predictable integrands freeze a
 symbol on time windows.  ``rs_increments`` is the one function that turns
 any integrand into its per-step left-endpoint terms: integrals, quadratic
-sums and the isometry check sum them, whole paths as one ``cumulative_path``.
-The time-blocked studies (Ito residuals, QC gap) run their sums through
-``carried_sums``, which carries the running sum from block to block.
+sums, the QC study, the isometry check and the BDG quadratic variation
+sum them, whole paths as one ``cumulative_path``; a driver given for
+several slots has its increments made once.  The time-blocked studies (Ito
+residuals, QC gap) walk their paths in ``process_sim.hbm_windows`` and run
+their sums through ``carried_sums``, which takes the windows and carries
+each integrand's running sum from window to window.
 Quadratic covariation admits a closed form through the gamma contraction,
 and the standard identities (Ito isometry, BDG p=2, substitution, QC of
 integrals) are exposed as report-producing checks.
@@ -19,6 +22,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from . import buffers
 from .evaluator import EvalContext, eval_multilinear, eval_poly
 from .matrix_alg import l1_trace_norms, trace_n
 from .parsing import parse
@@ -31,11 +35,12 @@ from .trace_poly import (
     compose_linear,
     gamma_contract,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_chunks
+from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
 
 # block length of the time-blocked studies: ``ito.ito_sup_residuals`` and
-# ``qc_gap_l1`` pass it to ``carried_sums``, so their per-time arrays are
-# (paths, block, n, n), not (paths, T, n, n)
+# ``qc_gap_l1`` walk their paths in ``hbm_windows`` of this many grid
+# points, so their per-time arrays are (paths, <= block + 1, n, n), never
+# (paths, T, n, n)
 STUDY_TIME_BLOCK = 64
 
 
@@ -56,7 +61,9 @@ def _left(values):
 
 
 def _increments(values):
-    return values[..., 1:, :, :] - values[..., :-1, :, :]
+    shape = values.shape[:-3] + (values.shape[-3] - 1,) + values.shape[-2:]
+    return np.subtract(values[..., 1:, :, :], values[..., :-1, :, :],
+                       out=buffers.empty(shape))
 
 
 @dataclass(frozen=True)
@@ -130,39 +137,44 @@ def elementary_integral(H: ElementaryPredictable, X, t: float) -> np.ndarray:
 def cumulative_path(inc: np.ndarray) -> np.ndarray:
     """The path from 0 with increments ``inc``: (..., T-1, n, n) to
     (..., T, n, n)."""
-    out = np.zeros(inc.shape[:-3] + (inc.shape[-3] + 1,) + inc.shape[-2:],
-                   dtype=complex)
+    out = buffers.empty(inc.shape[:-3] + (inc.shape[-3] + 1,)
+                        + inc.shape[-2:])
+    out[..., 0, :, :] = 0
     np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
     return out
 
 
-def carried_sums(values: np.ndarray, block_terms, block: int):
+def carried_sums(windows, block_terms):
     """Running sums of per-step terms along a (..., T, n, n) path, walked
-    ``block`` grid points at a time.
+    one window at a time, for one or more integrands.
 
-    ``block_terms(window, steps)`` gets the grid points
-    ``values[..., steps.start:steps.stop + 1, :, :]`` that bound the steps j
-    in the slice ``steps`` and returns (terms, extra): a new (..., len, n, n)
-    array of their terms and whatever the caller wants back with the sums.
-    Yields (i0, i1, sums, extra) for consecutive blocks [i0, i1) of grid
-    points, ``sums`` holding the running sum at each of them (0 at t_0): the
-    first block is ``cumulative_path`` of its terms and each later block
-    carries the last sum in, so the blocks hold the same bits as one cumsum
-    over the path.
+    ``windows`` yields (i0, i1, window) for consecutive blocks [i0, i1) of
+    grid points, as ``process_sim.hbm_windows`` walks them: ``window`` holds
+    the points i0 - 1 .. i1 - 1 (from t_0 in the first window), which bound
+    the steps j in ``steps = slice(max(i0, 1) - 1, i1 - 1)``.
+    ``block_terms(window, steps)`` returns an iterable of (terms, extra),
+    one pair per integrand and always in the same order: a new
+    (..., len(steps), n, n) array of the integrand's terms and whatever the
+    caller wants back with its sums.  Yields (i0, i1, k, sums, extra) for
+    each window and each integrand k in turn, ``sums`` holding the running
+    sum at each point of [i0, i1) (0 at t_0): the first window's is
+    ``cumulative_path`` of its terms and each later one carries the last
+    sum in, so the windows hold the same bits as one cumsum over the path.
+    When ``block_terms`` makes each integrand's terms only as it is asked
+    for them, one integrand's block is alive at a time.
     """
-    T = values.shape[-3]
-    for i0 in range(0, T, block):
-        i1 = min(i0 + block, T)
-        # each point t_j+1 > 0 of the block closes the step [t_j, t_j+1]
+    carries = {}
+    for i0, i1, window in windows:
         steps = slice(max(i0, 1) - 1, i1 - 1)
-        terms, extra = block_terms(values[..., steps.start:i1, :, :], steps)
-        if i0:
-            terms[..., 0, :, :] += carry
-            sums = np.cumsum(terms, axis=-3, out=terms)
-        else:
-            sums = cumulative_path(terms)
-        carry = sums[..., -1, :, :].copy()
-        yield i0, i1, sums, extra
+        for k, (terms, extra) in enumerate(block_terms(window, steps)):
+            if i0:
+                terms[..., 0, :, :] += carries[k]
+                sums = np.cumsum(terms, axis=-3, out=terms)
+            else:
+                sums = cumulative_path(terms)
+            carries[k] = sums[..., -1, :, :].copy()
+            yield i0, i1, k, sums, extra
+            del terms, sums, extra  # let go before the next block is made
 
 
 def rs_increments(H, *drivers) -> np.ndarray:
@@ -172,7 +184,11 @@ def rs_increments(H, *drivers) -> np.ndarray:
     bindings frozen at left endpoints.  An ``ElementaryPredictable`` takes
     one path or ensemble; each piece adds its terms on the steps inside its
     window (s_i, t_i], clipped at the grid's end."""
-    deltas = [_increments(_values_of(X)) for X in drivers]
+    made = {}  # a driver of several slots has its increments made once
+    for X in drivers:
+        if id(X) not in made:
+            made[id(X)] = _increments(_values_of(X))
+    deltas = [made[id(X)] for X in drivers]
     if not isinstance(H, ElementaryPredictable):
         return eval_multilinear(H.symbolic, H.left_context(), deltas)
     (delta,) = deltas
@@ -222,23 +238,23 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
               chunk: int = 50) -> float:
     """Path mean of tr_n |Q - t tr_n(a) I|, where Q is the quadratic sum of
     the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
-    0..paths-1 of ``seed`` simulated ``chunk`` at a time, and t tr_n(a) I is
-    its closed form.  Q is the last of the ``carried_sums`` of the quadratic
-    terms, ``STUDY_TIME_BLOCK`` grid points at a time."""
-    L = parse("y1 x1 y2")
-    ctx = EvalContext(n, {1: a})
+    0..paths-1 of ``seed`` walked ``chunk`` paths and ``STUDY_TIME_BLOCK``
+    grid points at a time (``hbm_windows``), and t tr_n(a) I is its closed
+    form.  Q is the last of the ``carried_sums`` of the window's
+    ``rs_increments`` terms."""
+    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
 
     def quad_terms(window, steps):
-        delta = window[..., 1:, :, :] - window[..., :-1, :, :]
-        return eval_multilinear(L, ctx, [delta, delta]), None
+        return [(rs_increments(L, window, window), None)]
 
     gaps = []
-    for vals in hbm_chunks(n, grid, paths, seed, chunk):
-        for _, _, sums, _ in carried_sums(vals, quad_terms,
-                                          STUDY_TIME_BLOCK):
-            q = sums[:, -1]
-        gaps.append(l1_trace_norms(q - closed))
+    with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
+        for windows in hbm_windows(n, grid, paths, seed, chunk,
+                                   STUDY_TIME_BLOCK):
+            for _, _, _, sums, _ in carried_sums(windows, quad_terms):
+                q = sums[:, -1]
+            gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))
 
 
@@ -296,7 +312,8 @@ def bdg_stats(M: Ensemble, p: int, t: float, params: dict) -> dict:
         raise ValueError("p must be 2 or 4")
     idx = M.grid.index_of(t)
     m_t = M.values[:, idx] - M.values[:, 0]
-    inc = _increments(M.values[:, :idx + 1])
+    inc = rs_increments(BoundBiprocess(parse("y1"), M.grid, M.n),
+                        M.values[:, :idx + 1])
     qv_paths = np.sum(_tr_quad(inc), axis=-1)
     if p == 2:
         return _paired_z_report("bdg_p2", params, _tr_quad(m_t), qv_paths)

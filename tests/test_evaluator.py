@@ -370,3 +370,25 @@ def test_step_plan_results_on_one_point():
                                           np.zeros(0))
     assert np.array_equal(p, 2 * window) and terms.shape == (3, 0, 2, 2)
     assert hermitian
+
+
+def test_step_block_takes_the_callers_hermitian_verdict(monkeypatch):
+    P = parse("x1^4")
+    dP, correction = ito_rhs_symbolic(P, ContractionModel.matrix(3))
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
+    window = (g + adjoint(g)) / 2
+    dts = np.full(4, 0.25)
+    checked = eval_step_block(P, dP, correction, window, dts)
+    # the verdict given, the window is not compared with its adjoint
+    monkeypatch.setattr("nctrace.evaluator.adjoint", None)
+    given_ = eval_step_block(P, dP, correction, window, dts, hermitian=True)
+    assert checked[2] and given_[2]
+    for a, b in zip(checked[:2], given_[:2]):
+        assert a.tobytes() == b.tobytes()
+    # False keeps every term unpaired, to the same values
+    p, terms, hermitian = eval_step_block(P, dP, correction, window, dts,
+                                          hermitian=False)
+    assert not hermitian
+    assert np.allclose(p, checked[0], rtol=0, atol=1e-12)
+    assert np.allclose(terms, checked[1], rtol=0, atol=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 import nctrace.matrix_alg
 import nctrace.process_sim
+from nctrace import buffers
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
 from nctrace.ito import (
@@ -266,27 +267,29 @@ def test_convergence_study_reports_slope():
         convergence_study([0.1], {})
 
 
-def test_sup_residuals_fill_each_path_once(monkeypatch):
+def test_sup_residuals_open_each_path_stream_once(monkeypatch):
     polys = [parse("x1^2"), parse("x1^4"), parse("tr(x1^2) x1")]
     model = ContractionModel.matrix(4)
-    grids = {11: TimeGrid.uniform(1.0, 10), 12: TimeGrid.uniform(1.0, 20)}
+    # 6 paths in chunks of 4, and grids of one and of several windows
+    grids = {11: TimeGrid.uniform(1.0, 10),
+             12: TimeGrid.uniform(1.0, 2 * STUDY_TIME_BLOCK + 3)}
     # one polynomial at a time, on the same paths
     singles = {seed: [ito_sup_residuals([P], 4, grid, 6, seed, model,
                                         chunk=4)[0] for P in polys]
                for seed, grid in grids.items()}
-    fill = nctrace.process_sim._fill_hbm
-    filled = []
+    opened = []
 
-    def counting_fill(values, dts, rng, method):
-        filled.append((rng.bit_generator.seed_seq.entropy, len(values)))
-        fill(values, dts, rng, method)
+    class CountingStream(nctrace.process_sim.RngStream):
+        def __init__(self, master_seed, path_index=0):
+            opened.append((master_seed, path_index))
+            super().__init__(master_seed, path_index)
 
-    monkeypatch.setattr(nctrace.process_sim, "_fill_hbm", counting_fill)
+    monkeypatch.setattr(nctrace.process_sim, "RngStream", CountingStream)
     for seed, grid in grids.items():
         sups = ito_sup_residuals(polys, 4, grid, 6, seed, model, chunk=4)
         assert sups == singles[seed]
-    assert filled == [((seed, i), grid.steps + 1)
-                      for seed, grid in grids.items() for i in range(6)]
+    # every window of a path feeds all three polynomials
+    assert opened == [(seed, i) for seed in grids for i in range(6)]
 
 
 # -- time-blocked studies -----------------------------------------------------
@@ -353,6 +356,31 @@ def test_sup_residuals_hold_no_whole_path_temporaries():
         tracemalloc.stop()
     assert np.isfinite(sup)
     assert peak < 3 * chunk_bytes
+
+
+def _traced_peak(study) -> int:
+    """Peak numpy allocation of ``study()`` under tracemalloc, counted from
+    an empty set of recycled buffers."""
+    buffers.clear()
+    tracemalloc.start()
+    try:
+        assert np.isfinite(study())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sup_residual_memory_does_not_grow_with_the_horizon():
+    # the study streams one window of STUDY_TIME_BLOCK points at a time, so
+    # 3201 grid times take no more memory than 801; a whole-path chunk of
+    # 8 paths at n = 16 on 801 grid times is 26 MB, and holding one made
+    # the peak grow with T (43 MB at 801 points, 131 MB at 3201)
+    chunk_bytes = 8 * 801 * 16 * 16 * 16
+    peaks = [_traced_peak(lambda: ito_sup_residuals(
+        [parse("x1^4")], 16, TimeGrid.uniform(1.0, steps), 8, 0,
+        ContractionModel.matrix(16))[0]) for steps in (800, 3200)]
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] < chunk_bytes
 
 
 @pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3"])

@@ -2,9 +2,13 @@
 
 The Ito study values were re-recorded when one fused step plan replaced
 the three evaluations per block (they moved by at most 2.6e-15 relative,
-the x1^2 quadratic rounding noise staying below 1e-15); the QC gaps were
-recorded from the studies' hand-written block loops.  Both must be
-reproduced with ``==``, not to a tolerance.  With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one
+the x1^2 quadratic rounding noise staying below 1e-15), and the
+tr(x1^2) x1 values past one block again when the studies came to walk
+contiguous path windows: the trace contraction sums in an order that
+depends on its operands' memory layout, and the earlier windows were
+strided views of a whole-path chunk.  The QC gaps were recorded from the
+studies' hand-written block loops.  All must be reproduced with ``==``,
+not to a tolerance.  With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one
 step, one block, one block and one point, two points past it, and just past
 two blocks.  The four symbolic records pin the canonical forms of
 ``derive`` and ``derive_k`` and the values evaluated from them; the
@@ -44,17 +48,17 @@ SUP_RESIDUALS = {
     (64, "quadratic"): [1.831381599096156e-16, 0.03719415603857768,
                         0.015428850250879533],
     (65, "contracted"): [0.10667284889407269, 0.2004427927498182,
-                         0.053158896799894204],
+                         0.05315889679989418],
     (65, "quadratic"): [1.9620986301064028e-16, 0.03826879493791234,
-                        0.015785462813109],
+                        0.015785462813108955],
     (66, "contracted"): [0.10510298961767198, 0.194322764284794,
-                         0.05193688344127016],
+                         0.051936883441270135],
     (66, "quadratic"): [1.8214905223675868e-16, 0.037177450503588644,
-                        0.015422587592009273],
+                        0.015422587592009235],
     (130, "contracted"): [0.08106736723727345, 0.2340186845005956,
-                          0.045984629021856405],
+                          0.045984629021856446],
     (130, "quadratic"): [3.101563733358367e-16, 0.030428555694777915,
-                         0.009550470969528593],
+                         0.009550470969528654],
 }
 
 QC_GAPS = {2: 0.8549353179708248, 64: 0.11086350166174999,

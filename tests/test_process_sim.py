@@ -12,6 +12,7 @@ from nctrace.process_sim import (
     RngStream,
     TimeGrid,
     hbm_chunks,
+    hbm_windows,
     kappa_estimate,
     load_ncp1,
     make_fv,
@@ -19,7 +20,10 @@ from nctrace.process_sim import (
     simulate_hbm,
     simulate_hbm_ensemble,
 )
-from nctrace.process_sim import _hbm_increments_basis
+from nctrace.process_sim import (
+    _hbm_increments_basis,
+    _hbm_increments_entrywise,
+)
 
 
 def test_time_grid_validation():
@@ -92,6 +96,77 @@ def test_chunks_equal_the_ensemble(method):
     assert np.concatenate(chunks).tobytes() == ens.values.tobytes()
     assert simulate_hbm_ensemble(4, grid, 0, seed=23).values.shape == (
         0, 10, 4, 4)
+
+
+def _walk(n, steps, paths, chunk, block, method="basis"):
+    """The walk's windows, each chunk's checked and glued back into paths."""
+    grid = TimeGrid.uniform(1.0, steps)
+    T = steps + 1
+    glued = []
+    for windows in hbm_windows(n, grid, paths, 29, chunk, block, method):
+        parts, i1 = [], 0
+        for i0, i1_, window in windows:
+            assert i0 == i1 and i1_ == min(i0 + block, T)
+            assert window.shape[1:] == (i1_ - max(i0, 1) + 1, n, n)
+            assert window.flags.c_contiguous
+            # every window equals its adjoint, entry for entry
+            assert np.array_equal(window, adjoint(window))
+            parts.append(window if i0 == 0 else window[:, 1:])
+            i1 = i1_
+        assert i1 == T
+        glued.append(np.concatenate(parts, axis=1))
+    return grid, glued
+
+
+@pytest.mark.parametrize("n, steps", [(3, 129), (1, 129), (2, 1)])
+@pytest.mark.parametrize("block", [1, 2, 63, 64, 65, "T", "T+1"])
+def test_window_walk_equals_the_ensemble(n, steps, block):
+    T = steps + 1
+    block = {"T": T, "T+1": T + 1}.get(block, block)
+    # 5 paths in chunks of 2: the last chunk is short
+    grid, glued = _walk(n, steps, 5, 2, block)
+    assert [len(c) for c in glued] == [2, 2, 1]
+    ens = simulate_hbm_ensemble(n, grid, 5, seed=29)
+    assert np.concatenate(glued).tobytes() == ens.values.tobytes()
+
+
+def test_entrywise_walks_whole_paths_only():
+    grid, glued = _walk(4, 9, 3, 2, 10, "entrywise")
+    ens = simulate_hbm_ensemble(4, grid, 3, seed=29, method="entrywise")
+    assert np.concatenate(glued).tobytes() == ens.values.tobytes()
+    for block in (1, 9):
+        with pytest.raises(ValueError, match="whole paths"):
+            hbm_windows(4, grid, 3, 29, 2, block, "entrywise")
+    with pytest.raises(ValueError):
+        hbm_windows(4, grid, 3, 29, 2, 0)
+
+
+def _entrywise_reference(n, dts, rng):
+    """The entrywise increments as two full complex temporaries made them."""
+    steps = len(dts)
+    sd = np.sqrt(dts)
+    diag = rng.standard_normal((steps, n)) * sd[:, None]
+    re = rng.standard_normal((steps, n, n))
+    im = rng.standard_normal((steps, n, n))
+    h = np.zeros((steps, n, n), dtype=complex)
+    iu = np.triu_indices(n, k=1)
+    g = (re[:, iu[0], iu[1]] + 1j * im[:, iu[0], iu[1]]) / np.sqrt(2.0)
+    h[:, iu[0], iu[1]] = g * sd[:, None]
+    h[:, iu[1], iu[0]] = np.conj(g) * sd[:, None]
+    h[:, np.arange(n), np.arange(n)] = diag
+    return h / np.sqrt(n)
+
+
+# sqrt(n) is a power of two at n = 1, 4, 16 and 256, where multiplying by
+# 1/sqrt(n) and dividing by sqrt(n) round alike; n = 3 tells them apart
+@pytest.mark.parametrize("n", [1, 3, 4, 16, 256])
+def test_entrywise_increments_match_the_complex_formula(n):
+    steps = 2 if n == 256 else 7
+    dts = np.diff(TimeGrid.uniform(1.0, steps).times)
+    got = np.empty((steps, n, n), dtype=complex)
+    _hbm_increments_entrywise(n, dts, RngStream(6, n).generator, got)
+    want = _entrywise_reference(n, dts, RngStream(6, n).generator)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hbm_large_n_builds_no_dense_basis(monkeypatch):
