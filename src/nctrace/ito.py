@@ -92,34 +92,39 @@ def _step_symbols(P: TracePolynomial, model: ContractionModel,
 def _residual_blocks(polys, windows, grid: TimeGrid,
                      model: ContractionModel, second_order: str,
                      hermitian: bool | None = None):
-    """Yield (i0, i1, k, res, hermitian) for each of the ``carried_sums``
-    windows of one path chunk and each polynomial ``polys[k]`` in turn: res
-    is shaped (..., i1 - i0, n, n), P(X) - P(X_0) on the block minus the
-    carried sums of dP[dX] plus the correction times dt ("contracted") or
-    plus 1/2 d2P[dX, dX] ("quadratic"), and ``hermitian`` is the
-    evaluator's verdict that res is Hermitian.  One ``eval_step_block``
-    plan per polynomial and window makes P, dP and the second-order term,
-    when the caller asks for that polynomial's block; the ``hermitian``
-    argument says whether the windows are Hermitian, None to have the
-    evaluator compare each with its adjoint."""
+    """An iterator over (i0, i1, k, res, hermitian), for each of the
+    ``carried_sums`` windows of one path chunk and each polynomial
+    ``polys[k]`` in turn: res is shaped (..., i1 - i0, n, n), P(X) - P(X_0)
+    on the block minus the carried sums of dP[dX] plus the correction times
+    dt ("contracted") or plus 1/2 d2P[dX, dX] ("quadratic"), and
+    ``hermitian`` is the evaluator's verdict that res is Hermitian.  One
+    ``eval_step_block`` plan per polynomial and window makes P, dP and the
+    second-order term, when the caller asks for that polynomial's block;
+    the ``hermitian`` argument says whether the windows are Hermitian, None
+    to have the evaluator compare each with its adjoint."""
     symbols = [_step_symbols(P, model, second_order) for P in polys]
     dts = np.diff(grid.times)
 
+    # map, not a generator: a generator's locals would keep the last
+    # block's arrays alive while the next one is made
     def block_terms(window, steps):
-        for sym in symbols:
+        def one(sym):
             p, terms, h = eval_step_block(*sym, window, dts[steps], hermitian)
-            yield terms, (p, h)
-            del p, terms  # let go before the next polynomial is evaluated
+            return terms, (p, h)
+        return map(one, symbols)
 
     p0 = {}
-    for i0, i1, k, sums, (p, h) in carried_sums(windows, block_terms):
+
+    def residual(block):
+        i0, i1, k, sums, (p, h) = block
         res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
         if not i0:
             p0[k] = res[..., :1, :, :].copy()
         res -= p0[k]
         res -= sums
-        yield i0, i1, k, res, h
-        del sums, p, res  # let go before the next block is made
+        return i0, i1, k, res, h
+
+    return map(residual, carried_sums(windows, block_terms))
 
 
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,

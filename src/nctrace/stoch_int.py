@@ -253,7 +253,8 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
         for windows in hbm_windows(n, grid, paths, seed, chunk,
                                    STUDY_TIME_BLOCK):
             for _, _, _, sums, _ in carried_sums(windows, quad_terms):
-                q = sums[:, -1]
+                q = sums[:, -1].copy()
+                del sums  # so the next block can reuse its buffer
             gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))
 

@@ -16,8 +16,9 @@ def test_outside_recycled_empty_is_a_fresh_array():
     assert a.base is None and a.dtype == complex and a.shape == (3, 2, 2)
 
 
-def test_a_dropped_array_gives_its_buffer_back():
-    buffers.clear()
+def test_a_dropped_array_gives_its_buffer_back(monkeypatch):
+    monkeypatch.setattr(buffers, "_buffers", [])
+    monkeypatch.setattr(buffers, "_size", 0)
     with buffers.recycled((4, 8, 2, 2)):
         a = buffers.empty((4, 8, 2, 2))
         root = id(_root(a))  # an id: holding the buffer would keep it busy
@@ -27,11 +28,10 @@ def test_a_dropped_array_gives_its_buffer_back():
         assert buffers.zeros((2, 2)).tobytes() == bytes(64)
         c = buffers.empty((3,), float)
         assert id(_root(c)) != root  # b is still alive
-    assert len(buffers._buffers) == 2  # the zeros went back before c
+        assert len(buffers._buffers) == 2  # the zeros went back before c
 
 
 def test_live_and_escaped_arrays_are_never_handed_out_again():
-    buffers.clear()
     with buffers.recycled((16,)):
         kept = buffers.empty((16,))
         kept[:] = 7
@@ -42,9 +42,23 @@ def test_live_and_escaped_arrays_are_never_handed_out_again():
         big = buffers.empty((17,))  # larger than the size: not recycled
     assert big.base is None
     assert np.all(view == 7)
-    with buffers.recycled((16,)):
+    with buffers.recycled((16,)):  # the next study keeps off it too
         buffers.empty((16,))[:] = 0
     assert np.all(view == 7)
-    # another size drops the retained buffers
-    with buffers.recycled((8,)):
+
+
+def test_a_study_keeps_at_most_the_retained_bytes(monkeypatch):
+    monkeypatch.setattr(buffers, "_buffers", [])
+    monkeypatch.setattr(buffers, "_size", 0)
+    monkeypatch.setattr(buffers, "RETAINED_BYTES", 2 * 16 * 16)
+    with buffers.recycled((16,)):
+        made = [buffers.empty((16,)) for _ in range(3)]
+        assert len(buffers._buffers) == 3
+        roots = [id(_root(a)) for a in made]
+        del made
+    assert [id(b) for b in buffers._buffers] == roots[:2]
+    assert buffers.empty((16,)).base is None  # outside: not recycled
+    with buffers.recycled((16,)):  # the next study of the size reuses them
+        assert id(_root(buffers.empty((16,)))) == roots[0]
+    with buffers.recycled((8,)):  # another size drops them
         assert buffers._buffers == []

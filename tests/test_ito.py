@@ -7,7 +7,6 @@ import pytest
 
 import nctrace.matrix_alg
 import nctrace.process_sim
-from nctrace import buffers
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
 from nctrace.ito import (
@@ -358,29 +357,27 @@ def test_sup_residuals_hold_no_whole_path_temporaries():
     assert peak < 3 * chunk_bytes
 
 
-def _traced_peak(study) -> int:
-    """Peak numpy allocation of ``study()`` under tracemalloc, counted from
-    an empty set of recycled buffers."""
-    buffers.clear()
-    tracemalloc.start()
-    try:
-        assert np.isfinite(study())
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sup_residual_memory_does_not_grow_with_the_horizon():
+def test_sup_residual_memory_does_not_grow_with_the_horizon(traced_peak):
     # the study streams one window of STUDY_TIME_BLOCK points at a time, so
     # 3201 grid times take no more memory than 801; a whole-path chunk of
     # 8 paths at n = 16 on 801 grid times is 26 MB, and holding one made
     # the peak grow with T (43 MB at 801 points, 131 MB at 3201)
     chunk_bytes = 8 * 801 * 16 * 16 * 16
-    peaks = [_traced_peak(lambda: ito_sup_residuals(
+    peaks = [traced_peak(lambda: ito_sup_residuals(
         [parse("x1^4")], 16, TimeGrid.uniform(1.0, steps), 8, 0,
         ContractionModel.matrix(16))[0]) for steps in (800, 3200)]
     assert peaks[1] <= 1.25 * peaks[0]
     assert peaks[1] < chunk_bytes
+
+
+@pytest.mark.parametrize("polys,most", [(["x1^4"], 7),
+                                        (["x1^2", "x1^4", "tr(x1^2) x1"], 9)])
+def test_study_loops_let_go_of_each_block(polys, most, buffers_used):
+    # a del missing in the study loop or in carried_sums adds a buffer
+    assert buffers_used(lambda: ito_sup_residuals(
+        [parse(p) for p in polys], 4,
+        TimeGrid.uniform(1.0, 3 * STUDY_TIME_BLOCK), 3, 0,
+        ContractionModel.matrix(4))) <= most
 
 
 @pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3"])

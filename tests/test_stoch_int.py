@@ -1,12 +1,11 @@
 """Stochastic integrals: elementary pieces, RS sums, QC, isometry, BDG."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from nctrace import ContractionModel, buffers, parse
+from nctrace import ContractionModel, parse
 from nctrace.matrix_alg import trace_n
 from nctrace.process_sim import (
     Ensemble,
@@ -361,21 +360,20 @@ def test_blocked_qc_gap_matches_the_cumulative_quadratic_sum(points):
     assert abs(got - want) <= 1e-12 * want
 
 
-def test_qc_gap_memory_does_not_grow_with_the_horizon():
+def test_qc_gap_memory_does_not_grow_with_the_horizon(traced_peak):
     # one window of STUDY_TIME_BLOCK points at a time: 3201 grid times take
     # no more memory than 801, and less than one 26 MB whole-path chunk of
     # 8 paths at n = 16 on 801 grid times
     chunk_bytes = 8 * 801 * 16 * 16 * 16
     a = np.diag(np.linspace(-1.0, 1.0, 16)).astype(complex)
-    peaks = []
-    for steps in (800, 3200):
-        buffers.clear()
-        tracemalloc.start()
-        try:
-            gap = qc_gap_l1(16, TimeGrid.uniform(1.0, steps), 8, 0, a)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(gap)
+    peaks = [traced_peak(lambda: qc_gap_l1(
+        16, TimeGrid.uniform(1.0, steps), 8, 0, a)) for steps in (800, 3200)]
     assert peaks[1] <= 1.25 * peaks[0]
     assert peaks[1] < chunk_bytes
+
+
+def test_qc_gap_loop_lets_go_of_each_block(buffers_used):
+    # as in the Ito study: holding the last block's sums adds a buffer
+    assert buffers_used(lambda: qc_gap_l1(
+        4, TimeGrid.uniform(1.0, 3 * STUDY_TIME_BLOCK), 3, 0,
+        np.eye(4, dtype=complex))) <= 5
