@@ -123,13 +123,22 @@ def _paths(cfg) -> int:
     return paths
 
 
+def _write(save, obj, filename: str) -> None:
+    """``save(obj, filename)``; a file that cannot be written is a
+    configuration error."""
+    try:
+        save(obj, filename)
+    except OSError as e:
+        raise ConfigError(f"cannot write {filename}: {e.strerror or e}")
+
+
 def _emit(records, cfg, args) -> None:
     for rec in records:
         rec.setdefault("config", cfg)
     if args.json_out:
-        write_json(records, args.json_out)
+        _write(write_json, records, args.json_out)
     if args.csv_out:
-        write_csv(records, args.csv_out)
+        _write(write_csv, records, args.csv_out)
     if not args.json_out and not args.csv_out:
         print(to_json(records))
 
@@ -191,7 +200,7 @@ def _cmd_sim(args) -> int:
     for i in range(paths):
         p = simulate_hbm(int(cfg["n"]), grid, RngStream(cfg["seed"], i),
                          method=cfg["method"])
-        save_ncp1(p, f"{cfg['out']}_{i:04d}.ncp1")
+        _write(save_ncp1, p, f"{cfg['out']}_{i:04d}.ncp1")
     print(f"wrote {paths} path file(s) with prefix {cfg['out']}")
     return 0
 

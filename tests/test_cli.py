@@ -88,6 +88,22 @@ def test_eval_config_with_trace_mode_exits_2(tmp_path, capsys):
     assert out == ""
 
 
+_ITO_SMALL = ["ito", "--n", "2", "--paths", "1", "--meshes", "0.5,0.25,0.125"]
+
+
+@pytest.mark.parametrize("argv, suffix", [
+    (["sim", "--n", "2", "--mesh", "0.5", "--out"], "_0000.ncp1"),
+    ([*_ITO_SMALL, "--json"], ""),
+    ([*_ITO_SMALL, "--csv"], ""),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, suffix):
+    target = tmp_path / "missing" / "r"
+    rc, _, err = run(capsys, *argv, str(target))
+    assert rc == 2
+    assert err == (f"error: cannot write {target}{suffix}: "
+                   "No such file or directory\n")
+
+
 def test_sim_byte_identical(tmp_path, capsys):
     args = ["sim", "--n", "6", "--T", "1", "--mesh", "0.01",
             "--paths", "2", "--seed", "7"]

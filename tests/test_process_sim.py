@@ -1,6 +1,8 @@
 """Process simulation: normalization, law agreement, file IO."""
 
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import nctrace.matrix_alg
 from nctrace.matrix_alg import adjoint, hermitian_onb_array, trace_n
 from nctrace.process_sim import (
+    WIDE_ROW_ENTRIES,
     ProcessPath,
     RngStream,
     TimeGrid,
@@ -128,6 +131,22 @@ def test_window_walk_equals_the_ensemble(n, steps, block):
     assert [len(c) for c in glued] == [2, 2, 1]
     ens = simulate_hbm_ensemble(n, grid, 5, seed=29)
     assert np.concatenate(glued).tobytes() == ens.values.tobytes()
+
+
+# n = 3 sums with np.cumsum, n = 33 one grid point at a time
+@pytest.mark.parametrize("n", [3, 33])
+@pytest.mark.parametrize("block", [1, 2, 64, "T"])
+def test_window_walk_sums_like_cumsum(n, block):
+    assert 3 * 3 < WIDE_ROW_ENTRIES <= 33 * 33
+    steps = 129
+    block = steps + 1 if block == "T" else block
+    grid, glued = _walk(n, steps, 3, 2, block)
+    dts = np.diff(grid.times)
+    for i, got in enumerate(np.concatenate(glued)):
+        inc = np.empty((steps, n, n), dtype=complex)
+        _hbm_increments_basis(n, dts, RngStream(29, i).generator, inc)
+        want = np.concatenate([np.zeros((1, n, n)), np.cumsum(inc, axis=0)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_entrywise_walks_whole_paths_only():
@@ -276,36 +295,62 @@ def test_ncp1_round_trip(tmp_path):
     assert f.read_bytes() == f2.read_bytes()
 
 
-def test_ncp1_decomposable_round_trip(tmp_path):
+def _decomposable_path() -> ProcessPath:
     grid = TimeGrid.uniform(1.0, 5)
     mart = simulate_hbm(2, grid, RngStream(8, 0)).values
     fv = make_fv(grid, 2, g=lambda t: t).values
     fv = fv - fv[0]
-    path = ProcessPath(grid, mart + fv, "decomposable",
+    return ProcessPath(grid, mart + fv, "decomposable",
                        mart_part=mart, fv_part=fv)
+
+
+def test_ncp1_decomposable_round_trip(tmp_path):
+    path = _decomposable_path()
     f = tmp_path / "decomp.ncp1"
     save_ncp1(path, str(f))
     back = load_ncp1(str(f))
     assert back.role == "decomposable"
-    assert np.array_equal(back.mart_part, mart)
-    assert np.array_equal(back.fv_part, fv)
+    assert np.array_equal(back.mart_part, path.mart_part)
+    assert np.array_equal(back.fv_part, path.fv_part)
 
 
-def _ncp1_bytes(tmp_path) -> bytes:
+def _ncp1_bytes(tmp_path, role="martingale") -> bytes:
     f = tmp_path / "good.ncp1"
-    save_ncp1(simulate_hbm(2, TimeGrid.uniform(1.0, 3), RngStream(0)), str(f))
+    if role == "decomposable":
+        path = _decomposable_path()
+    else:
+        path = simulate_hbm(2, TimeGrid.uniform(1.0, 3), RngStream(0))
+    save_ncp1(path, str(f))
     return f.read_bytes()
 
 
+# the header is 13 bytes; a martingale file has 4 times of 8 bytes and a
+# value block of 4 * 64 bytes; the part blocks are cut from a decomposable
+# file, with 6 times and three value blocks of 6 * 64 bytes
 @pytest.mark.parametrize("cut, block", [
-    (7, "header"),            # header is 13 bytes
-    (13 + 10, "times block"),  # 4 times of 8 bytes
+    (7, "header"),
+    (13 + 10, "times block"),
     (-3, "value block"),
+    (13 + 48 + 384 + 100, "martingale-part block"),
+    (-3, "FV-part block"),
 ])
 def test_ncp1_truncated_block_is_named(tmp_path, cut, block):
+    role = "decomposable" if block.endswith("part block") else "martingale"
     f = tmp_path / "cut.ncp1"
-    f.write_bytes(_ncp1_bytes(tmp_path)[:cut])
+    f.write_bytes(_ncp1_bytes(tmp_path, role)[:cut])
     with pytest.raises(ValueError, match=f"truncated NCP1 {block}"):
+        load_ncp1(str(f))
+
+
+def test_ncp1_short_read_is_a_truncated_block(tmp_path, monkeypatch):
+    # a file shorter than its size said: the read itself comes up short
+    f = tmp_path / "cut.ncp1"
+    f.write_bytes(_ncp1_bytes(tmp_path)[:-3])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_size=fstat(fd).st_size + 3))
+    with pytest.raises(ValueError, match="truncated NCP1 value block: "
+                                         "expected 256 bytes, found 253"):
         load_ncp1(str(f))
 
 
@@ -321,3 +366,34 @@ def test_ncp1_rejects_garbage(tmp_path):
     f.write_bytes(b"XXXX" + b"\0" * 16)
     with pytest.raises(ValueError):
         load_ncp1(str(f))
+
+
+# n = 64 over 100 steps: the sim_io path, 6.6 MB of values
+MEM_N, MEM_STEPS = 64, 100
+PATH_BYTES = (MEM_STEPS + 1) * MEM_N**2 * 16
+# the carried point and its copy, with room for small temporaries
+SMALL_BYTES = 4 * MEM_N**2 * 16
+
+
+def test_simulate_holds_the_path_and_one_scratch(traced_peak):
+    grid = TimeGrid.uniform(1.0, MEM_STEPS)
+    # the scatter map is built once per n and cached; build it first
+    simulate_hbm(MEM_N, TimeGrid.uniform(1.0, 1), RngStream(0))
+    scratch_bytes = MEM_STEPS * (2 * MEM_N**2 + 1) * 8
+    peak = traced_peak(lambda: simulate_hbm(
+        MEM_N, grid, RngStream(0)).values[-1, 0, 0].real)
+    assert peak <= PATH_BYTES + scratch_bytes + SMALL_BYTES
+
+
+def test_ncp1_io_makes_no_copy_of_the_path(tmp_path, traced_peak):
+    path = simulate_hbm(MEM_N, TimeGrid.uniform(1.0, MEM_STEPS), RngStream(0))
+    f = str(tmp_path / "path.ncp1")
+
+    def save():
+        save_ncp1(path, f)
+        return os.path.getsize(f)
+
+    assert traced_peak(save) <= SMALL_BYTES
+    # reading makes the result and nothing the size of a path beside it
+    assert traced_peak(
+        lambda: load_ncp1(f).values[-1, 0, 0].real) <= PATH_BYTES + SMALL_BYTES
