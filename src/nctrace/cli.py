@@ -180,9 +180,10 @@ def _cmd_eval(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read matrices: {e}")
-    bindings = {
-        int(k): _matrix_from_json(v) for k, v in data.get("bindings", {}).items()
-    }
+    bindings = data.get("bindings") if isinstance(data, dict) else None
+    if not isinstance(bindings, dict):
+        raise ConfigError('the matrices file needs a "bindings" object')
+    bindings = {int(k): _matrix_from_json(v) for k, v in bindings.items()}
     if not bindings:
         raise ConfigError("no bindings in the matrices file")
     n = next(iter(bindings.values())).shape[-1]

@@ -13,6 +13,12 @@ The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
 ``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
 shape (..., m) with leading batch axes, where a single matrix is the stack
 without batch axes.  Each batch element gives what a call on it alone gives.
+It shares what its arguments share: ``moi`` computes the spectral data,
+node vectors, eigenvector stacks and rotated directions once per distinct
+argument object, and a second-order grid over equal second and third node
+vectors builds one f^[1] table, which also gives the confluent entries of
+every pair of equal nodes.  Equal copies of an argument give the same bits
+as one object passed in every slot.
 """
 
 from __future__ import annotations
@@ -319,14 +325,23 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
     grid of node vectors (..., m_0), (..., m_1), (..., m_2).
 
     Entries with |b - c| >= delta difference the first-order tables,
-    (g^[1](a, b) - g^[1](a, c)) / (b - c).  The confluent formulas run only
-    on the pairs with |b - c| < delta: (g'(m) - g^[1](m, a)) / (m - a) at
+    (g^[1](a, b) - g^[1](a, c)) / (b - c); when the second and third node
+    vectors are equal, the two tables are the same call on the same values,
+    and the first is used twice.  The confluent formulas run only on the
+    pairs with |b - c| < delta: (g'(m) - g^[1](m, a)) / (m - a) at
     m = (b + c) / 2, or g''(mean) / 2 when a is within delta of m too.
+    Where the pair's nodes are equal (the b = c diagonal of a same-node
+    grid, and every snapped cluster), m = b and g^[1](m, a) is read from
+    the g^[1](a, b) table; only the pairs whose nodes differ by less than
+    delta make a new ``_exp_dd1`` call.
     """
     a, b, c = _tensor_axes(vecs)
     batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
     d_ab = _exp_dd1(f, a[..., 0], b[..., 0])        # (..., m_0, m_1)
-    d_ac = _exp_dd1(f, a[..., 0, :], c[..., 0, :])  # (..., m_0, m_2)
+    if np.array_equal(vecs[1], vecs[2]):
+        d_ac = d_ab
+    else:
+        d_ac = _exp_dd1(f, a[..., 0, :], c[..., 0, :])  # (..., m_0, m_2)
     bc = b[..., 0, :, :] - c[..., 0, :, :]           # (..., m_1, m_2)
     close = np.abs(bc) < delta[..., None, None]
     inv = 1.0 / np.where(close, 1.0, bc)
@@ -336,18 +351,27 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
         return out
     # (batch..., j, l) of each confluent pair; a-nodes of its batch element
     idx = np.nonzero(np.broadcast_to(close, batch + close.shape[-2:]))
-    av = np.broadcast_to(vecs[0], batch + vecs[0].shape[-1:])[idx[:-2]]
     bv = np.broadcast_to(vecs[1], batch + vecs[1].shape[-1:])[idx[:-1]]
+    av = np.broadcast_to(
+        np.broadcast_to(vecs[0], batch + vecs[0].shape[-1:])[idx[:-2]],
+        bv.shape + vecs[0].shape[-1:])
     cv = np.broadcast_to(vecs[2], batch + vecs[2].shape[-1:])[
         idx[:-2] + idx[-1:]]
     dl = np.broadcast_to(delta, batch)[idx[:-2]][..., None]
     m = ((bv + cv) / 2.0)[:, None]
+    # g^[1](m, a): the table's g^[1](a, b) row where b = c, so m = b
+    same = bv == cv
+    table = np.moveaxis(np.broadcast_to(d_ab, batch + d_ab.shape[-2:]), -2, -1)
+    d_ma = np.empty(av.shape, dtype=complex)
+    d_ma[same] = table[tuple(i[same] for i in idx[:-1])]
+    if not same.all():
+        d_ma[~same] = _exp_dd1(f, m[~same], av[~same])
     am = m - av
     near = np.abs(am) < dl
-    conf = (f.derivative(1)(m) - _exp_dd1(f, m, av)) / np.where(near, 1.0, am)
+    conf = (f.derivative(1)(m) - d_ma) / np.where(near, 1.0, am)
     if np.any(near):
         mean = (av + bv[:, None] + cv[:, None]) / 3.0
-        conf = np.where(near, f.derivative(2)(mean) / 2.0, conf)
+        conf[near] = f.derivative(2)(mean[near]) / 2.0
     np.moveaxis(out, -3, -1)[idx] = conf
     return out
 
@@ -359,7 +383,11 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
     and the result has shape (..., m_0, ..., m_k); a batch element's entries
     depend only on its own nodes.  Vectorized and cancellation-safe; this is
     the kernel evaluation used by the MOI sums.  Supports k <= 2 for
-    exponential sums and any k for polynomials.
+    exponential sums and any k for polynomials.  At k = 2 an exponential
+    sum builds one f^[1] table per call when the second and third node
+    vectors are equal, as ``moi`` passes them for a repeated argument, and
+    reads the confluent f^[1] of each pair of equal nodes from it (see
+    ``_exp_dd2``).
     """
     k = len(vectors) - 1
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -448,6 +476,18 @@ def op_function(f: ScalarFunctionSpec, a) -> np.ndarray:
     return (sd.eigenvectors * vals[..., None, :]) @ adjoint(sd.eigenvectors)
 
 
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct objects of ``items`` (by identity), and the index of
+    each item among them."""
+    objs, index = [], []
+    for x in items:
+        i = next((i for i, o in enumerate(objs) if o is x), len(objs))
+        if i == len(objs):
+            objs.append(x)
+        index.append(i)
+    return objs, index
+
+
 def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
         b_tuple: Sequence[np.ndarray]) -> np.ndarray:
     """Multiple operator integral I^a f^[k] [b_1, ..., b_k].
@@ -459,6 +499,14 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
     leading batch axes broadcast, and the result has their shape followed
     by (n, n).  The kernel is built in blocks of the flattened batch of at
     most ``MOI_BLOCK_ENTRIES`` entries.
+
+    Work is done once per distinct argument object: the spectral data,
+    node vectors and eigenvector stacks of each Hermitian argument, and
+    each rotated direction U_m* b_m U_{m+1} per distinct (a_m, b_m,
+    a_{m+1}).  So ``moi(f, 1, (a, a), (b,))`` runs one ``eigh``, and
+    ``moi(f, 2, (sd, sd, sd), (b, b))`` rotates b once and, its node
+    vectors being equal, builds one f^[1] table per block (see
+    ``divided_diff_grid``).  Equal copies give the same bits as one object.
     """
     if len(a_tuple) != k + 1 or len(b_tuple) != k:
         raise ValueError("need k+1 Hermitian arguments and k directions")
@@ -468,7 +516,9 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
     n = shapes[0][-1]
     if any(s[-2:] != (n, n) for s in shapes):
         raise ValueError("dimension mismatch")
-    sds = [_spectral(a) for a in a_tuple]
+    a_objs, ai = _distinct(a_tuple)
+    b_objs, bi = _distinct(b_tuple)
+    sds = [_spectral(a) for a in a_objs]
     if k == 0:
         return op_function(f, sds[0])
     batch = np.broadcast_shapes(*(s[:-2] for s in shapes))
@@ -479,7 +529,9 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
 
     vecs = [flat(sd.snapped, (n,)) for sd in sds]
     us = [flat(sd.eigenvectors, (n, n)) for sd in sds]
-    bs = [flat(b, (n, n)) for b in b_tuple]
+    bs = [flat(b, (n, n)) for b in b_objs]
+    # each rotation U_m* b_m U_{m+1} by its distinct (a_m, b_m, a_{m+1})
+    rot_keys = [(ai[m], bi[m], ai[m + 1]) for m in range(k)]
     letters = "abcdefgh"[: k + 1]
     spec = "..." + letters + "," + ",".join(
         "..." + letters[m] + letters[m + 1] for m in range(k)
@@ -489,9 +541,13 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
     for lo in range(0, size, step):
         blk = slice(lo, lo + step)
         u = [x[blk] for x in us]
-        mids = [adjoint(u[m]) @ bs[m][blk] @ u[m + 1] for m in range(k)]
-        phi = divided_diff_grid(f, [v[blk] for v in vecs])
-        out[blk] = u[0] @ np.einsum(spec, phi, *mids) @ adjoint(u[-1])
+        rots = {key: adjoint(u[key[0]]) @ bs[key[1]][blk] @ u[key[2]]
+                for key in set(rot_keys)}
+        v = [x[blk] for x in vecs]
+        phi = divided_diff_grid(f, [v[i] for i in ai])
+        out[blk] = (u[ai[0]] @ np.einsum(spec, phi, *(rots[key]
+                                                     for key in rot_keys))
+                    @ adjoint(u[ai[-1]]))
     return out.reshape(batch + (n, n))
 
 

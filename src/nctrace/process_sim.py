@@ -12,10 +12,11 @@ array.  Each path draws from its own ``RngStream(seed, i)``, one window of
 increments at a time, and sums them onto the carried last point, so its
 bits do not depend on the chunk or block size.  The draws land in the
 window itself and are scattered from one ``[c, -c, 0]`` scratch of scaled
-coefficients; a window of wide rows (n^2 >= ``WIDE_ROW_ENTRIES``) is
-summed one grid point at a time, a narrow one with ``np.cumsum``.  The
-time-blocked studies walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time
-and never hold a whole path; a window that covers the whole path is what
+coefficients; a window of wide rows (n^2 >= ``WIDE_ROW_ENTRIES``, that
+is n >= 16) is summed one grid point at a time, a narrow one with
+``np.cumsum``, and the two give the same bits.  The time-blocked studies
+walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never hold a
+whole path; a window that covers the whole path is what
 ``simulate_hbm``, ``simulate_hbm_ensemble`` and ``hbm_chunks`` return.
 Windows are bitwise Hermitian by construction: the scatter writes
 conjugate entries from the same draws, and the sums keep the symmetry.
@@ -39,8 +40,9 @@ _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
 # The walk sums a window along time with one add per grid point once a
-# matrix has this many entries, and with np.cumsum below it (see _hbm_walk).
-WIDE_ROW_ENTRIES = 1024
+# matrix has this many entries (n >= 16), and with np.cumsum below it (see
+# _hbm_walk for the timings that set it).
+WIDE_ROW_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -327,14 +329,22 @@ def _hbm_walk(n: int, dts: np.ndarray, generators, block: int,
 
     A path's window is summed along time with ``np.cumsum`` while a matrix
     has fewer than ``WIDE_ROW_ENTRIES`` entries, and with one
-    ``np.add(prev, cur, out=cur)`` per grid point from then on.  Both add
-    the same numbers in the same order, so the bits agree.  ``np.cumsum``
-    runs down the time axis one entry at a time, which stops fitting the
-    caches as the rows grow: on a 101-point window (Intel Xeon, 2 MiB L2)
-    it took 0.92 ms at n = 32 and 3.9 ms at n = 64, against 0.31 and
-    0.80 ms for the per-point adds; at n = 8 it took 0.04 ms against 0.10,
-    and between n = 16 and 28 the two were within run-to-run noise of each
-    other."""
+    ``np.add(prev, cur, out=cur)`` per grid point from then on (n >= 16).
+    Both add the same numbers in the same order, so the bits agree.
+    ``np.cumsum`` runs down the time axis one entry at a time, which stops
+    fitting the caches as the rows grow.  Single-path (L, n, n) windows,
+    one BLAS thread, Intel Xeon with 2 MiB L2 per core, best of 7 (cumsum
+    / adds, ms):
+
+    ====  =============  =============  =============
+    n     L = 65         L = 101        L = 801
+    ====  =============  =============  =============
+    12    0.040 / 0.070  0.059 / 0.115  0.47 / 0.91
+    15    0.059 / 0.070  0.094 / 0.117  0.66 / 1.03
+    16    0.090 / 0.080  0.133 / 0.117  1.49 / 1.00
+    24    0.158 / 0.091  0.236 / 0.158  2.04 / 1.33
+    64    1.37 / 0.29    2.70 / 0.41    62.2 / 7.3
+    ====  =============  =============  ============="""
     T = len(dts) + 1
     # the windows of a blocked walk share one scratch; a whole-path window
     # has nothing to share it with, and makes and drops its own

@@ -1,6 +1,8 @@
 """CLI driver: subcommand behavior, config handling, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nctrace
 from nctrace.cli import main
@@ -457,3 +460,100 @@ def test_no_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+def test_eval_matrices_file_without_a_bindings_object_exits_2(tmp_path,
+                                                              capsys):
+    mats = tmp_path / "m.json"
+    for data in ([1, 2], "x", {"bindings": [1]}, {"bindings": None}, {}):
+        mats.write_text(json.dumps(data))
+        rc, _, err = run(capsys, "eval", "--expr", "x1",
+                         "--matrices", str(mats))
+        assert rc == 2 and "error" in err
+
+
+# -- robustness over edge inputs -------------------------------------------
+#
+# Every subcommand but selftest, crossed with edge values, must end in an
+# exit code of 0, 1 or 2 (argparse's SystemExit(2) included), let no other
+# exception out of main, and print a report that parses as JSON.
+
+_EDGE_FILES = {
+    "garbage.json": "{not json",
+    "list.json": "[1, 2]",
+    "empty.json": "{}",
+    "bindings_list.json": json.dumps({"bindings": [1]}),
+    "ragged.json": json.dumps({"bindings": {"1": [[1, 2], [3]]}}),
+    "n1.json": json.dumps({"bindings": {"1": [[2.0]]}}),
+    "n2.json": json.dumps({"bindings": {"1": [[1, 0], [0, 2]],
+                                        "2": [[0, 1], [1, 0]]}}),
+    # config values of the wrong JSON type
+    "seed_str.json": json.dumps({"seed": "0"}),
+    "paths_float.json": json.dumps({"paths": 1.5}),
+    "n_list.json": json.dumps({"n": [2]}),
+    "meshes_mixed.json": json.dumps({"meshes": [0.5, "x", 0.125]}),
+    "expr_int.json": json.dumps({"expr": 5}),
+}
+_CONFIGS = ["garbage.json", "list.json", "seed_str.json", "paths_float.json",
+            "n_list.json", "meshes_mixed.json", "expr_int.json"]
+_POLYS = ["0", "5", "x1'^2", "x1 x2"]
+# JSON reports are printed by these; diff and sim print text
+_REPORTING = {"eval", "qc", "ito", "bdg", "isometry", "esd"}
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("edges")
+    for name, text in _EDGE_FILES.items():
+        (d / name).write_text(text)
+    return d
+
+
+def _edge_argv(draw, cmd, d):
+    """An argv for ``cmd`` at n <= 3 with at most one fault: no paths, a
+    mesh that does not divide the horizon, or a bad config file."""
+    fault = draw(st.sampled_from([None, None, "paths", "mesh", "config"]))
+    n = ["--n", str(draw(st.sampled_from([1, 2, 3])))]
+    paths = ["--paths",
+             "0" if fault == "paths" else draw(st.sampled_from(["1", "2"]))]
+    mesh = ["--mesh",
+            "0.3" if fault == "mesh" else draw(st.sampled_from(["0.5",
+                                                                "0.25"]))]
+    meshes = ["--meshes",
+              "0.5,0.3,0.125" if fault == "mesh" else "0.5,0.25,0.125"]
+    poly = draw(st.sampled_from(_POLYS))
+    argv = {
+        "diff": ["--expr", poly] + draw(st.sampled_from(
+            [["--var", "x1"], ["--var", "x2"], ["--order", "2"]])),
+        "eval": ["--expr", poly, "--matrices", str(d / draw(st.sampled_from(
+            ["n1.json", "n2.json", "garbage.json", "list.json", "empty.json",
+             "bindings_list.json", "ragged.json"])))],
+        "sim": n + paths + mesh + ["--out", str(d / "path")],
+        "qc": n + paths + meshes,
+        "ito": ["--poly", poly] + n + paths + meshes,
+        "bdg": n + paths + mesh,
+        "isometry": n + paths + mesh + ["--expr", draw(st.sampled_from(
+            ["y1", "x1 y1"] + _POLYS))],
+        "esd": n,
+    }[cmd]
+    if fault == "config":
+        argv += ["--config", str(d / draw(st.sampled_from(_CONFIGS)))]
+    return [cmd] + argv
+
+
+# five examples for each of the eight subcommands
+@pytest.mark.parametrize("cmd", ["diff", "eval", "sim", "qc", "ito", "bdg",
+                                 "isometry", "esd"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_cli_survives_edge_inputs(edge_dir, cmd, data):
+    argv = _edge_argv(data.draw, cmd, edge_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    if rc != 2 and cmd in _REPORTING:
+        json.loads(out.getvalue())

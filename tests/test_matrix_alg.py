@@ -419,6 +419,82 @@ def test_moi_blocks_do_not_change_the_result(monkeypatch):
     assert_rel(moi(EXP, 2, (a, a, a), (b, b)), whole, rel=0)
 
 
+def test_moi_of_equal_copies_equals_moi_of_one_object():
+    # work shared by repeated argument objects gives the bits of the
+    # same work done once per slot
+    rng = np.random.default_rng(8)
+    a = mixed_stack(rng)
+    b = np.stack([rand_hermitian(6, rng) for _ in range(6)]).reshape(a.shape)
+    for f in (EXP, CUBIC):
+        for k in (1, 2):
+            shared = moi(f, k, (a,) * (k + 1), (b,) * k)
+            copies = moi(f, k, [a.copy() for _ in range(k + 1)],
+                         [b.copy() for _ in range(k)])
+            assert_rel(copies, shared, rel=0)
+            sd = spectral_data(a)
+            assert_rel(moi(f, k, (sd,) * (k + 1), (b,) * k), shared, rel=0)
+
+
+def test_same_node_second_divided_difference_matches_scalar():
+    # the b = c diagonal and the snapped triple read f^[1] from the table;
+    # the pair 1e-7 apart takes its own first divided difference
+    lam = spectral_data(mixed_stack(np.random.default_rng(9))).snapped
+    lam = lam.reshape(6, 6)
+    grid = divided_diff_grid(EXP, [lam, lam, lam])
+    for r, row in enumerate(lam):
+        for idx in np.ndindex(6, 6, 6):
+            want = divided_diff(EXP, [row[i] for i in idx])
+            assert grid[(r,) + idx] == pytest.approx(want, rel=1e-9)
+
+
+def _count_calls(monkeypatch, module, name):
+    """The output shape of each call of ``module.name`` (None for a tuple)."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(getattr(out, "shape", None))
+        return out
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_same_node_grid_builds_one_first_order_table_per_block(monkeypatch):
+    # mixed_stack without its pair 1e-7 apart: every close pair of nodes is
+    # an exact double, so all of f^[1] comes from the one table
+    a = np.delete(mixed_stack(np.random.default_rng(10)).reshape(6, 6, 6),
+                  2, axis=0)
+    b = np.stack([rand_hermitian(6) for _ in range(5)])
+    lam = spectral_data(a).snapped
+    calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd1")
+    divided_diff_grid(EXP, [lam, lam, lam])
+    assert calls == [(5, 6, 6)]
+    # 216 kernel entries per matrix: blocks of one matrix each
+    monkeypatch.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", 300)
+    calls.clear()
+    moi(EXP, 2, (a, a, a), (b, b))
+    assert calls == [(1, 6, 6)] * 5
+
+
+def test_moi_decomposes_and_rotates_each_distinct_argument_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    a = mixed_stack(rng)
+    b = np.stack([rand_hermitian(6, rng) for _ in range(6)]).reshape(a.shape)
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    moi(EXP, 1, (a, a), (b,))
+    assert len(eighs) == 1
+    # one adjoint per rotation U* b U, and one for the closing U*
+    sd = spectral_data(a)
+    adjoints = _count_calls(monkeypatch, matrix_alg, "adjoint")
+    moi(EXP, 2, (sd, sd, sd), (b, b))
+    assert len(adjoints) == 2
+    adjoints.clear()
+    moi(EXP, 2, (sd, sd, sd), (b, b.copy()))
+    assert len(adjoints) == 3
+
+
 def test_stack_with_one_non_hermitian_matrix_raises():
     a = mixed_stack(np.random.default_rng(6))
     a[1, 1, 0, 2] += 1e-6

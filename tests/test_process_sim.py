@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nctrace.matrix_alg
+from nctrace import process_sim
 from nctrace.matrix_alg import adjoint, hermitian_onb_array, trace_n
 from nctrace.process_sim import (
     WIDE_ROW_ENTRIES,
@@ -147,6 +148,18 @@ def test_window_walk_sums_like_cumsum(n, block):
         _hbm_increments_basis(n, dts, RngStream(29, i).generator, inc)
         want = np.concatenate([np.zeros((1, n, n)), np.cumsum(inc, axis=0)])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["basis", "entrywise"])
+def test_n16_whole_path_sums_alike_on_either_side_of_the_threshold(
+        method, monkeypatch):
+    # n = 16 has 256 entries: the smallest n summed one grid point at a time
+    grid = TimeGrid.uniform(1.0, 40)
+    walks = []
+    for threshold in (16 * 16, 16 * 16 + 1):
+        monkeypatch.setattr(process_sim, "WIDE_ROW_ENTRIES", threshold)
+        walks.append(simulate_hbm(16, grid, RngStream(31, 2), method).values)
+    assert walks[0].tobytes() == walks[1].tobytes()
 
 
 def test_entrywise_walks_whole_paths_only():
