@@ -7,36 +7,38 @@ broadcast over leading batch axes, so an ensemble of paths evaluates in
 one call; each trace factor reduces to one tr_n per leading index, never
 averaged across paths or times.
 
-Each polynomial is compiled once into a straight-line plan
-(``compile_plan``, cached by the polynomial).  The plan computes each
-letter power and each shared word prefix once, evaluates each distinct
-trace factor once as an n^2 contraction tr_n(AB) rather than a product,
-adds letterless terms on the diagonal only, skips the multiply for
-coefficient 1, and accumulates every term in place into one output
-buffer, dropping each intermediate after its last use.  Results are new
-arrays, never views of the bindings; products and outputs are made with
-``buffers.empty``, so within a blocked study they reuse recycled buffers.
+Every evaluation runs one compiled plan (``compile_plan``, cached by its
+argument list).  A plan computes one or more sinks, each a sum of
+polynomials, on one shared register file: it computes each letter power
+and each shared word prefix once, evaluates each distinct trace factor
+once as an n^2 contraction tr_n(AB) rather than a product, adds letterless
+terms on the diagonal only, skips the multiply for coefficient 1, and
+accumulates every term in place into its sink's buffer, dropping each
+intermediate after its last use.  Results are new arrays, never views of
+the bindings; products and outputs are made with ``buffers.empty``, so
+within a blocked study they reuse recycled buffers.  ``eval_poly`` and
+``eval_multilinear`` run a one-sink plan.
 
-``eval_step_block`` serves the Ito studies with one plan per block
-(``compile_step_plan``) and two outputs: P at the L points of a path window
-and step[dX] + timed * dt at its L - 1 left endpoints.  x1 is bound once
-to the window; a letter power made there is read on the left endpoints
-through the view [..., :-1], so x1^2 and each trace factor are made once
-per grid time for P, dP and the correction together.  Evaluation is a
-*-homomorphism, which the step plan uses: when the window equals its
-adjoint bitwise (as every Hermitian Brownian path does) and the
-polynomials of an output are self-adjoint on Hermitian letters
+``eval_step_block`` serves the Ito studies with one two-sink plan per
+block: P at the L points of a path window and step[dX] + timed * dt at its
+L - 1 left endpoints.  The plan has one time axis: x1 is bound to the L
+points, and the increment and dt are padded with one zero step at the end,
+so x1^2 and each trace factor are made once per grid time for P, dP and
+the correction together, and the padded step's terms are dropped at the
+end.  Evaluation is a *-homomorphism, which the plan uses: when the
+bindings equal their adjoints bitwise (as every Hermitian Brownian path
+does) and the polynomials of a sink are self-adjoint on Hermitian letters
 (``trace_poly.is_self_adjoint``), each term w comes with its adjoint w*.
 The blocked studies pass that verdict for their walks' windows, which are
 Hermitian by construction; other callers have the window compared with its
 adjoint.
-Such an output takes one product per pair {w, w*}: the plan sums one
-term of each pair, plus half of each term with w = w*, into a half H and
-returns H + H^H.  For d(x1^4)[dX] that is A + A^H + B + B^H with
-A = X^3 dX and B = X^2 dX X, and x1^4 takes 6 products per grid time
-where its three separate plans took 11.  Any other output (a polynomial
-that is not self-adjoint, non-Hermitian bindings, or no pair to share)
-keeps the unpaired terms.
+Such a sink takes one product per pair {w, w*}: the plan sums one term of
+each pair, plus half of each term with w = w*, into a half H and returns
+H + H^H.  For d(x1^4)[dX] that is A + A^H + B + B^H with A = X^3 dX and
+B = X^2 dX X, and x1^4 takes 6 products per grid time where its three
+separate plans took 11.  Any other sink (a polynomial that is not
+self-adjoint, non-Hermitian bindings, or no pair to share) keeps the
+unpaired terms.
 """
 
 from __future__ import annotations
@@ -112,14 +114,11 @@ def _slot_matrix(letter, y_bindings, n):
 #
 # A plan is a straight line of steps over a register file.  Each step is
 # (op, dest, args, frees): it writes register ``dest`` and then clears the
-# registers in ``frees``, whose last use it was.  A register read is a
-# (register, cut) pair.  In a step plan the letter powers live on all L
-# points of the window and whatever is made with the increment lives on its
-# L - 1 left endpoints, so a left-endpoint step reads a window register
-# through ``cut``, the view [..., :-1] of its time axis; cut is None
-# everywhere else.
+# registers in ``frees``, whose last use it was.  Every register and every
+# sink lives on the same points (a step plan's window pads its increment
+# with a zero step, see ``eval_step_block``).
 #   "leaf"  args = (letter,)              the bound matrix, adjoint if starred
-#   "dt"    args = ()                     the step lengths (step plans only)
+#   "dt"    args = ()                     the step lengths
 #   "mul"   args = (a, b)                 a @ b
 #   "trace" args = (a, b)                 tr_n(a b) by an n^2 contraction;
 #                                         b is None for tr_n(a)
@@ -130,21 +129,15 @@ def _slot_matrix(letter, y_bindings, n):
 #                                         half H instead, and a sink with a
 #                                         half ends as H + H^H
 
-_CUT_MATRIX = (Ellipsis, slice(None, -1), slice(None), slice(None))
-_CUT_SCALAR = (Ellipsis, slice(None, -1))
-
 
 @dataclass(frozen=True)
 class Plan:
-    """A trace polynomial, or a step plan's polynomials, compiled into
-    straight-line steps writing ``sinks`` results."""
+    """Trace polynomials compiled into straight-line steps writing
+    ``sinks`` results."""
 
     steps: tuple
     registers: int
-    has_slots: bool
-    sinks: int = 1
-    # step plans: P, the step symbol and the timed symbol are self-adjoint
-    self_adjoint: bool = False
+    sinks: int
 
     @property
     def matmuls(self) -> int:
@@ -152,12 +145,9 @@ class Plan:
 
 
 class _Compiler:
-    def __init__(self, left_sinks=()):
+    def __init__(self):
         self.steps: list = []  # (op, dest, args, registers read)
         self.nodes: dict = {}  # (op, args) -> register
-        self.left_sinks = frozenset(left_sinks)  # sinks on left endpoints
-        self.left: set = set()  # registers on left endpoints
-        self.scalars: set = set()  # registers holding tr_n values or dt
 
     def _node(self, op, args, reads=()):
         key = (op, args)
@@ -165,12 +155,6 @@ class _Compiler:
         if reg is None:
             reg = self.nodes[key] = len(self.nodes)
             self.steps.append((op, reg, args, reads))
-            if op in ("trace", "dt"):
-                self.scalars.add(reg)
-            if self.left_sinks and (
-                    op == "dt" or (op == "leaf" and args[0].family == "y")
-                    or not self.left.isdisjoint(reads)):
-                self.left.add(reg)
         return reg
 
     def _mul(self, a, b):
@@ -206,7 +190,7 @@ class _Compiler:
         a, b = self._split(word)
         return self._node("trace", (a, b), (a, b))
 
-    def term(self, coeff, traces, outer, sink=0, timed=False, half=False):
+    def term(self, coeff, traces, outer, sink, timed, half):
         c = complex(coeff)
         c = None if c == 1 else (c.real if c.imag == 0 else c)
         scalars = tuple(self.trace(w) for w in traces if w)  # tr(1) = 1
@@ -216,45 +200,14 @@ class _Compiler:
         reads = scalars + (() if reg is None else (reg,))
         self.steps.append(("term", sink, (c, scalars, reg, half), reads))
 
-    def _read(self, reg, left):
-        """How a step on the left endpoints (``left``) or on the whole
-        window reads ``reg``."""
-        if reg is None:
-            return None
-        cut = None
-        if left and reg not in self.left:
-            cut = _CUT_SCALAR if reg in self.scalars else _CUT_MATRIX
-        return reg, cut
-
-    def _reads(self, op, dest, args):
-        if op in ("mul", "trace"):
-            return tuple(self._read(r, dest in self.left) for r in args)
-        if op == "term":
-            c, scalars, a, half = args
-            left = dest in self.left_sinks
-            return (c, tuple(self._read(r, left) for r in scalars),
-                    self._read(a, left), half)
-        return args
-
-    def finish(self, has_slots, sinks=1, self_adjoint=False) -> Plan:
+    def finish(self, sinks) -> Plan:
         # walking backwards, a read not seen yet is the register's last use
         seen: set = set()
         steps = []
         for op, dest, args, reads in reversed(self.steps):
-            steps.append((op, dest, self._reads(op, dest, args),
-                          tuple(sorted(set(reads) - seen))))
+            steps.append((op, dest, args, tuple(sorted(set(reads) - seen))))
             seen.update(reads)
-        return Plan(tuple(reversed(steps)), len(self.nodes), has_slots,
-                    sinks, self_adjoint)
-
-
-@functools.lru_cache(maxsize=512)
-def compile_plan(P: TracePolynomial) -> Plan:
-    """The evaluation plan of ``P``, compiled once per polynomial."""
-    comp = _Compiler()
-    for coeff, traces, outer in P.term_list():
-        comp.term(coeff, traces, outer)
-    return comp.finish(bool(P.slots_used()))
+        return Plan(tuple(reversed(steps)), len(self.nodes), sinks)
 
 
 def _adjoint_key(traces, outer):
@@ -289,20 +242,20 @@ def _sink_terms(pieces, hermitian):
 
 
 @functools.lru_cache(maxsize=512)
-def compile_step_plan(P: TracePolynomial, step: TracePolynomial,
-                      timed: TracePolynomial, hermitian: bool) -> Plan:
-    """One plan for ``eval_step_block``: sink 0 is P on the window's points,
-    sink 1 is step + timed * dt on its left endpoints.  ``hermitian`` says
-    the bindings are Hermitian, which lets self-adjoint sinks pair their
-    terms with their adjoints (``_sink_terms``)."""
-    comp = _Compiler(left_sinks=(1,))
-    sinks = ([(P, False)], [(step, False), (timed, True)])
+def compile_plan(*sinks, hermitian: bool = False) -> Plan:
+    """One plan computing every sink, compiled once per argument list.
+
+    A sink is a tuple of (polynomial, timed) pieces and computes their sum,
+    a timed piece multiplied by the step lengths dt; all sinks share their
+    registers.  ``hermitian`` says the bindings are Hermitian, which lets
+    self-adjoint sinks pair their terms with their adjoints
+    (``_sink_terms``)."""
+    comp = _Compiler()
     for sink, pieces in enumerate(sinks):
-        for coeff, traces, outer, in_dt, half in _sink_terms(pieces,
-                                                              hermitian):
-            comp.term(coeff, traces, outer, sink, in_dt, half)
-    return comp.finish(bool(step.slots_used()), len(sinks),
-                       all(map(is_self_adjoint, (P, step, timed))))
+        for coeff, traces, outer, timed, half in _sink_terms(pieces,
+                                                             hermitian):
+            comp.term(coeff, traces, outer, sink, timed, half)
+    return comp.finish(len(sinks))
 
 
 def _leaf(letter, ctx: EvalContext, y_bindings) -> np.ndarray:
@@ -342,11 +295,6 @@ def _accumulate(out, m, s, mine, shape):
     return out
 
 
-def _get(regs, read):
-    reg, cut = read
-    return regs[reg] if cut is None else regs[reg][cut]
-
-
 def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     """Run ``plan``: ``leaf(letter)`` is a letter's bound matrix, ``dts``
     the step lengths and ``shapes[k]`` the shape of sink k."""
@@ -356,7 +304,7 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     halves: list = [None] * plan.sinks
     for op, dest, args, frees in plan.steps:
         if op == "mul":
-            a, b = _get(regs, args[0]), _get(regs, args[1])
+            a, b = regs[args[0]], regs[args[1]]
             shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
             regs[dest] = np.matmul(a, b, out=buffers.empty(
                 shape + (a.shape[-2], b.shape[-1])))
@@ -364,10 +312,9 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
         elif op == "trace":
             a, b = args
             if b is None:
-                val = np.trace(_get(regs, a), axis1=-2, axis2=-1)
+                val = np.trace(regs[a], axis1=-2, axis2=-1)
             else:
-                val = np.einsum("...ij,...ji->...", _get(regs, a),
-                                _get(regs, b))
+                val = np.einsum("...ij,...ji->...", regs[a], regs[b])
             regs[dest] = val / n
         elif op == "leaf":
             regs[dest] = leaf(args[0])
@@ -378,16 +325,15 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
             acc = halves if half else outs
             s = coeff
             for r in scalars:
-                s = _get(regs, r) if s is None else s * _get(regs, r)
+                s = regs[r] if s is None else s * regs[r]
             if a is None:
                 if acc[dest] is None:
                     acc[dest] = buffers.zeros(shapes[dest])
                 diag = np.einsum("...ii->...i", acc[dest])  # a writable view
                 diag += 1 if s is None else np.asarray(s)[..., None]
             else:
-                acc[dest] = _accumulate(acc[dest], _get(regs, a), s,
-                                        owned[a[0]] and a[0] in frees,
-                                        shapes[dest])
+                acc[dest] = _accumulate(acc[dest], regs[a], s,
+                                        owned[a] and a in frees, shapes[dest])
         for r in frees:
             regs[r] = None
     for k, half in enumerate(halves):
@@ -399,19 +345,20 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
             for out, shape in zip(outs, shapes)]
 
 
-def _run_bound(plan: Plan, ctx: EvalContext, y_bindings) -> np.ndarray:
+def _run_bound(P: TracePolynomial, ctx: EvalContext,
+               y_bindings) -> np.ndarray:
     shape = _batch_shape(ctx, y_bindings) + (ctx.n, ctx.n)
-    (out,) = _run(plan, lambda letter: _leaf(letter, ctx, y_bindings),
-                  [shape], ctx.n)
+    (out,) = _run(compile_plan(((P, False),)),
+                  lambda letter: _leaf(letter, ctx, y_bindings), [shape],
+                  ctx.n)
     return out
 
 
 def eval_poly(P: TracePolynomial, ctx: EvalContext) -> np.ndarray:
     """Evaluate a slot-free trace polynomial as a matrix (batched)."""
-    plan = compile_plan(P)
-    if plan.has_slots:
+    if P.slots_used():
         raise EvalError("eval_poly input must not contain slot letters")
-    return _run_bound(plan, ctx, None)
+    return _run_bound(P, ctx, None)
 
 
 def eval_multilinear(P: TracePolynomial, ctx: EvalContext,
@@ -421,7 +368,7 @@ def eval_multilinear(P: TracePolynomial, ctx: EvalContext,
     ``y_bindings[j-1]`` is the matrix for slot j, or a sequence of
     matrices when the slot carries coordinates.
     """
-    return _run_bound(compile_plan(P), ctx, y_bindings)
+    return _run_bound(P, ctx, y_bindings)
 
 
 def eval_step_block(P: TracePolynomial, step: TracePolynomial,
@@ -430,21 +377,23 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
     """P at the points of a path window and step[dX] + timed * dt on its
     steps, from one plan.
 
-    ``window`` is (..., L, n, n): x1 is bound to its L points, y1 to the
-    L - 1 increments window[j+1] - window[j] and dt to ``dts``, the L - 1
-    step lengths; P and ``timed`` are in x1 only, ``step`` in x1 and y1.
-    ``hermitian`` says whether the window equals its adjoint bitwise; when
-    it is None, as for any window not known to be Hermitian by
-    construction, the window is compared with its adjoint.
-    Returns (P, terms, hermitian): P at each point (..., L, n, n), the terms
-    at each left endpoint (..., L - 1, n, n), and whether both are
-    Hermitian, which holds when the window is and all three polynomials
-    are self-adjoint (``is_self_adjoint``).
+    ``window`` is (..., L, n, n) and ``dts`` its L - 1 step lengths; P and
+    ``timed`` are in x1 only, ``step`` in x1 and y1.  x1 is bound to the L
+    points, y1 to the L - 1 increments window[j+1] - window[j] followed by
+    one zero step, and dt to ``dts`` followed by 0, so every register of the
+    plan lives on the L points; the padded last step's terms are dropped.
+    ``hermitian`` says whether the window equals its adjoint bitwise, which
+    lets self-adjoint sinks pair their terms; when it is None, as for any
+    window not known to be Hermitian by construction, the window is
+    compared with its adjoint.
+    Returns (P, terms): P at each point (..., L, n, n) and the terms at
+    each left endpoint (..., L - 1, n, n).
     """
     window = np.asarray(window, dtype=complex)
     if hermitian is None:
         hermitian = np.array_equal(window, adjoint(window))
-    plan = compile_step_plan(P, step, timed, hermitian)
+    plan = compile_plan(((P, False),), ((step, False), (timed, True)),
+                        hermitian=bool(hermitian))
 
     def leaf(letter):
         if letter.family == "x":
@@ -453,13 +402,14 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
             m = window
         elif letter.index == 1 and letter.coord == 1:
             # made here, so the register file frees it after its last use
-            m = np.subtract(window[..., 1:, :, :], window[..., :-1, :, :],
-                            out=buffers.empty(dx_shape))
+            m = buffers.empty(window.shape)
+            np.subtract(window[..., 1:, :, :], window[..., :-1, :, :],
+                        out=m[..., :-1, :, :])
+            m[..., -1, :, :] = 0
         else:
             raise EvalError(f"slot y{letter.index} is not bound")
         return adjoint(m) if letter.star else m
 
-    *batch, L, n, _ = window.shape
-    dx_shape = (*batch, L - 1, n, n)
-    p, terms = _run(plan, leaf, [window.shape, dx_shape], n, dts)
-    return p, terms, hermitian and plan.self_adjoint
+    p, terms = _run(plan, leaf, [window.shape] * 2, window.shape[-1],
+                    np.append(dts, 0.0))
+    return p, terms[..., :-1, :, :]

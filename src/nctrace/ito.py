@@ -15,14 +15,16 @@ own carried sum and P(X_0) and reduces its residual block there.  So no
 (paths, T, n, n) array is made, and the blocks' arrays come from recycled
 buffers (``buffers``).  ``ito_residual_path`` is the one-window case of the
 same code.  Each block is one ``evaluator.eval_step_block`` call, which
-makes P, dP[dX] and the second-order term from one plan.  The driver is
-self-adjoint, so x1' is read as x1.  The walk's windows are bitwise
-Hermitian by construction, so the studies give the evaluator that verdict;
-``ito_residual_path`` has it compare the path with its adjoint.  On a
-Hermitian path with P self-adjoint, the residual is Hermitian and is
-reduced with ``l1_trace_norms(..., hermitian=True)``, skipping the
-reducer's per-matrix Hermitian test; every other residual, and the
-scalar-function route, keeps the tested reducer.
+makes P, dP[dX] and the second-order term from one plan on the window's
+time axis.  The driver is self-adjoint, so x1' is read as x1.  The walk's
+windows are bitwise Hermitian by construction, so the studies give the
+evaluator that verdict; ``ito_residual_path`` has it compare the path with
+its adjoint.  On a Hermitian path, a polynomial whose step symbols are all
+self-adjoint (``trace_poly.is_self_adjoint``, worked out once per study)
+has a Hermitian residual, which the study reduces with
+``l1_trace_norms(..., hermitian=True)``, skipping the reducer's per-matrix
+Hermitian test; every other residual, and the scalar-function route, keeps
+the tested reducer.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .trace_poly import (
     derive_k,
     gamma_contract,
     hermitian_form,
+    is_self_adjoint,
     relabel_slot,
 )
 from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
@@ -89,40 +92,38 @@ def _step_symbols(P: TracePolynomial, model: ContractionModel,
     return P, dP + d2P.scale(_HALF), TracePolynomial.zero()
 
 
-def _residual_blocks(polys, windows, grid: TimeGrid,
-                     model: ContractionModel, second_order: str,
+def _residual_blocks(symbols, windows, grid: TimeGrid,
                      hermitian: bool | None = None):
-    """An iterator over (i0, i1, k, res, hermitian), for each of the
-    ``carried_sums`` windows of one path chunk and each polynomial
-    ``polys[k]`` in turn: res is shaped (..., i1 - i0, n, n), P(X) - P(X_0)
-    on the block minus the carried sums of dP[dX] plus the correction times
-    dt ("contracted") or plus 1/2 d2P[dX, dX] ("quadratic"), and
-    ``hermitian`` is the evaluator's verdict that res is Hermitian.  One
-    ``eval_step_block`` plan per polynomial and window makes P, dP and the
-    second-order term, when the caller asks for that polynomial's block;
-    the ``hermitian`` argument says whether the windows are Hermitian, None
-    to have the evaluator compare each with its adjoint."""
-    symbols = [_step_symbols(P, model, second_order) for P in polys]
+    """An iterator over (i0, i1, k, res), for each of the ``carried_sums``
+    windows of one path chunk and each polynomial's step symbols
+    ``symbols[k]`` (``_step_symbols``) in turn: res is shaped
+    (..., i1 - i0, n, n), P(X) - P(X_0) on the block minus the carried sums
+    of dP[dX] plus the correction times dt ("contracted") or plus
+    1/2 d2P[dX, dX] ("quadratic").  One ``eval_step_block`` plan per
+    polynomial and window makes P, dP and the second-order term, when the
+    caller asks for that polynomial's block; the ``hermitian`` argument
+    says whether the windows are Hermitian, None to have the evaluator
+    compare each with its adjoint."""
     dts = np.diff(grid.times)
 
     # map, not a generator: a generator's locals would keep the last
     # block's arrays alive while the next one is made
     def block_terms(window, steps):
         def one(sym):
-            p, terms, h = eval_step_block(*sym, window, dts[steps], hermitian)
-            return terms, (p, h)
+            p, terms = eval_step_block(*sym, window, dts[steps], hermitian)
+            return terms, p
         return map(one, symbols)
 
     p0 = {}
 
     def residual(block):
-        i0, i1, k, sums, (p, h) = block
+        i0, i1, k, sums, p = block
         res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
         if not i0:
             p0[k] = res[..., :1, :, :].copy()
         res -= p0[k]
         res -= sums
-        return i0, i1, k, res, h
+        return i0, i1, k, res
 
     return map(residual, carried_sums(windows, block_terms))
 
@@ -138,8 +139,8 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     one-window case of the studies' time-blocked residual.
     """
     window = (0, values.shape[-3], values)
-    ((_, _, _, res, _),) = _residual_blocks([P], [window], grid, model,
-                                            second_order)
+    ((_, _, _, res),) = _residual_blocks(
+        [_step_symbols(P, model, second_order)], [window], grid)
     return res
 
 
@@ -195,15 +196,18 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     each window feeds every polynomial, whose residual block is reduced
     there.  The walk's windows are Hermitian by construction, so the
     evaluator takes that verdict without comparing them with their
-    adjoints."""
+    adjoints, and a polynomial whose step symbols are all self-adjoint has
+    Hermitian residuals."""
+    symbols = [_step_symbols(P, model, second_order) for P in polys]
+    hermitian = [all(map(is_self_adjoint, sym)) for sym in symbols]
     acc = np.zeros((len(polys), len(grid.times)))
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
         for windows in hbm_windows(n, grid, paths, seed, chunk,
                                    STUDY_TIME_BLOCK):
-            for i0, i1, k, res, hermitian in _residual_blocks(
-                    polys, windows, grid, model, second_order, True):
+            for i0, i1, k, res in _residual_blocks(symbols, windows, grid,
+                                                   True):
                 acc[k, i0:i1] += np.sum(
-                    l1_trace_norms(res, hermitian=hermitian), axis=0)
+                    l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
                 del res  # so the next block can reuse its buffer
     return [float(np.max(row / paths)) for row in acc]
 

@@ -17,11 +17,14 @@ is n >= 16) is summed one grid point at a time, a narrow one with
 ``np.cumsum``, and the two give the same bits.  The time-blocked studies
 walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never hold a
 whole path; a window that covers the whole path is what
-``simulate_hbm``, ``simulate_hbm_ensemble`` and ``hbm_chunks`` return.
+``simulate_hbm`` and ``simulate_hbm_ensemble`` return, and what
+``hbm_windows`` yields with no block.
 Windows are bitwise Hermitian by construction: the scatter writes
 conjugate entries from the same draws, and the sums keep the symmetry.
 The entrywise sampler draws a whole path's diagonal before its
-off-diagonal entries, so it walks whole paths only.
+off-diagonal entries, so it walks whole paths only; it lays its scaled
+draws out as the basis coefficients are and goes through the same
+scatter.
 """
 
 from __future__ import annotations
@@ -247,44 +250,17 @@ def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
     np.take(src, index, axis=1, out=flat, mode="clip")
 
 
-_ENTRYWISE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _entrywise_scatter(n: int) -> np.ndarray:
-    """Per-n map from the entrywise sampler's draws to matrix entries.
-
-    A step's row is ``[d, a, b, -b, 0]``: the n scaled diagonal draws d,
-    then for each k < l (in ``triu_indices`` order) the scaled real parts a
-    and imaginary parts b.  Entry (k, l) is a + ib, (l, k) is a - ib and the
-    diagonal is real; columns ``index[2p]`` and ``index[2p + 1]`` of the row
-    give the real and imaginary parts of flat entry p."""
-    cached = _ENTRYWISE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    m = n * (n - 1) // 2
-    zero = n + 3 * m
-    re = np.empty((n, n), dtype=np.intp)
-    im = np.full((n, n), zero, dtype=np.intp)
-    d = np.arange(n)
-    re[d, d] = d
-    k, l = np.triu_indices(n, k=1)
-    pair = np.arange(m)
-    re[k, l] = re[l, k] = n + pair
-    im[k, l] = n + m + pair
-    im[l, k] = n + 2 * m + pair
-    index = np.stack([re, im], axis=-1).ravel()
-    index.setflags(write=False)
-    cached = _ENTRYWISE_CACHE[n] = index
-    return cached
-
-
 def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
     """Write GUE Brownian increments scaled by 1/sqrt(n) into ``out``
     (C-contiguous (steps, n, n)): the off-diagonal (re + i im)/sqrt(2)
     and the diagonal of standard normal draws, times sqrt(dt).  The draws
     are scaled by multiplying with 1/sqrt(2) and 1/sqrt(n), which rounds as
-    NumPy's division of a complex array by a real scalar does."""
-    steps = len(dts)
+    NumPy's division of a complex array by a real scalar does.  They are
+    laid out as the basis coefficients are, the diagonal d and then
+    (a, -b) for each k < l, so that ``_basis_scatter`` writes d, a + ib at
+    (k, l) and a - ib at (l, k); -b is scaled from -1/sqrt(2), so its
+    negation is b exactly."""
+    steps, nn = len(dts), n * n
     sd = np.sqrt(dts)[:, None]
     rn = 1.0 / np.sqrt(n)
     r2 = 1.0 / np.sqrt(2.0)
@@ -292,17 +268,16 @@ def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
     re = rng.standard_normal((steps, n, n))
     im = rng.standard_normal((steps, n, n))
     k, l = np.triu_indices(n, k=1)
-    m = len(k)
-    src = np.empty((steps, n + 3 * m + 1))
+    src = np.empty((steps, 2 * nn + 1))
     np.multiply(diag, sd, out=src[:, :n])
-    np.multiply(re[:, k, l], r2, out=src[:, n:n + m])
-    np.multiply(im[:, k, l], r2, out=src[:, n + m:n + 2 * m])
-    src[:, n:n + 2 * m] *= sd
-    src[:, :n + 2 * m] *= rn
-    np.negative(src[:, n + m:n + 2 * m], out=src[:, n + 2 * m:n + 3 * m])
+    np.multiply(re[:, k, l], r2, out=src[:, n:nn:2])
+    np.multiply(im[:, k, l], -r2, out=src[:, n + 1:nn:2])
+    src[:, n:nn] *= sd
+    src[:, :nn] *= rn
+    np.negative(src[:, :nn], out=src[:, nn:2 * nn])
     src[:, -1] = 0
-    flat = out.view(np.float64).reshape(steps, 2 * n * n)
-    np.take(src, _entrywise_scatter(n), axis=1, out=flat, mode="clip")
+    flat = out.view(np.float64).reshape(steps, 2 * nn)
+    np.take(src, _basis_scatter(n)[1], axis=1, out=flat, mode="clip")
 
 
 def _check_hbm_args(n: int, method: str) -> None:
@@ -425,22 +400,14 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
     )
 
 
-def hbm_chunks(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
-               method: str = "basis") -> Iterator[np.ndarray]:
-    """HBM paths 0..n_paths-1 as (count, T, n, n) value chunks of at most
-    ``chunk`` paths: the whole-path windows of ``hbm_windows``."""
-    for windows in hbm_windows(n, grid, n_paths, seed, chunk, None, method):
-        ((_, _, values),) = windows
-        yield values
-
-
 def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
                           method: str = "basis") -> Ensemble:
     """Independent HBM paths; path i uses the stream keyed (seed, i), so
     the result is identical no matter how generation is scheduled."""
     empty = np.empty((0, len(grid.times), n, n), dtype=complex)
-    values = next(hbm_chunks(n, grid, n_paths, seed, max(n_paths, 1), method),
-                  empty)
+    # every path in one chunk, walked as one whole-path window
+    values = next((values for ((_, _, values),) in hbm_windows(
+        n, grid, n_paths, seed, max(n_paths, 1), method=method)), empty)
     return Ensemble(grid, values, "martingale", seed_info=(seed, method))
 
 

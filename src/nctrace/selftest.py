@@ -34,7 +34,7 @@ from .process_sim import (
     RngStream,
     TimeGrid,
     _hbm_increments_basis,
-    hbm_chunks,
+    hbm_windows,
     kappa_estimate,
     make_fv,
     simulate_hbm,
@@ -386,7 +386,7 @@ def check_substitution_qcsi(seed: int) -> dict:
     L = BoundTriprocess(parse("y1 y2"), grid, n)
     worst_sub = 0.0
     worst_qcsi = 0.0
-    for vals in hbm_chunks(n, grid, paths, seed * 29 + 12, chunk):
+    for ((_, _, vals),) in hbm_windows(n, grid, paths, seed * 29 + 12, chunk):
         rep = substitution_check(H, K, vals, params)
         worst_sub = max(worst_sub, rep["l1_gap"])
         rep2 = qc_of_integrals_check(H, K2, L, vals, vals, 1.0, params)

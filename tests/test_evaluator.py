@@ -10,8 +10,9 @@ from nctrace import ContractionModel, parse
 from nctrace.evaluator import (
     EvalContext,
     EvalError,
+    _leaf,
+    _run,
     compile_plan,
-    compile_step_plan,
     eval_multilinear,
     eval_poly,
     eval_step_block,
@@ -249,18 +250,20 @@ def test_plan_matches_the_term_by_term_reference(P, n, seed):
 
 def test_plan_is_compiled_once_per_polynomial():
     P = parse("x1^4 + 2 tr(x1^2) x1 - 3")
-    plan = compile_plan(P)
+    plan = compile_plan(((P, False),))
     # an equal polynomial built another way gets the cached plan
-    assert compile_plan(parse("-3 + 2 tr(x1 x1) x1 + x1 x1 x1 x1")) is plan
+    Q = parse("-3 + 2 tr(x1 x1) x1 + x1 x1 x1 x1")
+    assert compile_plan(((Q, False),)) is plan
 
 
 def test_plan_shares_powers_and_prefixes():
     # the derivative symbol of x1^4: x1^2 and x1^3 are computed once, so
     # its four words take 8 matrix products, not 12
-    plan = compile_plan(parse("x1^3 y1 + x1^2 y1 x1 + x1 y1 x1^2 + y1 x1^3"))
+    dP = parse("x1^3 y1 + x1^2 y1 x1 + x1 y1 x1^2 + y1 x1^3")
+    plan = compile_plan(((dP, False),))
     assert sum(op == "mul" for op, *_ in plan.steps) == 8
     # a trace of two factors is a contraction, not a product
-    plan = compile_plan(parse("tr(x1 y1) x1"))
+    plan = compile_plan(((parse("tr(x1 y1) x1"), False),))
     assert not any(op == "mul" for op, *_ in plan.steps)
 
 
@@ -270,6 +273,27 @@ def test_plan_result_is_a_new_array():
         got = eval_poly(parse(text), ctx_of(a))
         assert not np.shares_memory(got, a)
         got += 1  # writable
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plan_polys(), _plan_polys(), st.sampled_from([1, 2, 3]),
+       st.integers(0, 2**32 - 1))
+def test_two_sink_plan_gives_each_one_sink_plans_bits(P, Q, n, seed):
+    # the sinks share registers, yet each sums its own terms in its own
+    # order, so it gives the bits of its one-sink plan
+    rng = np.random.default_rng(seed)
+
+    def mats(*batch):
+        shape = batch + (n, n)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    ctx = EvalContext(n, {1: mats(2, 3), 2: mats(3)})
+    y_bindings = [(mats(2, 1), mats(1, 3)), mats(3)]
+    shape = (2, 3, n, n)
+    both = _run(compile_plan(((P, False),), ((Q, False),)),
+                lambda letter: _leaf(letter, ctx, y_bindings), [shape] * 2, n)
+    for got, R in zip(both, (P, Q)):
+        assert got.tobytes() == eval_multilinear(R, ctx, y_bindings).tobytes()
 
 
 # -- the step plan against the term-by-term reference -------------------------
@@ -302,6 +326,12 @@ def _step_reference(P, step, timed, window, dts):
     return p, s + t * dts[:, None, None], p_scale, s_scale + t_scale
 
 
+def _step_plan(P, step, timed, hermitian):
+    """The plan ``eval_step_block`` runs."""
+    return compile_plan(((P, False),), ((step, False), (timed, True)),
+                        hermitian=hermitian)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_step_polys(_X1), _step_polys(_STEP_LETTERS), _step_polys(_X1),
        st.booleans(), st.booleans(), st.sampled_from([1, 2, 3]),
@@ -318,16 +348,14 @@ def test_step_plan_matches_the_term_by_term_reference(P, step, timed,
         window = (window + adjoint(window)) / 2
     assert np.array_equal(window, adjoint(window)) == herm
     dts = rng.uniform(0.1, 1.0, size=points - 1)
-    p, terms, hermitian = eval_step_block(P, step, timed, window, dts)
+    p, terms = eval_step_block(P, step, timed, window, dts)
     want_p, want_t, p_scale, t_scale = _step_reference(P, step, timed,
                                                        window, dts)
     assert p.shape == want_p.shape and terms.shape == want_t.shape
     assert np.max(np.abs(p - want_p)) <= 1e-12 * p_scale
     assert np.max(np.abs(terms - want_t)) <= 1e-12 * t_scale
     assert not np.shares_memory(p, window)
-    assert hermitian == (herm and all(map(is_self_adjoint,
-                                          (P, step, timed))))
-    plan = compile_step_plan(P, step, timed, herm)
+    plan = _step_plan(P, step, timed, herm)
     # terms are paired only on Hermitian bindings and self-adjoint symbols
     halves = {dest for op, dest, args, _ in plan.steps
               if op == "term" and args[-1]}
@@ -344,32 +372,32 @@ def test_step_plan_pairs_only_self_adjoint_sinks():
     for text, paired in (("x1^4", True), ("x1 + i x1^2", False)):
         P = parse(text)
         dP, correction = ito_rhs_symbolic(P, model)
-        plan = compile_step_plan(P, dP, correction, True)
+        plan = _step_plan(P, dP, correction, True)
         halves = [args[-1] for op, _, args, _ in plan.steps if op == "term"]
         assert any(halves) == paired, text
 
 
 def test_step_plan_for_x1_to_the_fourth_takes_6_products_per_grid_time():
     # P = x1^4, dP[dX] and the correction share x1^2; x1^2, x1^4 and x1^3
-    # are made once on the window's points and read on the left endpoints
-    # through views.  Unpaired: X^2, X^4, X^3, X^3 dX, X^2 dX, X^2 dX X.
+    # are made once on the window's points, which the increment shares
+    # with one zero step.  Unpaired: X^2, X^4, X^3, X^3 dX, X^2 dX,
+    # X^2 dX X.
     # Paired on a Hermitian path, dP[dX] = A + A^H + B + B^H with
     # A = X^3 dX and B = X^2 dX X, one product per pair {w, w*}.
     P = parse("x1^4")
     dP, correction = ito_rhs_symbolic(P, ContractionModel.matrix(16))
-    assert compile_step_plan(P, dP, correction, True).matmuls == 6
-    assert compile_step_plan(P, dP, correction, False).matmuls == 9
+    assert _step_plan(P, dP, correction, True).matmuls == 6
+    assert _step_plan(P, dP, correction, False).matmuls == 9
     # the three separate plans this replaces took 2 + 8 + 1
-    assert sum(compile_plan(Q).matmuls for Q in (P, dP, correction)) == 11
+    assert sum(compile_plan(((Q, False),)).matmuls
+               for Q in (P, dP, correction)) == 11
 
 
 def test_step_plan_results_on_one_point():
     window = np.zeros((3, 1, 2, 2), dtype=complex) + np.eye(2)
     P, dP = parse("x1^2 + 1"), parse("x1 y1 + y1 x1")
-    p, terms, hermitian = eval_step_block(P, dP, parse("1"), window,
-                                          np.zeros(0))
+    p, terms = eval_step_block(P, dP, parse("1"), window, np.zeros(0))
     assert np.array_equal(p, 2 * window) and terms.shape == (3, 0, 2, 2)
-    assert hermitian
 
 
 def test_step_block_takes_the_callers_hermitian_verdict(monkeypatch):
@@ -383,12 +411,10 @@ def test_step_block_takes_the_callers_hermitian_verdict(monkeypatch):
     # the verdict given, the window is not compared with its adjoint
     monkeypatch.setattr("nctrace.evaluator.adjoint", None)
     given_ = eval_step_block(P, dP, correction, window, dts, hermitian=True)
-    assert checked[2] and given_[2]
-    for a, b in zip(checked[:2], given_[:2]):
+    for a, b in zip(checked, given_):
         assert a.tobytes() == b.tobytes()
     # False keeps every term unpaired, to the same values
-    p, terms, hermitian = eval_step_block(P, dP, correction, window, dts,
-                                          hermitian=False)
-    assert not hermitian
+    p, terms = eval_step_block(P, dP, correction, window, dts,
+                               hermitian=False)
     assert np.allclose(p, checked[0], rtol=0, atol=1e-12)
     assert np.allclose(terms, checked[1], rtol=0, atol=1e-12)

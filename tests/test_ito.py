@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nctrace.ito
 import nctrace.matrix_alg
 import nctrace.process_sim
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
 from nctrace.ito import (
+    _step_symbols,
     convergence_study,
     functional_ito_residual,
     ito_residual,
@@ -36,7 +38,7 @@ from nctrace.stoch_int import (
     cumulative_path,
     rs_integral,
 )
-from nctrace.trace_poly import TracePolynomial, derive_k
+from nctrace.trace_poly import TracePolynomial, derive_k, is_self_adjoint
 
 MATRIX8 = ContractionModel.matrix(8)
 
@@ -396,6 +398,32 @@ def test_self_adjoint_residuals_take_the_hermitian_route(text, monkeypatch):
     (sup,) = ito_sup_residuals([P], n, grid, paths, seed,
                                ContractionModel.matrix(n))
     assert abs(sup - masked) <= 1e-13 * masked
+
+
+@pytest.mark.parametrize("second_order", ["contracted", "quadratic"])
+def test_study_takes_the_hermitian_route_exactly_for_self_adjoint_symbols(
+        second_order, monkeypatch):
+    # the walk's windows are Hermitian, so a polynomial's residual is
+    # Hermitian exactly when its step symbols are all self-adjoint
+    texts = ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3", "x1 + i x1^2",
+             "i x1^3"]
+    model = ContractionModel.matrix(3)
+    polys = [parse(t) for t in texts]
+    verdicts = []
+    reduce = nctrace.ito.l1_trace_norms
+
+    def recording(res, hermitian=False):
+        verdicts.append(hermitian)
+        return reduce(res, hermitian=hermitian)
+
+    monkeypatch.setattr(nctrace.ito, "l1_trace_norms", recording)
+    ito_sup_residuals(polys, 3, TimeGrid.uniform(1.0, 4), 2, 0, model,
+                      second_order)
+    # one window: one reduction per polynomial
+    assert verdicts == [all(map(is_self_adjoint,
+                                _step_symbols(P, model, second_order)))
+                        for P in polys]
+    assert verdicts == [True, True, True, True, False, False]
 
 
 def test_non_self_adjoint_residuals_keep_the_masked_reducer(monkeypatch):

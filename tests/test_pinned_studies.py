@@ -2,11 +2,13 @@
 
 The Ito study values were re-recorded when one fused step plan replaced
 the three evaluations per block (they moved by at most 2.6e-15 relative,
-the x1^2 quadratic rounding noise staying below 1e-15), and the
-tr(x1^2) x1 values past one block again when the studies came to walk
-contiguous path windows: the trace contraction sums in an order that
-depends on its operands' memory layout, and the earlier windows were
-strided views of a whole-path chunk.  The QC gaps were recorded from the
+the x1^2 quadratic rounding noise staying below 1e-15).  The
+tr(x1^2) x1 values past one block moved twice more, because the trace
+contraction sums in an order that depends on its operands' memory layout:
+when the studies came to walk contiguous path windows (the earlier
+windows were strided views of a whole-path chunk), and when the step plan
+came to read the window's L points where it read views of the first
+L - 1 (at most 4.4e-15 relative).  The QC gaps were recorded from the
 studies' hand-written block loops.  All must be reproduced with ``==``,
 not to a tolerance.  With ``STUDY_TIME_BLOCK`` = 64 grid points the grids are one
 step, one block, one block and one point, two points past it, and just past
@@ -44,21 +46,21 @@ SUP_RESIDUALS = {
     (2, "quadratic"): [1.5569422718433118e-17, 1.3670620970939076,
                        0.7617025065735474],
     (64, "contracted"): [0.10758738522597847, 0.18906397385706142,
-                         0.052748492932055566],
+                         0.052748492932055545],
     (64, "quadratic"): [1.831381599096156e-16, 0.03719415603857768,
-                        0.015428850250879533],
+                        0.015428850250879523],
     (65, "contracted"): [0.10667284889407269, 0.2004427927498182,
-                         0.05315889679989418],
+                         0.05315889679989415],
     (65, "quadratic"): [1.9620986301064028e-16, 0.03826879493791234,
-                        0.015785462813108955],
+                        0.015785462813108952],
     (66, "contracted"): [0.10510298961767198, 0.194322764284794,
                          0.051936883441270135],
     (66, "quadratic"): [1.8214905223675868e-16, 0.037177450503588644,
-                        0.015422587592009235],
+                        0.015422587592009226],
     (130, "contracted"): [0.08106736723727345, 0.2340186845005956,
-                          0.045984629021856446],
+                          0.04598462902185643],
     (130, "quadratic"): [3.101563733358367e-16, 0.030428555694777915,
-                         0.009550470969528654],
+                         0.009550470969528612],
 }
 
 QC_GAPS = {2: 0.8549353179708248, 64: 0.11086350166174999,

@@ -15,7 +15,6 @@ from nctrace.process_sim import (
     ProcessPath,
     RngStream,
     TimeGrid,
-    hbm_chunks,
     hbm_windows,
     kappa_estimate,
     load_ncp1,
@@ -94,7 +93,8 @@ def test_ensemble_paths_equal_single_paths(method):
 def test_chunks_equal_the_ensemble(method):
     # 7 paths in chunks of 3: the last chunk is short
     grid = TimeGrid.uniform(1.0, 9)
-    chunks = list(hbm_chunks(4, grid, 7, 23, 3, method=method))
+    chunks = [values for ((_, _, values),)
+              in hbm_windows(4, grid, 7, 23, 3, method=method)]
     assert [len(c) for c in chunks] == [3, 3, 1]
     ens = simulate_hbm_ensemble(4, grid, 7, seed=23, method=method)
     assert np.concatenate(chunks).tobytes() == ens.values.tobytes()
