@@ -11,15 +11,19 @@ minus the ``stoch_int.carried_sums`` of the per-step terms dP[dX] plus the
 second-order term.  The studies stream their paths: each chunk is one
 ``process_sim.hbm_windows`` walk of ``STUDY_TIME_BLOCK`` grid points at a
 time, and each window feeds every polynomial of the study, which keeps its
-own carried sum and P(X_0) and reduces its residual block there.  So no
-(paths, T, n, n) array is made, and the blocks' arrays come from recycled
-buffers (``buffers``).  ``ito_residual_path`` is the one-window case of the
-same code.  Each block is one ``evaluator.eval_step_block`` call, which
-makes P, dP[dX] and the second-order term from one plan on the window's
-time axis.  The driver is self-adjoint, so x1' is read as x1.  The walk's
-windows are bitwise Hermitian by construction, so the studies give the
-evaluator that verdict; ``ito_residual_path`` has it compare the path with
-its adjoint.  On a Hermitian path, a polynomial whose step symbols are all
+own carried sum and P(X_0).  So no (paths, T, n, n) array is made, and the
+blocks' arrays come from recycled buffers (``buffers``).  The sup study
+(``ito_sup_residuals``) reduces exactly only the last window and the
+windows whose tr_n-L^2 bound (``l2_trace_norms``) could reach its sup,
+which a second walk, resumed from a saved window, makes again; the other
+per-time reducers reduce every grid time.  ``ito_residual_path`` is the
+one-window case of the same code.  Each block is one
+``evaluator.eval_step_block`` call, which makes P, dP[dX] and the
+second-order term from one plan on the window's time axis.  The driver
+is self-adjoint, so x1' is read as x1.  The walk's windows are bitwise
+Hermitian by construction, so the studies give the evaluator that
+verdict; ``ito_residual_path`` has it compare the path with its
+adjoint.  On a Hermitian path, a polynomial whose step symbols are all
 self-adjoint (``trace_poly.is_self_adjoint``, worked out once per study)
 has a Hermitian residual, which the study reduces with
 ``l1_trace_norms(..., hermitian=True)``, skipping the reducer's per-matrix
@@ -38,6 +42,7 @@ from .evaluator import eval_step_block
 from .matrix_alg import (
     ScalarFunctionSpec,
     l1_trace_norms,
+    l2_trace_norms,
     moi,
     op_function,
     spectral_data,
@@ -57,6 +62,11 @@ from .trace_poly import (
 from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
 
 _HALF = QC(Fraction(1, 2))
+
+# How far a grid time's tr_n-L^2 bound must sit below a study's exact sup
+# before ``ito_sup_residuals`` leaves the time unreduced: far above the
+# rounding of either figure, far below the gap between them.
+BOUND_MARGIN = 1e-9
 
 
 def ito_rhs_symbolic(P: TracePolynomial, model: ContractionModel):
@@ -93,7 +103,8 @@ def _step_symbols(P: TracePolynomial, model: ContractionModel,
 
 
 def _residual_blocks(symbols, windows, grid: TimeGrid,
-                     hermitian: bool | None = None):
+                     hermitian: bool | None = None,
+                     carries: dict | None = None, p0: dict | None = None):
     """An iterator over (i0, i1, k, res), for each of the ``carried_sums``
     windows of one path chunk and each polynomial's step symbols
     ``symbols[k]`` (``_step_symbols``) in turn: res is shaped
@@ -103,7 +114,10 @@ def _residual_blocks(symbols, windows, grid: TimeGrid,
     polynomial and window makes P, dP and the second-order term, when the
     caller asks for that polynomial's block; the ``hermitian`` argument
     says whether the windows are Hermitian, None to have the evaluator
-    compare each with its adjoint."""
+    compare each with its adjoint.  ``carries`` (as ``carried_sums`` takes
+    them) and ``p0`` (each polynomial's P(X_0), (..., 1, n, n)) are the
+    dicts the blocks are carried in, filled in as the walk goes: a walk
+    resumed at a saved window passes the ones saved there."""
     dts = np.diff(grid.times)
 
     # map, not a generator: a generator's locals would keep the last
@@ -114,7 +128,7 @@ def _residual_blocks(symbols, windows, grid: TimeGrid,
             return terms, p
         return map(one, symbols)
 
-    p0 = {}
+    p0 = {} if p0 is None else p0
 
     def residual(block):
         i0, i1, k, sums, p = block
@@ -125,7 +139,7 @@ def _residual_blocks(symbols, windows, grid: TimeGrid,
         res -= sums
         return i0, i1, k, res
 
-    return map(residual, carried_sums(windows, block_terms))
+    return map(residual, carried_sums(windows, block_terms, carries))
 
 
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
@@ -186,29 +200,85 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
 # -- convergence studies --------------------------------------------------
 
 
+def _save_points(T: int) -> list[int]:
+    """The window starts at which a study saves each chunk's walk on a grid
+    of T points: window 0 and the windows W - 1 - 2^j of the W windows, so
+    a resumed walk starts at most as far before its first candidate window
+    as that window lies before the last one."""
+    last = (T - 1) // STUDY_TIME_BLOCK
+    return [0] + [(last - 2**j) * STUDY_TIME_BLOCK
+                  for j in range(last.bit_length()) if last > 2**j]
+
+
 def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
                       model: ContractionModel,
                       second_order: str = "contracted",
                       chunk: int = 25) -> list[float]:
     """For each polynomial, the sup over grid times of the path mean of
-    tr_n |residual|, on HBM paths 0..paths-1 of ``seed``.  Each chunk of
-    paths is walked once, ``STUDY_TIME_BLOCK`` grid points at a time, and
-    each window feeds every polynomial, whose residual block is reduced
-    there.  The walk's windows are Hermitian by construction, so the
-    evaluator takes that verdict without comparing them with their
-    adjoints, and a polynomial whose step symbols are all self-adjoint has
-    Hermitian residuals."""
+    tr_n |residual|, on HBM paths 0..paths-1 of ``seed``.
+
+    The residual of a polynomial k grows along the path, so its sup lies
+    mostly in the last window, and ``l2_trace_norms`` can rule out the rest
+    at O(n^2) per matrix.  Pass 1 walks each chunk of paths once,
+    ``STUDY_TIME_BLOCK`` grid points at a time, and each window feeds every
+    polynomial.  The last window's residuals are reduced exactly
+    (``l1_trace_norms``), and every other block only adds its path sum of
+    tr_n-L^2 bounds.  L_k is the largest exact path sum in the last window;
+    a grid time stays a candidate for k unless its bound times
+    1 + ``BOUND_MARGIN`` is below L_k, so a NaN is never ruled out.  Pass 2
+    resumes each chunk's walk at the latest saved start (``_save_points``)
+    at or before the first candidate and reduces exactly every window that
+    holds a candidate of k, up to the last such window.  The windows,
+    carried sums and chunk order are pass 1's, so the sup has the bits of
+    a study that reduces every grid time.  The walk's windows are Hermitian
+    by construction, so the evaluator takes that verdict without comparing
+    them with their adjoints, and a polynomial whose step symbols are all
+    self-adjoint has Hermitian residuals.  Fewer than one path, or a
+    ``chunk`` below 1, raise ValueError."""
+    if paths < 1:
+        raise ValueError("the study needs at least one path")
+    chunks = hbm_windows(n, grid, paths, seed, chunk, STUDY_TIME_BLOCK)
     symbols = [_step_symbols(P, model, second_order) for P in polys]
     hermitian = [all(map(is_self_adjoint, sym)) for sym in symbols]
-    acc = np.zeros((len(polys), len(grid.times)))
+    T = len(grid.times)
+    last = (T - 1) // STUDY_TIME_BLOCK * STUDY_TIME_BLOCK
+    saves = _save_points(T)
+    acc = np.zeros((len(polys), T))
+    bound = np.zeros((len(polys), last))
+    walked = []
+
+    def reduce(k, i0, i1, res):
+        acc[k, i0:i1] += np.sum(l1_trace_norms(res, hermitian=hermitian[k]),
+                                axis=0)
+
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
-        for windows in hbm_windows(n, grid, paths, seed, chunk,
-                                   STUDY_TIME_BLOCK):
-            for i0, i1, k, res in _residual_blocks(symbols, windows, grid,
-                                                   True):
-                acc[k, i0:i1] += np.sum(
-                    l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
+        for walk in chunks:
+            carries, p0 = {}, {}
+            starts = {0: (walk.start(), {})}
+            for i0, i1, k, res in _residual_blocks(symbols, walk, grid, True,
+                                                   carries, p0):
+                if i0 == last:
+                    reduce(k, i0, i1, res)
+                else:
+                    bound[k, i0:i1] += np.sum(l2_trace_norms(res), axis=0)
                 del res  # so the next block can reuse its buffer
+                if k == len(polys) - 1 and i1 in saves:
+                    starts[i1] = (walk.start(), dict(carries))
+            walked.append((walk, starts, p0))
+        sup_last = np.max(acc[:, last:], axis=1, keepdims=True)
+        candidate = ~(bound * (1 + BOUND_MARGIN) < sup_last)
+        times = np.flatnonzero(candidate.any(axis=0)).tolist()
+        if times:
+            resume = max(i for i in saves if i <= times[0])
+            stop = (times[-1] // STUDY_TIME_BLOCK + 1) * STUDY_TIME_BLOCK
+            for walk, starts, p0 in walked:
+                start, carries = starts[resume]
+                for i0, i1, k, res in _residual_blocks(
+                        symbols, walk.resumed(start, stop), grid, True,
+                        dict(carries), p0):
+                    if candidate[k, i0:i1].any():
+                        reduce(k, i0, i1, res)
+                    del res
     return [float(np.max(row / paths)) for row in acc]
 
 

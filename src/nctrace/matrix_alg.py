@@ -8,6 +8,8 @@ functional calculus, divided differences, and multiple operator integrals
 through ``eigvalsh``, the rest through the singular values.  It tests each
 matrix for being Hermitian unless the caller passes ``hermitian=True``,
 as the Ito studies do for a self-adjoint P on a bitwise Hermitian path.
+``l2_trace_norms`` is the tr_n-L^2 norm, an upper bound on tr_n |a| at
+O(n^2) per matrix, which tells the Ito study where its sup cannot be.
 
 The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
 ``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
@@ -89,6 +91,19 @@ def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
     out[herm] = _l1_hermitian(a[herm])
     out[~herm] = _l1_general(a[~herm])
     return out
+
+
+def l2_trace_norms(a: np.ndarray) -> np.ndarray:
+    """(tr_n a a*)^(1/2) for each matrix of a complex (..., n, n) stack
+    whose matrices are each contiguous, shape (...).
+
+    The L^p norms of the tracial state tr_n grow with p, so this tr_n-L^2
+    norm bounds ``l1_trace_norms`` from above, whichever route that takes:
+    tr_n |a| <= ||a||_2, and the Hermitian part's norm is at most a's.  It
+    costs O(n^2) per matrix, against about 20 us for an ``eigvalsh`` at
+    n = 16."""
+    f = a.view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", f, f) / a.shape[-1])
 
 
 def _l1_hermitian(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ is n >= 16) is summed one grid point at a time, a narrow one with
 walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never hold a
 whole path; a window that covers the whole path is what
 ``simulate_hbm`` and ``simulate_hbm_ensemble`` return, and what
-``hbm_windows`` yields with no block.
+``hbm_windows`` yields with no block.  A walk (``HbmWalk``) can save
+where it stands between two windows (``WalkStart``: the carried point and
+each path's generator state) and be resumed from there, to the same bits.
 Windows are bitwise Hermitian by construction: the scatter writes
 conjugate entries from the same draws, and the sums keep the symmetry.
 The entrywise sampler draws a whole path's diagonal before its
@@ -33,7 +35,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,7 +46,7 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
 # The walk sums a window along time with one add per grid point once a
 # matrix has this many entries (n >= 16), and with np.cumsum below it (see
-# _hbm_walk for the timings that set it).
+# HbmWalk for the timings that set it).
 WIDE_ROW_ENTRIES = 256
 
 
@@ -287,20 +289,34 @@ def _check_hbm_args(n: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _hbm_walk(n: int, dts: np.ndarray, generators, block: int,
-              method: str) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The window walk over one path per generator, from X(0) = 0.
+class WalkStart(NamedTuple):
+    """Where a window walk stands before the window that begins at grid
+    point ``i0``: ``carry`` holds each path's point i0 - 1 (zero before the
+    first window) and ``states`` each path's ``bit_generator.state``."""
 
-    Yields (i0, i1, window) for consecutive blocks [i0, i1) of at most
-    ``block`` grid points: ``window`` is (paths, L, n, n) and holds the
-    points i0 - 1 .. i1 - 1, except that the first window starts at t_0.
-    Each window is a new array (``buffers.empty``), so a recycled buffer is
-    overwritten only once the caller has let go of it.  The increments of
-    each window are drawn from each path's generator in turn, straight into
-    the window, and summed in place onto the carried last point of the
-    window before, so the windows hold the bits of one cumsum over the whole
-    path.  A blocked basis walk shares one ``[c, -c, 0]`` scratch of
-    block * (2 n^2 + 1) floats between its windows.
+    i0: int
+    carry: np.ndarray
+    states: tuple
+
+
+class HbmWalk:
+    """The window walk over one path per generator, from X(0) = 0 or from a
+    saved ``WalkStart``, up to grid point ``stop`` (a window end; the grid's
+    end when None).
+
+    Iterating it yields (i0, i1, window) for consecutive blocks [i0, i1)
+    of at most ``block`` grid points: ``window`` is (paths, L, n, n) and
+    holds the points i0 - 1 .. i1 - 1, except that the first window starts
+    at t_0.  Each window is a new array (``buffers.empty``), so a recycled
+    buffer is overwritten only once the caller has let go of it.  The
+    increments of each window are drawn from each path's generator in turn,
+    straight into the window, and summed in place onto the carried last
+    point of the window before, so the windows hold the bits of one cumsum
+    over the whole path.  A blocked basis walk shares one ``[c, -c, 0]`` scratch of
+    block * (2 n^2 + 1) floats between its windows.  Between two windows,
+    ``start()`` saves where the walk stands, and ``resumed`` walks the same
+    paths on from there with generators of its own: its windows hold the
+    bits of the uninterrupted walk's.
 
     A path's window is summed along time with ``np.cumsum`` while a matrix
     has fewer than ``WIDE_ROW_ENTRIES`` entries, and with one
@@ -320,34 +336,64 @@ def _hbm_walk(n: int, dts: np.ndarray, generators, block: int,
     24    0.158 / 0.091  0.236 / 0.158  2.04 / 1.33
     64    1.37 / 0.29    2.70 / 0.41    62.2 / 7.3
     ====  =============  =============  ============="""
-    T = len(dts) + 1
-    # the windows of a blocked walk share one scratch; a whole-path window
-    # has nothing to share it with, and makes and drops its own
-    scratch = None
-    if method == "basis" and block < T:
-        scratch = buffers.empty((block, 2 * n * n + 1), float)
-    wide = n * n >= WIDE_ROW_ENTRIES
-    carry = np.zeros((len(generators), n, n), dtype=complex)
-    for i0 in range(0, T, block):
-        i1 = min(i0 + block, T)
-        lo = max(i0, 1) - 1
-        window = buffers.empty((len(generators), i1 - lo, n, n))
-        window[:, 0] = carry
-        for path, rng in zip(window, generators):
-            inc = path[1:]
-            if method == "basis":
-                _hbm_increments_basis(n, dts[lo:i1 - 1], rng, inc, scratch)
-            else:
-                _hbm_increments_entrywise(n, dts[lo:i1 - 1], rng, inc)
-            # the first window's t_0 is 0, which the sum leaves out
-            summed = path[1:] if i0 == 0 else path
-            if wide:
-                for prev, cur in zip(summed[:-1], summed[1:]):
-                    np.add(prev, cur, out=cur)
-            else:
-                np.cumsum(summed, axis=0, out=summed)
-        carry = window[:, -1].copy()
-        yield i0, i1, window
+
+    def __init__(self, n: int, dts: np.ndarray, generators, block: int,
+                 method: str, start: WalkStart | None = None,
+                 stop: int | None = None):
+        self._walk = (n, dts, block, method)
+        self.generators = generators
+        self.stop = len(dts) + 1 if stop is None else stop
+        if start is None:
+            self.i0 = 0
+            self.carry = np.zeros((len(generators), n, n), dtype=complex)
+        else:
+            self.i0, self.carry = start.i0, start.carry
+            for rng, state in zip(generators, start.states):
+                rng.bit_generator.state = state
+
+    def start(self) -> WalkStart:
+        """Where the walk stands before the window it draws next."""
+        return WalkStart(self.i0, self.carry,
+                         tuple(rng.bit_generator.state
+                               for rng in self.generators))
+
+    def resumed(self, start: WalkStart, stop: int | None = None) -> "HbmWalk":
+        """The same paths walked on from a saved ``start``."""
+        n, dts, block, method = self._walk
+        generators = [np.random.Generator(np.random.Philox())
+                      for _ in start.states]
+        return HbmWalk(n, dts, generators, block, method, start, stop)
+
+    def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        n, dts, block, method = self._walk
+        T = len(dts) + 1
+        # the windows of a blocked walk share one scratch; a whole-path
+        # window has nothing to share it with, and makes and drops its own
+        scratch = None
+        if method == "basis" and block < T:
+            scratch = buffers.empty((block, 2 * n * n + 1), float)
+        wide = n * n >= WIDE_ROW_ENTRIES
+        for i0 in range(self.i0, self.stop, block):
+            i1 = min(i0 + block, T)
+            lo = max(i0, 1) - 1
+            window = buffers.empty((len(self.generators), i1 - lo, n, n))
+            window[:, 0] = self.carry
+            for path, rng in zip(window, self.generators):
+                inc = path[1:]
+                if method == "basis":
+                    _hbm_increments_basis(n, dts[lo:i1 - 1], rng, inc,
+                                          scratch)
+                else:
+                    _hbm_increments_entrywise(n, dts[lo:i1 - 1], rng, inc)
+                # the first window's t_0 is 0, which the sum leaves out
+                summed = path[1:] if i0 == 0 else path
+                if wide:
+                    for prev, cur in zip(summed[:-1], summed[1:]):
+                        np.add(prev, cur, out=cur)
+                else:
+                    np.cumsum(summed, axis=0, out=summed)
+            self.i0, self.carry = i1, window[:, -1].copy()
+            yield i0, i1, window
 
 
 def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
@@ -355,8 +401,8 @@ def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
     """HBM paths 0..n_paths-1 in chunks of at most ``chunk`` paths, each
     chunk walked ``block`` grid points at a time.
 
-    Returns an iterator over the chunks; each chunk is an iterator of
-    (i0, i1, window) as ``_hbm_walk`` makes them, a window being the
+    Returns an iterator over the chunks; each chunk is an ``HbmWalk``, an
+    iterable of (i0, i1, window), a window being the
     (count, <= block + 1, n, n) grid points [i0, i1) plus the point before
     them.  Path i always draws from the stream keyed (seed, i), opened once
     per walk, and its windows hold the same bits whatever the chunk and
@@ -364,19 +410,22 @@ def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
     chunk as one whole-path window.  The entrywise method draws a whole
     path's diagonal before its off-diagonal entries, so its windows could
     not hold the same bits: it walks whole paths only, and a smaller
-    ``block`` raises ValueError."""
+    ``block`` raises ValueError, as a ``chunk`` or ``block`` below 1
+    does."""
     _check_hbm_args(n, method)
     T = len(grid.times)
     block = T if block is None else block
+    if chunk < 1:
+        raise ValueError("a chunk needs at least one path")
     if block < 1:
         raise ValueError("the block needs at least one grid point")
     if method == "entrywise" and block < T:
         raise ValueError("the entrywise sampler walks whole paths only")
     dts = np.diff(grid.times)
-    return (_hbm_walk(n, dts, [RngStream(seed, i).generator
-                               for i in range(start,
-                                              min(start + chunk, n_paths))],
-                      block, method)
+    return (HbmWalk(n, dts, [RngStream(seed, i).generator
+                             for i in range(start,
+                                            min(start + chunk, n_paths))],
+                    block, method)
             for start in range(0, n_paths, chunk))
 
 
@@ -392,8 +441,8 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
     """
     _check_hbm_args(n, method)
     T = len(grid.times)
-    ((_, _, values),) = _hbm_walk(n, np.diff(grid.times), [stream.generator],
-                                  T, method)
+    ((_, _, values),) = HbmWalk(n, np.diff(grid.times), [stream.generator],
+                                T, method)
     return ProcessPath(
         grid, values[0], "martingale",
         seed_info=(stream.master_seed, stream.path_index, method),

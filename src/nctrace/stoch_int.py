@@ -144,7 +144,7 @@ def cumulative_path(inc: np.ndarray) -> np.ndarray:
     return out
 
 
-def carried_sums(windows, block_terms):
+def carried_sums(windows, block_terms, carries: dict | None = None):
     """Running sums of per-step terms along a (..., T, n, n) path, walked
     one window at a time, for one or more integrands.
 
@@ -162,8 +162,14 @@ def carried_sums(windows, block_terms):
     sum in, so the windows hold the same bits as one cumsum over the path.
     When ``block_terms`` makes each integrand's terms only as it is asked
     for them, one integrand's block is alive at a time.
+
+    ``carries`` maps each integrand k to the running sum at the point
+    before the first window, (..., n, n); a walk resumed at a saved window
+    passes the dict it saved.  The sums carry on in the dict, which is
+    updated by assignment only, so ``dict(carries)`` taken between two
+    windows saves them.
     """
-    carries = {}
+    carries = {} if carries is None else carries
     for i0, i1, window in windows:
         steps = slice(max(i0, 1) - 1, i1 - 1)
         for k, (terms, extra) in enumerate(block_terms(window, steps)):
@@ -241,7 +247,11 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     0..paths-1 of ``seed`` walked ``chunk`` paths and ``STUDY_TIME_BLOCK``
     grid points at a time (``hbm_windows``), and t tr_n(a) I is its closed
     form.  Q is the last of the ``carried_sums`` of the window's
-    ``rs_increments`` terms."""
+    ``rs_increments`` terms.  Fewer than one path, or a ``chunk`` below 1,
+    raise ValueError."""
+    if paths < 1:
+        raise ValueError("the study needs at least one path")
+    chunks = hbm_windows(n, grid, paths, seed, chunk, STUDY_TIME_BLOCK)
     L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
 
@@ -250,8 +260,7 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
 
     gaps = []
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
-        for windows in hbm_windows(n, grid, paths, seed, chunk,
-                                   STUDY_TIME_BLOCK):
+        for windows in chunks:
             for _, _, _, sums, _ in carried_sums(windows, quad_terms):
                 q = sums[:, -1].copy()
                 del sums  # so the next block can reuse its buffer

@@ -11,6 +11,7 @@ import nctrace.process_sim
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
 from nctrace.ito import (
+    _residual_blocks,
     _step_symbols,
     convergence_study,
     functional_ito_residual,
@@ -29,6 +30,7 @@ from nctrace.process_sim import (
     ProcessPath,
     RngStream,
     TimeGrid,
+    hbm_windows,
     simulate_hbm,
     simulate_hbm_ensemble,
 )
@@ -440,3 +442,105 @@ def test_non_self_adjoint_residuals_keep_the_masked_reducer(monkeypatch):
     (sup,) = ito_sup_residuals([P], n, grid, paths, seed,
                                ContractionModel.matrix(n))
     assert calls and abs(sup - want) <= 1e-12 * want
+
+
+# -- the pruned study ---------------------------------------------------------
+
+
+def _unpruned_sups(polys, n, grid, paths, seed, model, second_order, chunk):
+    """The study as it reduces every grid time: each chunk's per-time path
+    sums of tr_n |residual|, added chunk by chunk in order."""
+    symbols = [_step_symbols(P, model, second_order) for P in polys]
+    hermitian = [all(map(is_self_adjoint, sym)) for sym in symbols]
+    acc = np.zeros((len(polys), len(grid.times)))
+    for walk in hbm_windows(n, grid, paths, seed, chunk, STUDY_TIME_BLOCK):
+        for i0, i1, k, res in _residual_blocks(symbols, walk, grid, True):
+            acc[k, i0:i1] += np.sum(
+                l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
+    return [float(np.max(row / paths)) for row in acc]
+
+
+@pytest.mark.parametrize("n, paths, chunk", [(3, 5, 2), (1, 3, 25)])
+@pytest.mark.parametrize("points", [2, STUDY_TIME_BLOCK, STUDY_TIME_BLOCK + 1,
+                                    STUDY_TIME_BLOCK + 2,
+                                    3 * STUDY_TIME_BLOCK + 1, 801])
+@pytest.mark.parametrize("second_order", ["contracted", "quadratic"])
+def test_pruned_sup_residuals_equal_the_unpruned_ones(n, paths, chunk,
+                                                      points, second_order):
+    model = ContractionModel.matrix(n)
+    grid = TimeGrid.uniform(1.0, points - 1)
+    polys = [parse(t) for t in ("x1^2", "x1^4", "tr(x1^2) x1", "5",
+                                "3 x1 + 2")]
+    want = _unpruned_sups(polys, n, grid, paths, 11, model, second_order,
+                          chunk)
+    # all five in one study, where the zero-residual polynomials keep every
+    # window a candidate; the three others together and each alone, where
+    # the walk resumes mid-path
+    studies = [range(5), range(3)] + [[k] for k in range(5)]
+    for ks in studies:
+        got = ito_sup_residuals([polys[k] for k in ks], n, grid, paths, 11,
+                                model, second_order, chunk)
+        assert got == [want[k] for k in ks]
+
+
+def test_study_reduces_only_the_grid_times_its_bound_cannot_rule_out(
+        monkeypatch):
+    # the residual grows along the path: the tr_n-L^2 bound rules out most
+    # grid times before the last window (at most 40 % are reduced)
+    n, paths, grid = 16, 8, TimeGrid.uniform(1.0, 800)
+    count = [0]
+    reduce = nctrace.ito.l1_trace_norms
+
+    def counting(res, hermitian=False):
+        count[0] += res[..., 0, 0].size
+        return reduce(res, hermitian=hermitian)
+
+    monkeypatch.setattr(nctrace.ito, "l1_trace_norms", counting)
+    (sup,) = ito_sup_residuals([parse("x1^4")], n, grid, paths, 3,
+                               ContractionModel.matrix(n))
+    assert np.isfinite(sup)
+    assert 0 < count[0] <= 0.4 * paths * len(grid.times)
+
+
+@pytest.mark.parametrize("text, value, error", [
+    # NaN in a Hermitian residual fails the reduction, pruned or not
+    ("x1^2", np.nan, np.linalg.LinAlgError),
+    # inf in a non-self-adjoint residual reduces to NaN, which is the sup
+    ("x1 + i x1^2", np.inf, None),
+])
+def test_a_non_finite_early_residual_is_never_ruled_out(text, value, error,
+                                                        monkeypatch):
+    n, paths, seed = 4, 3, 5
+    grid = TimeGrid.uniform(1.0, 4 * STUDY_TIME_BLOCK)
+    model = ContractionModel.matrix(n)
+    # the second window, which both passes of the study evaluate alike
+    (walk,) = hbm_windows(n, grid, paths, seed, 25, STUDY_TIME_BLOCK)
+    target = [w.copy() for i0, _, w in walk if i0 == STUDY_TIME_BLOCK][0]
+    evaluate = nctrace.ito.eval_step_block
+
+    def spoiling(*args):
+        p, terms = evaluate(*args)
+        if np.array_equal(args[3], target):
+            p[0, 5, 0, 0] = value
+        return p, terms
+
+    monkeypatch.setattr(nctrace.ito, "eval_step_block", spoiling)
+    study = [lambda: ito_sup_residuals([parse(text)], n, grid, paths, seed,
+                                       model)[0],
+             lambda: _unpruned_sups([parse(text)], n, grid, paths, seed,
+                                    model, "contracted", 25)[0]]
+    for run in study:
+        if error is None:
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(run())
+        else:
+            with pytest.raises(error):
+                run()
+
+
+def test_studies_reject_empty_inputs():
+    grid, model = TimeGrid.uniform(1.0, 10), ContractionModel.matrix(2)
+    with pytest.raises(ValueError, match="at least one path"):
+        ito_sup_residuals([parse("x1^2")], 2, grid, 0, 0, model)
+    with pytest.raises(ValueError, match="chunk needs at least one path"):
+        ito_sup_residuals([parse("x1^2")], 2, grid, 3, 0, model, chunk=0)

@@ -173,6 +173,26 @@ def test_entrywise_walks_whole_paths_only():
         hbm_windows(4, grid, 3, 29, 2, 0)
 
 
+@pytest.mark.parametrize("n", [3, 16])
+def test_resumed_walk_equals_the_uninterrupted_walk(n):
+    # 3 windows of 64 points and a short fourth; 5 paths in chunks of 3
+    grid = TimeGrid.uniform(1.0, 3 * 64 + 6)
+    for walk in hbm_windows(n, grid, 5, 37, 3, 64):
+        starts, windows = [walk.start()], []
+        for i0, i1, window in walk:
+            windows.append((i0, i1, window.tobytes()))
+            starts.append(walk.start())
+        assert [s.i0 for s in starts] == [0, 64, 128, 192, 199]
+        for j, start in enumerate(starts):
+            got = [(i0, i1, window.tobytes())
+                   for i0, i1, window in walk.resumed(start)]
+            assert got == windows[j:]
+        # a resumed walk stops at the window end it is given
+        stopped = [(i0, i1, window.tobytes())
+                   for i0, i1, window in walk.resumed(starts[1], 192)]
+        assert stopped == windows[1:3]
+
+
 def _entrywise_reference(n, dts, rng):
     """The entrywise increments as two full complex temporaries made them."""
     steps = len(dts)
@@ -219,6 +239,9 @@ def test_hbm_argument_errors():
         simulate_hbm(0, grid, RngStream(0))
     with pytest.raises(ValueError):
         simulate_hbm_ensemble(2, grid, 1, seed=0, method="spectral")
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk needs at least one path"):
+            hbm_windows(2, grid, 3, 0, chunk)
 
 
 def test_hbm_increment_normalization():

@@ -377,3 +377,11 @@ def test_qc_gap_loop_lets_go_of_each_block(buffers_used):
     assert buffers_used(lambda: qc_gap_l1(
         4, TimeGrid.uniform(1.0, 3 * STUDY_TIME_BLOCK), 3, 0,
         np.eye(4, dtype=complex))) <= 5
+
+
+def test_qc_gap_rejects_empty_inputs():
+    grid, a = TimeGrid.uniform(1.0, 10), np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="at least one path"):
+        qc_gap_l1(2, grid, 0, 0, a)
+    with pytest.raises(ValueError, match="chunk needs at least one path"):
+        qc_gap_l1(2, grid, 3, 0, a, chunk=0)
