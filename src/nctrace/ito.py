@@ -7,19 +7,20 @@ divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies.  The residual is P(X) - P(X_0)
-minus the ``stoch_int.carried_sums`` of the per-step terms dP[dX] plus the
-second-order term.  The studies stream their paths: each chunk is one
+minus the running sums of the per-step terms dP[dX] plus the second-order
+term.  The studies stream their paths: each chunk is one
 ``process_sim.hbm_windows`` walk of ``STUDY_TIME_BLOCK`` grid points at a
-time, and each window feeds every polynomial of the study, which keeps its
-own carried sum and P(X_0).  So no (paths, T, n, n) array is made, and the
-blocks' arrays come from recycled buffers (``buffers``).  The sup study
-(``ito_sup_residuals``) reduces exactly only the last window and the
-windows whose tr_n-L^2 bound (``l2_trace_norms``) could reach its sup,
-which a second walk, resumed from a saved window, makes again; the other
-per-time reducers reduce every grid time.  ``ito_residual_path`` is the
-one-window case of the same code.  Each block is one
-``evaluator.eval_step_block`` call, which makes P, dP[dX] and the
-second-order term from one plan on the window's time axis.  The driver
+time, a plain loop in which each window feeds every polynomial of the
+study, which keeps its own P(X_0) and running sum, carried into the next
+window by ``stoch_int.carried_sums``.  So no (paths, T, n, n) array is
+made, and the blocks' arrays come from recycled buffers (``buffers``).
+The sup study (``ito_sup_residuals``) reduces exactly only the last
+window and the windows whose tr_n-L^2 bound (``l2_trace_norms``) could
+reach its sup, which a second walk, resumed from a saved window, makes
+again; the other per-time reducers reduce every grid time.
+``ito_residual_path`` is the one-window case of the same code.  Each
+block is one ``evaluator.eval_step_block`` call, which makes P, dP[dX]
+and the second-order term from one plan on the window's time axis.  The driver
 is self-adjoint, so x1' is read as x1.  The walk's windows are bitwise
 Hermitian by construction, so the studies give the evaluator that
 verdict; ``ito_residual_path`` has it compare the path with its
@@ -105,41 +106,38 @@ def _step_symbols(P: TracePolynomial, model: ContractionModel,
 def _residual_blocks(symbols, windows, grid: TimeGrid,
                      hermitian: bool | None = None,
                      carries: dict | None = None, p0: dict | None = None):
-    """An iterator over (i0, i1, k, res), for each of the ``carried_sums``
-    windows of one path chunk and each polynomial's step symbols
-    ``symbols[k]`` (``_step_symbols``) in turn: res is shaped
-    (..., i1 - i0, n, n), P(X) - P(X_0) on the block minus the carried sums
-    of dP[dX] plus the correction times dt ("contracted") or plus
-    1/2 d2P[dX, dX] ("quadratic").  One ``eval_step_block`` plan per
-    polynomial and window makes P, dP and the second-order term, when the
-    caller asks for that polynomial's block; the ``hermitian`` argument
-    says whether the windows are Hermitian, None to have the evaluator
-    compare each with its adjoint.  ``carries`` (as ``carried_sums`` takes
-    them) and ``p0`` (each polynomial's P(X_0), (..., 1, n, n)) are the
-    dicts the blocks are carried in, filled in as the walk goes: a walk
-    resumed at a saved window passes the ones saved there."""
+    """Yield (i0, i1, k, res) for each (i0, i1, window) of ``windows``, as
+    ``process_sim.hbm_windows`` walks one path chunk, and each polynomial's
+    step symbols ``symbols[k]`` (``_step_symbols``) in turn.  ``window``
+    holds the points i0 - 1 .. i1 - 1 (from t_0 in the first window), and
+    res, shaped (..., i1 - i0, n, n), is P(X) - P(X_0) on [i0, i1) minus
+    the running sums (``carried_sums``) of dP[dX] plus the correction times
+    dt ("contracted") or plus 1/2 d2P[dX, dX] ("quadratic").  One
+    ``eval_step_block`` plan per polynomial and window makes P, dP and the
+    second-order term; ``hermitian`` says whether the windows are
+    Hermitian, None to have the evaluator compare each with its adjoint.
+    ``carries`` (each polynomial's running sum at the point before the
+    next window, (..., n, n)) and ``p0`` (its P(X_0), (..., 1, n, n)) are
+    the dicts the blocks are carried in, filled in by assignment as the
+    walk goes, so ``dict(carries)`` taken between two windows saves them: a
+    walk resumed at a saved window passes the ones saved there."""
     dts = np.diff(grid.times)
-
-    # map, not a generator: a generator's locals would keep the last
-    # block's arrays alive while the next one is made
-    def block_terms(window, steps):
-        def one(sym):
-            p, terms = eval_step_block(*sym, window, dts[steps], hermitian)
-            return terms, p
-        return map(one, symbols)
-
+    carries = {} if carries is None else carries
     p0 = {} if p0 is None else p0
-
-    def residual(block):
-        i0, i1, k, sums, p = block
-        res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
-        if not i0:
-            p0[k] = res[..., :1, :, :].copy()
-        res -= p0[k]
-        res -= sums
-        return i0, i1, k, res
-
-    return map(residual, carried_sums(windows, block_terms, carries))
+    for i0, i1, window in windows:
+        window_dts = dts[max(i0, 1) - 1:i1 - 1]
+        for k, sym in enumerate(symbols):
+            p, terms = eval_step_block(*sym, window, window_dts, hermitian)
+            sums = carried_sums(terms, carries[k] if i0 else None)
+            carries[k] = sums[..., -1, :, :].copy()
+            res = p[..., i0 - i1:, :, :]  # later windows start at t_(i0-1)
+            if not i0:
+                p0[k] = res[..., :1, :, :].copy()
+            res -= p0[k]
+            res -= sums
+            del p, terms, sums  # res alone holds the block it yields
+            yield i0, i1, k, res
+            del res  # let go before the next block is made
 
 
 def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,

@@ -5,9 +5,10 @@ functional calculus, divided differences, and multiple operator integrals
 (MOIs) realized as exact spectral sums.
 
 ``l1_trace_norms`` is the one tr_n-L^1 reducer: Hermitian matrices go
-through ``eigvalsh``, the rest through the singular values.  It tests each
-matrix for being Hermitian unless the caller passes ``hermitian=True``,
-as the Ito studies do for a self-adjoint P on a bitwise Hermitian path.
+through ``eigvalsh``, the rest through the singular values, and a matrix
+with a non-finite entry gives NaN.  It tests each matrix for being
+Hermitian unless the caller passes ``hermitian=True``, as the Ito studies
+do for a self-adjoint P on a bitwise Hermitian path.
 ``l2_trace_norms`` is the tr_n-L^2 norm, an upper bound on tr_n |a| at
 O(n^2) per matrix, which tells the Ito study where its sup cannot be.
 
@@ -77,9 +78,17 @@ def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
     ``hermitian=True`` is the caller's word that every matrix is Hermitian
     (the Ito studies pass it when the evaluator has found the driver
     bitwise Hermitian and P self-adjoint): the test is skipped and the
-    whole stack takes the ``eigvalsh`` route."""
+    whole stack takes the ``eigvalsh`` route.  A matrix with a NaN or an
+    infinite entry reduces to NaN on either route, and the others reduce
+    as they would alone."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a, 1.0), copy=False)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        out = np.full(finite.shape, np.nan)
+        if finite.any():
+            out[finite] = l1_trace_norms(a[finite], hermitian)
+        return out
     if hermitian:
         return _l1_hermitian(a)
     herm = _hermitian_mask(a)

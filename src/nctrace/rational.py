@@ -108,7 +108,11 @@ class QC:
         return -2 if h == -1 else h
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise ValueError(f"the coefficient {self.re} + {self.im}i lies "
+                             "outside the float range") from None
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"

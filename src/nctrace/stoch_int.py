@@ -7,9 +7,9 @@ any integrand into its per-step left-endpoint terms: integrals, quadratic
 sums, the QC study, the isometry check and the BDG quadratic variation
 sum them, whole paths as one ``cumulative_path``; a driver given for
 several slots has its increments made once.  The time-blocked studies (Ito
-residuals, QC gap) walk their paths in ``process_sim.hbm_windows`` and run
-their sums through ``carried_sums``, which takes the windows and carries
-each integrand's running sum from window to window.
+residuals, QC gap) walk their paths in ``process_sim.hbm_windows`` and sum
+each window's terms with ``carried_sums``, which adds in the running sum
+at the point before the window.
 Quadratic covariation admits a closed form through the gamma contraction,
 and the standard identities (Ito isometry, BDG p=2, substitution, QC of
 integrals) are exposed as report-producing checks.
@@ -127,13 +127,6 @@ class ElementaryPredictable:
                 raise LinearityError("piece symbols must be 1-linear")
 
 
-def elementary_integral(H: ElementaryPredictable, X, t: float) -> np.ndarray:
-    """Sum_i H_i[X(t_i ^ t) - X(s_i ^ t)]: the ``rs_increments`` terms
-    summed up to t."""
-    terms = rs_increments(H, X)
-    return np.sum(terms[..., :_grid_of(X).index_of(t), :, :], axis=-3)
-
-
 def cumulative_path(inc: np.ndarray) -> np.ndarray:
     """The path from 0 with increments ``inc``: (..., T-1, n, n) to
     (..., T, n, n)."""
@@ -144,43 +137,19 @@ def cumulative_path(inc: np.ndarray) -> np.ndarray:
     return out
 
 
-def carried_sums(windows, block_terms, carries: dict | None = None):
-    """Running sums of per-step terms along a (..., T, n, n) path, walked
-    one window at a time, for one or more integrands.
-
-    ``windows`` yields (i0, i1, window) for consecutive blocks [i0, i1) of
-    grid points, as ``process_sim.hbm_windows`` walks them: ``window`` holds
-    the points i0 - 1 .. i1 - 1 (from t_0 in the first window), which bound
-    the steps j in ``steps = slice(max(i0, 1) - 1, i1 - 1)``.
-    ``block_terms(window, steps)`` returns an iterable of (terms, extra),
-    one pair per integrand and always in the same order: a new
-    (..., len(steps), n, n) array of the integrand's terms and whatever the
-    caller wants back with its sums.  Yields (i0, i1, k, sums, extra) for
-    each window and each integrand k in turn, ``sums`` holding the running
-    sum at each point of [i0, i1) (0 at t_0): the first window's is
-    ``cumulative_path`` of its terms and each later one carries the last
-    sum in, so the windows hold the same bits as one cumsum over the path.
-    When ``block_terms`` makes each integrand's terms only as it is asked
-    for them, one integrand's block is alive at a time.
-
-    ``carries`` maps each integrand k to the running sum at the point
-    before the first window, (..., n, n); a walk resumed at a saved window
-    passes the dict it saved.  The sums carry on in the dict, which is
-    updated by assignment only, so ``dict(carries)`` taken between two
-    windows saves them.
-    """
-    carries = {} if carries is None else carries
-    for i0, i1, window in windows:
-        steps = slice(max(i0, 1) - 1, i1 - 1)
-        for k, (terms, extra) in enumerate(block_terms(window, steps)):
-            if i0:
-                terms[..., 0, :, :] += carries[k]
-                sums = np.cumsum(terms, axis=-3, out=terms)
-            else:
-                sums = cumulative_path(terms)
-            carries[k] = sums[..., -1, :, :].copy()
-            yield i0, i1, k, sums, extra
-            del terms, sums, extra  # let go before the next block is made
+def carried_sums(terms: np.ndarray, carry: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Running sums of one window's per-step terms (..., steps, n, n),
+    carried in from the window before: ``carry`` (..., n, n) is the running
+    sum at the point before the window, added into its first step before an
+    in-place ``np.cumsum`` over ``terms``.  With ``carry=None`` (the first
+    window, from t_0) it is ``cumulative_path(terms)``, which starts at 0.
+    Windows carried each into the next hold the same bits as one
+    ``cumulative_path`` over the whole path."""
+    if carry is None:
+        return cumulative_path(terms)
+    terms[..., 0, :, :] += carry
+    return np.cumsum(terms, axis=-3, out=terms)
 
 
 def rs_increments(H, *drivers) -> np.ndarray:
@@ -246,22 +215,21 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
     0..paths-1 of ``seed`` walked ``chunk`` paths and ``STUDY_TIME_BLOCK``
     grid points at a time (``hbm_windows``), and t tr_n(a) I is its closed
-    form.  Q is the last of the ``carried_sums`` of the window's
-    ``rs_increments`` terms.  Fewer than one path, or a ``chunk`` below 1,
+    form.  Each window's ``rs_increments`` terms are summed by
+    ``carried_sums``, carrying in the last window's Q, so Q at the end is
+    one cumsum over the path.  Fewer than one path, or a ``chunk`` below 1,
     raise ValueError."""
     if paths < 1:
         raise ValueError("the study needs at least one path")
     chunks = hbm_windows(n, grid, paths, seed, chunk, STUDY_TIME_BLOCK)
     L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
     closed = trace_n(a) * grid.times[-1] * np.eye(n)
-
-    def quad_terms(window, steps):
-        return [(rs_increments(L, window, window), None)]
-
     gaps = []
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
         for windows in chunks:
-            for _, _, _, sums, _ in carried_sums(windows, quad_terms):
+            q = None
+            for _, _, window in windows:
+                sums = carried_sums(rs_increments(L, window, window), q)
                 q = sums[:, -1].copy()
                 del sums  # so the next block can reuse its buffer
             gaps.append(l1_trace_norms(q - closed))

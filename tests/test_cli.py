@@ -472,6 +472,21 @@ def test_eval_matrices_file_without_a_bindings_object_exits_2(tmp_path,
         assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expr", f"{10**309} x1"],
+    ["isometry", "--expr", f"{10**309} y1"],
+    # the derivative's coefficient, 2 10^308, is the one past the range
+    ["ito", "--poly", f"{10**308} tr(x1^2) x1"],
+])
+def test_a_coefficient_past_the_float_range_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "eval":
+        mats = tmp_path / "m.json"
+        mats.write_text(json.dumps({"bindings": {"1": [[1, 0], [0, 2]]}}))
+        argv = argv + ["--matrices", str(mats)]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "outside the float range" in err
+
+
 # -- robustness over edge inputs -------------------------------------------
 #
 # Every subcommand but selftest, crossed with edge values, must end in an

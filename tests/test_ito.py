@@ -377,7 +377,7 @@ def test_sup_residual_memory_does_not_grow_with_the_horizon(traced_peak):
 @pytest.mark.parametrize("polys,most", [(["x1^4"], 7),
                                         (["x1^2", "x1^4", "tr(x1^2) x1"], 9)])
 def test_study_loops_let_go_of_each_block(polys, most, buffers_used):
-    # a del missing in the study loop or in carried_sums adds a buffer
+    # a del missing in the study loop or in _residual_blocks adds a buffer
     assert buffers_used(lambda: ito_sup_residuals(
         [parse(p) for p in polys], 4,
         TimeGrid.uniform(1.0, 3 * STUDY_TIME_BLOCK), 3, 0,
@@ -502,13 +502,13 @@ def test_study_reduces_only_the_grid_times_its_bound_cannot_rule_out(
     assert 0 < count[0] <= 0.4 * paths * len(grid.times)
 
 
-@pytest.mark.parametrize("text, value, error", [
-    # NaN in a Hermitian residual fails the reduction, pruned or not
-    ("x1^2", np.nan, np.linalg.LinAlgError),
+@pytest.mark.parametrize("text, value", [
+    # NaN in a Hermitian residual reduces to NaN, pruned or not
+    ("x1^2", np.nan),
     # inf in a non-self-adjoint residual reduces to NaN, which is the sup
-    ("x1 + i x1^2", np.inf, None),
+    ("x1 + i x1^2", np.inf),
 ])
-def test_a_non_finite_early_residual_is_never_ruled_out(text, value, error,
+def test_a_non_finite_early_residual_is_never_ruled_out(text, value,
                                                         monkeypatch):
     n, paths, seed = 4, 3, 5
     grid = TimeGrid.uniform(1.0, 4 * STUDY_TIME_BLOCK)
@@ -530,12 +530,8 @@ def test_a_non_finite_early_residual_is_never_ruled_out(text, value, error,
              lambda: _unpruned_sups([parse(text)], n, grid, paths, seed,
                                     model, "contracted", 25)[0]]
     for run in study:
-        if error is None:
-            with np.errstate(invalid="ignore"):
-                assert np.isnan(run())
-        else:
-            with pytest.raises(error):
-                run()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(run())
 
 
 def test_studies_reject_empty_inputs():

@@ -610,6 +610,32 @@ def test_l1_trace_norms_of_integer_and_broadcast_input():
     assert np.allclose(l1_trace_norms(a), _svd_l1(a), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n, value, hermitian, placement", [
+    (n, value, hermitian, placement)
+    for n in (1, 2, 3, 16) for value in (np.nan, np.inf)
+    for hermitian in (False, True) for placement in ("diagonal", "off")
+    if placement == "diagonal" or n > 1])
+def test_l1_trace_norms_give_nan_exactly_for_non_finite_matrices(
+        n, value, hermitian, placement):
+    # a non-finite entry, on the diagonal or off it, never reduces to a
+    # finite number (a NaN on a zero matrix's diagonal gave 0.0, and one on
+    # a Hermitian 2 x 2 matrix's diagonal a wrong finite value); every other
+    # matrix keeps its bits
+    herm = [rand_hermitian(n) for _ in range(4)]
+    other = herm[3] if hermitian else (RNG.normal(size=(n, n))
+                                       + 1j * RNG.normal(size=(n, n)))
+    zero = np.zeros((n, n), dtype=complex)
+    a = np.stack([herm[0], zero, herm[1], other, herm[2], zero])
+    a = a.reshape(2, 3, n, n)
+    want = l1_trace_norms(a, hermitian)
+    bad = np.zeros((2, 3), dtype=bool)
+    bad[0, 1] = bad[0, 2] = True
+    a[bad, 0, 0 if placement == "diagonal" else n - 1] = value
+    got = l1_trace_norms(a, hermitian)
+    assert np.array_equal(np.isnan(got), bad)
+    assert got[~bad].tobytes() == want[~bad].tobytes()
+
+
 @pytest.mark.parametrize("name", ["hermitian", "near_hermitian", "zero",
                                   "n1_hermitian", "single_matrix"])
 def test_l1_trace_norms_on_the_callers_word_skip_the_test(name, monkeypatch):

@@ -21,7 +21,8 @@ from nctrace.stoch_int import (
     BoundTriprocess,
     ElementaryPredictable,
     bdg_stats,
-    elementary_integral,
+    carried_sums,
+    cumulative_path,
     ito_isometry_check,
     qc_closed_form,
     qc_gap_l1,
@@ -51,10 +52,9 @@ def test_elementary_identity_window():
     grid = TimeGrid.uniform(2.0, 20)
     X = simulate_hbm(3, grid, RngStream(1, 0))
     H = ElementaryPredictable([(0.0, 1.0, identity_symbol(), {})])
-    got = elementary_integral(H, X, 2.0)
-    assert np.allclose(got, X.at(1.0) - X.at(0.0))
-    got_half = elementary_integral(H, X, 0.5)
-    assert np.allclose(got_half, X.at(0.5))
+    path = rs_integral(H, X)
+    assert np.allclose(path[grid.index_of(2.0)], X.at(1.0) - X.at(0.0))
+    assert np.allclose(path[grid.index_of(0.5)], X.at(0.5))
 
 
 def test_elementary_additivity_and_disjoint_windows():
@@ -66,11 +66,12 @@ def test_elementary_additivity_and_disjoint_windows():
         (0.0, 0.3, sym, {1: a}),
         (0.5, 0.8, identity_symbol(), {}),
     ])
-    full = elementary_integral(H, X, 1.0)
+    path = rs_integral(H, X)
+    full = path[grid.index_of(1.0)]
     want = a @ (X.at(0.3) - X.at(0.0)) + (X.at(0.8) - X.at(0.5))
     assert np.max(np.abs(full - want)) < 1e-12
     # additivity over time windows, exact on the grid
-    head = elementary_integral(H, X, 0.6)
+    head = path[grid.index_of(0.6)]
     mid = a @ (X.at(0.3)) + (X.at(0.6) - X.at(0.5))
     assert np.max(np.abs(head - mid)) < 1e-12
 
@@ -80,7 +81,6 @@ def test_elementary_window_past_the_grid_end_is_clipped():
     X = simulate_hbm(3, grid, RngStream(3, 0))
     H = ElementaryPredictable([(0.5, 3.0, identity_symbol(), {})])
     want = X.at(1.0) - X.at(0.5)
-    assert np.max(np.abs(elementary_integral(H, X, 1.0) - want)) < 1e-12
     path = rs_integral(H, X)
     assert not np.any(path[:6])
     assert np.max(np.abs(path[-1] - want)) < 1e-12
@@ -98,11 +98,8 @@ def test_elementary_martingale_property():
     ens = simulate_hbm_ensemble(4, grid, 2000, seed=77)
     a = rand_hermitian(4)
     H = ElementaryPredictable([(0.0, 1.0, parse("x1 y1"), {1: a})])
-    late = np.stack([
-        elementary_integral(H, ens.path(i), 1.0)
-        - elementary_integral(H, ens.path(i), 0.5)
-        for i in range(ens.n_paths)
-    ])
+    path = rs_integral(H, ens)
+    late = path[:, grid.index_of(1.0)] - path[:, grid.index_of(0.5)]
     entries = late.reshape(ens.n_paths, -1)
     mean = np.mean(entries, axis=0)
     se = np.std(entries, axis=0, ddof=1) / math.sqrt(ens.n_paths)
@@ -141,6 +138,24 @@ def test_rs_integral_batched_matches_per_path():
         Hi = BoundBiprocess(parse("x1 y1 x1"), grid, 3, {1: ens.values[i]})
         single = rs_integral(Hi, ens.values[i])
         assert np.max(np.abs(batched[i] - single)) < 1e-12
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [1, 2, 3], [5, 6, 12], [13],
+                                  list(range(1, 14))])
+def test_carried_sums_over_windows_equal_one_cumulative_path(cuts):
+    # each window after the first carries in the last running sum, and
+    # the windows' sums hold the bits of one cumsum over the whole path
+    rng = np.random.default_rng(8)
+    shape = (3, 14, 4, 4)
+    terms = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    carry, blocks = None, []
+    for a, b in zip([0] + cuts, cuts + [14]):
+        sums = carried_sums(terms[:, a:b].copy(), carry)
+        assert sums.shape[1] == b - a + (carry is None)
+        carry = sums[:, -1].copy()
+        blocks.append(sums)
+    assert np.array_equal(np.concatenate(blocks, axis=1),
+                          cumulative_path(terms))
 
 
 # -- quadratic sums -------------------------------------------------------
