@@ -1,8 +1,12 @@
 """Command-line experiment driver.
 
 Subcommands cover symbolic differentiation, matrix evaluation, path
-simulation, and the verification checks; every run is determined by one
-master seed plus the effective config, which is echoed into the reports.
+simulation, and the verification checks.  ``COMMANDS`` declares each one
+once: its handler, its config keys with their defaults, each of which is
+also its one flag, and whether it writes a report, which alone gives it
+``--json`` and ``--csv``.  Every subcommand takes ``--config``.  A run is
+determined by its effective config, echoed into the reports, which holds
+the one master seed wherever the run draws random numbers.
 Exit codes: 0 all asserted tolerances pass, 1 a tolerance failed, 2 a
 configuration or parse error.
 """
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,19 +32,13 @@ from .process_sim import (
     simulate_hbm,
     simulate_hbm_ensemble,
 )
-from .reports import (
-    fit_loglog_slope,
-    make_report,
-    to_json,
-    write_csv,
-    write_json,
-)
+from .reports import make_report, to_json, write_csv, write_json
 from .selftest import ALL_CHECKS, run_selftest
 from .stoch_int import (
     BoundBiprocess,
     bdg_stats,
     ito_isometry_check,
-    qc_convergence_gaps,
+    qc_convergence_study,
 )
 from .evaluator import EvalContext, EvalError, eval_poly
 from .trace_poly import ContractionModel, LinearityError, derive, derive_k
@@ -49,18 +48,15 @@ class ConfigError(Exception):
     pass
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override keys")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--json", dest="json_out", help="write JSON report here")
-    p.add_argument("--csv", dest="csv_out", help="write CSV report here")
-
-
 # JSON types of the config values whose default does not show them (null
 # is taken where the default is null): a tuple lists the types a value may
-# take, [t] a list of values of type t
+# take, [t] a list of values of type t.  A flag takes the first type.
 _VALUE_TYPES = {"expr": str, "var": str, "matrices": str, "order": int,
                 "meshes": (str, [float]), "checks": (str, [str])}
+
+
+def _value_type(key: str, default):
+    return _VALUE_TYPES.get(key, type(default))
 
 
 def _has_type(value, want) -> bool:
@@ -91,16 +87,15 @@ def _effective(args, defaults: dict) -> dict:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in loaded.items():
             default = defaults[key]
-            if not ((value is None and default is None) or _has_type(
-                    value, _VALUE_TYPES.get(key, type(default)))):
+            if not ((value is None and default is None)
+                    or _has_type(value, _value_type(key, default))):
                 raise ConfigError(
                     f"config key {key!r} cannot take {json.dumps(value)}")
         cfg.update(loaded)
     for key in defaults:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    cfg["seed"] = int(cfg.get("seed") or 0)
     return cfg
 
 
@@ -143,9 +138,7 @@ def _emit(records, cfg, args) -> None:
         print(to_json(records))
 
 
-def _cmd_diff(args) -> int:
-    cfg = _effective(args, {"expr": None, "var": None, "order": None,
-                            "seed": 0})
+def _cmd_diff(cfg) -> int:
     if not cfg["expr"]:
         raise ConfigError("diff needs --expr")
     P = parse(cfg["expr"])
@@ -171,8 +164,7 @@ def _matrix_from_json(obj) -> np.ndarray:
     raise ConfigError("matrices must be 2-d (real) or entries of [re, im]")
 
 
-def _cmd_eval(args) -> int:
-    cfg = _effective(args, {"expr": None, "matrices": None, "seed": 0})
+def _cmd_eval(cfg) -> int:
     if not cfg["expr"] or not cfg["matrices"]:
         raise ConfigError("eval needs --expr and --matrices")
     try:
@@ -193,9 +185,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sim(args) -> int:
-    cfg = _effective(args, {"n": 8, "T": 1.0, "mesh": 0.01, "paths": 1,
-                            "seed": 0, "out": "path", "method": "basis"})
+def _cmd_sim(cfg) -> int:
     paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["T"]), float(cfg["mesh"]))
     for i in range(paths):
@@ -206,27 +196,13 @@ def _cmd_sim(args) -> int:
     return 0
 
 
-def _cmd_qc(args) -> int:
-    cfg = _effective(args, {"n": 16, "paths": 200, "seed": 0,
-                            "meshes": "0.02,0.01,0.005,0.0025"})
-    meshes = _meshes(cfg["meshes"])
-    n, paths, seed = int(cfg["n"]), _paths(cfg), int(cfg["seed"])
-    gaps = qc_convergence_gaps(n, meshes, paths, seed)
-    slope = fit_loglog_slope(meshes, gaps)
-    rep = make_report(
-        "qc_convergence",
-        {"n": n, "paths": paths, "seed": seed, "mesh": meshes[-1], "t": 1.0},
-        gaps[0], gaps[-1], 0.0, slope=slope,
-        passed=gaps[-1] < gaps[0],
-        extra={"meshes": meshes, "residuals": gaps},
-    )
-    _emit([rep], cfg, args)
-    return 0 if rep["passed"] else 1
+def _cmd_qc(cfg) -> list[dict]:
+    return [qc_convergence_study(
+        int(cfg["n"]), _meshes(cfg["meshes"]), _paths(cfg), int(cfg["seed"]),
+        lambda gaps, slope: gaps[-1] < gaps[0])]
 
 
-def _cmd_ito(args) -> int:
-    cfg = _effective(args, {"poly": "x1^2", "n": 16, "paths": 100,
-                            "seed": 0, "meshes": "0.02,0.01,0.005,0.0025"})
+def _cmd_ito(cfg) -> list[dict]:
     meshes = _meshes(cfg["meshes"])
     rep = convergence_study(
         meshes,
@@ -237,58 +213,45 @@ def _cmd_ito(args) -> int:
     # a polynomial of degree <= 1 telescopes: every residual is rounding
     res = rep["residuals"]
     rep["passed"] = res[-1] < res[0] or max(res) <= 1e-12
-    _emit([rep], cfg, args)
-    return 0 if rep["passed"] else 1
+    return [rep]
 
 
-def _cmd_bdg(args) -> int:
-    cfg = _effective(args, {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02,
-                            "p": 2, "t": 1.0})
+def _cmd_bdg(cfg) -> list[dict]:
     paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["t"]), float(cfg["mesh"]))
     ens = simulate_hbm_ensemble(int(cfg["n"]), grid, paths,
                                 seed=int(cfg["seed"]))
-    rep = bdg_stats(ens, int(cfg["p"]), float(cfg["t"]),
-                    {"n": int(cfg["n"]), "mesh": grid.mesh,
-                     "paths": paths, "seed": int(cfg["seed"]),
-                     "t": float(cfg["t"])})
-    _emit([rep], cfg, args)
-    return 0 if rep.get("passed", True) else 1
+    return [bdg_stats(ens, int(cfg["p"]), float(cfg["t"]),
+                      {"n": int(cfg["n"]), "mesh": grid.mesh,
+                       "paths": paths, "seed": int(cfg["seed"]),
+                       "t": float(cfg["t"])})]
 
 
-def _cmd_isometry(args) -> int:
-    cfg = _effective(args, {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02,
-                            "t": 1.0, "expr": "y1"})
+def _cmd_isometry(cfg) -> list[dict]:
     paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["t"]), float(cfg["mesh"]))
     n = int(cfg["n"])
     ens = simulate_hbm_ensemble(n, grid, paths, seed=int(cfg["seed"]))
     H = BoundBiprocess(parse(cfg["expr"]), grid, n)
-    rep = ito_isometry_check(H, ens, float(cfg["t"]),
-                             {"n": n, "mesh": grid.mesh, "paths": paths,
-                              "seed": int(cfg["seed"]), "t": float(cfg["t"])})
-    _emit([rep], cfg, args)
-    return 0 if rep["passed"] else 1
+    return [ito_isometry_check(
+        H, ens, float(cfg["t"]), {"n": n, "mesh": grid.mesh, "paths": paths,
+                                  "seed": int(cfg["seed"]),
+                                  "t": float(cfg["t"])})]
 
 
-def _cmd_esd(args) -> int:
-    cfg = _effective(args, {"n": 512, "seed": 0, "t": 1.0,
-                            "threshold": 0.06})
+def _cmd_esd(cfg) -> list[dict]:
     n, t = int(cfg["n"]), float(cfg["t"])
     grid = TimeGrid.uniform(t, 1)
     path = simulate_hbm(n, grid, RngStream(int(cfg["seed"]), 0),
                         method="entrywise")
     ks = esd_distance(path.values[-1], t)
     threshold = float(cfg["threshold"])
-    rep = make_report("esd", {"n": n, "seed": int(cfg["seed"]), "t": t},
-                      ks, threshold, passed=ks <= threshold)
-    _emit([rep], cfg, args)
-    return 0 if rep["passed"] else 1
+    return [make_report("esd", {"n": n, "seed": int(cfg["seed"]), "t": t},
+                        ks, threshold, passed=ks <= threshold)]
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(cfg) -> list[dict]:
     known = [c.__name__.removeprefix("check_") for c in ALL_CHECKS]
-    cfg = _effective(args, {"seed": 0, "checks": None})
     checks = cfg["checks"]
     if checks:
         checks = checks.split(",") if isinstance(checks, str) else list(checks)
@@ -306,8 +269,47 @@ def _cmd_selftest(args) -> int:
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"{status}  {rec['check']}")
-    _emit(records, cfg, args)
-    return 0 if all(r["passed"] for r in records) else 1
+    return records
+
+
+class Subcommand(NamedTuple):
+    """One subcommand: ``run(cfg)`` on the effective config, whose keys
+    and defaults are ``defaults``.  A report writer's ``run`` returns its
+    records, which ``main`` prints or writes; the others return the exit
+    code themselves."""
+
+    run: Callable[[dict], int | list[dict]]
+    help: str
+    defaults: dict
+    reports: bool = True
+
+
+_MESHES = "0.02,0.01,0.005,0.0025"
+COMMANDS = {
+    "diff": Subcommand(_cmd_diff, "differentiate a trace polynomial",
+                       {"expr": None, "var": None, "order": None},
+                       reports=False),
+    "eval": Subcommand(_cmd_eval, "evaluate an expression on matrices",
+                       {"expr": None, "matrices": None}, reports=False),
+    "sim": Subcommand(_cmd_sim, "simulate HBM paths to NCP1 files",
+                      {"n": 8, "T": 1.0, "mesh": 0.01, "paths": 1, "seed": 0,
+                       "out": "path", "method": "basis"}, reports=False),
+    "qc": Subcommand(_cmd_qc, "run the qc check",
+                     {"n": 16, "paths": 200, "seed": 0, "meshes": _MESHES}),
+    "ito": Subcommand(_cmd_ito, "run the ito check",
+                      {"poly": "x1^2", "n": 16, "paths": 100, "seed": 0,
+                       "meshes": _MESHES}),
+    "bdg": Subcommand(_cmd_bdg, "run the bdg check",
+                      {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02, "p": 2,
+                       "t": 1.0}),
+    "isometry": Subcommand(_cmd_isometry, "run the isometry check",
+                           {"n": 8, "paths": 500, "seed": 0, "mesh": 0.02,
+                            "t": 1.0, "expr": "y1"}),
+    "esd": Subcommand(_cmd_esd, "run the esd check",
+                      {"n": 512, "seed": 0, "t": 1.0, "threshold": 0.06}),
+    "selftest": Subcommand(_cmd_selftest, "run the full acceptance suite",
+                           {"seed": 0, "checks": None}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,50 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("diff", help="differentiate a trace polynomial")
-    d.add_argument("--expr")
-    d.add_argument("--var")
-    d.add_argument("--order", type=int)
-    _add_common(d)
-    d.set_defaults(func=_cmd_diff)
-
-    e = sub.add_parser("eval", help="evaluate an expression on matrices")
-    e.add_argument("--expr")
-    e.add_argument("--matrices")
-    _add_common(e)
-    e.set_defaults(func=_cmd_eval)
-
-    s = sub.add_parser("sim", help="simulate HBM paths to NCP1 files")
-    s.add_argument("--n", type=int)
-    s.add_argument("--T", type=float)
-    s.add_argument("--mesh", type=float)
-    s.add_argument("--paths", type=int)
-    s.add_argument("--out")
-    s.add_argument("--method", choices=["basis", "entrywise"])
-    _add_common(s)
-    s.set_defaults(func=_cmd_sim)
-
-    for name, fn, extra in [
-        ("qc", _cmd_qc, ["--n", "--paths", "--meshes"]),
-        ("ito", _cmd_ito, ["--poly", "--n", "--paths", "--meshes"]),
-        ("bdg", _cmd_bdg, ["--n", "--paths", "--mesh", "--p", "--t"]),
-        ("isometry", _cmd_isometry,
-         ["--n", "--paths", "--mesh", "--t", "--expr"]),
-        ("esd", _cmd_esd, ["--n", "--t", "--threshold"]),
-    ]:
-        sp = sub.add_parser(name, help=f"run the {name} check")
-        for flag in extra:
-            kind = int if flag in ("--n", "--paths", "--p") else (
-                float if flag in ("--mesh", "--t", "--threshold") else str)
-            sp.add_argument(flag, type=kind)
-        _add_common(sp)
-        sp.set_defaults(func=fn)
-
-    st = sub.add_parser("selftest", help="run the full acceptance suite")
-    st.add_argument("--checks", help="comma-separated subset of checks")
-    _add_common(st)
-    st.set_defaults(func=_cmd_selftest)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument("--config",
+                        help="JSON config file; flags override keys")
+        for key, default in command.defaults.items():
+            kind = _value_type(key, default)
+            sp.add_argument(f"--{key}",
+                            type=kind[0] if isinstance(kind, tuple) else kind,
+                            help=None if default is None
+                            else f"default {default}")
+        if command.reports:
+            sp.add_argument("--json", dest="json_out",
+                            help="write JSON report here")
+            sp.add_argument("--csv", dest="csv_out",
+                            help="write CSV report here")
     return p
 
 
@@ -368,7 +341,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        command = COMMANDS[args.command]
+        cfg = _effective(args, command.defaults)
+        if not command.reports:
+            return command.run(cfg)
+        records = command.run(cfg)
+        _emit(records, cfg, args)
+        return 0 if all(r.get("passed", True) for r in records) else 1
     except (ConfigError, ParseError, LinearityError, EvalError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -54,12 +54,13 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def _hermitian_mask(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Per matrix of a (..., n, n) stack: Hermitian to ``tol`` relative to
-    its own largest entry (a zero matrix is Hermitian)."""
+    its own largest entry (a zero matrix is Hermitian, and one whose
+    largest entry's modulus overflows is not)."""
     scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
     defect = adjoint(a)
     defect -= a  # in place: ``a - adjoint(a)`` iterates mixed layouts slowly
     dev = np.max(np.abs(defect), axis=(-2, -1), initial=0.0)
-    return dev <= tol * np.where(scale == 0, 1.0, scale)
+    return (dev <= tol * np.where(scale == 0, 1.0, scale)) & (scale < np.inf)
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
@@ -80,7 +81,10 @@ def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
     bitwise Hermitian and P self-adjoint): the test is skipped and the
     whole stack takes the ``eigvalsh`` route.  A matrix with a NaN or an
     infinite entry reduces to NaN on either route, and the others reduce
-    as they would alone."""
+    as they would alone.  A finite matrix near the float maximum can
+    overflow in the Hermitian part's sum, in its |eigenvalues| or singular
+    values, or in their sum: it is reduced again scaled down by a power
+    of two, so its value is infinite only where tr_n |a| is."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a, 1.0), copy=False)
     finite = np.isfinite(a).all(axis=(-2, -1))
@@ -89,6 +93,25 @@ def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
         if finite.any():
             out[finite] = l1_trace_norms(a[finite], hermitian)
         return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = _l1_routed(a, hermitian)
+        except np.linalg.LinAlgError:  # on an overflowed Hermitian part
+            out = np.full(a.shape[:-2], np.nan)
+        over = ~np.isfinite(out)
+        if not over.any():
+            return out
+        # a matrix below 2^512 cannot overflow: it is reduced again as is
+        out = np.array(out)
+        big = a[over]
+        top = np.maximum(abs(big.real), abs(big.imag)).max(axis=(-2, -1))
+        exp = np.where(top > 2.0**512, np.frexp(top)[1], 0)
+        scaled = big * np.ldexp(1.0, -exp)[:, None, None]
+        out[over] = np.ldexp(_l1_routed(scaled, hermitian), exp)
+    return out
+
+
+def _l1_routed(a: np.ndarray, hermitian: bool) -> np.ndarray:
     if hermitian:
         return _l1_hermitian(a)
     herm = _hermitian_mask(a)
@@ -127,40 +150,62 @@ def _l1_general(a: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1) / a.shape[-1]
 
 
-def hermitian_onb(n: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of M_n(C) for <a,b>_n = n Tr(b* a).
+_SCATTER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    Returns n^2 matrices: scaled diagonal units and symmetric/antisymmetric
-    off-diagonal pairs.
+
+def _basis_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal Hermitian basis of M_n(C) for <a,b>_n = n Tr(b* a),
+    as a per-n map from basis coefficients to matrix entries.
+
+    The basis has n diagonal units of size 1/sqrt(n), then for each k < l
+    a symmetric element, 1/sqrt(2n) at (k, l) and (l, k), and an
+    antisymmetric one, -i/sqrt(2n) at (k, l) and +i/sqrt(2n) at (l, k).
+    ``scale[e]`` is the size of element e.  Entry p of the flat matrix
+    takes its real and imaginary parts from columns ``index[2p]`` and
+    ``index[2p + 1]`` of the row ``[c, -c, 0]``, where c holds the scaled
+    coefficients.
     """
+    cached = _SCATTER_CACHE.get(n)
+    if cached is not None:
+        return cached
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    basis = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0 / math.sqrt(n)
-        basis.append(e)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = e[l, k] = 1.0 / math.sqrt(2 * n)
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = -1j / math.sqrt(2 * n)
-            e[l, k] = 1j / math.sqrt(2 * n)
-            basis.append(e)
-    return basis
+    nn = n * n
+    scale = np.full(nn, 1.0 / math.sqrt(2 * n))
+    scale[:n] = 1.0 / math.sqrt(n)
+    re = np.empty((n, n), dtype=np.intp)
+    im = np.full((n, n), 2 * nn, dtype=np.intp)
+    d = np.arange(n)
+    re[d, d] = d
+    k, l = np.triu_indices(n, k=1)
+    sym = n + 2 * np.arange(len(k))
+    re[k, l] = re[l, k] = sym
+    im[k, l] = nn + sym + 1
+    im[l, k] = sym + 1
+    index = np.stack([re, im], axis=-1).ravel()
+    scale.setflags(write=False)
+    index.setflags(write=False)
+    cached = _SCATTER_CACHE[n] = (scale, index)
+    return cached
 
 
 def hermitian_onb_array(n: int) -> np.ndarray:
-    """Basis stacked into an (n^2, n, n) array, cached per dimension.
+    """The basis of ``_basis_scatter`` as an (n^2, n, n) array, cached per
+    dimension: element e scatters the coefficient row of the unit vector e.
+    Every zero entry is +0.0.
 
     It takes 16 n^4 bytes.  Only the magic-formula sum uses it; the
     Hermitian-BM sampler scatters its coefficients without it.
     """
     arr = _ONB_CACHE.get(n)
     if arr is None:
-        arr = np.stack(hermitian_onb(n))
+        scale, index = _basis_scatter(n)
+        nn = n * n
+        e = np.arange(nn)
+        rows = np.zeros((nn, 2 * nn + 1))
+        rows[e, e] = scale
+        rows[e, nn + e] = -scale
+        arr = np.take(rows, index, axis=1).view(complex).reshape(nn, n, n)
         _ONB_CACHE[n] = arr
     return arr
 

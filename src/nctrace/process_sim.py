@@ -40,6 +40,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import buffers
+from .matrix_alg import _basis_scatter
 
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -187,42 +188,6 @@ class Ensemble:
         return ProcessPath(
             self.grid, self.values[index], self.role, self.seed_info
         )
-
-
-_SCATTER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _basis_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n map from Hermitian-basis coefficients to matrix entries.
-
-    The basis (``matrix_alg.hermitian_onb``) has n diagonal units of size
-    1/sqrt(n), then for each k < l a symmetric element, 1/sqrt(2n) at (k, l)
-    and (l, k), and an antisymmetric one, -i/sqrt(2n) at (k, l) and
-    +i/sqrt(2n) at (l, k).  ``scale[e]`` is the size of element e.  Entry p
-    of the flat matrix takes its real and imaginary parts from columns
-    ``index[2p]`` and ``index[2p + 1]`` of the row ``[c, -c, 0]``, where c
-    holds the scaled coefficients.
-    """
-    cached = _SCATTER_CACHE.get(n)
-    if cached is not None:
-        return cached
-    nn = n * n
-    scale = np.full(nn, 1.0 / math.sqrt(2 * n))
-    scale[:n] = 1.0 / math.sqrt(n)
-    re = np.empty((n, n), dtype=np.intp)
-    im = np.full((n, n), 2 * nn, dtype=np.intp)
-    d = np.arange(n)
-    re[d, d] = d
-    k, l = np.triu_indices(n, k=1)
-    sym = n + 2 * np.arange(len(k))
-    re[k, l] = re[l, k] = sym
-    im[k, l] = nn + sym + 1
-    im[l, k] = sym + 1
-    index = np.stack([re, im], axis=-1).ravel()
-    scale.setflags(write=False)
-    index.setflags(write=False)
-    cached = _SCATTER_CACHE[n] = (scale, index)
-    return cached
 
 
 def _hbm_increments_basis(n, dts, rng, out: np.ndarray,

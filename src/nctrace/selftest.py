@@ -47,7 +47,7 @@ from .stoch_int import (
     ElementaryPredictable,
     bdg_stats,
     ito_isometry_check,
-    qc_convergence_gaps,
+    qc_convergence_study,
     qc_of_integrals_check,
     quad_rs_path,
     rs_integral,
@@ -227,17 +227,12 @@ def check_gamma_rules_mc(seed: int) -> dict:
 
 
 def check_qc_convergence(seed: int) -> dict:
-    n, paths = 16, 200
-    meshes = [0.02, 0.01, 0.005, 0.0025]
-    gaps = qc_convergence_gaps(n, meshes, paths, seed)
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    slope = fit_loglog_slope(meshes, gaps)
-    ok = monotone and 0.3 <= slope <= 0.7
-    return make_report("qc_convergence",
-                       {"n": n, "paths": paths, "seed": seed,
-                        "mesh": meshes[-1], "t": 1.0},
-                       gaps[0], gaps[-1], 0.0, slope=slope, passed=ok,
-                       extra={"meshes": meshes, "residuals": gaps})
+    def passes(gaps, slope):
+        monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
+        return monotone and 0.3 <= slope <= 0.7
+
+    return qc_convergence_study(16, [0.02, 0.01, 0.005, 0.0025], 200, seed,
+                                passes)
 
 
 # 7. Ito residual convergence ----------------------------------------------

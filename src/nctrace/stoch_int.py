@@ -26,7 +26,7 @@ from . import buffers
 from .evaluator import EvalContext, eval_multilinear, eval_poly
 from .matrix_alg import l1_trace_norms, trace_n
 from .parsing import parse
-from .reports import make_report
+from .reports import fit_loglog_slope, make_report
 from .trace_poly import (
     ContractionModel,
     LinearityError,
@@ -236,16 +236,25 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     return float(np.mean(np.concatenate(gaps)))
 
 
-def qc_convergence_gaps(n: int, meshes, paths: int, seed: int) -> list[float]:
-    """The QC study: ``qc_gap_l1`` on [0, 1] at each mesh, a drawn from
-    ``default_rng(seed + 6)`` as a Hermitian matrix and mesh i simulated
-    with the seed ``seed * 977 + 6000 + i``."""
+def qc_convergence_study(n: int, meshes, paths: int, seed: int,
+                         passes) -> dict:
+    """The QC study's ``qc_convergence`` record: ``qc_gap_l1`` on [0, 1] at
+    each mesh, a drawn from ``default_rng(seed + 6)`` as a Hermitian matrix
+    and mesh i simulated with the seed ``seed * 977 + 6000 + i``, the
+    gaps' fitted log-log slope, and ``passed`` set to
+    ``passes(gaps, slope)``, the caller's rule."""
     rng = np.random.default_rng(seed + 6)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (g + g.conj().T) / 2
-    return [qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths,
+    gaps = [qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths,
                       seed * 977 + 6000 + i, a)
             for i, m in enumerate(meshes)]
+    slope = fit_loglog_slope(meshes, gaps)
+    return make_report(
+        "qc_convergence",
+        {"n": n, "paths": paths, "seed": seed, "mesh": meshes[-1], "t": 1.0},
+        gaps[0], gaps[-1], 0.0, slope=slope, passed=passes(gaps, slope),
+        extra={"meshes": meshes, "residuals": gaps})
 
 
 def _paired_z_report(check: str, params: dict, a, b) -> dict:

@@ -1,5 +1,6 @@
 """CLI driver: subcommand behavior, config handling, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nctrace
-from nctrace.cli import main
+from nctrace.cli import COMMANDS, build_parser, main
 from nctrace.process_sim import load_ncp1
 
 
@@ -89,6 +90,76 @@ def test_eval_config_with_trace_mode_exits_2(tmp_path, capsys):
                        _eval_matrices(tmp_path), "--config", str(cfg))
     assert rc == 2 and "unknown config keys: trace_mode" in err
     assert out == ""
+
+
+# the config keys of each subcommand, each of which is also its one flag
+_CONFIG_KEYS = {
+    "diff": {"expr", "var", "order"},
+    "eval": {"expr", "matrices"},
+    "sim": {"n", "T", "mesh", "paths", "seed", "out", "method"},
+    "qc": {"n", "paths", "seed", "meshes"},
+    "ito": {"poly", "n", "paths", "seed", "meshes"},
+    "bdg": {"n", "paths", "seed", "mesh", "p", "t"},
+    "isometry": {"n", "paths", "seed", "mesh", "t", "expr"},
+    "esd": {"n", "seed", "t", "threshold"},
+    "selftest": {"seed", "checks"},
+}
+_REPORT_WRITERS = {"qc", "ito", "bdg", "isometry", "esd", "selftest"}
+
+
+def test_each_flag_is_a_config_key_and_only_report_writers_write_reports():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_CONFIG_KEYS)
+    for name, sub in subparsers.choices.items():
+        flags = {f for a in sub._actions for f in a.option_strings
+                 if f not in ("-h", "--help")}
+        want = {"--config"} | {f"--{k}" for k in _CONFIG_KEYS[name]}
+        if name in _REPORT_WRITERS:
+            want |= {"--json", "--csv"}
+        assert flags == want, name
+        assert set(COMMANDS[name].defaults) == _CONFIG_KEYS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--expr", "x1^2", "--var", "x1", "--json", "F"],
+    ["diff", "--expr", "x1^2", "--var", "x1", "--seed", "1"],
+    ["eval", "--expr", "x1", "--matrices", "M", "--seed", "1"],
+    ["eval", "--expr", "x1", "--matrices", "M", "--csv", "F"],
+    ["sim", "--n", "2", "--mesh", "0.5", "--out", "P", "--json", "F"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    names = {"F": str(out / "f"), "P": str(out / "p"),
+             "M": _eval_matrices(tmp_path)}
+    with pytest.raises(SystemExit) as e:
+        main([names.get(a, a) for a in argv])
+    assert e.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["diff", "eval"])
+def test_a_seed_in_the_config_of_diff_or_eval_exits_2(tmp_path, capsys, cmd):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    argv = (["diff", "--expr", "x1^2", "--var", "x1"] if cmd == "diff" else
+            ["eval", "--expr", "x1", "--matrices", _eval_matrices(tmp_path)])
+    rc, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert rc == 2 and "unknown config keys: seed" in err
+    assert out == ""
+
+
+def test_sim_with_an_unknown_method_exits_2(tmp_path, capsys):
+    try:
+        rc = main(["sim", "--n", "2", "--mesh", "0.5", "--method", "foo",
+                   "--out", str(tmp_path / "p")])
+    except SystemExit as e:
+        rc = e.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and "'foo'" in err
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 _ITO_SMALL = ["ito", "--n", "2", "--paths", "1", "--meshes", "0.5,0.25,0.125"]

@@ -22,7 +22,7 @@ from nctrace.matrix_alg import (
     divided_diff_grid,
     dk_operator_function,
     esd_distance,
-    hermitian_onb,
+    hermitian_onb_array,
     l1_trace_norms,
     magic_sum,
     moi,
@@ -45,7 +45,7 @@ def rand_hermitian(n, rng=RNG, scale=1.0):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_basis_is_orthonormal(n):
-    es = hermitian_onb(n)
+    es = hermitian_onb_array(n)
     assert len(es) == n * n
     for e in es:
         assert np.allclose(e, adjoint(e), atol=1e-14)
@@ -69,7 +69,7 @@ def test_magic_formula(n):
 def test_rank_one_basis_identity(n):
     # sum_e tr_n(m e) e = m / n^2, the source of the cross-term weights
     m = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-    es = hermitian_onb(n)
+    es = hermitian_onb_array(n)
     got = sum(trace_n(m @ e) * e for e in es)
     assert np.max(np.abs(got - m / n**2)) < 1e-12
 
@@ -634,6 +634,48 @@ def test_l1_trace_norms_give_nan_exactly_for_non_finite_matrices(
     got = l1_trace_norms(a, hermitian)
     assert np.array_equal(np.isnan(got), bad)
     assert got[~bad].tobytes() == want[~bad].tobytes()
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("n", [2, 16])
+def test_l1_trace_norms_of_finite_matrices_near_the_float_maximum(
+        n, hermitian):
+    # (a* + a) overflows for entries past about 9e307, and the sum of
+    # |eigenvalues| or singular values before the / n below that, though
+    # tr_n |a| of diag(1e308, -1e308) or of a 16 x 16 matrix near 3e307 is
+    # finite; LAPACK fails on the overflowed Hermitian part at n = 16
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    spikes = np.diag(1e308 * sign).astype(complex)
+    herm = rand_hermitian(n)
+    herm *= 1e308 / np.max(np.abs(herm.view(np.float64)))
+    dense = rand_hermitian(n)
+    dense *= 3e307 / np.max(np.abs(dense.view(np.float64)))
+    normal = rand_hermitian(n)
+    mats = [spikes, herm, dense, normal]
+    if not hermitian:
+        general = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+        mats.append(general * 3e307 / np.max(np.abs(general.view(
+            np.float64))))
+    a = np.stack(mats)
+    got = l1_trace_norms(a, hermitian)
+    shift = 2.0**64
+    want = l1_trace_norms(a / shift, hermitian) * shift
+    assert np.isfinite(got).all()
+    assert got[0] == 1e308
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    # a matrix away from the maximum keeps its bits
+    assert got[3].tobytes() == l1_trace_norms(normal, hermitian).tobytes()
+
+
+def test_an_entry_whose_modulus_overflows_is_not_taken_as_hermitian():
+    # an infinite largest |entry| leaves the relative Hermitian test no
+    # scale: taken as Hermitian, a would reduce as its Hermitian part, to
+    # |x| / 4
+    x = 1.5e308 * (1 + 1j)
+    a = np.array([[0, x], [-x.conjugate() / 2, 0]])
+    want = l1_trace_norms(a / 4) * 4
+    assert want == pytest.approx(0.75 * abs(x / 4) * 4)
+    assert l1_trace_norms(a) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", ["hermitian", "near_hermitian", "zero",
