@@ -14,10 +14,13 @@ time, a plain loop in which each window feeds every polynomial of the
 study, which keeps its own P(X_0) and running sum, carried into the next
 window by ``stoch_int.carried_sums``.  So no (paths, T, n, n) array is
 made, and the blocks' arrays come from recycled buffers (``buffers``).
-The sup study (``ito_sup_residuals``) reduces exactly only the last
-window and the windows whose tr_n-L^2 bound (``l2_trace_norms``) could
-reach its sup, which a second walk, resumed from a saved window, makes
-again; the other per-time reducers reduce every grid time.
+The sup study (``ito_sup_residuals``) reduces exactly the last window,
+and of the earlier grid times only what their tr_n-L^2 bounds
+(``l2_trace_norms``) cannot rule out: for each polynomial and time, one
+path at a time, until the time is ruled out or every path is reduced.
+A second walk of each chunk, resumed from a saved window, makes again
+only the windows that still hold such a time; the other per-time
+reducers reduce every grid time.
 ``ito_residual_path`` is the one-window case of the same code.  Each
 block is one ``evaluator.eval_step_block`` call, which makes P, dP[dX]
 and the second-order term from one plan on the window's time axis.  The driver
@@ -64,9 +67,11 @@ from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
 
 _HALF = QC(Fraction(1, 2))
 
-# How far a grid time's tr_n-L^2 bound must sit below a study's exact sup
-# before ``ito_sup_residuals`` leaves the time unreduced: far above the
-# rounding of either figure, far below the gap between them.
+# How far a grid time's upper bound (its path sum of tr_n-L^2 bounds, less
+# what the paths reduced exactly took off) must sit below a study's exact
+# sup before ``ito_sup_residuals`` leaves the time's other paths
+# unreduced: far above the rounding of either figure, far below the gap
+# between them.
 BOUND_MARGIN = 1e-9
 
 
@@ -221,14 +226,20 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     ``STUDY_TIME_BLOCK`` grid points at a time, and each window feeds every
     polynomial.  The last window's residuals are reduced exactly
     (``l1_trace_norms``), and every other block only adds its path sum of
-    tr_n-L^2 bounds.  L_k is the largest exact path sum in the last window;
-    a grid time stays a candidate for k unless its bound times
-    1 + ``BOUND_MARGIN`` is below L_k, so a NaN is never ruled out.  Pass 2
-    resumes each chunk's walk at the latest saved start (``_save_points``)
-    at or before the first candidate and reduces exactly every window that
-    holds a candidate of k, up to the last such window.  The windows,
-    carried sums and chunk order are pass 1's, so the sup has the bits of
-    a study that reduces every grid time.  The walk's windows are Hermitian
+    tr_n-L^2 bounds B to U[k, t], an upper bound on the path sum at grid
+    time t.  L_k is the largest exact path sum in the last window; a time
+    is ruled out for k once U[k, t] times 1 + ``BOUND_MARGIN`` is below
+    L_k, so a NaN or an inf is never ruled out.  Pass 2 takes the chunks in
+    order.  It resumes each chunk's walk at the latest saved start
+    (``_save_points``) at or before the chunk's first time not yet ruled
+    out, stops after the window of its last one, and skips the chunk when
+    none is left.  In each block it works out B again and reduces the
+    times still in, one path per round, in order of decreasing B: each
+    exact e_p takes B_p - e_p off U, which may rule the time out.  A time
+    still in after the chunk's last path has each of its exact values, and
+    their path sum goes into the study as in one that reduces every grid
+    time.  The windows, carried sums and chunk order are pass 1's, so the
+    sup has the bits of such a study.  The walk's windows are Hermitian
     by construction, so the evaluator takes that verdict without comparing
     them with their adjoints, and a polynomial whose step symbols are all
     self-adjoint has Hermitian residuals.  Fewer than one path, or a
@@ -242,12 +253,24 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     last = (T - 1) // STUDY_TIME_BLOCK * STUDY_TIME_BLOCK
     saves = _save_points(T)
     acc = np.zeros((len(polys), T))
-    bound = np.zeros((len(polys), last))
+    upper = np.zeros((len(polys), last))  # U
     walked = []
 
-    def reduce(k, i0, i1, res):
-        acc[k, i0:i1] += np.sum(l1_trace_norms(res, hermitian=hermitian[k]),
-                                axis=0)
+    def prune(k, i0, i1, res):
+        bounds = l2_trace_norms(res)  # B, the numbers pass 1 summed
+        exact = np.zeros(bounds.shape)
+        live, u = alive[k, i0:i1], upper[k, i0:i1]
+        # row r holds, for each time, the path of r-th largest bound
+        for rows in np.argsort(-bounds, axis=0):
+            t = np.flatnonzero(live)
+            if not t.size:
+                return
+            p = rows[t]
+            exact[p, t] = l1_trace_norms(res[p, t], hermitian=hermitian[k])
+            u[t] -= bounds[p, t] - exact[p, t]
+            live[t] = ~(u[t] * (1 + BOUND_MARGIN) < lower[k])
+        # the (paths, window) shape an unpruned study sums: the same bits
+        acc[k, i0:i1][live] += np.sum(exact, axis=0)[live]
 
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
         for walk in chunks:
@@ -256,27 +279,29 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
             for i0, i1, k, res in _residual_blocks(symbols, walk, grid, True,
                                                    carries, p0):
                 if i0 == last:
-                    reduce(k, i0, i1, res)
+                    acc[k, i0:i1] += np.sum(
+                        l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
                 else:
-                    bound[k, i0:i1] += np.sum(l2_trace_norms(res), axis=0)
+                    upper[k, i0:i1] += np.sum(l2_trace_norms(res), axis=0)
                 del res  # so the next block can reuse its buffer
                 if k == len(polys) - 1 and i1 in saves:
                     starts[i1] = (walk.start(), dict(carries))
             walked.append((walk, starts, p0))
-        sup_last = np.max(acc[:, last:], axis=1, keepdims=True)
-        candidate = ~(bound * (1 + BOUND_MARGIN) < sup_last)
-        times = np.flatnonzero(candidate.any(axis=0)).tolist()
-        if times:
+        lower = np.max(acc[:, last:], axis=1)  # L
+        alive = ~(upper * (1 + BOUND_MARGIN) < lower[:, None])
+        for walk, starts, p0 in walked:
+            times = np.flatnonzero(alive.any(axis=0))
+            if not times.size:
+                break
             resume = max(i for i in saves if i <= times[0])
             stop = (times[-1] // STUDY_TIME_BLOCK + 1) * STUDY_TIME_BLOCK
-            for walk, starts, p0 in walked:
-                start, carries = starts[resume]
-                for i0, i1, k, res in _residual_blocks(
-                        symbols, walk.resumed(start, stop), grid, True,
-                        dict(carries), p0):
-                    if candidate[k, i0:i1].any():
-                        reduce(k, i0, i1, res)
-                    del res
+            start, carries = starts[resume]
+            for i0, i1, k, res in _residual_blocks(
+                    symbols, walk.resumed(start, stop), grid, True,
+                    dict(carries), p0):
+                if alive[k, i0:i1].any():
+                    prune(k, i0, i1, res)
+                del res
     return [float(np.max(row / paths)) for row in acc]
 
 

@@ -11,12 +11,13 @@ a block plus the one point before them, as a (count, <= block + 1, n, n)
 array.  Each path draws from its own ``RngStream(seed, i)``, one window of
 increments at a time, and sums them onto the carried last point, so its
 bits do not depend on the chunk or block size.  The draws land in the
-window itself and are scattered from one ``[c, -c, 0]`` scratch of scaled
-coefficients; a window of wide rows (n^2 >= ``WIDE_ROW_ENTRIES``, that
-is n >= 16) is summed one grid point at a time, a narrow one with
-``np.cumsum``, and the two give the same bits.  The time-blocked studies
-walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never hold a
-whole path; a window that covers the whole path is what
+window itself and are scattered, a block of steps at a time, from one
+``[c, -c, 0]`` scratch of scaled coefficients of at most
+``SCATTER_SCRATCH_BYTES``; a window of wide rows (n^2 >=
+``WIDE_ROW_ENTRIES``, that is n >= 16) is summed one grid point at a
+time, a narrow one with ``np.cumsum``, and the two give the same bits.
+The time-blocked studies walk ``stoch_int.STUDY_TIME_BLOCK`` points at a
+time and never hold a whole path; a window that covers the whole path is what
 ``simulate_hbm`` and ``simulate_hbm_ensemble`` return, and what
 ``hbm_windows`` yields with no block.  A walk (``HbmWalk``) can save
 where it stands between two windows (``WalkStart``: the carried point and
@@ -49,6 +50,10 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 # matrix has this many entries (n >= 16), and with np.cumsum below it (see
 # HbmWalk for the timings that set it).
 WIDE_ROW_ENTRIES = 256
+
+# The basis sampler scatters its increments through a [c, -c, 0] scratch
+# of at most this many bytes (see _hbm_increments_basis for the timings).
+SCATTER_SCRATCH_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,12 @@ class Ensemble:
         )
 
 
+def _scatter_rows(n: int, steps: int) -> int:
+    """Rows of a ``[c, -c, 0]`` scatter scratch for ``steps`` steps at n:
+    as many as fit in ``SCATTER_SCRATCH_BYTES``, at least one."""
+    return max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * (2 * n * n + 1))))
+
+
 def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
                           scratch: np.ndarray | None = None) -> None:
     """Write the increments into ``out`` (C-contiguous (steps, n, n)).
@@ -198,23 +209,44 @@ def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
     ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.  The standard
     normal draws land in ``out`` itself, in its first steps * n^2 float64:
     they are read into the scaled coefficients c before the scatter
-    overwrites them.  ``scratch`` is a float array of at least ``steps``
-    rows and 2 n^2 + 1 columns for the row ``[c, -c, 0]``; one is made when
-    it is None.
+    overwrites them.  The scatter goes ``len(scratch)`` steps at a time
+    through ``scratch``, a float array of 2 n^2 + 1 columns for the row
+    ``[c, -c, 0]``; one of ``_scatter_rows`` rows is made when it is None.
+    The blocks go from the last step to the first: step j's draws sit in
+    row j // 2 of out, so a block's scatter to rows s0 .. s1 - 1 overwrites
+    only draws of steps from 2 s0 on, which are read already.
+
+    A scratch for a whole path of wide rows spills out of the caches and is
+    faulted in anew at each call.  ``simulate_hbm`` by scratch size, best
+    of 30 runs of 10 calls, ms (1 BLAS thread, 2-core Intel Xeon, 2 MiB L2
+    per core, a shared host whose runs spread by up to 20 %); the last
+    column scatters the whole path at once:
+
+    ==========  =======  =====  =====  ==========
+    n, steps    256 KiB  1 MiB  4 MiB  whole path
+    ==========  =======  =====  =====  ==========
+    16, 800     6.1      6.0    10.7   10.2
+    64, 100     10.5     10.7   11.3   18.3
+    128, 50     22.3     22.1   23.7   26.4
+    ==========  =======  =====  =====  ==========
     """
     steps, nn = len(dts), n * n
     scale, index = _basis_scatter(n)
-    src = (np.empty((steps, 2 * nn + 1)) if scratch is None
-           else scratch[:steps])
+    if scratch is None:
+        scratch = np.empty((_scatter_rows(n, steps), 2 * nn + 1))
     flat = out.view(np.float64).reshape(steps, 2 * nn)
     draws = flat.reshape(-1)[:steps * nn].reshape(steps, nn)
     rng.standard_normal(out=draws)
-    coeffs = src[:, :nn]
-    np.multiply(draws, np.sqrt(dts)[:, None], out=coeffs)
-    coeffs *= scale
-    np.negative(coeffs, out=src[:, nn:2 * nn])
-    src[:, 2 * nn] = 0
-    np.take(src, index, axis=1, out=flat, mode="clip")
+    sd = np.sqrt(dts)[:, None]
+    for s0 in reversed(range(0, steps, len(scratch))):
+        s1 = min(s0 + len(scratch), steps)
+        src = scratch[:s1 - s0]
+        coeffs = src[:, :nn]
+        np.multiply(draws[s0:s1], sd[s0:s1], out=coeffs)
+        coeffs *= scale
+        np.negative(coeffs, out=src[:, nn:2 * nn])
+        src[:, 2 * nn] = 0
+        np.take(src, index, axis=1, out=flat[s0:s1], mode="clip")
 
 
 def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
@@ -277,11 +309,11 @@ class HbmWalk:
     increments of each window are drawn from each path's generator in turn,
     straight into the window, and summed in place onto the carried last
     point of the window before, so the windows hold the bits of one cumsum
-    over the whole path.  A blocked basis walk shares one ``[c, -c, 0]`` scratch of
-    block * (2 n^2 + 1) floats between its windows.  Between two windows,
-    ``start()`` saves where the walk stands, and ``resumed`` walks the same
-    paths on from there with generators of its own: its windows hold the
-    bits of the uninterrupted walk's.
+    over the whole path.  A blocked basis walk shares one ``[c, -c, 0]``
+    scratch of at most ``SCATTER_SCRATCH_BYTES`` between its windows.
+    Between two windows, ``start()`` saves where the walk stands, and
+    ``resumed`` walks the same paths on from there with generators of its
+    own: its windows hold the bits of the uninterrupted walk's.
 
     A path's window is summed along time with ``np.cumsum`` while a matrix
     has fewer than ``WIDE_ROW_ENTRIES`` entries, and with one
@@ -332,11 +364,14 @@ class HbmWalk:
     def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
         n, dts, block, method = self._walk
         T = len(dts) + 1
-        # the windows of a blocked walk share one scratch; a whole-path
-        # window has nothing to share it with, and makes and drops its own
+        # the windows of a blocked walk share one scratch.  A whole-path
+        # window makes its own after the window and drops it at once: made
+        # first and kept, it split the allocator's free space, and repeated
+        # sim runs at n = 64 peaked 7 MB higher
         scratch = None
         if method == "basis" and block < T:
-            scratch = buffers.empty((block, 2 * n * n + 1), float)
+            scratch = buffers.empty((_scatter_rows(n, block), 2 * n * n + 1),
+                                    float)
         wide = n * n >= WIDE_ROW_ENTRIES
         for i0 in range(self.i0, self.stop, block):
             i1 = min(i0 + block, T)

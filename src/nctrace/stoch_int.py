@@ -7,9 +7,10 @@ any integrand into its per-step left-endpoint terms: integrals, quadratic
 sums, the QC study, the isometry check and the BDG quadratic variation
 sum them, whole paths as one ``cumulative_path``; a driver given for
 several slots has its increments made once.  The time-blocked studies (Ito
-residuals, QC gap) walk their paths in ``process_sim.hbm_windows`` and sum
-each window's terms with ``carried_sums``, which adds in the running sum
-at the point before the window.
+residuals, QC gap) walk their paths in ``process_sim.hbm_windows``.  The
+Ito study sums each window's terms with ``carried_sums``, which adds in
+the running sum at the point before the window; the QC gap reads only the
+end of its sum, which it adds up step by step in the same order.
 Quadratic covariation admits a closed form through the gamma contraction,
 and the standard identities (Ito isometry, BDG p=2, substitution, QC of
 integrals) are exposed as report-producing checks.
@@ -215,9 +216,10 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     the symbol y1 x1 y2 (x1 bound to a) up to the grid's end t, on HBM paths
     0..paths-1 of ``seed`` walked ``chunk`` paths and ``STUDY_TIME_BLOCK``
     grid points at a time (``hbm_windows``), and t tr_n(a) I is its closed
-    form.  Each window's ``rs_increments`` terms are summed by
-    ``carried_sums``, carrying in the last window's Q, so Q at the end is
-    one cumsum over the path.  Fewer than one path, or a ``chunk`` below 1,
+    form.  Only Q at the end is read, so each window's ``rs_increments``
+    terms are added onto the carried Q one step at a time, in time order:
+    Q holds the bits of one cumsum over the path (``carried_sums``) without
+    making the running sums.  Fewer than one path, or a ``chunk`` below 1,
     raise ValueError."""
     if paths < 1:
         raise ValueError("the study needs at least one path")
@@ -227,11 +229,13 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     gaps = []
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
         for windows in chunks:
-            q = None
+            # -0.0 + x is x to the bit, so Q(t_1) is the first term as is
+            q = np.full((len(windows.generators), n, n), complex(-0.0, -0.0))
             for _, _, window in windows:
-                sums = carried_sums(rs_increments(L, window, window), q)
-                q = sums[:, -1].copy()
-                del sums  # so the next block can reuse its buffer
+                terms = rs_increments(L, window, window)
+                for j in range(terms.shape[-3]):
+                    q += terms[:, j]
+                del terms  # so the next block can reuse its buffer
             gaps.append(l1_trace_norms(q - closed))
     return float(np.mean(np.concatenate(gaps)))
 

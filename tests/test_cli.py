@@ -278,6 +278,39 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert cols["n"] == "6" and cols["paths"] == "60" and cols["seed"] == "9"
 
 
+def test_main_builds_one_parser_and_calls_share_no_parsed_value(
+        tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    nctrace.cli._parser.cache_clear()
+    monkeypatch.setattr(nctrace.cli, "build_parser", counting)
+    try:
+        small = ["ito", "--n", "2", "--paths", "3",
+                 "--meshes", "0.5,0.25,0.125"]
+        out_json = tmp_path / "first.json"
+        rc, out, _ = run(capsys, *small, "--poly", "x1^4", "--seed", "3",
+                         "--json", str(out_json))
+        assert rc == 0 and not out
+        (first,) = json.loads(out_json.read_text())
+        assert first["config"]["seed"] == 3
+        assert first["config"]["poly"] == "x1^4"
+        # the second call sets neither flag: it takes the defaults and
+        # prints its report, as a call in a fresh process would
+        out_json.unlink()
+        rc, out, _ = run(capsys, *small)
+        assert rc == 0 and not out_json.exists()
+        (second,) = json.loads(out.replace("Infinity", "null"))
+        assert second["config"]["seed"] == 0
+        assert second["config"]["poly"] == "x1^2"
+        assert built == [1]
+    finally:
+        nctrace.cli._parser.cache_clear()
+
+
 def test_config_errors(tmp_path, capsys):
     rc, _, err = run(capsys, "bdg", "--config", str(tmp_path / "missing"))
     assert rc == 2

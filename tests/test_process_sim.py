@@ -78,6 +78,25 @@ def test_basis_increments_match_dense_basis_product(n):
         coeffs = coeffs * np.sqrt(dts)[:, None]
         want = coeffs @ hermitian_onb_array(n).reshape(n * n, n * n)
         assert got.tobytes() == want.tobytes()
+        # scattered a few steps at a time, from the last block to the first
+        for rows in (1, 3):
+            got = np.empty((steps, n, n), dtype=complex)
+            _hbm_increments_basis(n, dts, RngStream(4, n).generator, got,
+                                  np.empty((rows, 2 * n * n + 1)))
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_whole_paths_scatter_through_a_bounded_scratch(rows, monkeypatch):
+    # a scratch of `rows` rows at n = 6 scatters 40 steps in several blocks
+    n, grid = 6, TimeGrid.uniform(1.0, 40)
+    want = simulate_hbm(n, grid, RngStream(8, 1)).values
+    assert process_sim._scatter_rows(n, 40) == 40
+    monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
+                        rows * 8 * (2 * n * n + 1))
+    assert process_sim._scatter_rows(n, 40) == rows
+    got = simulate_hbm(n, grid, RngStream(8, 1)).values
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("method", ["basis", "entrywise"])
@@ -415,7 +434,7 @@ def test_simulate_holds_the_path_and_one_scratch(traced_peak):
     grid = TimeGrid.uniform(1.0, MEM_STEPS)
     # the scatter map is built once per n and cached; build it first
     simulate_hbm(MEM_N, TimeGrid.uniform(1.0, 1), RngStream(0))
-    scratch_bytes = MEM_STEPS * (2 * MEM_N**2 + 1) * 8
+    scratch_bytes = process_sim.SCATTER_SCRATCH_BYTES
     peak = traced_peak(lambda: simulate_hbm(
         MEM_N, grid, RngStream(0)).values[-1, 0, 0].real)
     assert peak <= PATH_BYTES + scratch_bytes + SMALL_BYTES

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nctrace import ContractionModel, parse
-from nctrace.matrix_alg import trace_n
+from nctrace.matrix_alg import l1_trace_norms, trace_n
 from nctrace.process_sim import (
     Ensemble,
     RngStream,
@@ -357,22 +357,28 @@ def test_qc_of_integrals_fv_leg_vanishes():
     assert rep["rhs"] < 0.05
 
 
-@pytest.mark.parametrize("points", [2, STUDY_TIME_BLOCK, STUDY_TIME_BLOCK + 1,
+@pytest.mark.parametrize("points", [1, 2, STUDY_TIME_BLOCK,
+                                    STUDY_TIME_BLOCK + 1,
                                     STUDY_TIME_BLOCK + 2, 801])
 def test_blocked_qc_gap_matches_the_cumulative_quadratic_sum(points):
-    n, paths, seed = 3, 5, 4
-    grid = TimeGrid.uniform(1.0, points - 1)
-    rng = np.random.default_rng(points)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = (g + g.conj().T) / 2
-    got = qc_gap_l1(n, grid, paths, seed, a, chunk=2)
-    vals = simulate_hbm_ensemble(n, grid, paths, seed).values
-    L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
-    gap = (quad_rs_path(L, vals, vals)[:, -1]
-           - trace_n(a) * grid.times[-1] * np.eye(n))
-    want = float(np.mean(
-        np.sum(np.linalg.svd(gap, compute_uv=False), axis=-1) / n))
-    assert abs(got - want) <= 1e-12 * want
+    seed = 4
+    grid = TimeGrid(np.linspace(0.0, 1.0, points))
+    # n = 1 with one path leaves time the only axis of a window's terms,
+    # where a reduction along it may sum pairwise
+    for n, paths in [(3, 5), (1, 1)]:
+        rng = np.random.default_rng(points)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = (g + g.conj().T) / 2
+        got = qc_gap_l1(n, grid, paths, seed, a, chunk=2)
+        vals = simulate_hbm_ensemble(n, grid, paths, seed).values
+        L = BoundTriprocess(parse("y1 x1 y2"), grid, n, {1: a})
+        gap = (quad_rs_path(L, vals, vals)[:, -1]
+               - trace_n(a) * grid.times[-1] * np.eye(n))
+        want = float(np.mean(
+            np.sum(np.linalg.svd(gap, compute_uv=False), axis=-1) / n))
+        assert abs(got - want) <= 1e-12 * want
+        # Q has the bits of one cumsum over the path
+        assert got == float(np.mean(l1_trace_norms(gap)))
 
 
 def test_qc_gap_memory_does_not_grow_with_the_horizon(traced_peak):
