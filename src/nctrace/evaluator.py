@@ -25,10 +25,13 @@ L - 1 left endpoints.  The plan has one time axis: x1 is bound to the L
 points, and the increment and dt are padded with one zero step at the end,
 so x1^2 and each trace factor are made once per grid time for P, dP and
 the correction together, and the padded step's terms are dropped at the
-end.  Evaluation is a *-homomorphism, which the plan uses: when the
-bindings equal their adjoints bitwise (as every Hermitian Brownian path
-does) and the polynomials of a sink are self-adjoint on Hermitian letters
-(``trace_poly.is_self_adjoint``), each term w comes with its adjoint w*.
+end.  The step sink is compiled first, so P's output is made last: for
+x1^4 no X^4 is held through the step products, which keeps a study one
+block buffer smaller.  Evaluation is a *-homomorphism, which the plan
+uses: when the bindings equal their adjoints bitwise (as every Hermitian
+Brownian path does) and the polynomials of a sink are self-adjoint on
+Hermitian letters (``trace_poly.is_self_adjoint``), each term w comes
+with its adjoint w*.
 The blocked studies pass that verdict for their walks' windows, which are
 Hermitian by construction; other callers have the window compared with its
 adjoint.
@@ -392,7 +395,8 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
     window = np.asarray(window, dtype=complex)
     if hermitian is None:
         hermitian = np.array_equal(window, adjoint(window))
-    plan = compile_plan(((P, False),), ((step, False), (timed, True)),
+    # the step sink first, so P's output is made after the step products
+    plan = compile_plan(((step, False), (timed, True)), ((P, False),),
                         hermitian=bool(hermitian))
 
     def leaf(letter):
@@ -410,6 +414,6 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
             raise EvalError(f"slot y{letter.index} is not bound")
         return adjoint(m) if letter.star else m
 
-    p, terms = _run(plan, leaf, [window.shape] * 2, window.shape[-1],
+    terms, p = _run(plan, leaf, [window.shape] * 2, window.shape[-1],
                     np.append(dts, 0.0))
     return p, terms[..., :-1, :, :]

@@ -18,9 +18,12 @@ The sup study (``ito_sup_residuals``) reduces exactly the last window,
 and of the earlier grid times only what their tr_n-L^2 bounds
 (``l2_trace_norms``) cannot rule out: for each polynomial and time, one
 path at a time, until the time is ruled out or every path is reduced.
-A second walk of each chunk, resumed from a saved window, makes again
-only the windows that still hold such a time; the other per-time
-reducers reduce every grid time.
+A study of one chunk keeps the blocks of the window before the last from
+its first walk and prunes them once the last window is reduced.  A
+second walk of each chunk, resumed from a saved window, makes again only
+the other windows that still hold such a time, each polynomial up to the
+window of its last one; the other per-time reducers reduce every grid
+time.
 ``ito_residual_path`` is the one-window case of the same code.  Each
 block is one ``evaluator.eval_step_block`` call, which makes P, dP[dX]
 and the second-order term from one plan on the window's time axis.  The driver
@@ -110,7 +113,8 @@ def _step_symbols(P: TracePolynomial, model: ContractionModel,
 
 def _residual_blocks(symbols, windows, grid: TimeGrid,
                      hermitian: bool | None = None,
-                     carries: dict | None = None, p0: dict | None = None):
+                     carries: dict | None = None, p0: dict | None = None,
+                     stops=None):
     """Yield (i0, i1, k, res) for each (i0, i1, window) of ``windows``, as
     ``process_sim.hbm_windows`` walks one path chunk, and each polynomial's
     step symbols ``symbols[k]`` (``_step_symbols``) in turn.  ``window``
@@ -125,13 +129,17 @@ def _residual_blocks(symbols, windows, grid: TimeGrid,
     next window, (..., n, n)) and ``p0`` (its P(X_0), (..., 1, n, n)) are
     the dicts the blocks are carried in, filled in by assignment as the
     walk goes, so ``dict(carries)`` taken between two windows saves them: a
-    walk resumed at a saved window passes the ones saved there."""
+    walk resumed at a saved window passes the ones saved there.  With
+    ``stops``, polynomial k is made only in the windows that start before
+    ``stops[k]``."""
     dts = np.diff(grid.times)
     carries = {} if carries is None else carries
     p0 = {} if p0 is None else p0
     for i0, i1, window in windows:
         window_dts = dts[max(i0, 1) - 1:i1 - 1]
         for k, sym in enumerate(symbols):
+            if stops is not None and i0 >= stops[k]:
+                continue
             p, terms = eval_step_block(*sym, window, window_dts, hermitian)
             sums = carried_sums(terms, carries[k] if i0 else None)
             carries[k] = sums[..., -1, :, :].copy()
@@ -229,21 +237,25 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     tr_n-L^2 bounds B to U[k, t], an upper bound on the path sum at grid
     time t.  L_k is the largest exact path sum in the last window; a time
     is ruled out for k once U[k, t] times 1 + ``BOUND_MARGIN`` is below
-    L_k, so a NaN or an inf is never ruled out.  Pass 2 takes the chunks in
+    L_k, so a NaN or an inf is never ruled out.  Each block that may hold
+    a time not yet ruled out is pruned: the study works out B again and
+    reduces the times still in, one path per round, in order of
+    decreasing B.  Each exact e_p takes B_p - e_p off U, which may rule
+    the time out.  A time still in after the chunk's last path has each of
+    its exact values, and their path sum goes into the study as in one
+    that reduces every grid time.  When ``paths <= chunk``, pass 1 keeps
+    each polynomial's block of the window before the last, whose late
+    times the short last window nearly always leaves in, and prunes it
+    once L is known; its times are then done.  Pass 2 takes the chunks in
     order.  It resumes each chunk's walk at the latest saved start
-    (``_save_points``) at or before the chunk's first time not yet ruled
-    out, stops after the window of its last one, and skips the chunk when
-    none is left.  In each block it works out B again and reduces the
-    times still in, one path per round, in order of decreasing B: each
-    exact e_p takes B_p - e_p off U, which may rule the time out.  A time
-    still in after the chunk's last path has each of its exact values, and
-    their path sum goes into the study as in one that reduces every grid
-    time.  The windows, carried sums and chunk order are pass 1's, so the
-    sup has the bits of such a study.  The walk's windows are Hermitian
-    by construction, so the evaluator takes that verdict without comparing
-    them with their adjoints, and a polynomial whose step symbols are all
-    self-adjoint has Hermitian residuals.  Fewer than one path, or a
-    ``chunk`` below 1, raise ValueError."""
+    (``_save_points``) at or before the chunk's first time still in, makes
+    each polynomial up to the window of its last one, and skips the chunk
+    when none is left.  The windows, carried sums and chunk order are
+    pass 1's, so the sup has the bits of such a study.  The walk's windows
+    are Hermitian by construction, so the evaluator takes that verdict
+    without comparing them with their adjoints, and a polynomial whose step
+    symbols are all self-adjoint has Hermitian residuals.  Fewer than one
+    path, or a ``chunk`` below 1, raise ValueError."""
     if paths < 1:
         raise ValueError("the study needs at least one path")
     chunks = hbm_windows(n, grid, paths, seed, chunk, STUDY_TIME_BLOCK)
@@ -257,6 +269,8 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     walked = []
 
     def prune(k, i0, i1, res):
+        if not alive[k, i0:i1].any():
+            return
         bounds = l2_trace_norms(res)  # B, the numbers pass 1 summed
         exact = np.zeros(bounds.shape)
         live, u = alive[k, i0:i1], upper[k, i0:i1]
@@ -272,6 +286,7 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
         # the (paths, window) shape an unpruned study sums: the same bits
         acc[k, i0:i1][live] += np.sum(exact, axis=0)[live]
 
+    kept = {}  # a single chunk's blocks of the window before the last
     with buffers.recycled((min(chunk, paths), STUDY_TIME_BLOCK + 1, n, n)):
         for walk in chunks:
             carries, p0 = {}, {}
@@ -283,24 +298,30 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
                         l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
                 else:
                     upper[k, i0:i1] += np.sum(l2_trace_norms(res), axis=0)
+                    if i1 == last and paths <= chunk:
+                        kept[k] = res
                 del res  # so the next block can reuse its buffer
                 if k == len(polys) - 1 and i1 in saves:
                     starts[i1] = (walk.start(), dict(carries))
             walked.append((walk, starts, p0))
         lower = np.max(acc[:, last:], axis=1)  # L
         alive = ~(upper * (1 + BOUND_MARGIN) < lower[:, None])
+        for k in list(kept):
+            prune(k, last - STUDY_TIME_BLOCK, last, kept.pop(k))
+            alive[k, last - STUDY_TIME_BLOCK:last] = False  # summed here
         for walk, starts, p0 in walked:
             times = np.flatnonzero(alive.any(axis=0))
             if not times.size:
                 break
+            # each polynomial up to the window of its last time still in
+            stops = [(t[-1] // STUDY_TIME_BLOCK + 1) * STUDY_TIME_BLOCK
+                     if t.size else 0 for t in map(np.flatnonzero, alive)]
             resume = max(i for i in saves if i <= times[0])
-            stop = (times[-1] // STUDY_TIME_BLOCK + 1) * STUDY_TIME_BLOCK
             start, carries = starts[resume]
             for i0, i1, k, res in _residual_blocks(
-                    symbols, walk.resumed(start, stop), grid, True,
-                    dict(carries), p0):
-                if alive[k, i0:i1].any():
-                    prune(k, i0, i1, res)
+                    symbols, walk.resumed(start, max(stops)), grid, True,
+                    dict(carries), p0, stops):
+                prune(k, i0, i1, res)
                 del res
     return [float(np.max(row / paths)) for row in acc]
 

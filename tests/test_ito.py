@@ -11,6 +11,7 @@ import nctrace.process_sim
 from nctrace import ContractionModel, parse
 from nctrace.evaluator import EvalContext, eval_multilinear, eval_poly
 from nctrace.ito import (
+    BOUND_MARGIN,
     _residual_blocks,
     _step_symbols,
     convergence_study,
@@ -23,6 +24,7 @@ from nctrace.ito import (
 from nctrace.matrix_alg import (
     ScalarFunctionSpec,
     l1_trace_norms,
+    l2_trace_norms,
     moi,
     op_function,
 )
@@ -384,6 +386,19 @@ def test_study_loops_let_go_of_each_block(polys, most, buffers_used):
         ContractionModel.matrix(4))) <= most
 
 
+@pytest.mark.parametrize("text, most", [("x1^4", 7), ("x1^2", 6),
+                                        ("tr(x1^2) x1", 5)])
+def test_study_loops_let_go_of_each_block_at_the_unit_shape(text, most,
+                                                            buffers_used):
+    # n = 16, 8 paths on 801 points, as in a verify_study unit: the block
+    # pass 1 keeps for the window before the last costs no buffer, since
+    # the evaluator makes P after the step terms (without that order,
+    # 8 / 7 / 6)
+    assert buffers_used(lambda: ito_sup_residuals(
+        [parse(text)], 16, TimeGrid.uniform(1.0, 800), 8, 0,
+        ContractionModel.matrix(16))) <= most
+
+
 @pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3"])
 def test_self_adjoint_residuals_take_the_hermitian_route(text, monkeypatch):
     # on HBM paths a self-adjoint P gives a Hermitian residual: the study
@@ -532,6 +547,83 @@ def test_later_chunks_re_walk_only_what_can_still_reach_the_sup(
                             chunk=chunk)
     assert got == want
     assert counts == walked
+
+
+@pytest.mark.parametrize("n, steps, text", [
+    (4, 8 * STUDY_TIME_BLOCK, "x1^4"),
+    (4, 8 * STUDY_TIME_BLOCK + 16, "tr(x1^2) x1"),
+    # the window before the last is the first
+    (2, STUDY_TIME_BLOCK + 8, "x1^2"),
+])
+def test_a_single_chunk_study_does_not_re_walk_the_window_before_the_last(
+        n, steps, text, monkeypatch):
+    paths, seed = 3, 1
+    grid, model = TimeGrid.uniform(1.0, steps), ContractionModel.matrix(n)
+    last = steps // STUDY_TIME_BLOCK * STUDY_TIME_BLOCK
+    # that window holds a time its tr_n-L^2 bound cannot rule out
+    (walk,) = hbm_windows(n, grid, paths, seed, paths, STUDY_TIME_BLOCK)
+    for i0, i1, _, res in _residual_blocks(
+            [_step_symbols(parse(text), model, "contracted")], walk, grid,
+            True):
+        if i1 == last:
+            bounds = np.sum(l2_trace_norms(res), axis=0)
+        elif i0 == last:
+            lower = np.max(np.sum(l1_trace_norms(res), axis=0))
+    assert np.any(bounds * (1 + BOUND_MARGIN) >= lower)
+    want = _unpruned_sups([parse(text)], n, grid, paths, seed, model,
+                          "contracted", 25)
+    walked = []
+    resumed = nctrace.process_sim.HbmWalk.resumed
+
+    def recording(walk, start, stop=None):
+        for window in resumed(walk, start, stop):
+            walked.append(window[0])
+            yield window
+
+    monkeypatch.setattr(nctrace.process_sim.HbmWalk, "resumed", recording)
+    got = ito_sup_residuals([parse(text)], n, grid, paths, seed, model)
+    assert got == want
+    assert last - STUDY_TIME_BLOCK not in walked
+
+
+def test_pass_2_makes_no_block_after_a_polynomials_last_time_still_in(
+        monkeypatch):
+    # "5" has no residual, so each chunk re-walks every window before the
+    # last; x1^2 and x1^4 are made only up to the window of their last
+    # time still in, so each one's last block is reduced.  No time of x1^2
+    # is still in by the fifth chunk, and none of x1^4 by the sixth, so
+    # those chunks make neither
+    n, paths, chunk, seed = 3, 6, 1, 1
+    grid = TimeGrid.uniform(1.0, 2 * STUDY_TIME_BLOCK)
+    model = ContractionModel.matrix(n)
+    polys = [parse(t) for t in ("x1^2", "x1^4", "5")]
+    want = _unpruned_sups(polys, n, grid, paths, seed, model, "contracted",
+                          chunk)
+    log = []
+    blocks, reduce = nctrace.ito._residual_blocks, nctrace.ito.l1_trace_norms
+
+    def logging(*args):
+        log.append([])
+        for i0, i1, k, res in blocks(*args):
+            log[-1].append([k, 0])
+            yield i0, i1, k, res
+            del res
+
+    def counting(res, hermitian=False):
+        log[-1][-1][1] += 1
+        return reduce(res, hermitian=hermitian)
+
+    monkeypatch.setattr(nctrace.ito, "_residual_blocks", logging)
+    monkeypatch.setattr(nctrace.ito, "l1_trace_norms", counting)
+    got = ito_sup_residuals(polys, n, grid, paths, seed, model, chunk=chunk)
+    assert got == want
+    made = 0
+    for walk in log[paths:]:  # pass 2, after one pass-1 walk per chunk
+        for k in range(2):
+            reduced = [count for j, count in walk if j == k]
+            made += len(reduced)
+            assert not reduced or reduced[-1]
+    assert made
 
 
 @pytest.mark.parametrize("text, value", [
