@@ -6,9 +6,11 @@ functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
-and fed into mesh convergence studies.  The residual is P(X) - P(X_0)
-minus the running sums of the per-step terms dP[dX] plus the second-order
-term.  The studies stream their paths: each chunk is one
+and fed into mesh convergence studies (``convergence_study``, one
+``stoch_int.mesh_study``); ``_residual_summary`` builds both residual
+reports.  The residual is P(X) - P(X_0) minus the running sums of the
+per-step terms dP[dX] plus the second-order term.  The studies stream
+their paths: each chunk is one
 ``process_sim.hbm_windows`` walk of ``STUDY_TIME_BLOCK`` grid points at a
 time, a plain loop in which each window feeds every polynomial of the
 study, which keeps its own P(X_0) and running sum, carried into the next
@@ -55,8 +57,8 @@ from .matrix_alg import (
     spectral_data,
 )
 from .rational import QC
-from .reports import fit_loglog_slope, make_report
-from .stoch_int import STUDY_TIME_BLOCK, carried_sums, cumulative_path
+from .stoch_int import (STUDY_TIME_BLOCK, carried_sums, cumulative_path,
+                        mesh_study)
 from .trace_poly import (
     ContractionModel,
     TracePolynomial,
@@ -169,6 +171,13 @@ def ito_residual_path(P: TracePolynomial, values: np.ndarray, grid: TimeGrid,
     return res
 
 
+def _residual_summary(per_time: np.ndarray) -> dict:
+    """A residual report from its norm at each grid time: the sup, the
+    final value and the whole ``per_time`` array."""
+    return {"sup_norm": float(np.max(per_time)),
+            "final_norm": float(per_time[-1]), "per_time": per_time}
+
+
 def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
                  second_order: str = "contracted") -> dict:
     """Residual report for a simulated driver (path or ensemble)."""
@@ -178,12 +187,7 @@ def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
         raise TypeError("driver must be a ProcessPath or Ensemble")
     per = l1_trace_norms(ito_residual_path(P, values, grid, model,
                                            second_order))
-    per_time = np.mean(per, axis=tuple(range(per.ndim - 1)))
-    return {
-        "sup_norm": float(np.max(per_time)),
-        "final_norm": float(per_time[-1]),
-        "per_time": per_time,
-    }
+    return _residual_summary(np.mean(per, axis=tuple(range(per.ndim - 1))))
 
 
 def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
@@ -200,12 +204,7 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
     inc = (moi(f, 1, (left, left), (delta,))
            + moi(f, 2, (left, left, left), (delta, delta)))
     fx = op_function(f, sd)
-    res_norms = l1_trace_norms(fx - fx[0] - cumulative_path(inc))
-    return {
-        "sup_norm": float(np.max(res_norms)),
-        "final_norm": float(res_norms[-1]),
-        "per_time": res_norms,
-    }
+    return _residual_summary(l1_trace_norms(fx - fx[0] - cumulative_path(inc)))
 
 
 # -- convergence studies --------------------------------------------------
@@ -327,26 +326,12 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
 
 
 def convergence_study(meshes, params: dict) -> dict:
-    """The Ito residual study over a geometric mesh family on [0, 1], with
-    its fitted log-log convergence slope: the sup residual of
-    ``params["poly"]`` on ``params["paths"]`` paths, seeded
-    ``params["seed"]`` plus the grid's step count."""
-    meshes = list(meshes)
-    if len(meshes) < 3:
-        raise ValueError("need at least 3 meshes")
-    residuals = []
-    for m in meshes:
-        grid = TimeGrid.from_mesh(1.0, m)
-        residuals += ito_sup_residuals(
+    """The ``stoch_int.mesh_study`` of the sup residual of ``params["poly"]``
+    on ``params["paths"]`` paths, seeded ``params["seed"]`` plus the grid's
+    step count."""
+    return mesh_study(
+        "convergence:ito_residual", params,
+        lambda i, grid: ito_sup_residuals(
             [params["poly"]], params["n"], grid, params["paths"],
-            params["seed"] + grid.steps, params["model"])
-    slope = fit_loglog_slope(meshes, residuals)
-    rep = make_report(
-        "convergence:ito_residual",
-        {"n": params.get("n"), "mesh": meshes[-1],
-         "paths": params.get("paths"), "seed": params.get("seed"),
-         "t": 1.0},
-        residuals[0], residuals[-1], 0.0, slope=slope,
-        extra={"meshes": meshes, "residuals": residuals},
-    )
-    return rep
+            params["seed"] + grid.steps, params["model"])[0],
+        meshes)

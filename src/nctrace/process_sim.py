@@ -472,10 +472,10 @@ def make_fv(grid: TimeGrid, n: int,
 def kappa_estimate(ensemble: Ensemble, s: float, t: float):
     """Monte-Carlo estimate of kappa((s, t]) = E tr_n |M(t) - M(s)|^2.
 
-    Returns (estimate, standard error).
+    Returns (estimate, standard error); fewer than 2 paths have none.
     """
-    if ensemble.n_paths == 0:
-        raise ValueError("empty ensemble")
+    if ensemble.n_paths < 2:
+        raise ValueError(f"need at least 2 paths, got {ensemble.n_paths}")
     if not s < t:
         raise ValueError("need s < t")
     i0, i1 = ensemble.grid.index_of(s), ensemble.grid.index_of(t)

@@ -1,9 +1,10 @@
 """Acceptance suite: every contractual check as a report-producing function.
 
 Each criterion function returns one report record with a "passed" field;
-``run_selftest`` collects them all.  Everything is driven by one master
-seed and nothing here depends on wall-clock time or thread scheduling, so
-two runs with the same seed serialize to identical bytes.
+``run_selftest`` collects them all; the isometry and BDG checks each pair
+two z-tests in one record (``_pair_report``).  Everything is driven by
+one master seed and nothing here depends on wall-clock time or thread
+scheduling, so two runs with the same seed serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -272,6 +273,16 @@ def check_ito_residuals(seed: int) -> dict:
                        worst_factor, 1.3, passed=ok, extra=details)
 
 
+def _pair_report(check: str, params: dict, **reports) -> dict:
+    """One record of two paired z-test reports, each kept under its name:
+    the larger |z| against 3, passed when both pass."""
+    first, second = reports.values()
+    return make_report(check, params,
+                       max(abs(first["zscore"]), abs(second["zscore"])),
+                       3.0, passed=first["passed"] and second["passed"],
+                       extra=reports)
+
+
 # 8. Ito isometry ----------------------------------------------------------
 
 
@@ -288,11 +299,8 @@ def check_ito_isometry(seed: int) -> dict:
     c = _rand_hermitian(rng, n)
     H = ElementaryPredictable([(0.25, 0.75, parse("x1 y1 x1"), {1: c})])
     rep_el = ito_isometry_check(H, ens, 1.0, params)
-    ok = rep_id["passed"] and rep_el["passed"]
-    return make_report("ito_isometry_pair", params,
-                       max(abs(rep_id["zscore"]), abs(rep_el["zscore"])),
-                       3.0, passed=ok,
-                       extra={"identity": rep_id, "sandwich": rep_el})
+    return _pair_report("ito_isometry_pair", params,
+                        identity=rep_id, sandwich=rep_el)
 
 
 # 9. BDG p=2 ---------------------------------------------------------------
@@ -312,11 +320,7 @@ def check_bdg(seed: int) -> dict:
         ElementaryPredictable([(0.0, 0.5, parse("x1 y1"), {1: c})]), ens)
     u_ens = Ensemble(grid, u_vals, "martingale")
     rep_int = bdg_stats(u_ens, 2, 1.0, params)
-    ok = rep_hbm["passed"] and rep_int["passed"]
-    return make_report("bdg_pair", params,
-                       max(abs(rep_hbm["zscore"]), abs(rep_int["zscore"])),
-                       3.0, passed=ok,
-                       extra={"hbm": rep_hbm, "integral": rep_int})
+    return _pair_report("bdg_pair", params, hbm=rep_hbm, integral=rep_int)
 
 
 # 10. martingale Pythagoras ------------------------------------------------

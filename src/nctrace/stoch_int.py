@@ -13,7 +13,9 @@ the running sum at the point before the window; the QC gap reads only the
 end of its sum, which it adds up step by step in the same order.
 Quadratic covariation admits a closed form through the gamma contraction,
 and the standard identities (Ito isometry, BDG p=2, substitution, QC of
-integrals) are exposed as report-producing checks.
+integrals) are exposed as report-producing checks.  ``mesh_study`` runs
+the QC and Ito studies over their meshes and builds their records;
+``_l1_gap_report`` builds the substitution and QC-of-integrals records.
 """
 
 from __future__ import annotations
@@ -240,25 +242,38 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     return float(np.mean(np.concatenate(gaps)))
 
 
+def mesh_study(check: str, params: dict, figure, meshes,
+               passes=None) -> dict:
+    """The ``check`` record of a study over meshes on [0, 1], n, paths and
+    seed from ``params``: ``figure(i, grid)`` on the i-th mesh's grid, the
+    first and last as its sides, their log-log slope, ``meshes`` and
+    ``residuals`` (the figures), and ``passed`` as ``passes(figures,
+    slope)`` if given.  Fewer than 3 meshes raise ValueError."""
+    meshes = list(meshes)
+    if len(meshes) < 3:
+        raise ValueError("need at least 3 meshes")
+    figures = [figure(i, TimeGrid.from_mesh(1.0, m))
+               for i, m in enumerate(meshes)]
+    slope = fit_loglog_slope(meshes, figures)
+    return make_report(
+        check, {**params, "mesh": meshes[-1], "t": 1.0},
+        figures[0], figures[-1], 0.0, slope=slope,
+        passed=None if passes is None else passes(figures, slope),
+        extra={"meshes": meshes, "residuals": figures})
+
+
 def qc_convergence_study(n: int, meshes, paths: int, seed: int,
                          passes) -> dict:
-    """The QC study's ``qc_convergence`` record: ``qc_gap_l1`` on [0, 1] at
-    each mesh, a drawn from ``default_rng(seed + 6)`` as a Hermitian matrix
-    and mesh i simulated with the seed ``seed * 977 + 6000 + i``, the
-    gaps' fitted log-log slope, and ``passed`` set to
-    ``passes(gaps, slope)``, the caller's rule."""
+    """The ``qc_convergence`` ``mesh_study`` of ``qc_gap_l1``, a drawn from
+    ``default_rng(seed + 6)`` as a Hermitian matrix and mesh i simulated
+    with the seed ``seed * 977 + 6000 + i``; ``passes`` is the caller's."""
     rng = np.random.default_rng(seed + 6)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (g + g.conj().T) / 2
-    gaps = [qc_gap_l1(n, TimeGrid.from_mesh(1.0, m), paths,
-                      seed * 977 + 6000 + i, a)
-            for i, m in enumerate(meshes)]
-    slope = fit_loglog_slope(meshes, gaps)
-    return make_report(
-        "qc_convergence",
-        {"n": n, "paths": paths, "seed": seed, "mesh": meshes[-1], "t": 1.0},
-        gaps[0], gaps[-1], 0.0, slope=slope, passed=passes(gaps, slope),
-        extra={"meshes": meshes, "residuals": gaps})
+    return mesh_study(
+        "qc_convergence", {"n": n, "paths": paths, "seed": seed},
+        lambda i, grid: qc_gap_l1(n, grid, paths, seed * 977 + 6000 + i, a),
+        meshes, passes)
 
 
 def _paired_z_report(check: str, params: dict, a, b) -> dict:
@@ -286,6 +301,15 @@ def _tr_quad(v: np.ndarray) -> np.ndarray:
 
 
 # -- identity checks ------------------------------------------------------
+
+
+def _l1_gap_report(check: str, params: dict, lhs, rhs) -> dict:
+    """Report of two matrix stacks equal up to rounding: the path means of
+    tr_n |lhs| and tr_n |rhs| as its sides, of tr_n |lhs - rhs| as l1_gap."""
+    gap = lhs - rhs
+    return make_report(check, params, float(np.mean(l1_trace_norms(lhs))),
+                       float(np.mean(l1_trace_norms(rhs))), 0.0,
+                       extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))})
 
 
 def ito_isometry_check(H, M: Ensemble, t: float, params: dict) -> dict:
@@ -337,14 +361,8 @@ def substitution_check(H: BoundBiprocess, K: BoundBiprocess, X,
         compose_linear(H.symbolic, K.symbolic), H.grid, H.n, merged
     )
     rhs_path = rs_integral(composed, X)
-    gap = lhs_path[..., -1, :, :] - rhs_path[..., -1, :, :]
-    return make_report(
-        "substitution", params,
-        float(np.mean(l1_trace_norms(lhs_path[..., -1, :, :]))),
-        float(np.mean(l1_trace_norms(rhs_path[..., -1, :, :]))),
-        0.0,
-        extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))},
-    )
+    return _l1_gap_report("substitution", params, lhs_path[..., -1, :, :],
+                          rhs_path[..., -1, :, :])
 
 
 def qc_of_integrals_check(H: BoundBiprocess, K: BoundBiprocess,
@@ -362,11 +380,4 @@ def qc_of_integrals_check(H: BoundBiprocess, K: BoundBiprocess,
     merged.update(L.bindings)
     composed = BoundTriprocess(sym, L.grid, L.n, merged)
     via = quad_rs_sum(composed, X, Y, t)
-    gap = direct - via
-    return make_report(
-        "qc_of_integrals", params,
-        float(np.mean(l1_trace_norms(direct))),
-        float(np.mean(l1_trace_norms(via))),
-        0.0,
-        extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))},
-    )
+    return _l1_gap_report("qc_of_integrals", params, direct, via)

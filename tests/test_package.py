@@ -1,6 +1,10 @@
-"""The public API: ``nctrace.__all__`` lists each export once."""
+"""The public API: ``nctrace.__all__`` lists each export once, and the
+package's version is the one ``pyproject.toml`` declares."""
 
 import collections
+from pathlib import Path
+
+import pytest
 
 import nctrace
 
@@ -11,3 +15,11 @@ def test_every_export_resolves_and_is_listed_once():
     missing = [name for name in nctrace.__all__
                if not hasattr(nctrace, name)]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert nctrace.__version__ == declared

@@ -15,7 +15,10 @@ step, one block, one block and one point, two points past it, and just past
 two blocks.  The four symbolic records pin the canonical forms of
 ``derive`` and ``derive_k`` and the values evaluated from them; the
 isometry record pins both integrands of ``check_ito_isometry`` as they run
-through ``rs_increments``.
+through ``rs_increments``.  The ``ito`` and ``qc`` CLI reports are pinned
+byte for byte, as written to their JSON and CSV files, and so are the
+substitution and QC-of-integrals records on a tiny ensemble: they pin how
+``stoch_int.mesh_study`` and the gap record builder assemble them.
 """
 
 import json
@@ -25,6 +28,7 @@ import pytest
 
 from nctrace import ContractionModel, parse
 from nctrace.ito import ito_residual_path, ito_sup_residuals
+from nctrace.cli import main
 from nctrace.process_sim import TimeGrid, simulate_hbm_ensemble
 from nctrace.selftest import (
     check_bdg,
@@ -35,7 +39,13 @@ from nctrace.selftest import (
     check_moi_pairing,
     check_power_derivatives,
 )
-from nctrace.stoch_int import qc_gap_l1
+from nctrace.stoch_int import (
+    BoundBiprocess,
+    BoundTriprocess,
+    qc_gap_l1,
+    qc_of_integrals_check,
+    substitution_check,
+)
 
 N = 3
 POLYS = ("x1^2", "x1^4", "tr(x1^2) x1")
@@ -107,6 +117,108 @@ ITO_ISOMETRY_RECORD = (
     '"zscore": -0.4025515032294802}, "se": 0.0, "zscore": Infinity}'
 )
 
+_CLI_STUDY = ["--n", "4", "--paths", "3", "--meshes", "0.05,0.025,0.0125",
+              "--seed", "2"]
+CLI_REPORTS = {
+    ("ito", "--poly", "x1^4"): ("""\
+[
+  {
+    "check": "convergence:ito_residual",
+    "config": {
+      "meshes": "0.05,0.025,0.0125",
+      "n": 4,
+      "paths": 3,
+      "poly": "x1^4",
+      "seed": 2
+    },
+    "gap": 0.15481422964917807,
+    "lhs": 0.4337262430955871,
+    "meshes": [
+      0.05,
+      0.025,
+      0.0125
+    ],
+    "params": {
+      "mesh": 0.0125,
+      "n": 4,
+      "paths": 3,
+      "seed": 2,
+      "t": 1.0
+    },
+    "passed": true,
+    "residuals": [
+      0.4337262430955871,
+      0.3294691653834123,
+      0.27891201344640904
+    ],
+    "rhs": 0.27891201344640904,
+    "se": 0.0,
+    "slope": 0.31848733075052854,
+    "zscore": Infinity
+  }
+]
+""", (
+        "check,n,mesh,paths,seed,t,lhs,rhs,gap,se,zscore,slope,passed\r\n"
+        "convergence:ito_residual,4,0.0125,3,2,1.0,0.4337262430955871,"
+        "0.27891201344640904,0.15481422964917807,0.0,inf,"
+        "0.31848733075052854,True\r\n")),
+    ("qc",): ("""\
+[
+  {
+    "check": "qc_convergence",
+    "config": {
+      "meshes": "0.05,0.025,0.0125",
+      "n": 4,
+      "paths": 3,
+      "seed": 2
+    },
+    "gap": 0.18138811701763638,
+    "lhs": 0.3919255860429951,
+    "meshes": [
+      0.05,
+      0.025,
+      0.0125
+    ],
+    "params": {
+      "mesh": 0.0125,
+      "n": 4,
+      "paths": 3,
+      "seed": 2,
+      "t": 1.0
+    },
+    "passed": true,
+    "residuals": [
+      0.3919255860429951,
+      0.256059887824783,
+      0.21053746902535872
+    ],
+    "rhs": 0.21053746902535872,
+    "se": 0.0,
+    "slope": 0.44825137450782887,
+    "zscore": Infinity
+  }
+]
+""", (
+        "check,n,mesh,paths,seed,t,lhs,rhs,gap,se,zscore,slope,passed\r\n"
+        "qc_convergence,4,0.0125,3,2,1.0,0.3919255860429951,"
+        "0.21053746902535872,0.18138811701763638,0.0,inf,"
+        "0.44825137450782887,True\r\n")),
+}
+
+_GAP_PARAMS = ('"params": {"mesh": 0.125, "n": 3, "paths": 4, "seed": 5, '
+               '"t": 1.0}')
+SUBSTITUTION_RECORD = (
+    '{"check": "substitution", "gap": 0.0, '
+    '"l1_gap": 1.750398955914579e-16, "lhs": 0.6733054838967563, '
+    f'{_GAP_PARAMS}, "rhs": 0.6733054838967563, "se": 0.0, "zscore": 0.0}}'
+)
+QC_OF_INTEGRALS_RECORD = (
+    '{"check": "qc_of_integrals", "gap": 1.1102230246251565e-16, '
+    '"l1_gap": 6.901039430762671e-17, "lhs": 0.41176203268257017, '
+    f'{_GAP_PARAMS}, "rhs": 0.41176203268257006, "se": 0.0, '
+    '"zscore": Infinity}'
+)
+
 _UNSIZED = '"mesh": null, "n": null, "paths": null'
 SYMBOLIC_RECORDS = {
     check_golden_partial: (
@@ -134,10 +246,13 @@ SYMBOLIC_RECORDS = {
 }
 
 
-def _sandwich_matrix():
-    rng = np.random.default_rng(11)
+def _hermitian(rng):
     g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     return (g + g.conj().T) / 2
+
+
+def _sandwich_matrix():
+    return _hermitian(np.random.default_rng(11))
 
 
 @pytest.mark.parametrize("points, second_order", sorted(SUP_RESIDUALS))
@@ -174,6 +289,32 @@ def test_fv_kills_qc_record_is_bitwise_pinned():
                          ids=lambda check: check.__name__)
 def test_symbolic_record_is_bitwise_pinned(check):
     assert json.dumps(check(0), sort_keys=True) == SYMBOLIC_RECORDS[check]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REPORTS))
+def test_cli_study_report_is_bytewise_pinned(tmp_path, capsys, command):
+    json_out, csv_out = tmp_path / "rep.json", tmp_path / "rep.csv"
+    assert main([*command, *_CLI_STUDY, "--json", str(json_out),
+                 "--csv", str(csv_out)]) == 0
+    assert (json_out.read_bytes().decode(), csv_out.read_bytes().decode()) \
+        == CLI_REPORTS[command]
+
+
+def test_gap_records_are_bitwise_pinned():
+    rng = np.random.default_rng(12)
+    a, b = _hermitian(rng), _hermitian(rng)
+    grid = TimeGrid.uniform(1.0, 8)
+    ens = simulate_hbm_ensemble(N, grid, 4, seed=5)
+    params = {"n": N, "paths": 4, "seed": 5, "mesh": grid.mesh, "t": 1.0}
+    H = BoundBiprocess(parse("x1 y1"), grid, N, {1: a})
+    K = BoundBiprocess(parse("y1 x2 + tr(x2 y1) x2"), grid, N, {2: b})
+    K2 = BoundBiprocess(parse("y1 x2"), grid, N, {2: b})
+    L = BoundTriprocess(parse("y1 y2"), grid, N)
+    assert json.dumps(substitution_check(H, K, ens, params),
+                      sort_keys=True) == SUBSTITUTION_RECORD
+    assert json.dumps(qc_of_integrals_check(H, K2, L, ens, ens, 0.75,
+                                            params),
+                      sort_keys=True) == QC_OF_INTEGRALS_RECORD
 
 
 def test_one_point_grid():

@@ -335,6 +335,13 @@ def test_kappa_errors():
         kappa_estimate(ens, 0.5, 0.5)
 
 
+def test_kappa_on_one_path_raises_naming_the_path_count():
+    # one path has no standard error: ddof=1 would give NaN and a warning
+    ens = simulate_hbm_ensemble(2, TimeGrid.uniform(1.0, 2), 1, seed=1)
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        kappa_estimate(ens, 0.0, 1.0)
+
+
 def test_ncp1_round_trip(tmp_path):
     grid = TimeGrid.uniform(1.0, 7)
     path = simulate_hbm(3, grid, RngStream(4, 2))
