@@ -4,7 +4,9 @@ The right-hand side for a trace polynomial P is the 1-linear derivative
 symbol plus half the gamma-contracted second derivative; for scalar
 functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
-once from one eigendecomposition per grid point.  Residuals of the
+once from one eigendecomposition per grid point, both orders in one
+``moi`` pass that rotates each increment once and builds one f^[1] table
+per block.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies (``convergence_study``, one
 ``stoch_int.mesh_study``); ``_residual_summary`` builds both residual
@@ -196,13 +198,16 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
     second-order MOI terms f^[1](X_s)[dX] + f^[2](X_s)[dX, dX].
 
     One eigendecomposition of the whole (T, n, n) path feeds f(X_t) and
-    both MOIs, which run batched over the time axis."""
+    one ``moi`` call of orders (1, 2), batched over the time axis: per
+    block it rotates each dX into the eigenbasis once, and the first
+    order's f^[1] table is the one the second order's kernel reads.  Its
+    steps have the bits of one call per order added up.  A path with a
+    NaN or infinite entry raises ``ValueError`` naming it."""
     values = path.values
     sd = spectral_data(values)
     left = sd[:-1]
     delta = np.diff(values, axis=0)
-    inc = (moi(f, 1, (left, left), (delta,))
-           + moi(f, 2, (left, left, left), (delta, delta)))
+    inc = moi(f, (1, 2), (left, left, left), (delta, delta))
     fx = op_function(f, sd)
     return _residual_summary(l1_trace_norms(fx - fx[0] - cumulative_path(inc)))
 

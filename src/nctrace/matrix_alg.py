@@ -20,8 +20,10 @@ It shares what its arguments share: ``moi`` computes the spectral data,
 node vectors, eigenvector stacks and rotated directions once per distinct
 argument object, and a second-order grid over equal second and third node
 vectors builds one f^[1] table, which also gives the confluent entries of
-every pair of equal nodes.  Equal copies of an argument give the same bits
-as one object passed in every slot.
+every pair of equal nodes.  A sum of orders (``moi(f, (1, 2), ...)``)
+shares the rotations between its orders, and its first order's kernel is
+the second order's f^[1] table.  Equal copies of an argument give the same
+bits as one object passed in every slot.
 """
 
 from __future__ import annotations
@@ -389,25 +391,45 @@ def _exp_dd1(f: ScalarFunctionSpec, a: np.ndarray,
     return out
 
 
-def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
+def _exp_confluent(f: ScalarFunctionSpec, m, a, b, c, d_ma,
+                   delta) -> np.ndarray:
+    """Second divided difference g^[2](a, b, c) of the exponential sum ``f``
+    at node pairs with |b - c| < delta, on broadcast arrays, given
+    m = (b + c) / 2 and d_ma = g^[1](m, a): (g'(m) - g^[1](m, a)) / (m - a),
+    or g''((a + b + c) / 3) / 2 where a is within delta of m too."""
+    am = m - a
+    near = np.abs(am) < delta
+    conf = (f.derivative(1)(m) - d_ma) / np.where(near, 1.0, am)
+    if np.any(near):
+        mean = (a + b + c) / 3.0
+        conf[near] = f.derivative(2)(mean[near]) / 2.0
+    return conf
+
+
+def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray,
+             table: np.ndarray | None = None) -> np.ndarray:
     """Second divided difference of the exponential sum ``f`` on the tensor
     grid of node vectors (..., m_0), (..., m_1), (..., m_2).
 
     Entries with |b - c| >= delta difference the first-order tables,
-    (g^[1](a, b) - g^[1](a, c)) / (b - c); when the second and third node
-    vectors are equal, the two tables are the same call on the same values,
-    and the first is used twice.  The confluent formulas run only on the
-    pairs with |b - c| < delta: (g'(m) - g^[1](m, a)) / (m - a) at
-    m = (b + c) / 2, or g''(mean) / 2 when a is within delta of m too.
-    Where the pair's nodes are equal (the b = c diagonal of a same-node
-    grid, and every snapped cluster), m = b and g^[1](m, a) is read from
-    the g^[1](a, b) table; only the pairs whose nodes differ by less than
-    delta make a new ``_exp_dd1`` call.
+    (g^[1](a, b) - g^[1](a, c)) / (b - c).  The g^[1](a, b) table is
+    ``table`` when the caller has it (``moi`` passes its first order's
+    kernel), and is built here otherwise; when the second and third node
+    vectors are equal, g^[1](a, c) is the same table.  The pairs with
+    |b - c| < delta take the confluent formulas of ``_exp_confluent`` at
+    m = (b + c) / 2.  Where the pair's nodes are equal, m = b and g^[1](m, a)
+    is read from the g^[1](a, b) table.  The b = c diagonal of a grid with
+    equal second and third node vectors is such a pair in every entry, and
+    is made in place on (..., m_0, m_1) arrays: the diagonal (..., k, i) is
+    g^[2](a_k, b_i, b_i).  The other close pairs (snapped clusters, and
+    nodes that differ by less than delta) are gathered; only those whose
+    nodes differ make a new ``_exp_dd1`` call.
     """
     a, b, c = _tensor_axes(vecs)
     batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
-    d_ab = _exp_dd1(f, a[..., 0], b[..., 0])        # (..., m_0, m_1)
-    if np.array_equal(vecs[1], vecs[2]):
+    d_ab = _exp_dd1(f, a[..., 0], b[..., 0]) if table is None else table
+    same_nodes = np.array_equal(vecs[1], vecs[2])
+    if same_nodes:
         d_ac = d_ab
     else:
         d_ac = _exp_dd1(f, a[..., 0, :], c[..., 0, :])  # (..., m_0, m_2)
@@ -416,9 +438,16 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
     inv = 1.0 / np.where(close, 1.0, bc)
     out = d_ab[..., :, :, None] - d_ac[..., :, None, :]
     out *= inv[..., None, :, :]
+    if same_nodes:
+        bn = vecs[1][..., None, :]
+        d = np.arange(bn.shape[-1])
+        out[..., d, d] = _exp_confluent(
+            f, (bn + bn) / 2.0, vecs[0][..., :, None], bn, bn, d_ab,
+            delta[..., None, None])
+        close[..., d, d] = False
     if not np.any(close):
         return out
-    # (batch..., j, l) of each confluent pair; a-nodes of its batch element
+    # (batch..., j, l) of each other confluent pair; a-nodes of its batch
     idx = np.nonzero(np.broadcast_to(close, batch + close.shape[-2:]))
     bv = np.broadcast_to(vecs[1], batch + vecs[1].shape[-1:])[idx[:-1]]
     av = np.broadcast_to(
@@ -430,22 +459,18 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
     m = ((bv + cv) / 2.0)[:, None]
     # g^[1](m, a): the table's g^[1](a, b) row where b = c, so m = b
     same = bv == cv
-    table = np.moveaxis(np.broadcast_to(d_ab, batch + d_ab.shape[-2:]), -2, -1)
+    rows = np.moveaxis(np.broadcast_to(d_ab, batch + d_ab.shape[-2:]), -2, -1)
     d_ma = np.empty(av.shape, dtype=complex)
-    d_ma[same] = table[tuple(i[same] for i in idx[:-1])]
+    d_ma[same] = rows[tuple(i[same] for i in idx[:-1])]
     if not same.all():
         d_ma[~same] = _exp_dd1(f, m[~same], av[~same])
-    am = m - av
-    near = np.abs(am) < dl
-    conf = (f.derivative(1)(m) - d_ma) / np.where(near, 1.0, am)
-    if np.any(near):
-        mean = (av + bv[:, None] + cv[:, None]) / 3.0
-        conf[near] = f.derivative(2)(mean[near]) / 2.0
-    np.moveaxis(out, -3, -1)[idx] = conf
+    np.moveaxis(out, -3, -1)[idx] = _exp_confluent(
+        f, m, av, bv[:, None], cv[:, None], d_ma, dl)
     return out
 
 
-def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
+def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
+                      table: np.ndarray | None = None) -> np.ndarray:
     """Divided difference f^[k] on the tensor grid of k+1 node vectors.
 
     Each vector has shape (..., m_j) with broadcastable leading batch axes,
@@ -453,10 +478,13 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
     depend only on its own nodes.  Vectorized and cancellation-safe; this is
     the kernel evaluation used by the MOI sums.  Supports k <= 2 for
     exponential sums and any k for polynomials.  At k = 2 an exponential
-    sum builds one f^[1] table per call when the second and third node
-    vectors are equal, as ``moi`` passes them for a repeated argument, and
-    reads the confluent f^[1] of each pair of equal nodes from it (see
-    ``_exp_dd2``).
+    sum reads the f^[1] grid of its first two vectors from ``table``, the
+    grid this function returns for them, when the caller has it (as
+    ``moi`` does for a sum of orders 1 and 2), and builds it otherwise; it
+    builds no second table when the second and third node vectors are
+    equal, as ``moi`` passes them for a repeated argument, and reads the
+    confluent f^[1] of each pair of equal nodes from it (see ``_exp_dd2``).
+    Every other case ignores ``table``.
     """
     k = len(vectors) - 1
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -473,7 +501,8 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
         for v in vecs:
             scale = np.maximum(scale, np.max(np.abs(v), axis=-1, initial=0.0))
         return _exp_dd2(f, vecs,
-                        CONFLUENT_TOL * np.where(scale == 0, 1.0, scale))
+                        CONFLUENT_TOL * np.where(scale == 0, 1.0, scale),
+                        table)
     raise NotImplementedError(
         "exp_sum divided differences support k <= 2 on grids"
     )
@@ -509,11 +538,20 @@ def spectral_data(a: np.ndarray) -> SpectralData:
     """Eigendecomposition of each matrix of a (..., n, n) Hermitian stack,
     with near-degenerate eigenvalues snapped to their cluster mean.
 
-    Raises ``ValueError`` if any matrix is not Hermitian.  Neighbouring
+    Raises ``ValueError`` if any entry is NaN or infinite, naming the first
+    such entries, and if any matrix is not Hermitian.  Neighbouring
     eigenvalues join a cluster when they differ by at most ``CLUSTER_TOL``
     times the matrix's spectral radius (or ``CLUSTER_TOL`` for the zero
     matrix).
     """
+    a = np.asarray(a)
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        named = ", ".join(f"{tuple(map(int, i))} = {a[tuple(i)]}"
+                          for i in bad[:3])
+        raise ValueError(
+            f"spectral data requires finite entries; {len(bad)} non-finite: "
+            f"{named}{', ...' if len(bad) > 3 else ''}")
     if not is_hermitian(a, tol=1e-10):
         raise ValueError("spectral data requires a Hermitian matrix")
     lam, u = np.linalg.eigh(a)
@@ -557,9 +595,10 @@ def _distinct(items) -> tuple[list, list[int]]:
     return objs, index
 
 
-def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
+def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
         b_tuple: Sequence[np.ndarray]) -> np.ndarray:
-    """Multiple operator integral I^a f^[k] [b_1, ..., b_k].
+    """Multiple operator integral I^a f^[k] [b_1, ..., b_k], or a sum of
+    them over shared arguments.
 
     Exact finite spectral sum: the divided-difference kernel weighted by
     spectral projections of the k+1 Hermitian arguments, contracted with
@@ -567,16 +606,29 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
     (a Hermitian argument may be given as its ``SpectralData``); the
     leading batch axes broadcast, and the result has their shape followed
     by (n, n).  The kernel is built in blocks of the flattened batch of at
-    most ``MOI_BLOCK_ENTRIES`` entries.
+    most ``MOI_BLOCK_ENTRIES`` entries of the highest order.
+
+    ``k`` may be a tuple of increasing orders, each at least 1: the result
+    is then the sum, in that order, of the MOI of each order j over the
+    first j + 1 arguments and the first j directions, with the bits of one
+    call per order added up.  So ``moi(f, (1, 2), (sd, sd, sd), (b, b))``
+    is ``moi(f, 1, (sd, sd), (b,)) + moi(f, 2, (sd, sd, sd), (b, b))``.
 
     Work is done once per distinct argument object: the spectral data,
     node vectors and eigenvector stacks of each Hermitian argument, and
     each rotated direction U_m* b_m U_{m+1} per distinct (a_m, b_m,
-    a_{m+1}).  So ``moi(f, 1, (a, a), (b,))`` runs one ``eigh``, and
-    ``moi(f, 2, (sd, sd, sd), (b, b))`` rotates b once and, its node
-    vectors being equal, builds one f^[1] table per block (see
-    ``divided_diff_grid``).  Equal copies give the same bits as one object.
+    a_{m+1}) and block, which every order reads.  So ``moi(f, 1, (a, a),
+    (b,))`` runs one ``eigh``, and ``moi(f, (1, 2), (sd, sd, sd), (b, b))``
+    rotates b once per block and, its node vectors being equal, builds one
+    f^[1] table per block: the first order's kernel, which the second
+    order's grid reads (see ``divided_diff_grid``).  Equal copies give the
+    same bits as one object.
     """
+    orders = (k,) if isinstance(k, int) else tuple(k)
+    if len(orders) > 1 and not (
+            orders[0] >= 1 and all(i < j for i, j in zip(orders, orders[1:]))):
+        raise ValueError("a sum of MOIs takes increasing orders >= 1")
+    k = orders[-1]
     if len(a_tuple) != k + 1 or len(b_tuple) != k:
         raise ValueError("need k+1 Hermitian arguments and k directions")
     shapes = [a.eigenvectors.shape if isinstance(a, SpectralData)
@@ -601,10 +653,10 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
     bs = [flat(b, (n, n)) for b in b_objs]
     # each rotation U_m* b_m U_{m+1} by its distinct (a_m, b_m, a_{m+1})
     rot_keys = [(ai[m], bi[m], ai[m + 1]) for m in range(k)]
-    letters = "abcdefgh"[: k + 1]
-    spec = "..." + letters + "," + ",".join(
-        "..." + letters[m] + letters[m + 1] for m in range(k)
-    ) + "->..." + letters[0] + letters[-1]
+    letters = "abcdefgh"
+    specs = {j: "..." + letters[: j + 1] + "," + ",".join(
+        "..." + letters[m] + letters[m + 1] for m in range(j)
+    ) + "->..." + letters[0] + letters[j] for j in orders}
     out = np.empty((size, n, n), dtype=complex)
     step = max(1, MOI_BLOCK_ENTRIES // n ** (k + 1))
     for lo in range(0, size, step):
@@ -612,11 +664,17 @@ def moi(f: ScalarFunctionSpec, k: int, a_tuple: Sequence,
         u = [x[blk] for x in us]
         rots = {key: adjoint(u[key[0]]) @ bs[key[1]][blk] @ u[key[2]]
                 for key in set(rot_keys)}
+        back = {i: adjoint(u[i]) for i in {ai[j] for j in orders}}
         v = [x[blk] for x in vecs]
-        phi = divided_diff_grid(f, [v[i] for i in ai])
-        out[blk] = (u[ai[0]] @ np.einsum(spec, phi, *(rots[key]
-                                                     for key in rot_keys))
-                    @ adjoint(u[ai[-1]]))
+        phi = acc = None
+        for j in orders:
+            # order 1's kernel is the f^[1] table of order 2's grid
+            phi = divided_diff_grid(f, [v[i] for i in ai[: j + 1]],
+                                    phi if j == 2 else None)
+            term = (u[ai[0]] @ np.einsum(specs[j], phi, *(
+                rots[key] for key in rot_keys[:j])) @ back[ai[j]])
+            acc = term if acc is None else acc + term
+        out[blk] = acc
     return out.reshape(batch + (n, n))
 
 
@@ -624,13 +682,20 @@ def dk_operator_function(f: ScalarFunctionSpec, a: np.ndarray, k: int,
                          b_tuple: Sequence[np.ndarray]) -> np.ndarray:
     """k-th derivative of the operator function a -> f(a): the symmetrized
     MOI over all orderings of the directions, for a Hermitian (..., n, n)
-    stack ``a``."""
+    stack ``a``.  Orderings that put the same direction objects in the
+    same slots (every ordering of ``(b, b)``) are one MOI, computed once
+    and added once per ordering."""
     if len(b_tuple) != k:
         raise ValueError("need k directions")
     sd = spectral_data(a)
+    _, bi = _distinct(b_tuple)
+    terms = {}
     out = np.zeros_like(a, dtype=complex)
     for perm in itertools.permutations(range(k)):
-        out = out + moi(f, k, [sd] * (k + 1), [b_tuple[p] for p in perm])
+        key = tuple(bi[p] for p in perm)
+        if key not in terms:
+            terms[key] = moi(f, k, [sd] * (k + 1), [b_tuple[p] for p in perm])
+        out = out + terms[key]
     return out
 
 

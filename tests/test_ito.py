@@ -27,6 +27,7 @@ from nctrace.matrix_alg import (
     l2_trace_norms,
     moi,
     op_function,
+    spectral_data,
 )
 from nctrace.process_sim import (
     ProcessPath,
@@ -240,6 +241,22 @@ def test_functional_residual_single_step_and_zero_path(fname):
     assert np.array_equal(rep["per_time"], np.zeros(7))
     assert np.array_equal(per_step_functional_residual(f, zero.values),
                           np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_path_is_reported_as_non_finite(bad):
+    # such a matrix used to be called non-Hermitian
+    f = FUNCTIONS["exp_sum"]
+    path = simulate_hbm(3, TimeGrid.uniform(1.0, 3), RngStream(4, 0))
+    values = path.values.copy()
+    values[2, 0, 1] = bad
+    named = r"1 non-finite: \(2, 0, 1\) = \(?(nan|inf)"
+    with pytest.raises(ValueError, match=named):
+        spectral_data(values)
+    with pytest.raises(ValueError, match=named):
+        op_function(f, values)
+    with pytest.raises(ValueError, match=named):
+        functional_ito_residual(f, ProcessPath(path.grid, values, "martingale"))
 
 
 def test_functional_residual_memory_is_blocked():

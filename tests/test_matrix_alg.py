@@ -12,7 +12,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+import nctrace.ito
 from nctrace import matrix_alg
+from nctrace.ito import functional_ito_residual
 from nctrace.matrix_alg import (
     CLUSTER_TOL,
     CONFLUENT_TOL,
@@ -31,6 +33,8 @@ from nctrace.matrix_alg import (
     spectral_data,
     trace_n,
 )
+from nctrace.process_sim import ProcessPath, RngStream, TimeGrid, simulate_hbm
+from nctrace.stoch_int import cumulative_path
 
 RNG = np.random.default_rng(20240817)
 
@@ -493,6 +497,91 @@ def test_moi_decomposes_and_rotates_each_distinct_argument_once(monkeypatch):
     adjoints.clear()
     moi(EXP, 2, (sd, sd, sd), (b, b.copy()))
     assert len(adjoints) == 3
+
+
+def test_functional_residual_makes_one_moi_pass_per_block(monkeypatch):
+    # n = 8, 200 steps: the second order's kernel takes blocks of 128 and 72
+    # steps, and the first order shares them
+    path = simulate_hbm(8, TimeGrid.uniform(1.0, 200), RngStream(0, 0))
+    mois = _count_calls(monkeypatch, nctrace.ito, "moi")
+    tables = _count_calls(monkeypatch, matrix_alg, "_exp_dd1")
+    adjoints = _count_calls(monkeypatch, matrix_alg, "adjoint")
+    functional_ito_residual(EXP, path)
+    assert mois == [(200, 8, 8)]
+    assert tables == [(128, 8, 8), (72, 8, 8)]
+    # per block, one rotation U* dX U and one closing U*; the (201, 8, 8)
+    # adjoints are the Hermitian tests and op_function's
+    assert [s for s in adjoints if s != (201, 8, 8)] == \
+        [(128, 8, 8)] * 2 + [(72, 8, 8)] * 2
+
+
+def _two_call_residual(f, values):
+    """``functional_ito_residual``'s per_time and increments, with the
+    first- and second-order MOIs made by two calls."""
+    sd = spectral_data(values)
+    left = sd[:-1]
+    delta = np.diff(values, axis=0)
+    inc = (moi(f, 1, (left, left), (delta,))
+           + moi(f, 2, (left, left, left), (delta, delta)))
+    fx = op_function(f, sd)
+    return l1_trace_norms(fx - fx[0] - cumulative_path(inc)), inc
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("case", ["n1", "one_step", "zero", "mixed"])
+def test_sum_of_orders_has_the_bits_of_separate_moi_calls(monkeypatch, case):
+    # the all-zero path makes every node pair confluent, so its off-diagonal
+    # pairs are gathered; mixed_stack has a snapped cluster and a pair 1e-7
+    # apart
+    rng = np.random.default_rng(13)
+    values = {
+        "n1": lambda: simulate_hbm(1, TimeGrid.uniform(1.0, 20),
+                                   RngStream(1, 0)).values,
+        "one_step": lambda: simulate_hbm(4, TimeGrid.uniform(1.0, 1),
+                                         RngStream(2, 0)).values,
+        "zero": lambda: np.zeros((7, 4, 4), dtype=complex),
+        "mixed": lambda: mixed_stack(rng).reshape(6, 6, 6),
+    }[case]()
+    n = values.shape[-1]
+    path = ProcessPath(TimeGrid.uniform(1.0, len(values) - 1), values,
+                       "martingale")
+    sd = spectral_data(values)
+    b = np.stack([rand_hermitian(n, rng) for _ in values])
+    c = np.stack([rand_hermitian(n, rng) for _ in values])
+    # blocks as the route makes them, then of one matrix each
+    for entries in (matrix_alg.MOI_BLOCK_ENTRIES, n**3):
+        monkeypatch.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", entries)
+        for f in (EXP, CUBIC):
+            per, inc = _two_call_residual(f, values)
+            got = functional_ito_residual(f, path)["per_time"]
+            assert _bits(got) == _bits(per)
+            assert _bits(moi(f, (1, 2), (sd[:-1],) * 3,
+                             (np.diff(values, axis=0),) * 2)) == _bits(inc)
+            # distinct arguments: order 1's kernel is order 2's f^[1](a, b)
+            args = (values, sd, values[::-1].copy())
+            want = moi(f, 1, args[:2], (b,)) + moi(f, 2, args, (b, c))
+            assert _bits(moi(f, (1, 2), args, (b, c))) == _bits(want)
+    for orders in ((2, 1), (0, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            moi(EXP, orders, (sd,) * 3, (b, b))
+
+
+def test_dk_operator_function_makes_each_distinct_ordering_once(monkeypatch):
+    rng = np.random.default_rng(14)
+    a, b, c = (rand_hermitian(5, rng) for _ in range(3))
+    sd = spectral_data(a)
+    once = moi(EXP, 2, (sd,) * 3, (b, b))
+    calls = _count_calls(monkeypatch, matrix_alg, "moi")
+    got = dk_operator_function(EXP, a, 2, (b, b))
+    assert len(calls) == 1
+    assert _bits(got) == _bits(np.zeros_like(a) + once + once)
+    for dirs in ((b, c), (b, b.copy())):
+        calls.clear()
+        dk_operator_function(EXP, a, 2, dirs)
+        assert len(calls) == 2
 
 
 def test_stack_with_one_non_hermitian_matrix_raises():

@@ -1,4 +1,5 @@
-"""Exact bits of the time-blocked studies and of seven selftest records.
+"""Exact bits of the time-blocked studies, of nine selftest records and of
+the scalar-function Ito residual.
 
 The Ito study values were re-recorded when one fused step plan replaced
 the three evaluations per block (they moved by at most 2.6e-15 relative,
@@ -18,24 +19,33 @@ isometry record pins both integrands of ``check_ito_isometry`` as they run
 through ``rs_increments``.  The ``ito`` and ``qc`` CLI reports are pinned
 byte for byte, as written to their JSON and CSV files, and so are the
 substitution and QC-of-integrals records on a tiny ensemble: they pin how
-``stoch_int.mesh_study`` and the gap record builder assemble them.
+``stoch_int.mesh_study`` and the gap record builder assemble them.  The
+MOI route's records (``moi_derivatives``, ``divided_differences``) and the
+bytes of ``functional_ito_residual``'s per_time were recorded when its two
+orders were two ``moi`` calls, before they shared one pass.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from nctrace import ContractionModel, parse
-from nctrace.ito import ito_residual_path, ito_sup_residuals
+from nctrace.ito import (functional_ito_residual, ito_residual_path,
+                         ito_sup_residuals)
 from nctrace.cli import main
-from nctrace.process_sim import TimeGrid, simulate_hbm_ensemble
+from nctrace.matrix_alg import ScalarFunctionSpec
+from nctrace.process_sim import (RngStream, TimeGrid, simulate_hbm,
+                                 simulate_hbm_ensemble)
 from nctrace.selftest import (
     check_bdg,
+    check_divided_differences,
     check_finite_difference,
     check_fv_kills_qc,
     check_golden_partial,
     check_ito_isometry,
+    check_moi_derivatives,
     check_moi_pairing,
     check_power_derivatives,
 )
@@ -243,6 +253,41 @@ SYMBOLIC_RECORDS = {
         '"paths": null, "seed": 0, "t": null}, "passed": true, '
         '"rhs": 1e-10, "se": 0.0, "zscore": Infinity}'
     ),
+    check_moi_derivatives: (
+        '{"check": "moi_derivatives", "gap": -9.993423607426412e-05, '
+        '"lhs": 6.576392573588039e-08, "params": {"mesh": null, "n": 8, '
+        '"paths": null, "seed": 0, "t": null}, "passed": true, '
+        '"rel_d1": 2.6547544261805647e-10, "rel_d2": 6.576392573588039e-08, '
+        '"rhs": 0.0001, "se": 0.0, "zscore": Infinity}'
+    ),
+    check_divided_differences: (
+        '{"check": "divided_differences", "exact_failures": 0, '
+        '"gap": -9.999999154479334e-09, "lhs": 8.455206652451151e-16, '
+        '"params": {' + _UNSIZED + ', "seed": 0, "t": null}, '
+        '"passed": true, "rhs": 1e-08, "se": 0.0, "zscore": Infinity}'
+    ),
+}
+
+# sha-256 of the bytes of ``functional_ito_residual(f, path)["per_time"]``
+# (201 float64 values) on the n = 8, 200-step HBM path of RngStream(seed, 0),
+# for the functions of tests/test_ito.py
+FUNCTIONAL_SPECS = {
+    "exp_sum": ScalarFunctionSpec.exp_sum([(1.0, 1.1), (0.4, -0.6)]),
+    "polynomial": ScalarFunctionSpec.polynomial([0.3, -1.0, 0.5, 0.0, 0.25]),
+}
+FUNCTIONAL_PER_TIME_SHA256 = {
+    ("exp_sum", 0):
+        "cd30075f708954224d10c67491f9b8ecb2a1772505c7ed08bac4c6d4774a35fd",
+    ("exp_sum", 1):
+        "19c082abe74ef5dd8e1d79129fec1415d723115975cb0b30ad15f97d93862a0a",
+    ("exp_sum", 2):
+        "52ac5b6365b1d8045215a4753965dc3e6fbd7753c49562f09ffb806c2568a42d",
+    ("polynomial", 0):
+        "c32f352750543826c98cad339afa338ee51cfa23fb53466719a82882de1e63d1",
+    ("polynomial", 1):
+        "1cff329fbc1dbbc918dd503f39e73f789838ec53d50eb1e3eba02aaa6f9b1187",
+    ("polynomial", 2):
+        "5de056bd8b4a04b917bcfe2248b3122a46a4605125876642f933a275dbaa0b70",
 }
 
 
@@ -289,6 +334,15 @@ def test_fv_kills_qc_record_is_bitwise_pinned():
                          ids=lambda check: check.__name__)
 def test_symbolic_record_is_bitwise_pinned(check):
     assert json.dumps(check(0), sort_keys=True) == SYMBOLIC_RECORDS[check]
+
+
+@pytest.mark.parametrize("fname, seed", sorted(FUNCTIONAL_PER_TIME_SHA256))
+def test_functional_residual_is_bitwise_pinned(fname, seed):
+    path = simulate_hbm(8, TimeGrid.uniform(1.0, 200), RngStream(seed, 0))
+    per = functional_ito_residual(FUNCTIONAL_SPECS[fname], path)["per_time"]
+    assert per.dtype == np.float64 and per.shape == (201,)
+    assert hashlib.sha256(per.tobytes()).hexdigest() == \
+        FUNCTIONAL_PER_TIME_SHA256[fname, seed]
 
 
 @pytest.mark.parametrize("command", sorted(CLI_REPORTS))
