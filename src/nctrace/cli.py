@@ -6,8 +6,9 @@ once: its handler, its config keys with their defaults, each of which is
 also its one flag, and whether it writes a report, which alone gives it
 ``--json`` and ``--csv``.  Every subcommand takes ``--config``.  A run is
 determined by its effective config, echoed into the reports, which holds
-the one master seed wherever the run draws random numbers; ``bdg`` and
-``isometry`` make their ensemble and report params in ``_ensemble``.
+the one master seed, at least 0, wherever the run draws random numbers;
+``bdg`` and ``isometry`` make their ensemble and report params in
+``_ensemble``.
 Exit codes: 0 all asserted tolerances pass, 1 a tolerance failed, 2 a
 configuration or parse error.  The parser is built once per process
 (``_parser``): ``parse_args`` makes a fresh namespace at each call, so
@@ -100,6 +101,8 @@ def _effective(args, defaults: dict) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    if cfg.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -182,7 +185,9 @@ def _cmd_eval(cfg) -> int:
     n = next(iter(bindings.values())).shape[-1]
     result = eval_poly(parse(cfg["expr"]), EvalContext(n, bindings))
     out = np.stack([result.real, result.imag], axis=-1)
-    print(json.dumps(out.tolist()))
+    # strict JSON: a non-finite part is written as null
+    print(json.dumps(np.where(np.isfinite(out), out, None).tolist(),
+                     allow_nan=False))
     return 0
 
 
@@ -253,7 +258,8 @@ def _cmd_selftest(cfg) -> list[dict]:
     known = [c.__name__.removeprefix("check_") for c in ALL_CHECKS]
     checks = cfg["checks"]
     if checks:
-        checks = checks.split(",") if isinstance(checks, str) else list(checks)
+        if isinstance(checks, str):
+            checks = [c for c in checks.split(",") if c]
         unknown = [c for c in checks if c not in known]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")

@@ -18,12 +18,13 @@ shape (..., m) with leading batch axes, where a single matrix is the stack
 without batch axes.  Each batch element gives what a call on it alone gives.
 It shares what its arguments share: ``moi`` computes the spectral data,
 node vectors, eigenvector stacks and rotated directions once per distinct
-argument object, and a second-order grid over equal second and third node
-vectors builds one f^[1] table, which also gives the confluent entries of
-every pair of equal nodes.  A sum of orders (``moi(f, (1, 2), ...)``)
-shares the rotations between its orders, and its first order's kernel is
-the second order's f^[1] table.  Equal copies of an argument give the same
-bits as one object passed in every slot.
+argument object, on one flat batch axis.  A second-order grid over equal
+second and third node vectors builds one f^[1] table, and every close
+pair of nodes takes one rule, the recurrence of f^[2] over f^[1], which
+reads the table when all three node vectors are equal.  A sum of orders
+(``moi(f, (1, 2), ...)``) shares the rotations between its orders, and its
+first order's kernel is the second order's f^[1] table.  Equal copies of
+an argument give the same bits as one object passed in every slot.
 """
 
 from __future__ import annotations
@@ -65,16 +66,10 @@ def _hermitian_mask(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (dev <= tol * np.where(scale == 0, 1.0, scale)) & (scale < np.inf)
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether every matrix of a (..., n, n) stack is Hermitian to ``tol``
-    relative to its own largest entry."""
-    return bool(np.all(_hermitian_mask(a, tol)))
-
-
 def l1_trace_norms(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """tr_n |a| for each matrix of a (..., n, n) stack, shape (...).
 
-    Matrices Hermitian to a relative 1e-12 (as ``is_hermitian`` tests
+    Matrices Hermitian to a relative 1e-12 (as ``_hermitian_mask`` tests
     them) reduce through ``eigvalsh`` of their Hermitian part, as the sum
     of |eigenvalues|; the rest through the singular values.  Dropping an
     anti-Hermitian part E moves tr_n |a| only at second order in E.
@@ -391,19 +386,22 @@ def _exp_dd1(f: ScalarFunctionSpec, a: np.ndarray,
     return out
 
 
-def _exp_confluent(f: ScalarFunctionSpec, m, a, b, c, d_ma,
-                   delta) -> np.ndarray:
+def _exp_close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc,
+               delta) -> np.ndarray:
     """Second divided difference g^[2](a, b, c) of the exponential sum ``f``
     at node pairs with |b - c| < delta, on broadcast arrays, given
-    m = (b + c) / 2 and d_ma = g^[1](m, a): (g'(m) - g^[1](m, a)) / (m - a),
-    or g''((a + b + c) / 3) / 2 where a is within delta of m too."""
-    am = m - a
-    near = np.abs(am) < delta
-    conf = (f.derivative(1)(m) - d_ma) / np.where(near, 1.0, am)
+    d_ab = g^[1](a, b): (g^[1](b, c) - g^[1](a, b)) / (c - a), or
+    g''((a + b + c) / 3) / 2 where a is within delta of c.  g^[1](b, c) is
+    g'(b) where b = c, and ``d_bc`` elsewhere (None where b = c throughout)."""
+    d_bc = f.derivative(1)(b) if d_bc is None else np.where(
+        b == c, f.derivative(1)(b), d_bc)
+    ca = c - a
+    near = np.abs(ca) < delta
+    out = (d_bc - d_ab) / np.where(near, 1.0, ca)
     if np.any(near):
         mean = (a + b + c) / 3.0
-        conf[near] = f.derivative(2)(mean[near]) / 2.0
-    return conf
+        out[near] = f.derivative(2)(mean[near]) / 2.0
+    return out
 
 
 def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray,
@@ -411,62 +409,54 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray,
     """Second divided difference of the exponential sum ``f`` on the tensor
     grid of node vectors (..., m_0), (..., m_1), (..., m_2).
 
-    Entries with |b - c| >= delta difference the first-order tables,
-    (g^[1](a, b) - g^[1](a, c)) / (b - c).  The g^[1](a, b) table is
-    ``table`` when the caller has it (``moi`` passes its first order's
-    kernel), and is built here otherwise; when the second and third node
-    vectors are equal, g^[1](a, c) is the same table.  The pairs with
-    |b - c| < delta take the confluent formulas of ``_exp_confluent`` at
-    m = (b + c) / 2.  Where the pair's nodes are equal, m = b and g^[1](m, a)
-    is read from the g^[1](a, b) table.  The b = c diagonal of a grid with
-    equal second and third node vectors is such a pair in every entry, and
-    is made in place on (..., m_0, m_1) arrays: the diagonal (..., k, i) is
-    g^[2](a_k, b_i, b_i).  The other close pairs (snapped clusters, and
-    nodes that differ by less than delta) are gathered; only those whose
-    nodes differ make a new ``_exp_dd1`` call.
+    The work runs on one flat batch axis: the node vectors, ``delta`` and
+    the g^[1](a, b) table are broadcast to (B, m) and (B, m_0, m_1) once,
+    which copies nothing for ``moi``'s flat blocks, and the result takes
+    the batch shape at the end.  Entries with |b - c| >= delta difference
+    the first-order tables, (g^[1](a, b) - g^[1](a, c)) / (b - c).  The
+    g^[1](a, b) table is ``table`` when the caller has it (``moi`` passes
+    its first order's kernel), and is built here otherwise; when the second
+    and third node vectors are equal, g^[1](a, c) is the same table.  Every
+    pair with |b - c| < delta takes the one rule of ``_exp_close``, the
+    recurrence (g^[1](b, c) - g^[1](a, b)) / (c - a), with g^[1](b, c) read
+    from the table when all three node vectors are equal (every ``moi``
+    call) and made by ``_exp_dd1`` for the close pairs otherwise.  The
+    b = c diagonal of a grid with equal second and third node vectors is
+    made in place on (B, m_0, m_1) arrays; the other close pairs (snapped
+    clusters, and nodes that differ by less than delta) are gathered.
     """
-    a, b, c = _tensor_axes(vecs)
     batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
-    d_ab = _exp_dd1(f, a[..., 0], b[..., 0]) if table is None else table
-    same_nodes = np.array_equal(vecs[1], vecs[2])
-    if same_nodes:
-        d_ac = d_ab
+    size = math.prod(batch)
+    a, b, c = (np.broadcast_to(v, batch + v.shape[-1:]).reshape(
+        size, v.shape[-1]) for v in vecs)
+    delta = np.broadcast_to(delta, batch).reshape(size)
+    if table is None:
+        table = _exp_dd1(f, a[:, :, None], b[:, None, :])
     else:
-        d_ac = _exp_dd1(f, a[..., 0, :], c[..., 0, :])  # (..., m_0, m_2)
-    bc = b[..., 0, :, :] - c[..., 0, :, :]           # (..., m_1, m_2)
-    close = np.abs(bc) < delta[..., None, None]
-    inv = 1.0 / np.where(close, 1.0, bc)
-    out = d_ab[..., :, :, None] - d_ac[..., :, None, :]
-    out *= inv[..., None, :, :]
-    if same_nodes:
-        bn = vecs[1][..., None, :]
-        d = np.arange(bn.shape[-1])
-        out[..., d, d] = _exp_confluent(
-            f, (bn + bn) / 2.0, vecs[0][..., :, None], bn, bn, d_ab,
-            delta[..., None, None])
-        close[..., d, d] = False
-    if not np.any(close):
-        return out
-    # (batch..., j, l) of each other confluent pair; a-nodes of its batch
-    idx = np.nonzero(np.broadcast_to(close, batch + close.shape[-2:]))
-    bv = np.broadcast_to(vecs[1], batch + vecs[1].shape[-1:])[idx[:-1]]
-    av = np.broadcast_to(
-        np.broadcast_to(vecs[0], batch + vecs[0].shape[-1:])[idx[:-2]],
-        bv.shape + vecs[0].shape[-1:])
-    cv = np.broadcast_to(vecs[2], batch + vecs[2].shape[-1:])[
-        idx[:-2] + idx[-1:]]
-    dl = np.broadcast_to(delta, batch)[idx[:-2]][..., None]
-    m = ((bv + cv) / 2.0)[:, None]
-    # g^[1](m, a): the table's g^[1](a, b) row where b = c, so m = b
-    same = bv == cv
-    rows = np.moveaxis(np.broadcast_to(d_ab, batch + d_ab.shape[-2:]), -2, -1)
-    d_ma = np.empty(av.shape, dtype=complex)
-    d_ma[same] = rows[tuple(i[same] for i in idx[:-1])]
-    if not same.all():
-        d_ma[~same] = _exp_dd1(f, m[~same], av[~same])
-    np.moveaxis(out, -3, -1)[idx] = _exp_confluent(
-        f, m, av, bv[:, None], cv[:, None], d_ma, dl)
-    return out
+        table = np.broadcast_to(table, batch + table.shape[-2:]).reshape(
+            (size,) + table.shape[-2:])
+    same = np.array_equal(b, c)
+    d_ac = table if same else _exp_dd1(f, a[:, :, None], c[:, None, :])
+    bc = b[:, :, None] - c[:, None, :]                 # (B, m_1, m_2)
+    close = np.abs(bc) < delta[:, None, None]
+    out = table[:, :, :, None] - d_ac[:, :, None, :]
+    out *= (1.0 / np.where(close, 1.0, bc))[:, None]
+    if same:
+        bn = b[:, None, :]
+        d = np.arange(b.shape[-1])
+        out[:, :, d, d] = _exp_close(f, a[:, :, None], bn, bn, table, None,
+                                     delta[:, None, None])
+        close[:, d, d] = False
+    if np.any(close):
+        k, j, l = np.nonzero(close)
+        if same and np.array_equal(a, b):
+            d_bc = table[k, j, l]
+        else:
+            d_bc = _exp_dd1(f, b[k, j], c[k, l])
+        out[k, :, j, l] = _exp_close(
+            f, a[k], b[k, j, None], c[k, l, None], table[k, :, j],
+            d_bc[:, None], delta[k, None])
+    return out.reshape(batch + out.shape[1:])
 
 
 def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
@@ -482,9 +472,10 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
     grid this function returns for them, when the caller has it (as
     ``moi`` does for a sum of orders 1 and 2), and builds it otherwise; it
     builds no second table when the second and third node vectors are
-    equal, as ``moi`` passes them for a repeated argument, and reads the
-    confluent f^[1] of each pair of equal nodes from it (see ``_exp_dd2``).
-    Every other case ignores ``table``.
+    equal, as ``moi`` passes them for a repeated argument.  It works on one
+    flat batch axis, and every pair of nodes closer than ``CONFLUENT_TOL``
+    takes one rule, (f^[1](b, c) - f^[1](a, b)) / (c - a) (see
+    ``_exp_dd2``).  Every other case ignores ``table``.
     """
     k = len(vectors) - 1
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -552,7 +543,7 @@ def spectral_data(a: np.ndarray) -> SpectralData:
         raise ValueError(
             f"spectral data requires finite entries; {len(bad)} non-finite: "
             f"{named}{', ...' if len(bad) > 3 else ''}")
-    if not is_hermitian(a, tol=1e-10):
+    if not _hermitian_mask(a, tol=1e-10).all():
         raise ValueError("spectral data requires a Hermitian matrix")
     lam, u = np.linalg.eigh(a)
     scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))

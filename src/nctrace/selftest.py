@@ -4,13 +4,18 @@ Each criterion function returns one report record with a "passed" field;
 ``run_selftest`` collects them all; the isometry and BDG checks each pair
 two z-tests in one record (``_pair_report``).  Everything is driven by
 one master seed and nothing here depends on wall-clock time or thread
-scheduling, so two runs with the same seed serialize to identical bytes.
+scheduling, so two runs with the same seed serialize to identical bytes:
+``check_determinism`` compares the report files of two ``nctrace
+selftest`` subprocesses, one under one BLAS thread and one under two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -566,13 +571,37 @@ def check_free_limit(seed: int) -> dict:
 # 18. determinism ----------------------------------------------------------
 
 
-def check_determinism(seed: int) -> dict:
-    from .reports import to_json
+def _same_bytes_under_blas_threads(argv: list[str]) -> bool:
+    """Whether ``python *argv --json F`` exits 0 and writes the same bytes
+    to F under OPENBLAS_NUM_THREADS=1 and =2, each run in a subprocess of
+    its own with this package's source first on PYTHONPATH."""
+    # imported here: this check is its only user, and loading it added
+    # about 0.3 MB to the peak RSS of every command
+    import subprocess
 
-    fast = [check_golden_partial, check_magic_formula, check_pythagoras]
-    a = to_json([f(seed) for f in fast])
-    b = to_json([f(seed) for f in fast])
-    ok = a == b
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in ("1", "2"):
+            out = os.path.join(tmp, f"threads{threads}.json")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            run = subprocess.run([sys.executable, *argv, "--json", out],
+                                 env=env, capture_output=True)
+            if run.returncode != 0:
+                return False
+            with open(out, "rb") as fh:
+                outs.append(fh.read())
+    return outs[0] == outs[1]
+
+
+def check_determinism(seed: int) -> dict:
+    """Three fast checks' report files, written by ``nctrace selftest`` in
+    two subprocesses under 1 and 2 BLAS threads, are byte-equal."""
+    ok = _same_bytes_under_blas_threads(
+        ["-m", "nctrace.cli", "selftest", "--seed", str(seed),
+         "--checks", "golden_partial,magic_formula,pythagoras"])
     return make_report("determinism", {"seed": seed},
                        float(ok), 1.0, passed=ok)
 

@@ -136,8 +136,29 @@ def test_17_free_limit_scaling():
 
 
 def test_18_reports_are_byte_deterministic():
-    # rendering the same checks twice yields identical JSON bytes
+    # three checks' report files, written by subprocesses under 1 and 2
+    # BLAS threads, are byte-equal
     _run(selftest.check_determinism)
+
+
+def test_18_determinism_fails_on_thread_dependent_output(tmp_path,
+                                                         monkeypatch):
+    same = selftest._same_bytes_under_blas_threads
+    write = "import os, sys; open(sys.argv[-1], 'w').write({})"
+    assert same(["-c", write.format("'x'")])
+    assert not same(["-c", write.format("os.environ['OPENBLAS_NUM_THREADS']")])
+    assert not same(["-c", "raise SystemExit(1)"])
+    # a report writer that adds the thread count fails the check itself
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os\n"
+        "from nctrace import reports\n"
+        "write = reports.write_json\n"
+        "reports.write_json = lambda records, filename: write(\n"
+        "    records + [{'threads': os.environ['OPENBLAS_NUM_THREADS']}],\n"
+        "    filename)\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    rec = selftest.check_determinism(SEED)
+    assert not rec["passed"] and rec["lhs"] == 0.0
 
 
 def test_run_selftest_covers_all_criteria():

@@ -63,6 +63,22 @@ def test_eval_diagonal(tmp_path, capsys):
     assert np.allclose(got[..., 0], want) and np.allclose(got[..., 1], 0)
 
 
+def test_eval_prints_strict_json_with_null_for_non_finite_parts(tmp_path,
+                                                                capsys):
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps({"bindings": {"1": [[1e308, 0], [0, 2]]}}))
+    rc, out, _ = run(capsys, "eval", "--expr", "x1^2",
+                     "--matrices", str(mats))
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    # the overflowed entry's parts are inf and NaN
+    assert json.loads(out, parse_constant=reject) == [
+        [[None, None], [0.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]]]
+
+
 def test_eval_missing_file(capsys):
     rc, _, err = run(capsys, "eval", "--expr", "x1", "--matrices", "/nope")
     assert rc == 2
@@ -399,6 +415,28 @@ def test_paths_below_one_from_config_exits_2(tmp_path, capsys):
     assert rc == 2 and "paths" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ito", "--n", "2", "--paths", "1", "--meshes", "1,0.5,0.25"],
+    ["qc", "--n", "2", "--paths", "1", "--meshes", "1,0.5,0.25"],
+    ["sim", "--n", "2"],
+    ["bdg", "--n", "2"],
+    ["isometry", "--n", "2"],
+    ["esd", "--n", "2"],
+    ["selftest", "--checks", "golden_partial"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_exits_2_naming_its_value(tmp_path, capsys, argv):
+    if argv[0] == "sim":
+        argv = argv + ["--out", str(tmp_path / "p")]
+    rc, out, err = run(capsys, *argv, "--seed", "-1")
+    assert rc == 2 and "seed must be >= 0, got -1" in err
+    assert out == "" and not list(tmp_path.iterdir())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    rc, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert rc == 2 and "seed must be >= 0, got -3" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("cmd", ["bdg", "isometry"])
 def test_one_path_z_test_exits_2(capsys, cmd):
     # one path has no standard error, so the 3-sigma test could never pass
@@ -510,6 +548,14 @@ def test_selftest_prints_each_check_time_to_stderr(capsys):
     for line in lines:
         _, _, seconds, unit = line.split()
         assert float(seconds) >= 0 and unit == "s"
+
+
+def test_selftest_checks_drop_empty_entries(capsys):
+    rc, out, _ = run(capsys, "selftest", "--checks", ",golden_partial,")
+    assert rc == 0
+    assert out.startswith("PASS  golden_partial\n[")
+    assert [r["check"] for r in json.loads(out[out.index("["):])] == [
+        "golden_partial"]
 
 
 def test_selftest_unknown_check(capsys):

@@ -440,8 +440,9 @@ def test_moi_of_equal_copies_equals_moi_of_one_object():
 
 
 def test_same_node_second_divided_difference_matches_scalar():
-    # the b = c diagonal and the snapped triple read f^[1] from the table;
-    # the pair 1e-7 apart takes its own first divided difference
+    # every close pair takes g^[2](a, b, c) = (g^[1](b, c) - g^[1](a, b))
+    # / (c - a), with g^[1](b, c) = g'(b) on the b = c diagonal and the
+    # snapped triple, and the table's entry for the pair 1e-7 apart
     lam = spectral_data(mixed_stack(np.random.default_rng(9))).snapped
     lam = lam.reshape(6, 6)
     grid = divided_diff_grid(EXP, [lam, lam, lam])
@@ -466,20 +467,19 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_same_node_grid_builds_one_first_order_table_per_block(monkeypatch):
-    # mixed_stack without its pair 1e-7 apart: every close pair of nodes is
-    # an exact double, so all of f^[1] comes from the one table
-    a = np.delete(mixed_stack(np.random.default_rng(10)).reshape(6, 6, 6),
-                  2, axis=0)
-    b = np.stack([rand_hermitian(6) for _ in range(5)])
+    # the whole mixed_stack: the snapped triple, the exact double and the
+    # pair 1e-7 apart all read their f^[1](b, c) from the one table
+    a = mixed_stack(np.random.default_rng(10)).reshape(6, 6, 6)
+    b = np.stack([rand_hermitian(6) for _ in range(6)])
     lam = spectral_data(a).snapped
     calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd1")
     divided_diff_grid(EXP, [lam, lam, lam])
-    assert calls == [(5, 6, 6)]
+    assert calls == [(6, 6, 6)]
     # 216 kernel entries per matrix: blocks of one matrix each
     monkeypatch.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", 300)
     calls.clear()
     moi(EXP, 2, (a, a, a), (b, b))
-    assert calls == [(1, 6, 6)] * 5
+    assert calls == [(1, 6, 6)] * 6
 
 
 def test_moi_decomposes_and_rotates_each_distinct_argument_once(monkeypatch):
