@@ -183,7 +183,9 @@ def _cmd_eval(cfg) -> int:
     if not bindings:
         raise ConfigError("no bindings in the matrices file")
     n = next(iter(bindings.values())).shape[-1]
-    result = eval_poly(parse(cfg["expr"]), EvalContext(n, bindings))
+    # an overflow is reported in the output, as null, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = eval_poly(parse(cfg["expr"]), EvalContext(n, bindings))
     out = np.stack([result.real, result.imag], axis=-1)
     # strict JSON: a non-finite part is written as null
     print(json.dumps(np.where(np.isfinite(out), out, None).tolist(),

@@ -37,11 +37,28 @@ Hermitian by construction; other callers have the window compared with its
 adjoint.
 Such a sink takes one product per pair {w, w*}: the plan sums one term of
 each pair, plus half of each term with w = w*, into a half H and returns
-H + H^H.  For d(x1^4)[dX] that is A + A^H + B + B^H with A = X^3 dX and
-B = X^2 dX X, and x1^4 takes 6 products per grid time where its three
-separate plans took 11.  Any other sink (a polynomial that is not
-self-adjoint, non-Hermitian bindings, or no pair to share) keeps the
-unpaired terms.
+H + H^H.  Any other sink (a polynomial that is not self-adjoint,
+non-Hermitian bindings, or no pair to share) keeps the unpaired terms.
+
+A Hermitian plan rewrites each sum three ways more.  The real
+contractions and the pairing of V hold only when every letter is bound to
+a Hermitian matrix; the other two hold on any bindings but move the
+rounding, so they too are kept to Hermitian plans, and ``eval_poly``,
+``eval_multilinear`` and every non-Hermitian window keep their bits.
+- Left factoring: terms whose words share a left prefix u become one
+  product u V, where that takes fewer products (``_factor``).
+  A word equal to u adds 1 to V, on its diagonal; a self-adjoint V is
+  paired as a sink is, V = W + W^H from one product per pair.
+- Scalars summed first: the terms on one register sum their scalar
+  arrays before one scale-and-add.
+- Real trace contractions: a leaf or a power of one letter is Hermitian,
+  and tr_n(ab) of two such registers is real, the dot of their float64
+  views divided by n.
+For x1^4 the step sink's half is X^2 (C + C^H + 3/2 dt I) + ... with
+C = X dX, so with X^2 and X^4 = X^2 X^2 the plan takes 4 products per grid
+time, where unpaired terms took 9 and its three separate plans 11.  For
+tr(x1^2) x1 the step sink is tr(X^2) dX + (2 tr(X dX) + 129/128 dt) X,
+every scalar real, so its blocks are Hermitian bit for bit.
 """
 
 from __future__ import annotations
@@ -119,18 +136,24 @@ def _slot_matrix(letter, y_bindings, n):
 # (op, dest, args, frees): it writes register ``dest`` and then clears the
 # registers in ``frees``, whose last use it was.  Every register and every
 # sink lives on the same points (a step plan's window pads its increment
-# with a zero step, see ``eval_step_block``).
+# with a zero step, see ``eval_step_block``).  A term's scalar s is the sum
+# over its ``parts`` (coeff, scalars) of coeff * prod(scalars); a lone
+# part's coeff is None for 1, and s is None for 1.
 #   "leaf"  args = (letter,)              the bound matrix, adjoint if starred
 #   "dt"    args = ()                     the step lengths
 #   "mul"   args = (a, b)                 a @ b
-#   "trace" args = (a, b)                 tr_n(a b) by an n^2 contraction;
+#   "trace" args = (a, b, real)           tr_n(a b) by an n^2 contraction,
+#                                         the real dot of the float views
+#                                         when ``real`` (a, b Hermitian);
 #                                         b is None for tr_n(a)
-#   "term"  dest = sink k,                sink k += coeff * prod(scalars) * a;
-#           args = (coeff, scalars,       a is None for the identity (added on
-#                   a, half)              the diagonal), coeff is None for 1;
+#   "term"  dest = sink k,                sink k += s * a; a is None for the
+#           args = (parts, a, half)       identity (added on the diagonal);
 #                                         a ``half`` term goes to the sink's
 #                                         half H instead, and a sink with a
 #                                         half ends as H + H^H
+#   "sum"   args = (k, items, half)       W = the sum of s * a over items
+#                                         (parts, a), shaped as sink k; W +
+#                                         W^H when ``half``, else W
 
 
 @dataclass(frozen=True)
@@ -147,10 +170,25 @@ class Plan:
         return sum(op == "mul" for op, *_ in self.steps)
 
 
+class _Factored:
+    """The product u V of the word ``prefix`` u and the sum V of
+    ``pieces``, compiled as a sink's pieces are."""
+
+    def __init__(self, prefix: tuple, pieces: tuple):
+        self.prefix, self.pieces = prefix, pieces
+
+
+def _reads(parts, a):
+    return tuple(r for _, scalars in parts for r in scalars) + (
+        () if a is None else (a,))
+
+
 class _Compiler:
-    def __init__(self):
+    def __init__(self, hermitian: bool):
+        self.hermitian = hermitian
         self.steps: list = []  # (op, dest, args, registers read)
         self.nodes: dict = {}  # (op, args) -> register
+        self.herm: set = set()  # registers known to be Hermitian
 
     def _node(self, op, args, reads=()):
         key = (op, args)
@@ -164,11 +202,16 @@ class _Compiler:
         return self._node("mul", (a, b), (a, b))
 
     def power(self, letter, k):
-        """letter^k, each power computed once as a product of two halves."""
+        """letter^k, each power computed once as a product of two halves;
+        in a Hermitian plan the leaves and powers are Hermitian."""
         if k == 1:
-            return self._node("leaf", (letter,))
-        return self._mul(self.power(letter, k - k // 2),
-                         self.power(letter, k // 2))
+            reg = self._node("leaf", (letter,))
+        else:
+            reg = self._mul(self.power(letter, k - k // 2),
+                            self.power(letter, k // 2))
+        if self.hermitian:
+            self.herm.add(reg)
+        return reg
 
     def _split(self, word):
         """word = head tail, where tail is the last run of one letter (the
@@ -182,26 +225,63 @@ class _Compiler:
 
     def word(self, word):
         """Product of a non-empty word; shared prefixes are computed once."""
-        if len(word) == 1:
-            return self._node("leaf", (word[0],))
+        if len(set(word)) == 1:
+            return self.power(word[0], len(word))
         return self._mul(*self._split(word))
 
     def trace(self, word):
-        if len(word) == 1:
-            a = self.word(word)
-            return self._node("trace", (a, None), (a,))
-        a, b = self._split(word)
-        return self._node("trace", (a, b), (a, b))
+        a, b = (self.word(word), None) if len(word) == 1 else \
+            self._split(word)
+        reads = (a,) if b is None else (a, b)
+        return self._node("trace", (a, b, set(reads) <= self.herm), reads)
 
-    def term(self, coeff, traces, outer, sink, timed, half):
+    def _scalars(self, coeff, traces, timed):
         c = complex(coeff)
         c = None if c == 1 else (c.real if c.imag == 0 else c)
         scalars = tuple(self.trace(w) for w in traces if w)  # tr(1) = 1
         if timed:
             scalars += (self._node("dt", ()),)
-        reg = self.word(outer) if outer else None
-        reads = scalars + (() if reg is None else (reg,))
-        self.steps.append(("term", sink, (c, scalars, reg, half), reads))
+        return c, scalars
+
+    def _items(self, k, terms):
+        """Yield (parts, a) for ``terms``, pairs of (coeff, traces, outer,
+        timed), each item's registers made just before it.  In a Hermitian
+        plan the terms on one register are one item, so their scalars are
+        summed before one scale-and-add."""
+        groups: dict = {}
+        for i, (coeff, traces, outer, timed) in enumerate(terms):
+            key = outer if self.hermitian else i
+            groups.setdefault(key, (outer, []))[1].append(
+                (coeff, traces, timed))
+        for outer, parts in groups.values():
+            parts = tuple(self._scalars(*part) for part in parts)
+            if len(parts) > 1:
+                parts = tuple((1.0 if c is None else c, scalars)
+                              for c, scalars in parts)
+            if isinstance(outer, _Factored):
+                a = self._mul(self.word(outer.prefix),
+                              self.sum(k, outer.pieces))
+            else:
+                a = self.word(outer) if outer else None
+            yield parts, a
+
+    def sink(self, k, pieces):
+        """Sink k += the sum of ``pieces``, one term step at a time."""
+        terms, half = _sum_terms(pieces, self.hermitian)
+        for parts, a in self._items(k, terms):
+            self.steps.append(("term", k, (parts, a, half), _reads(parts, a)))
+
+    def sum(self, k, pieces):
+        """A register holding the sum of ``pieces``, made in one step."""
+        terms, half = _sum_terms(pieces, self.hermitian)
+        items = tuple(self._items(k, terms))
+        if not half and len(items) == 1 and items[0][0] == ((None, ()),) \
+                and items[0][1] is not None:
+            return items[0][1]  # a register as it is
+        reg = self.nodes[("sum", len(self.nodes))] = len(self.nodes)
+        self.steps.append(("sum", reg, (k, items, half),
+                           tuple(r for item in items for r in _reads(*item))))
+        return reg
 
     def finish(self, sinks) -> Plan:
         # walking backwards, a read not seen yet is the register's last use
@@ -221,16 +301,16 @@ def _adjoint_key(traces, outer):
     return key
 
 
-def _sink_terms(pieces, hermitian):
-    """(coeff, traces, outer, timed, half) for each term one sink computes
-    from its ``pieces``, pairs of (polynomial, timed).
+def _paired_terms(pieces, hermitian):
+    """The (coeff, traces, outer, timed) terms one sum computes from its
+    ``pieces``, pairs of (polynomial, timed), and whether they are a half.
 
     On Hermitian bindings, pieces that are all self-adjoint hold each term
     w together with its adjoint w*, whose scalar is the conjugate of w's.
-    Then one term of each pair {w, w*} goes to the sink's half H with its
+    Then one term of each pair {w, w*} goes to the half H with its
     coefficient and each term w = w* with half of it, so H + H^H is the
-    sink's value at one product per pair.  A sink without a pair is left
-    unpaired: there the half would only cost elementwise passes."""
+    sum at one product per pair.  A sum without a pair is left unpaired:
+    there the half would only cost elementwise passes."""
     if hermitian and all(is_self_adjoint(p) for p, _ in pieces):
         terms = [(t, timed) for p, timed in pieces
                  for t in hermitian_form(p).term_list()]
@@ -238,10 +318,51 @@ def _sink_terms(pieces, hermitian):
         if any(key != (t.traces, t.outer)
                for key, (t, _) in zip(adjoints, terms)):
             return [(t.coeff if (t.traces, t.outer) < key else t.coeff / 2,
-                     t.traces, t.outer, timed, True)
+                     t.traces, t.outer, timed)
                     for key, (t, timed) in zip(adjoints, terms)
-                    if (t.traces, t.outer) <= key]
-    return [(*t, timed, False) for p, timed in pieces for t in p.term_list()]
+                    if (t.traces, t.outer) <= key], True
+    return [(*t, timed) for p, timed in pieces for t in p.term_list()], False
+
+
+def _products(terms) -> int:
+    """The products a Hermitian plan takes to sum ``terms`` on its own."""
+    comp = _Compiler(True)
+    for _ in comp._items(0, terms):
+        pass
+    return comp.finish(1).matmuls
+
+
+def _factor(terms):
+    """Left factoring: the terms whose words start with one word u,
+    longest u first, become one term u V where that takes fewer products;
+    V sums their rest, a word u itself adding 1."""
+    words = [outer for _, _, outer, _ in terms
+             if not isinstance(outer, _Factored)]
+    prefixes = sorted(dict.fromkeys(
+        w[:j] for w in words for j in range(len(w) - 1, 0, -1)),
+        key=len, reverse=True)
+    products = _products(terms)
+    for u in prefixes:
+        group = [i for i, (_, _, outer, _) in enumerate(terms)
+                 if not isinstance(outer, _Factored) and outer[:len(u)] == u]
+        pieces = tuple(
+            (TracePolynomial(((traces, outer[len(u):]), coeff)
+                             for coeff, traces, outer, t in
+                             (terms[i] for i in group) if t == timed),
+             timed) for timed in (False, True))
+        factored = [t for i, t in enumerate(terms) if i not in group[1:]]
+        factored[group[0]] = (1, (), _Factored(u, pieces), False)
+        if _products(factored) < products:
+            return _factor(factored)
+    return terms
+
+
+@functools.lru_cache(maxsize=1024)
+def _sum_terms(pieces, hermitian):
+    """The terms of the sum of ``pieces`` and whether they are a half
+    (``_paired_terms``), left-factored in a Hermitian plan."""
+    terms, half = _paired_terms(pieces, hermitian)
+    return tuple(_factor(terms) if hermitian else terms), half
 
 
 @functools.lru_cache(maxsize=512)
@@ -251,13 +372,13 @@ def compile_plan(*sinks, hermitian: bool = False) -> Plan:
     A sink is a tuple of (polynomial, timed) pieces and computes their sum,
     a timed piece multiplied by the step lengths dt; all sinks share their
     registers.  ``hermitian`` says the bindings are Hermitian, which lets
-    self-adjoint sinks pair their terms with their adjoints
-    (``_sink_terms``)."""
-    comp = _Compiler()
-    for sink, pieces in enumerate(sinks):
-        for coeff, traces, outer, timed, half in _sink_terms(pieces,
-                                                             hermitian):
-            comp.term(coeff, traces, outer, sink, timed, half)
+    self-adjoint sums pair their terms with their adjoints
+    (``_paired_terms``), factor out shared left prefixes
+    (``_factor``), sum the scalars of terms on one register
+    first, and contract traces of Hermitian registers as real dots."""
+    comp = _Compiler(hermitian)
+    for k, pieces in enumerate(sinks):
+        comp.sink(k, pieces)
     return comp.finish(len(sinks))
 
 
@@ -278,9 +399,16 @@ def _batch_shape(ctx: EvalContext, y_bindings) -> tuple:
     return np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
 
 
-def _accumulate(out, m, s, mine, shape):
-    """out + s * m; ``mine`` says m may be overwritten (a product made here,
+def _add(out, m, s, mine, shape):
+    """out + s * m, out None for 0 and m None for the identity (added on
+    the diagonal); ``mine`` says m may be overwritten (a product made here,
     at its last use), so it is scaled in place or becomes the output."""
+    if m is None:
+        if out is None:
+            out = buffers.zeros(shape)
+        diag = np.einsum("...ii->...i", out)  # a writable view
+        diag += 1 if s is None else np.asarray(s)[..., None]
+        return out
     if s is not None:
         s = np.asarray(s)[..., None, None]
         scaled = np.broadcast_shapes(s.shape, m.shape)
@@ -298,6 +426,25 @@ def _accumulate(out, m, s, mine, shape):
     return out
 
 
+def _product(a, b):
+    # a function, so that no local name keeps an operand past its last use
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.matmul(a, b, out=buffers.empty(
+        shape + (a.shape[-2], b.shape[-1])))
+
+
+def _plus_adjoint(h):
+    """h + h^H, a new array."""
+    out = np.conjugate(np.swapaxes(h, -1, -2), out=buffers.empty(h.shape))
+    out += h
+    return out
+
+
+def _floats(m):
+    """The float64 entries of each matrix of ``m`` in one vector."""
+    return m.reshape(m.shape[:-2] + (-1,)).view(np.float64)
+
+
 def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     """Run ``plan``: ``leaf(letter)`` is a letter's bound matrix, ``dts``
     the step lengths and ``shapes[k]`` the shape of sink k."""
@@ -305,17 +452,38 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
     owned = [False] * plan.registers  # made here, so free to overwrite
     outs: list = [None] * plan.sinks
     halves: list = [None] * plan.sinks
+
+    def add(out, parts, a, frees, shape):
+        s = None
+        for coeff, scalars in parts:
+            p = coeff
+            for r in scalars:
+                p = regs[r] if p is None else p * regs[r]
+            s = p if s is None else s + p
+        if a is None:
+            return _add(out, None, s, False, shape)
+        return _add(out, regs[a], s, owned[a] and a in frees, shape)
+
+    def total(k, items, half, frees):
+        w = None
+        for parts, a in items:
+            w = add(w, parts, a, frees, shapes[k])
+        if w is None:  # its pieces cancelled
+            w = buffers.zeros(shapes[k])
+        return _plus_adjoint(w) if half else w
+
     for op, dest, args, frees in plan.steps:
         if op == "mul":
-            a, b = regs[args[0]], regs[args[1]]
-            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-            regs[dest] = np.matmul(a, b, out=buffers.empty(
-                shape + (a.shape[-2], b.shape[-1])))
+            regs[dest] = _product(regs[args[0]], regs[args[1]])
             owned[dest] = True
         elif op == "trace":
-            a, b = args
+            a, b, real = args
             if b is None:
-                val = np.trace(regs[a], axis1=-2, axis2=-1)
+                val = np.trace(regs[a].real if real else regs[a],
+                               axis1=-2, axis2=-1)
+            elif real:
+                val = np.matmul(_floats(regs[a])[..., None, :],
+                                _floats(regs[b])[..., :, None])[..., 0, 0]
             else:
                 val = np.einsum("...ij,...ji->...", regs[a], regs[b])
             regs[dest] = val / n
@@ -323,27 +491,18 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
             regs[dest] = leaf(args[0])
         elif op == "dt":
             regs[dest] = dts
+        elif op == "sum":
+            regs[dest] = total(*args, frees)
+            owned[dest] = True
         else:
-            coeff, scalars, a, half = args
+            parts, a, half = args
             acc = halves if half else outs
-            s = coeff
-            for r in scalars:
-                s = regs[r] if s is None else s * regs[r]
-            if a is None:
-                if acc[dest] is None:
-                    acc[dest] = buffers.zeros(shapes[dest])
-                diag = np.einsum("...ii->...i", acc[dest])  # a writable view
-                diag += 1 if s is None else np.asarray(s)[..., None]
-            else:
-                acc[dest] = _accumulate(acc[dest], regs[a], s,
-                                        owned[a] and a in frees, shapes[dest])
+            acc[dest] = add(acc[dest], parts, a, frees, shapes[dest])
         for r in frees:
             regs[r] = None
     for k, half in enumerate(halves):
         if half is not None:  # a paired sink sends every term to its half
-            outs[k] = np.conjugate(np.swapaxes(half, -1, -2),
-                                   out=buffers.empty(shapes[k]))
-            outs[k] += half
+            outs[k] = _plus_adjoint(half)
     return [buffers.zeros(shape) if out is None else out
             for out, shape in zip(outs, shapes)]
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_eval_prints_strict_json_with_null_for_non_finite_parts(tmp_path,
     # the overflowed entry's parts are inf and NaN
     assert json.loads(out, parse_constant=reject) == [
         [[None, None], [0.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]]]
+
+
+def test_eval_overflow_prints_no_warning(tmp_path, capsys):
+    mats = tmp_path / "m.json"
+    mats.write_text(json.dumps({"bindings": {"1": [[1e308, 0], [0, 2]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "eval", "--expr", "x1^2 + tr(x1) x1",
+                           "--matrices", str(mats))
+    assert rc == 0 and err == ""
+    assert json.loads(out)[0][0] == [None, None]
 
 
 def test_eval_missing_file(capsys):

@@ -17,7 +17,7 @@ from nctrace.evaluator import (
     eval_poly,
     eval_step_block,
 )
-from nctrace.ito import ito_rhs_symbolic
+from nctrace.ito import _step_symbols, ito_rhs_symbolic
 from nctrace.matrix_alg import adjoint, trace_n
 from nctrace.rational import QC
 from nctrace.trace_poly import TracePolynomial, is_self_adjoint, x, y
@@ -377,20 +377,71 @@ def test_step_plan_pairs_only_self_adjoint_sinks():
         assert any(halves) == paired, text
 
 
-def test_step_plan_for_x1_to_the_fourth_takes_6_products_per_grid_time():
+def test_step_plan_for_x1_to_the_fourth_takes_4_products_per_grid_time():
     # P = x1^4, dP[dX] and the correction share x1^2; x1^2, x1^4 and x1^3
     # are made once on the window's points, which the increment shares
     # with one zero step.  Unpaired: X^2, X^4, X^3, X^3 dX, X^2 dX,
     # X^2 dX X.
-    # Paired on a Hermitian path, dP[dX] = A + A^H + B + B^H with
-    # A = X^3 dX and B = X^2 dX X, one product per pair {w, w*}.
+    # Paired on a Hermitian path, the step sink's half is
+    # X^3 dX + X^2 dX X + 3/2 dt X^2 + ..., whose first three terms share
+    # the prefix X^2: they are X^2 V with V = C + C^H + 3/2 dt I, made from
+    # the one product C = X dX.  With X^2 and X^4 = X^2 X^2, 4 products.
     P = parse("x1^4")
     dP, correction = ito_rhs_symbolic(P, ContractionModel.matrix(16))
-    assert _step_plan(P, dP, correction, True).matmuls == 6
+    assert _step_plan(P, dP, correction, True).matmuls == 4
     assert _step_plan(P, dP, correction, False).matmuls == 9
     # the three separate plans this replaces took 2 + 8 + 1
     assert sum(compile_plan(((Q, False),)).matmuls
                for Q in (P, dP, correction)) == 11
+
+
+# Products per grid time of the plan ``eval_step_block`` runs (step sink
+# first) for each mode's step symbols, paired (Hermitian windows) and
+# unpaired: (products, products before left factoring).
+STEP_PLAN_PRODUCTS = {
+    ("x1^2", "contracted"): ((2, 2), (3, 3)),
+    ("x1^2", "quadratic"): ((3, 3), (4, 4)),
+    ("x1^3", "contracted"): ((5, 5), (6, 6)),
+    ("x1^3", "quadratic"): ((6, 9), (11, 11)),
+    ("x1^4", "contracted"): ((4, 6), (9, 9)),
+    ("x1^4", "quadratic"): ((9, 15), (21, 21)),
+    ("x1^6", "contracted"): ((8, 10), (15, 15)),
+    ("x1^6", "quadratic"): ((21, 32), (50, 50)),
+    ("tr(x1^2) x1", "contracted"): ((0, 0), (0, 0)),
+    ("tr(x1^2) x1", "quadratic"): ((0, 0), (0, 0)),
+    ("x1^2 + tr(x1) x1", "contracted"): ((2, 2), (3, 3)),
+    ("x1^2 + tr(x1) x1", "quadratic"): ((3, 3), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("text, second_order", sorted(STEP_PLAN_PRODUCTS))
+def test_step_plan_products_per_grid_time(text, second_order):
+    P, step, timed = _step_symbols(parse(text), ContractionModel.matrix(16),
+                                   second_order)
+    for hermitian, (products, before) in zip(
+            (True, False), STEP_PLAN_PRODUCTS[text, second_order]):
+        plan = compile_plan(((step, False), (timed, True)), ((P, False),),
+                            hermitian=hermitian)
+        assert plan.matmuls == products <= before
+
+
+def test_real_trace_contraction_is_kept_off_non_hermitian_windows():
+    # tr(x1 y1) of a non-Hermitian window has an imaginary part, which the
+    # real dot of a Hermitian plan would drop
+    P, step, timed = _step_symbols(parse("tr(x1^2) x1"),
+                                   ContractionModel.matrix(3), "contracted")
+    rng = np.random.default_rng(4)
+    window = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
+    dts = np.full(4, 0.25)
+    imag = np.einsum("...ij,...ji->...", window[:, :-1], np.diff(window,
+                                                                 axis=1)).imag
+    assert np.min(np.abs(imag)) > 0.1
+    want_p, want_t, p_scale, t_scale = _step_reference(P, step, timed,
+                                                       window, dts)
+    for hermitian in (None, False):
+        p, terms = eval_step_block(P, step, timed, window, dts, hermitian)
+        assert np.max(np.abs(p - want_p)) <= 1e-12 * p_scale
+        assert np.max(np.abs(terms - want_t)) <= 1e-12 * t_scale
 
 
 def test_step_plan_results_on_one_point():

@@ -416,6 +416,24 @@ def test_study_loops_let_go_of_each_block_at_the_unit_shape(text, most,
         ContractionModel.matrix(16))) <= most
 
 
+@pytest.mark.parametrize("second_order", ["contracted", "quadratic"])
+@pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1"])
+def test_study_blocks_are_bitwise_hermitian(text, second_order):
+    # paired sinks end as H + H^H, and the trace factors of Hermitian
+    # registers are real, so tr(x1^2) x1's blocks are real combinations of
+    # Hermitian matrices: every block equals its adjoint bit for bit
+    n, paths, seed = 16, 8, 0
+    grid = TimeGrid.uniform(1.0, 2 * STUDY_TIME_BLOCK + 8)
+    symbols = [_step_symbols(parse(text), ContractionModel.matrix(n),
+                             second_order)]
+    (walk,) = hbm_windows(n, grid, paths, seed, paths, STUDY_TIME_BLOCK)
+    blocks = 0
+    for _, _, _, res in _residual_blocks(symbols, walk, grid, True):
+        assert np.array_equal(res, np.conj(np.swapaxes(res, -1, -2)))
+        blocks += 1
+    assert blocks == 3
+
+
 @pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1", "x1' x1^3"])
 def test_self_adjoint_residuals_take_the_hermitian_route(text, monkeypatch):
     # on HBM paths a self-adjoint P gives a Hermitian residual: the study
