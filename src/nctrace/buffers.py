@@ -15,6 +15,13 @@ view keeps the buffer it was carved from alive, so an array that is still
 in use, or that leaves the study, is never handed out twice.  Outside
 ``recycled`` and for larger arrays, ``empty`` is ``np.empty``.
 
+An array takes the layout of the block it is made from: ``empty_like(a,
+shape)`` orders its leading axes in memory as a's and keeps each trailing
+(n, n) matrix C-contiguous.  A blocked walk stores its windows time-major
+(the matrices of all paths at one grid point side by side), and so the
+evaluator's registers and outputs, the increments and the running sums
+made from such a window are time-major too.
+
 The one rule for callers: a loop that takes block arrays from a generator
 deletes them before it asks for the next block.  A loop variable that
 still holds the last block keeps its buffer busy while the next block is
@@ -86,7 +93,22 @@ def empty(shape, dtype=complex) -> np.ndarray:
     return buf[:size].view(dtype).reshape(shape)
 
 
-def zeros(shape, dtype=complex) -> np.ndarray:
-    out = empty(shape, dtype)
+def empty_like(a: np.ndarray, shape=None) -> np.ndarray:
+    """An uninitialised complex array of ``shape`` (a's when None) from
+    ``empty``, laid out as a stack of matrices ``a``: each trailing (n, n)
+    matrix is C-contiguous, and where ``shape`` has a's rank its leading
+    axes lie in memory in the order of a's (the largest stride outermost,
+    ties in axis order); a shape of another rank is C-ordered."""
+    shape = a.shape if shape is None else tuple(shape)
+    lead = list(range(len(shape) - 2))
+    if len(shape) == a.ndim:
+        lead.sort(key=lambda i: -a.strides[i])
+    out = empty([shape[i] for i in lead] + list(shape[-2:]))
+    return out.transpose([lead.index(i) for i in range(len(lead))]
+                         + [len(lead), len(lead) + 1])
+
+
+def zeros_like(a: np.ndarray) -> np.ndarray:
+    out = empty_like(a)
     out.fill(0)
     return out

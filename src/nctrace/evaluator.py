@@ -15,9 +15,11 @@ once as an n^2 contraction tr_n(AB) rather than a product, adds letterless
 terms on the diagonal only, skips the multiply for coefficient 1, and
 accumulates every term in place into its sink's buffer, dropping each
 intermediate after its last use.  Results are new arrays, never views of
-the bindings; products and outputs are made with ``buffers.empty``, so
-within a blocked study they reuse recycled buffers.  ``eval_poly`` and
-``eval_multilinear`` run a one-sink plan.
+the bindings; products and outputs are made with ``buffers.empty_like``,
+so within a blocked study they reuse recycled buffers, and they are laid
+out as the window (or the first binding of the results' shape): a study's
+time-major window gives time-major registers, outputs and step terms.
+``eval_poly`` and ``eval_multilinear`` run a one-sink plan.
 
 ``eval_step_block`` serves the Ito studies with one two-sink plan per
 block: P at the L points of a path window and step[dX] + timed * dt at its
@@ -53,7 +55,9 @@ rounding, so they too are kept to Hermitian plans, and ``eval_poly``,
   arrays before one scale-and-add.
 - Real trace contractions: a leaf or a power of one letter is Hermitian,
   and tr_n(ab) of two such registers is real, the dot of their float64
-  views divided by n.
+  views divided by n; where an operand's matrices are not C-ordered (a
+  transposed window), which would make that view a copy, it is the real
+  part of the complex contraction.
 For x1^4 the step sink's half is X^2 (C + C^H + 3/2 dt I) + ... with
 C = X dX, so with X^2 and X^4 = X^2 X^2 the plan takes 4 products per grid
 time, where unpaired terms took 9 and its three separate plans 11.  For
@@ -390,22 +394,29 @@ def _leaf(letter, ctx: EvalContext, y_bindings) -> np.ndarray:
     return adjoint(m) if letter.star else m
 
 
-def _batch_shape(ctx: EvalContext, y_bindings) -> tuple:
-    # results keep the batch shape of all bindings, x-variables and slots
-    # alike, whichever letters the polynomial uses
-    mats = list(ctx.bindings.values())
+def _results_like(ctx: EvalContext, y_bindings) -> np.ndarray:
+    """An array of the results' shape and layout (``buffers.empty_like``):
+    the first binding of that shape, or a C-ordered stand-in of no memory.
+    Results keep the batch shape of all bindings, x-variables and slots
+    alike, whichever letters the polynomial uses."""
+    mats = [np.asarray(m) for m in ctx.bindings.values()]
     for bound in y_bindings or ():
-        mats.extend(bound if isinstance(bound, (list, tuple)) else [bound])
-    return np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+        mats.extend(map(np.asarray, bound if isinstance(bound, (list, tuple))
+                        else [bound]))
+    shape = np.broadcast_shapes(*(m.shape[:-2] for m in mats)) + (
+        ctx.n, ctx.n)
+    return next((m for m in mats if m.shape == shape),
+                np.broadcast_to(np.zeros((), complex), shape))
 
 
-def _add(out, m, s, mine, shape):
+def _add(out, m, s, mine, like):
     """out + s * m, out None for 0 and m None for the identity (added on
-    the diagonal); ``mine`` says m may be overwritten (a product made here,
-    at its last use), so it is scaled in place or becomes the output."""
+    the diagonal), shaped and laid out as ``like``; ``mine`` says m may be
+    overwritten (a product made here, at its last use), so it is scaled in
+    place or becomes the output."""
     if m is None:
         if out is None:
-            out = buffers.zeros(shape)
+            out = buffers.zeros_like(like)
         diag = np.einsum("...ii->...i", out)  # a writable view
         diag += 1 if s is None else np.asarray(s)[..., None]
         return out
@@ -415,45 +426,62 @@ def _add(out, m, s, mine, shape):
         if mine and scaled == m.shape:
             m *= s
         else:
-            m, mine = np.multiply(m, s, out=buffers.empty(scaled)), True
+            m = np.multiply(m, s, out=buffers.empty_like(like, scaled))
+            mine = True
     if out is not None:
         out += m
         return out
-    if mine and m.shape == shape:
+    if mine and m.shape == like.shape:
         return m
-    out = buffers.empty(shape)
+    out = buffers.empty_like(like)
     np.copyto(out, m)
     return out
 
 
-def _product(a, b):
+def _product(a, b, like):
     # a function, so that no local name keeps an operand past its last use
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return np.matmul(a, b, out=buffers.empty(
-        shape + (a.shape[-2], b.shape[-1])))
+    return np.matmul(a, b, out=buffers.empty_like(
+        like, shape + (a.shape[-2], b.shape[-1])))
 
 
 def _plus_adjoint(h):
-    """h + h^H, a new array."""
-    out = np.conjugate(np.swapaxes(h, -1, -2), out=buffers.empty(h.shape))
+    """h + h^H, a new array laid out as h."""
+    out = np.conjugate(np.swapaxes(h, -1, -2), out=buffers.empty_like(h))
     out += h
     return out
 
 
 def _floats(m):
-    """The float64 entries of each matrix of ``m`` in one vector."""
+    """The float64 entries of each matrix of ``m`` in one vector, a view of
+    m; None when its (n, n) matrices are not each C-ordered (a transposed
+    window's are not), where the vector would be a copy."""
+    if m.shape[-1] > 1 and m.strides[-2:] != (m.shape[-1] * m.itemsize,
+                                               m.itemsize):
+        return None
     return m.reshape(m.shape[:-2] + (-1,)).view(np.float64)
 
 
-def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
+def _real_trace(a, b):
+    """n tr_n(a b) of Hermitian a and b, which is real: the dot of their
+    float64 views, or where one is not C-ordered the real part of the
+    complex contraction, which makes no copy of it."""
+    fa, fb = _floats(a), _floats(b)
+    if fa is None or fb is None:
+        return np.einsum("...ij,...ji->...", a, b).real
+    return np.matmul(fa[..., None, :], fb[..., :, None])[..., 0, 0]
+
+
+def _run(plan: Plan, leaf, like, n: int, dts=None) -> list:
     """Run ``plan``: ``leaf(letter)`` is a letter's bound matrix, ``dts``
-    the step lengths and ``shapes[k]`` the shape of sink k."""
+    the step lengths, and every sink takes the shape and layout of
+    ``like`` (``buffers.empty_like``), as do the products of its rank."""
     regs: list = [None] * plan.registers
     owned = [False] * plan.registers  # made here, so free to overwrite
     outs: list = [None] * plan.sinks
     halves: list = [None] * plan.sinks
 
-    def add(out, parts, a, frees, shape):
+    def add(out, parts, a, frees):
         s = None
         for coeff, scalars in parts:
             p = coeff
@@ -461,20 +489,20 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
                 p = regs[r] if p is None else p * regs[r]
             s = p if s is None else s + p
         if a is None:
-            return _add(out, None, s, False, shape)
-        return _add(out, regs[a], s, owned[a] and a in frees, shape)
+            return _add(out, None, s, False, like)
+        return _add(out, regs[a], s, owned[a] and a in frees, like)
 
     def total(k, items, half, frees):
         w = None
         for parts, a in items:
-            w = add(w, parts, a, frees, shapes[k])
+            w = add(w, parts, a, frees)
         if w is None:  # its pieces cancelled
-            w = buffers.zeros(shapes[k])
+            w = buffers.zeros_like(like)
         return _plus_adjoint(w) if half else w
 
     for op, dest, args, frees in plan.steps:
         if op == "mul":
-            regs[dest] = _product(regs[args[0]], regs[args[1]])
+            regs[dest] = _product(regs[args[0]], regs[args[1]], like)
             owned[dest] = True
         elif op == "trace":
             a, b, real = args
@@ -482,8 +510,7 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
                 val = np.trace(regs[a].real if real else regs[a],
                                axis1=-2, axis2=-1)
             elif real:
-                val = np.matmul(_floats(regs[a])[..., None, :],
-                                _floats(regs[b])[..., :, None])[..., 0, 0]
+                val = _real_trace(regs[a], regs[b])
             else:
                 val = np.einsum("...ij,...ji->...", regs[a], regs[b])
             regs[dest] = val / n
@@ -497,22 +524,20 @@ def _run(plan: Plan, leaf, shapes, n: int, dts=None) -> list:
         else:
             parts, a, half = args
             acc = halves if half else outs
-            acc[dest] = add(acc[dest], parts, a, frees, shapes[dest])
+            acc[dest] = add(acc[dest], parts, a, frees)
         for r in frees:
             regs[r] = None
     for k, half in enumerate(halves):
         if half is not None:  # a paired sink sends every term to its half
             outs[k] = _plus_adjoint(half)
-    return [buffers.zeros(shape) if out is None else out
-            for out, shape in zip(outs, shapes)]
+    return [buffers.zeros_like(like) if out is None else out for out in outs]
 
 
 def _run_bound(P: TracePolynomial, ctx: EvalContext,
                y_bindings) -> np.ndarray:
-    shape = _batch_shape(ctx, y_bindings) + (ctx.n, ctx.n)
     (out,) = _run(compile_plan(((P, False),)),
-                  lambda letter: _leaf(letter, ctx, y_bindings), [shape],
-                  ctx.n)
+                  lambda letter: _leaf(letter, ctx, y_bindings),
+                  _results_like(ctx, y_bindings), ctx.n)
     return out
 
 
@@ -565,7 +590,7 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
             m = window
         elif letter.index == 1 and letter.coord == 1:
             # made here, so the register file frees it after its last use
-            m = buffers.empty(window.shape)
+            m = buffers.empty_like(window)
             np.subtract(window[..., 1:, :, :], window[..., :-1, :, :],
                         out=m[..., :-1, :, :])
             m[..., -1, :, :] = 0
@@ -573,6 +598,6 @@ def eval_step_block(P: TracePolynomial, step: TracePolynomial,
             raise EvalError(f"slot y{letter.index} is not bound")
         return adjoint(m) if letter.star else m
 
-    terms, p = _run(plan, leaf, [window.shape] * 2, window.shape[-1],
+    terms, p = _run(plan, leaf, window, window.shape[-1],
                     np.append(dts, 0.0))
     return p, terms[..., :-1, :, :]

@@ -215,6 +215,13 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
 # -- convergence studies --------------------------------------------------
 
 
+def _path_sums(per: np.ndarray) -> np.ndarray:
+    """The sum over paths of a (paths, window) array, the paths added in
+    order: summed as a C-ordered array, as one reduced from a time-major
+    block need not be."""
+    return np.sum(np.ascontiguousarray(per), axis=0)
+
+
 def _save_points(T: int) -> list[int]:
     """The window starts at which a study saves each chunk's walk on a grid
     of T points: window 0 and the windows W - 1 - 2^j of the W windows, so
@@ -298,10 +305,10 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
             for i0, i1, k, res in _residual_blocks(symbols, walk, grid, True,
                                                    carries, p0):
                 if i0 == last:
-                    acc[k, i0:i1] += np.sum(
-                        l1_trace_norms(res, hermitian=hermitian[k]), axis=0)
+                    acc[k, i0:i1] += _path_sums(
+                        l1_trace_norms(res, hermitian=hermitian[k]))
                 else:
-                    upper[k, i0:i1] += np.sum(l2_trace_norms(res), axis=0)
+                    upper[k, i0:i1] += _path_sums(l2_trace_norms(res))
                     if i1 == last and paths <= chunk:
                         kept[k] = res
                 del res  # so the next block can reuse its buffer

@@ -8,14 +8,20 @@ path format, whose arrays are written and read with no intermediate copy.
 Every HBM path comes from one window walk (``hbm_windows``).  For each
 chunk of paths it yields consecutive windows: the grid points [i0, i1) of
 a block plus the one point before them, as a (count, <= block + 1, n, n)
-array.  Each path draws from its own ``RngStream(seed, i)``, one window of
-increments at a time, and sums them onto the carried last point, so its
-bits do not depend on the chunk or block size.  The draws land in the
-window itself and are scattered, a block of steps at a time, from one
-``[c, -c, 0]`` scratch of scaled coefficients of at most
-``SCATTER_SCRATCH_BYTES``; a window of wide rows (n^2 >=
-``WIDE_ROW_ENTRIES``, that is n >= 16) is summed one grid point at a
-time, a narrow one with ``np.cumsum``, and the two give the same bits.
+array.  Each path draws from its own ``RngStream(seed, i)``, one window
+of increments at a time, and sums them onto the carried last point, so
+its bits do not depend on the chunk or block size.  A blocked walk stores
+its windows time-major: each is one (L, count, n, n) buffer, handed out
+as its (count, L, n, n) view, so the matrices of all paths at one grid
+point lie side by side, and a whole-path window is C-contiguous (with one
+path the two layouts are one).  The increments are scattered into the
+window a block of steps at a time, from rows ``[c, -c, 0]`` of scaled
+coefficients in a scratch of at most ``SCATTER_SCRATCH_BYTES``; one
+path's draws land in its window rows first, several paths' in the
+scratch, a block at a time.  The window is then summed along time by
+``running_sums``, one grid point at a time where the matrices at one grid
+point have ``WIDE_ROW_ENTRIES`` entries or more, with ``np.cumsum``
+below, and the two give the same bits.
 The time-blocked studies walk ``stoch_int.STUDY_TIME_BLOCK`` points at a
 time and never hold a whole path; a window that covers the whole path is what
 ``simulate_hbm`` and ``simulate_hbm_ensemble`` return, and what
@@ -46,13 +52,15 @@ from .matrix_alg import _basis_scatter
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
-# The walk sums a window along time with one add per grid point once a
-# matrix has this many entries (n >= 16), and with np.cumsum below it (see
+# Running sums (``running_sums``) add one grid point at a time once the
+# matrices summed at one grid point have this many entries together (one
+# matrix at n >= 16, or 8 paths' at n >= 6), and run np.cumsum below it (see
 # HbmWalk for the timings that set it).
 WIDE_ROW_ENTRIES = 256
 
-# The basis sampler scatters its increments through a [c, -c, 0] scratch
-# of at most this many bytes (see _hbm_increments_basis for the timings).
+# The basis sampler scatters its increments through a scratch of at most
+# this many bytes: the [c, -c, 0] rows of a block of steps and, with several
+# paths, one path's draws (see _hbm_increments_basis for the timings).
 SCATTER_SCRATCH_BYTES = 2**20
 
 
@@ -195,26 +203,44 @@ class Ensemble:
         )
 
 
-def _scatter_rows(n: int, steps: int) -> int:
-    """Rows of a ``[c, -c, 0]`` scatter scratch for ``steps`` steps at n:
-    as many as fit in ``SCATTER_SCRATCH_BYTES``, at least one."""
-    return max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * (2 * n * n + 1))))
+def _scatter_rows(n: int, steps: int, paths: int = 1) -> int:
+    """Steps of a scatter scratch for ``steps`` steps of ``paths`` paths at
+    n: as many as fit in ``SCATTER_SCRATCH_BYTES``, at least one.  A step
+    takes a row ``[c, -c, 0]`` of 2 n^2 + 1 floats per path, and with
+    several paths n^2 floats more for one path's draws."""
+    width = paths * (2 * n * n + 1) + (n * n if paths > 1 else 0)
+    return max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * width)))
 
 
-def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
-                          scratch: np.ndarray | None = None) -> None:
-    """Write the increments into ``out`` (C-contiguous (steps, n, n)).
+def _scatter(src: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Complete the rows ``[c, -c, 0]`` of ``src``, whose first n^2 columns
+    hold the scaled coefficients c, and write each as one matrix's float64
+    entries into the same row of ``out``."""
+    nn = src.shape[1] // 2
+    np.negative(src[:, :nn], out=src[:, nn:2 * nn])
+    src[:, 2 * nn] = 0
+    np.take(src, index, axis=1, out=out, mode="clip")
+
+
+def _hbm_increments_basis(n, dts, rng, out: np.ndarray) -> None:
+    """Write one path's increments into ``out`` (C-contiguous (steps, n, n)).
 
     Each entry is one scaled coefficient, rounded exactly as in the product
     ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.  The standard
     normal draws land in ``out`` itself, in its first steps * n^2 float64:
     they are read into the scaled coefficients c before the scatter
-    overwrites them.  The scatter goes ``len(scratch)`` steps at a time
-    through ``scratch``, a float array of 2 n^2 + 1 columns for the row
-    ``[c, -c, 0]``; one of ``_scatter_rows`` rows is made when it is None.
+    overwrites them.  The scatter goes ``_scatter_rows`` steps at a time
+    through a scratch of 2 n^2 + 1 columns for the row ``[c, -c, 0]``.
     The blocks go from the last step to the first: step j's draws sit in
     row j // 2 of out, so a block's scatter to rows s0 .. s1 - 1 overwrites
-    only draws of steps from 2 s0 on, which are read already.
+    only draws of steps from 2 s0 on, which are read already.  Drawing into
+    ``out`` spares the memory traffic of a separate draw buffer:
+    ``simulate_hbm`` at n = 64 over 100 steps ran 1-4 % slower with the
+    draws in the scratch.  The scratch (``buffers.empty``, so a study
+    recycles it) is made after ``out`` and dropped on return: one made
+    first and kept split the allocator's free space (repeated sim runs at
+    n = 64 peaked 7 MB higher), and one kept through a blocked walk held a
+    recycled buffer of its own, which it touched only in part.
 
     A scratch for a whole path of wide rows spills out of the caches and is
     faulted in anew at each call.  ``simulate_hbm`` by scratch size, best
@@ -232,8 +258,7 @@ def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
     """
     steps, nn = len(dts), n * n
     scale, index = _basis_scatter(n)
-    if scratch is None:
-        scratch = np.empty((_scatter_rows(n, steps), 2 * nn + 1))
+    scratch = buffers.empty((_scatter_rows(n, steps), 2 * nn + 1), float)
     flat = out.view(np.float64).reshape(steps, 2 * nn)
     draws = flat.reshape(-1)[:steps * nn].reshape(steps, nn)
     rng.standard_normal(out=draws)
@@ -244,9 +269,40 @@ def _hbm_increments_basis(n, dts, rng, out: np.ndarray,
         coeffs = src[:, :nn]
         np.multiply(draws[s0:s1], sd[s0:s1], out=coeffs)
         coeffs *= scale
-        np.negative(coeffs, out=src[:, nn:2 * nn])
-        src[:, 2 * nn] = 0
-        np.take(src, index, axis=1, out=flat[s0:s1], mode="clip")
+        _scatter(src, index, flat[s0:s1])
+
+
+def _hbm_increments_time_major(n, dts, generators, out: np.ndarray) -> None:
+    """Write the increments of one path per generator into ``out``
+    (C-contiguous (steps, paths, n, n), time-major), each path's entries
+    as ``_hbm_increments_basis`` writes them.
+
+    A path's rows are not contiguous in ``out``, so its draws cannot land
+    there.  The steps go ``_scatter_rows`` at a time through one scratch
+    that holds, for each step of a block, a row ``[c, -c, 0]`` per path and
+    after those rows one path's draws for the block: each path in turn
+    draws its block of normals and scales them into its rows, then one
+    ``np.take`` writes the block's rows of every path, which lie side by
+    side in ``out``.  A path drawn a block at a time reads the same stream
+    as in one call, so the bits do not depend on the block.  The scratch
+    is made as in ``_hbm_increments_basis``."""
+    steps, paths, nn = len(dts), len(generators), n * n
+    scale, index = _basis_scatter(n)
+    rows = _scatter_rows(n, steps, paths)
+    scratch = buffers.empty((rows * (paths * (2 * nn + 1) + nn),), float)
+    flat = out.view(np.float64).reshape(steps * paths, 2 * nn)
+    sd = np.sqrt(dts)[:, None]
+    for s0 in range(0, steps, rows):
+        s1 = min(s0 + rows, steps)
+        size = (s1 - s0) * paths * (2 * nn + 1)
+        src = scratch[:size].reshape(s1 - s0, paths, 2 * nn + 1)
+        draws = scratch[size:size + (s1 - s0) * nn].reshape(s1 - s0, nn)
+        for j, rng in enumerate(generators):
+            rng.standard_normal(out=draws)
+            np.multiply(draws, sd[s0:s1], out=src[:, j, :nn])
+        src[..., :nn] *= scale
+        _scatter(src.reshape(-1, 2 * nn + 1), index,
+                 flat[s0 * paths:s1 * paths])
 
 
 def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
@@ -286,6 +342,20 @@ def _check_hbm_args(n: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
+def running_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(rows, axis=0, out=out)``, where ``out`` may be ``rows``:
+    as one ``np.add(out[j - 1], rows[j], out=out[j])`` per row once a row
+    has ``WIDE_ROW_ENTRIES`` entries.  Both add the same numbers in the
+    same order, so the bits agree (see ``HbmWalk`` for the timings)."""
+    if math.prod(rows.shape[1:]) < WIDE_ROW_ENTRIES:
+        return np.cumsum(rows, axis=0, out=out)
+    if len(rows) and out is not rows:
+        out[0] = rows[0]
+    for j in range(1, len(rows)):
+        np.add(out[j - 1], rows[j], out=out[j])
+    return out
+
+
 class WalkStart(NamedTuple):
     """Where a window walk stands before the window that begins at grid
     point ``i0``: ``carry`` holds each path's point i0 - 1 (zero before the
@@ -305,34 +375,43 @@ class HbmWalk:
     of at most ``block`` grid points: ``window`` is (paths, L, n, n) and
     holds the points i0 - 1 .. i1 - 1, except that the first window starts
     at t_0.  Each window is a new array (``buffers.empty``), so a recycled
-    buffer is overwritten only once the caller has let go of it.  The
-    increments of each window are drawn from each path's generator in turn,
-    straight into the window, and summed in place onto the carried last
-    point of the window before, so the windows hold the bits of one cumsum
-    over the whole path.  A blocked basis walk shares one ``[c, -c, 0]``
-    scratch of at most ``SCATTER_SCRATCH_BYTES`` between its windows.
+    buffer is overwritten only once the caller has let go of it.  A blocked
+    walk (``block`` below the grid's length) lays its windows out
+    time-major, a whole-path walk path-major; each matrix is C-contiguous.
+    The increments are written straight into the window's rows, a path at
+    a time (``_hbm_increments_basis``) or, in a time-major window, the
+    paths of each block of steps together (``_hbm_increments_time_major``),
+    and summed in place onto the carried last point of the window before,
+    so the windows hold the bits of one cumsum over the whole path.
     Between two windows, ``start()`` saves where the walk stands, and
     ``resumed`` walks the same paths on from there with generators of its
     own: its windows hold the bits of the uninterrupted walk's.
 
-    A path's window is summed along time with ``np.cumsum`` while a matrix
-    has fewer than ``WIDE_ROW_ENTRIES`` entries, and with one
-    ``np.add(prev, cur, out=cur)`` per grid point from then on (n >= 16).
-    Both add the same numbers in the same order, so the bits agree.
-    ``np.cumsum`` runs down the time axis one entry at a time, which stops
-    fitting the caches as the rows grow.  Single-path (L, n, n) windows,
-    one BLAS thread, Intel Xeon with 2 MiB L2 per core, best of 7 (cumsum
-    / adds, ms):
+    ``running_sums`` adds the rows of one grid point at a time: the
+    (count, n, n) slice of all paths in a time-major window, one path's
+    (n, n) matrix in a path-major one.  ``np.cumsum`` runs down the time
+    axis one entry at a time, which stops fitting the caches as the rows
+    grow; one ``np.add`` per grid point costs about 1-2 us of call
+    overhead.  C-contiguous (L, paths, n, n) rows, one BLAS thread, 2-core
+    Intel Xeon with 2 MiB L2 per core on a shared host, best of 7 runs of
+    5 calls in each of two processes (cumsum / adds, ms; the processes
+    spread by up to 70 %):
 
-    ====  =============  =============  =============
-    n     L = 65         L = 101        L = 801
-    ====  =============  =============  =============
-    12    0.040 / 0.070  0.059 / 0.115  0.47 / 0.91
-    15    0.059 / 0.070  0.094 / 0.117  0.66 / 1.03
-    16    0.090 / 0.080  0.133 / 0.117  1.49 / 1.00
-    24    0.158 / 0.091  0.236 / 0.158  2.04 / 1.33
-    64    1.37 / 0.29    2.70 / 0.41    62.2 / 7.3
-    ====  =============  =============  ============="""
+    ==========  ===========  =================  ============
+    paths x n   row entries  L = 65             L = 801
+    ==========  ===========  =================  ============
+    1 x 12      144          0.036 / 0.076      0.64 / 0.94
+    1 x 16      256          0.085 / 0.075      2.4 / 1.0
+    1 x 64      4096         2.5 / 0.29         80 / 4.1
+    8 x 4       128          0.041 / 0.087      0.90 / 1.1
+    8 x 6       288          0.071 / 0.088      1.2 / 1.2
+    8 x 16      2048         0.83 / 0.17        25 / 3.1
+    25 x 16     6400         2.6 / 0.50         82 / 5.8
+    ==========  ===========  =================  ============
+
+    Over one (8, 64, 16, 16) block the strided per-path adds of a
+    path-major window took 0.45-0.58 ms against 0.19-0.26 ms over the
+    contiguous slices of a time-major one (``np.cumsum``: 0.65-0.70)."""
 
     def __init__(self, n: int, dts: np.ndarray, generators, block: int,
                  method: str, start: WalkStart | None = None,
@@ -364,34 +443,36 @@ class HbmWalk:
     def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
         n, dts, block, method = self._walk
         T = len(dts) + 1
-        # the windows of a blocked walk share one scratch.  A whole-path
-        # window makes its own after the window and drops it at once: made
-        # first and kept, it split the allocator's free space, and repeated
-        # sim runs at n = 64 peaked 7 MB higher
-        scratch = None
-        if method == "basis" and block < T:
-            scratch = buffers.empty((_scatter_rows(n, block), 2 * n * n + 1),
-                                    float)
-        wide = n * n >= WIDE_ROW_ENTRIES
+        paths = len(self.generators)
+        blocked = block < T
         for i0 in range(self.i0, self.stop, block):
             i1 = min(i0 + block, T)
             lo = max(i0, 1) - 1
-            window = buffers.empty((len(self.generators), i1 - lo, n, n))
+            # (L, count, n, n) groups whose grid points each lie contiguous:
+            # the whole time-major window, or each path of a path-major one
+            if blocked:
+                points = buffers.empty((i1 - lo, paths, n, n))
+                window = points.swapaxes(0, 1)
+                groups = [(points, self.generators)]
+            else:
+                window = buffers.empty((paths, i1 - lo, n, n))
+                groups = [(path[:, None], [rng])
+                          for path, rng in zip(window, self.generators)]
             window[:, 0] = self.carry
-            for path, rng in zip(window, self.generators):
-                inc = path[1:]
-                if method == "basis":
-                    _hbm_increments_basis(n, dts[lo:i1 - 1], rng, inc,
-                                          scratch)
+            for rows, generators in groups:
+                window_dts = dts[lo:i1 - 1]
+                if len(generators) > 1:
+                    _hbm_increments_time_major(n, window_dts, generators,
+                                               rows[1:])
+                elif method == "basis":
+                    _hbm_increments_basis(n, window_dts, generators[0],
+                                          rows[1:, 0])
                 else:
-                    _hbm_increments_entrywise(n, dts[lo:i1 - 1], rng, inc)
+                    _hbm_increments_entrywise(n, window_dts, generators[0],
+                                              rows[1:, 0])
                 # the first window's t_0 is 0, which the sum leaves out
-                summed = path[1:] if i0 == 0 else path
-                if wide:
-                    for prev, cur in zip(summed[:-1], summed[1:]):
-                        np.add(prev, cur, out=cur)
-                else:
-                    np.cumsum(summed, axis=0, out=summed)
+                summed = rows[1:] if i0 == 0 else rows
+                running_sums(summed, summed)
             self.i0, self.carry = i1, window[:, -1].copy()
             yield i0, i1, window
 
@@ -404,12 +485,13 @@ def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
     Returns an iterator over the chunks; each chunk is an ``HbmWalk``, an
     iterable of (i0, i1, window), a window being the
     (count, <= block + 1, n, n) grid points [i0, i1) plus the point before
-    them.  Path i always draws from the stream keyed (seed, i), opened once
-    per walk, and its windows hold the same bits whatever the chunk and
-    block sizes.  ``block`` None (or at least the grid's length) walks each
-    chunk as one whole-path window.  The entrywise method draws a whole
-    path's diagonal before its off-diagonal entries, so its windows could
-    not hold the same bits: it walks whole paths only, and a smaller
+    them, stored time-major when ``block`` is below the grid's length
+    (see ``HbmWalk``).  Path i always draws from the stream keyed (seed, i),
+    opened once per walk, and its windows hold the same bits whatever the
+    chunk and block sizes.  ``block`` None (or at least the grid's length)
+    walks each chunk as one whole-path window.  The entrywise method draws
+    a whole path's diagonal before its off-diagonal entries, so its windows
+    could not hold the same bits: it walks whole paths only, and a smaller
     ``block`` raises ValueError, as a ``chunk`` or ``block`` below 1
     does."""
     _check_hbm_args(n, method)

@@ -38,7 +38,8 @@ from .trace_poly import (
     compose_linear,
     gamma_contract,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
+from .process_sim import (Ensemble, ProcessPath, TimeGrid, hbm_windows,
+                          running_sums)
 
 # block length of the time-blocked studies: ``ito.ito_sup_residuals`` and
 # ``qc_gap_l1`` walk their paths in ``hbm_windows`` of this many grid
@@ -64,9 +65,10 @@ def _left(values):
 
 
 def _increments(values):
-    shape = values.shape[:-3] + (values.shape[-3] - 1,) + values.shape[-2:]
-    return np.subtract(values[..., 1:, :, :], values[..., :-1, :, :],
-                       out=buffers.empty(shape))
+    """The steps of ``values`` (..., T, n, n), laid out as ``values``."""
+    later = values[..., 1:, :, :]
+    return np.subtract(later, values[..., :-1, :, :],
+                       out=buffers.empty_like(later))
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,13 @@ class ElementaryPredictable:
 
 def cumulative_path(inc: np.ndarray) -> np.ndarray:
     """The path from 0 with increments ``inc``: (..., T-1, n, n) to
-    (..., T, n, n)."""
-    out = buffers.empty(inc.shape[:-3] + (inc.shape[-3] + 1,)
-                        + inc.shape[-2:])
+    (..., T, n, n), laid out as ``inc``; its running sums are those of
+    ``np.cumsum`` (``process_sim.running_sums``)."""
+    out = buffers.empty_like(inc, inc.shape[:-3] + (inc.shape[-3] + 1,)
+                             + inc.shape[-2:])
     out[..., 0, :, :] = 0
-    np.cumsum(inc, axis=-3, out=out[..., 1:, :, :])
+    running_sums(np.moveaxis(inc, -3, 0),
+                 np.moveaxis(out[..., 1:, :, :], -3, 0))
     return out
 
 
@@ -144,15 +148,20 @@ def carried_sums(terms: np.ndarray, carry: np.ndarray | None = None
                  ) -> np.ndarray:
     """Running sums of one window's per-step terms (..., steps, n, n),
     carried in from the window before: ``carry`` (..., n, n) is the running
-    sum at the point before the window, added into its first step before an
-    in-place ``np.cumsum`` over ``terms``.  With ``carry=None`` (the first
+    sum at the point before the window, added into its first step, and the
+    sums are then made in place in ``terms``, one grid point at a time
+    along its time axis (``process_sim.running_sums``: the bits of
+    ``np.cumsum``).  A time-major window's ``terms`` add one contiguous
+    (..., n, n) slice per grid point.  With ``carry=None`` (the first
     window, from t_0) it is ``cumulative_path(terms)``, which starts at 0.
     Windows carried each into the next hold the same bits as one
     ``cumulative_path`` over the whole path."""
     if carry is None:
         return cumulative_path(terms)
     terms[..., 0, :, :] += carry
-    return np.cumsum(terms, axis=-3, out=terms)
+    rows = np.moveaxis(terms, -3, 0)
+    running_sums(rows, rows)
+    return terms
 
 
 def rs_increments(H, *drivers) -> np.ndarray:

@@ -25,7 +25,7 @@ def test_a_dropped_array_gives_its_buffer_back(monkeypatch):
         del a
         b = buffers.empty((4, 7, 2, 2))  # smaller shapes share the size
         assert id(_root(b)) == root and b.flags.c_contiguous
-        assert buffers.zeros((2, 2)).tobytes() == bytes(64)
+        assert buffers.zeros_like(np.empty((2, 2))).tobytes() == bytes(64)
         c = buffers.empty((3,), float)
         assert id(_root(c)) != root  # b is still alive
         assert len(buffers._buffers) == 2  # the zeros went back before c
@@ -62,3 +62,14 @@ def test_a_study_keeps_at_most_the_retained_bytes(monkeypatch):
         assert id(_root(buffers.empty((16,)))) == roots[0]
     with buffers.recycled((8,)):  # another size drops them
         assert buffers._buffers == []
+
+
+def test_empty_like_keeps_the_axis_order_and_c_ordered_matrices():
+    time_major = np.empty((5, 3, 4, 4), complex).swapaxes(0, 1)
+    a = buffers.empty_like(time_major, (3, 6, 4, 4))
+    assert a.shape == (3, 6, 4, 4) and a.swapaxes(0, 1).flags.c_contiguous
+    # each matrix stays C-ordered, even where the template's is transposed
+    b = buffers.empty_like(np.empty((2, 3, 4, 4), complex).swapaxes(-1, -2))
+    assert b.flags.c_contiguous
+    # a shape of another rank is C-ordered
+    assert buffers.empty_like(time_major, (7, 4, 4)).flags.c_contiguous

@@ -733,4 +733,24 @@ def test_cli_survives_edge_inputs(edge_dir, cmd, data):
             rc = e.code
     assert rc in (0, 1, 2), (argv, err.getvalue())
     if rc != 2 and cmd in _REPORTING:
-        json.loads(out.getvalue())
+        # strict JSON but for a report's zscore, which may be Infinity or
+        # NaN (ROADMAP item 1 turns those into null)
+        reports = json.loads(out.getvalue(), parse_constant=_NonFinite)
+        assert set(_non_finite_keys(reports)) <= {"zscore"}, (
+            argv, out.getvalue())
+
+
+class _NonFinite(str):
+    """The mark ``json.loads`` leaves for an Infinity, -Infinity or NaN."""
+
+
+def _non_finite_keys(obj, key=None):
+    """The keys under which ``obj``, parsed JSON, holds a ``_NonFinite``."""
+    if isinstance(obj, _NonFinite):
+        yield key
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _non_finite_keys(v, k)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _non_finite_keys(v, key)

@@ -10,7 +10,9 @@ from nctrace import ContractionModel, parse
 from nctrace.evaluator import (
     EvalContext,
     EvalError,
+    _floats,
     _leaf,
+    _results_like,
     _run,
     compile_plan,
     eval_multilinear,
@@ -289,9 +291,10 @@ def test_two_sink_plan_gives_each_one_sink_plans_bits(P, Q, n, seed):
 
     ctx = EvalContext(n, {1: mats(2, 3), 2: mats(3)})
     y_bindings = [(mats(2, 1), mats(1, 3)), mats(3)]
-    shape = (2, 3, n, n)
     both = _run(compile_plan(((P, False),), ((Q, False),)),
-                lambda letter: _leaf(letter, ctx, y_bindings), [shape] * 2, n)
+                lambda letter: _leaf(letter, ctx, y_bindings),
+                _results_like(ctx, y_bindings), n)
+    assert both[0].shape == (2, 3, n, n)
     for got, R in zip(both, (P, Q)):
         assert got.tobytes() == eval_multilinear(R, ctx, y_bindings).tobytes()
 
@@ -327,8 +330,9 @@ def _step_reference(P, step, timed, window, dts):
 
 
 def _step_plan(P, step, timed, hermitian):
-    """The plan ``eval_step_block`` runs."""
-    return compile_plan(((P, False),), ((step, False), (timed, True)),
+    """The plan ``eval_step_block`` runs: sink 0 the step terms, sink 1
+    P."""
+    return compile_plan(((step, False), (timed, True)), ((P, False),),
                         hermitian=hermitian)
 
 
@@ -361,9 +365,9 @@ def test_step_plan_matches_the_term_by_term_reference(P, step, timed,
               if op == "term" and args[-1]}
     if not herm:
         assert not halves
-    if not is_self_adjoint(P):
-        assert 0 not in halves
     if not (is_self_adjoint(step) and is_self_adjoint(timed)):
+        assert 0 not in halves
+    if not is_self_adjoint(P):
         assert 1 not in halves
 
 
@@ -442,6 +446,38 @@ def test_real_trace_contraction_is_kept_off_non_hermitian_windows():
         p, terms = eval_step_block(P, step, timed, window, dts, hermitian)
         assert np.max(np.abs(p - want_p)) <= 1e-12 * p_scale
         assert np.max(np.abs(terms - want_t)) <= 1e-12 * t_scale
+
+
+def test_floats_of_a_time_major_block_are_a_view():
+    # the walk's blocks are stored time-major, each matrix C-ordered: the
+    # real trace contraction reads them where they are
+    block = np.zeros((9, 3, 4, 4), dtype=complex).swapaxes(0, 1)
+    assert not block.flags.c_contiguous
+    f = _floats(block)
+    assert f.shape == (3, 9, 32) and np.shares_memory(f, block)
+
+
+def test_real_traces_of_a_transposed_window_make_no_copy():
+    # the adjoint of a Hermitian h, made by np.conjugate, equals h and is
+    # stored with each matrix transposed, so it has no float view; its
+    # Hermitian plan takes the real part of the complex contraction there,
+    # which agrees with the real dots to rounding
+    P, step, timed = _step_symbols(parse("tr(x1^2) x1"),
+                                   ContractionModel.matrix(16), "contracted")
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(3, 9, 16, 16)) + 1j * rng.normal(size=(3, 9, 16, 16))
+    h = (g + adjoint(g)) / 2
+    window = adjoint(h)
+    assert np.array_equal(window, h) and _floats(window) is None
+    dts = np.full(8, 0.125)
+    p, terms = eval_step_block(P, step, timed, window, dts, True)
+    want = eval_poly(P, EvalContext(16, {1: window}))
+    assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
+    copied = eval_step_block(P, step, timed, h, dts, True)
+    assert np.max(np.abs(terms - copied[1])) <= 1e-12 * np.max(
+        np.abs(copied[1]))
+    # the scalars stay real, so the terms stay Hermitian bit for bit
+    assert np.array_equal(terms, adjoint(terms))
 
 
 def test_step_plan_results_on_one_point():

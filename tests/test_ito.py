@@ -533,6 +533,19 @@ def test_pruned_sup_residuals_equal_the_unpruned_ones(n, paths, chunk,
         assert got == [want[k] for k in ks]
 
 
+@pytest.mark.parametrize("text", ["x1^2", "x1^4", "tr(x1^2) x1"])
+def test_pruned_sup_residuals_equal_the_unpruned_ones_at_the_unit_shape(
+        text):
+    # n = 16, 8 paths at mesh 0.00125, as in a verify_study unit: the
+    # windows are time-major, and every sum over paths adds them in order
+    n, paths, seed = 16, 8, 3
+    grid, model = TimeGrid.from_mesh(1.0, 0.00125), ContractionModel.matrix(n)
+    want = _unpruned_sups([parse(text)], n, grid, paths, seed, model,
+                          "contracted", 25)
+    assert ito_sup_residuals([parse(text)], n, grid, paths, seed,
+                             model) == want
+
+
 def test_study_reduces_only_the_grid_times_its_bound_cannot_rule_out(
         monkeypatch):
     # the residual grows along the path: the tr_n-L^2 bound rules out most

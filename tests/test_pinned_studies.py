@@ -29,7 +29,9 @@ two blocks.  The four symbolic records pin the canonical forms of
 ``derive`` and ``derive_k`` and the values evaluated from them; the
 isometry record pins both integrands of ``check_ito_isometry`` as they run
 through ``rs_increments``.  The ``ito`` and ``qc`` CLI reports are pinned
-byte for byte, as written to their JSON and CSV files, and so are the
+byte for byte, as written to their JSON and CSV files, on meshes of one or
+two windows and (recorded before the study windows were stored
+time-major) on meshes of at least 4 windows of 3 paths, and so are the
 substitution and QC-of-integrals records on a tiny ensemble: they pin how
 ``stoch_int.mesh_study`` and the gap record builder assemble them.  The
 MOI route's records (``moi_derivatives``, ``divided_differences``) and the
@@ -227,6 +229,98 @@ CLI_REPORTS = {
         "0.44825137450782887,True\r\n")),
 }
 
+# every mesh spans at least 4 windows of 3 paths: the walks, sums and
+# evaluator outputs are time-major
+_CLI_LONG_STUDY = ["--n", "4", "--paths", "3", "--meshes",
+                   "0.005,0.0025,0.00125", "--seed", "2"]
+CLI_LONG_REPORTS = {
+    ("ito", "--poly", "tr(x1^2) x1"): ("""\
+[
+  {
+    "check": "convergence:ito_residual",
+    "config": {
+      "meshes": "0.005,0.0025,0.00125",
+      "n": 4,
+      "paths": 3,
+      "poly": "tr(x1^2) x1",
+      "seed": 2
+    },
+    "gap": 0.015557000060564222,
+    "lhs": 0.029528285192231815,
+    "meshes": [
+      0.005,
+      0.0025,
+      0.00125
+    ],
+    "params": {
+      "mesh": 0.00125,
+      "n": 4,
+      "paths": 3,
+      "seed": 2,
+      "t": 1.0
+    },
+    "passed": true,
+    "residuals": [
+      0.029528285192231815,
+      0.02062908402916586,
+      0.013971285131667593
+    ],
+    "rhs": 0.013971285131667593,
+    "se": 0.0,
+    "slope": 0.5398164226530808,
+    "zscore": Infinity
+  }
+]
+""", (
+        "check,n,mesh,paths,seed,t,lhs,rhs,gap,se,zscore,slope,"
+        "passed\r\n"
+        "convergence:ito_residual,4,0.00125,3,2,1.0,"
+        "0.029528285192231815,0.013971285131667593,"
+        "0.015557000060564222,0.0,inf,0.5398164226530808,True\r\n")),
+    ("qc",): ("""\
+[
+  {
+    "check": "qc_convergence",
+    "config": {
+      "meshes": "0.005,0.0025,0.00125",
+      "n": 4,
+      "paths": 3,
+      "seed": 2
+    },
+    "gap": 0.07131215011408493,
+    "lhs": 0.1276017301825132,
+    "meshes": [
+      0.005,
+      0.0025,
+      0.00125
+    ],
+    "params": {
+      "mesh": 0.00125,
+      "n": 4,
+      "paths": 3,
+      "seed": 2,
+      "t": 1.0
+    },
+    "passed": true,
+    "residuals": [
+      0.1276017301825132,
+      0.10089149267730967,
+      0.056289580068428276
+    ],
+    "rhs": 0.056289580068428276,
+    "se": 0.0,
+    "slope": 0.5903540502601321,
+    "zscore": Infinity
+  }
+]
+""", (
+        "check,n,mesh,paths,seed,t,lhs,rhs,gap,se,zscore,slope,"
+        "passed\r\n"
+        "qc_convergence,4,0.00125,3,2,1.0,0.1276017301825132,"
+        "0.056289580068428276,0.07131215011408493,0.0,inf,"
+        "0.5903540502601321,True\r\n")),
+}
+
 _GAP_PARAMS = ('"params": {"mesh": 0.125, "n": 3, "paths": 4, "seed": 5, '
                '"t": 1.0}')
 SUBSTITUTION_RECORD = (
@@ -364,6 +458,16 @@ def test_cli_study_report_is_bytewise_pinned(tmp_path, capsys, command):
                  "--csv", str(csv_out)]) == 0
     assert (json_out.read_bytes().decode(), csv_out.read_bytes().decode()) \
         == CLI_REPORTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_LONG_REPORTS))
+def test_cli_study_report_over_many_windows_is_bytewise_pinned(
+        tmp_path, capsys, command):
+    json_out, csv_out = tmp_path / "rep.json", tmp_path / "rep.csv"
+    assert main([*command, *_CLI_LONG_STUDY, "--json", str(json_out),
+                 "--csv", str(csv_out)]) == 0
+    assert (json_out.read_bytes().decode(), csv_out.read_bytes().decode()) \
+        == CLI_LONG_REPORTS[command]
 
 
 def test_gap_records_are_bitwise_pinned():

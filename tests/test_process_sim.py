@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nctrace.matrix_alg
-from nctrace import process_sim
+from nctrace import buffers, process_sim
 from nctrace.matrix_alg import adjoint, hermitian_onb_array, trace_n
 from nctrace.process_sim import (
     WIDE_ROW_ENTRIES,
@@ -67,22 +67,21 @@ def test_hbm_reproducible_and_streams_independent():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
-def test_basis_increments_match_dense_basis_product(n):
+def test_basis_increments_match_dense_basis_product(n, monkeypatch):
     # the scatter writes each coefficient exactly as the dense product
     # coeffs @ basis rounds it, signed zeros included
     for steps in (1, 7, 50):
         dts = np.diff(TimeGrid.uniform(1.0, steps).times)
-        got = np.empty((steps, n, n), dtype=complex)
-        _hbm_increments_basis(n, dts, RngStream(4, n).generator, got)
         coeffs = RngStream(4, n).generator.standard_normal((steps, n * n))
         coeffs = coeffs * np.sqrt(dts)[:, None]
         want = coeffs @ hermitian_onb_array(n).reshape(n * n, n * n)
-        assert got.tobytes() == want.tobytes()
-        # scattered a few steps at a time, from the last block to the first
-        for rows in (1, 3):
+        # all steps in one block, then a few steps at a time, from the
+        # last block to the first
+        for rows in (steps, 1, 3):
+            monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
+                                rows * 8 * (2 * n * n + 1))
             got = np.empty((steps, n, n), dtype=complex)
-            _hbm_increments_basis(n, dts, RngStream(4, n).generator, got,
-                                  np.empty((rows, 2 * n * n + 1)))
+            _hbm_increments_basis(n, dts, RngStream(4, n).generator, got)
             assert got.tobytes() == want.tobytes()
 
 
@@ -97,6 +96,15 @@ def test_whole_paths_scatter_through_a_bounded_scratch(rows, monkeypatch):
     assert process_sim._scatter_rows(n, 40) == rows
     got = simulate_hbm(n, grid, RngStream(8, 1)).values
     assert got.tobytes() == want.tobytes()
+    # and a time-major walk of 3 paths, whose scratch holds each step's
+    # rows of all 3 and one path's draws: a window of 16 steps goes in
+    # blocks of fewer steps
+    assert process_sim._scatter_rows(n, 16, 3) < 16
+    ens = simulate_hbm_ensemble(n, grid, 3, seed=8)
+    (walk,) = hbm_windows(n, grid, 3, 8, 3, 16)
+    glued = np.concatenate([w if i0 == 0 else w[:, 1:] for i0, _, w in walk],
+                           axis=1)
+    assert glued.tobytes() == ens.values.tobytes()
 
 
 @pytest.mark.parametrize("method", ["basis", "entrywise"])
@@ -131,7 +139,14 @@ def _walk(n, steps, paths, chunk, block, method="basis"):
         for i0, i1_, window in windows:
             assert i0 == i1 and i1_ == min(i0 + block, T)
             assert window.shape[1:] == (i1_ - max(i0, 1) + 1, n, n)
-            assert window.flags.c_contiguous
+            # each matrix is C-contiguous; a blocked walk of 2 or more
+            # paths is time-major, a one-path or whole-path window is
+            # C-contiguous
+            assert window.strides[2:] == (16 * n, 16)
+            if block < T and len(window) > 1:
+                assert window.swapaxes(0, 1).flags.c_contiguous
+            else:
+                assert window.flags.c_contiguous
             # every window equals its adjoint, entry for entry
             assert np.array_equal(window, adjoint(window))
             parts.append(window if i0 == 0 else window[:, 1:])
@@ -151,6 +166,23 @@ def test_window_walk_equals_the_ensemble(n, steps, block):
     assert [len(c) for c in glued] == [2, 2, 1]
     ens = simulate_hbm_ensemble(n, grid, 5, seed=29)
     assert np.concatenate(glued).tobytes() == ens.values.tobytes()
+
+
+def test_a_blocked_walk_holds_only_its_window_between_windows(buffers_used):
+    # the scatter scratch is made after each window and dropped at once, so
+    # while the caller works on a window with 3 arrays of its own, the walk
+    # holds no other buffer (a scratch kept through the walk made this 5);
+    # at n = 16 and 4 paths the scratch fits in a recycled buffer
+    grid = TimeGrid.uniform(1.0, 3 * 64)
+
+    def study():
+        with buffers.recycled((4, 65, 16, 16)):
+            (walk,) = hbm_windows(16, grid, 4, 0, 4, 64)
+            for _, _, window in walk:
+                work = [buffers.empty(window.shape) for _ in range(3)]
+                del window, work
+
+    assert buffers_used(study) == 4
 
 
 # n = 3 sums with np.cumsum, n = 33 one grid point at a time

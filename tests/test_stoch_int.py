@@ -8,6 +8,7 @@ import pytest
 from nctrace import ContractionModel, parse
 from nctrace.matrix_alg import l1_trace_norms, trace_n
 from nctrace.process_sim import (
+    WIDE_ROW_ENTRIES,
     Ensemble,
     RngStream,
     TimeGrid,
@@ -140,22 +141,38 @@ def test_rs_integral_batched_matches_per_path():
         assert np.max(np.abs(batched[i] - single)) < 1e-12
 
 
+def _time_major(a):
+    """A copy of the (paths, L, n, n) array ``a`` stored time-major, as the
+    study walks lay out their windows."""
+    out = np.empty((a.shape[1], a.shape[0]) + a.shape[2:], a.dtype)
+    out[...] = np.swapaxes(a, 0, 1)
+    return out.swapaxes(0, 1)
+
+
 @pytest.mark.parametrize("cuts", [[], [1], [1, 2, 3], [5, 6, 12], [13],
                                   list(range(1, 14))])
 def test_carried_sums_over_windows_equal_one_cumulative_path(cuts):
     # each window after the first carries in the last running sum, and
-    # the windows' sums hold the bits of one cumsum over the whole path
+    # the windows' sums hold the bits of one cumsum over the whole path,
+    # whether the windows are stored path-major or time-major; 3 paths at
+    # n = 4 sum with np.cumsum, at n = 10 one grid point at a time
+    assert 3 * 4 * 4 < WIDE_ROW_ENTRIES <= 3 * 10 * 10
     rng = np.random.default_rng(8)
-    shape = (3, 14, 4, 4)
-    terms = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    carry, blocks = None, []
-    for a, b in zip([0] + cuts, cuts + [14]):
-        sums = carried_sums(terms[:, a:b].copy(), carry)
-        assert sums.shape[1] == b - a + (carry is None)
-        carry = sums[:, -1].copy()
-        blocks.append(sums)
-    assert np.array_equal(np.concatenate(blocks, axis=1),
-                          cumulative_path(terms))
+    for n in (4, 10):
+        shape = (3, 14, n, n)
+        terms = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = np.cumsum(terms, axis=1)
+        assert cumulative_path(terms)[:, 1:].tobytes() == want.tobytes()
+        for layout in (np.copy, _time_major):
+            carry, blocks = None, []
+            for a, b in zip([0] + cuts, cuts + [14]):
+                sums = carried_sums(layout(terms[:, a:b]), carry)
+                assert sums.shape[1] == b - a + (carry is None)
+                carry = sums[:, -1].copy()
+                blocks.append(sums)
+            got = np.concatenate(blocks, axis=1)
+            assert got[:, 1:].tobytes() == want.tobytes()
+            assert not got[:, 0].any()
 
 
 # -- quadratic sums -------------------------------------------------------
