@@ -5,8 +5,9 @@ symbol plus half the gamma-contracted second derivative; for scalar
 functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point, both orders in one
-``moi`` pass that rotates each increment once and builds one f^[1] table
-per block.  Residuals of the
+``moi`` pass that rotates each increment once, builds one f^[1] table
+per block and contracts the second order as two batched matrix
+products.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies (``convergence_study``, one
 ``stoch_int.mesh_study``); ``_residual_summary`` builds both residual
@@ -200,9 +201,11 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
     One eigendecomposition of the whole (T, n, n) path feeds f(X_t) and
     one ``moi`` call of orders (1, 2), batched over the time axis: per
     block it rotates each dX into the eigenbasis once, and the first
-    order's f^[1] table is the one the second order's kernel reads.  Its
-    steps have the bits of one call per order added up.  A path with a
-    NaN or infinite entry raises ``ValueError`` naming it."""
+    order's f^[1] table times the rotated dX is what the second order's
+    two matrix products read; no (n, n, n) kernel is made for an
+    exponential sum.  Its steps have the bits of one call per order added
+    up.  A path with a NaN or infinite entry raises ``ValueError`` naming
+    it."""
     values = path.values
     sd = spectral_data(values)
     left = sd[:-1]

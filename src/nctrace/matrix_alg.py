@@ -18,13 +18,19 @@ shape (..., m) with leading batch axes, where a single matrix is the stack
 without batch axes.  Each batch element gives what a call on it alone gives.
 It shares what its arguments share: ``moi`` computes the spectral data,
 node vectors, eigenvector stacks and rotated directions once per distinct
-argument object, on one flat batch axis.  A second-order grid over equal
-second and third node vectors builds one f^[1] table, and every close
-pair of nodes takes one rule, the recurrence of f^[2] over f^[1], which
-reads the table when all three node vectors are equal.  A sum of orders
-(``moi(f, (1, 2), ...)``) shares the rotations between its orders, and its
-first order's kernel is the second order's f^[1] table.  Equal copies of
-an argument give the same bits as one object passed in every slot.
+argument object, on one flat batch axis.  ``moi`` contracts an exponential
+sum's second order with no (n, n, n) kernel: the recurrence f^[2](a, b, c)
+= (f^[1](a, b) - f^[1](a, c)) / (b - c) turns the sum over the middle
+index into two batched matrix products, and every close pair of nodes
+adds its own terms by one rule, the recurrence of f^[2] over f^[1], which
+reads the f^[1] table when all three node vectors are equal
+(``_exp_moi2``).  ``divided_diff_grid`` still builds the dense grid, by
+the same rule (``_exp_dd2``), and the polynomial kernels of every order.
+A sum of orders (``moi(f, (1, 2), ...)``) shares the rotations between
+its orders, and its first order's kernel, the f^[1] table times the
+rotated direction, is what the second order's products read.  Equal
+copies of an argument give the same bits as one object passed in every
+slot.
 """
 
 from __future__ import annotations
@@ -404,78 +410,125 @@ def _exp_close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc,
     return out
 
 
-def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray,
-             table: np.ndarray | None = None) -> np.ndarray:
+def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
+    """What both second-order routes of the exponential sum ``f`` need, on
+    (B, m) node vectors, the g^[1](a, b) ``table`` and (B,) ``delta``.
+
+    Returns g^[1](a, c) (``table`` itself when b and c are equal), b - c,
+    the mask of close pairs |b - c| < delta, and g^[2](a, b, c) at the
+    close pairs, each by the one rule of ``_exp_close``: on the b = c
+    diagonal of equal b and c as a (B, m_0, m) array made in place (None
+    when b and c differ), and at the other close pairs (snapped clusters,
+    nodes less than delta apart, every pair of the zero matrix) gathered,
+    as their indices k, j, l and a (pairs, m_0) array (None when there are
+    none).  g^[1](b, c) is read from the table when all three node vectors
+    are equal and made by ``_exp_dd1`` for the close pairs otherwise."""
+    same = np.array_equal(b, c)
+    d_ac = table if same else _exp_dd1(f, a[:, :, None], c[:, None, :])
+    bc = b[:, :, None] - c[:, None, :]                 # (B, m_1, m_2)
+    close = np.abs(bc) < delta[:, None, None]
+    rest, diag, gathered = close, None, None
+    if same:
+        bn = b[:, None, :]
+        diag = _exp_close(f, a[:, :, None], bn, bn, table, None,
+                          delta[:, None, None])
+        d = np.arange(b.shape[-1])
+        rest = close.copy()
+        rest[:, d, d] = False
+    if np.any(rest):
+        k, j, l = np.nonzero(rest)
+        if same and np.array_equal(a, b):
+            d_bc = table[k, j, l]
+        else:
+            d_bc = _exp_dd1(f, b[k, j], c[k, l])
+        gathered = k, j, l, _exp_close(
+            f, a[k], b[k, j, None], c[k, l, None], table[k, :, j],
+            d_bc[:, None], delta[k, None])
+    return d_ac, bc, close, diag, gathered
+
+
+def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
     """Second divided difference of the exponential sum ``f`` on the tensor
     grid of node vectors (..., m_0), (..., m_1), (..., m_2).
 
-    The work runs on one flat batch axis: the node vectors, ``delta`` and
-    the g^[1](a, b) table are broadcast to (B, m) and (B, m_0, m_1) once,
-    which copies nothing for ``moi``'s flat blocks, and the result takes
-    the batch shape at the end.  Entries with |b - c| >= delta difference
-    the first-order tables, (g^[1](a, b) - g^[1](a, c)) / (b - c).  The
-    g^[1](a, b) table is ``table`` when the caller has it (``moi`` passes
-    its first order's kernel), and is built here otherwise; when the second
-    and third node vectors are equal, g^[1](a, c) is the same table.  Every
-    pair with |b - c| < delta takes the one rule of ``_exp_close``, the
-    recurrence (g^[1](b, c) - g^[1](a, b)) / (c - a), with g^[1](b, c) read
-    from the table when all three node vectors are equal (every ``moi``
-    call) and made by ``_exp_dd1`` for the close pairs otherwise.  The
-    b = c diagonal of a grid with equal second and third node vectors is
-    made in place on (B, m_0, m_1) arrays; the other close pairs (snapped
-    clusters, and nodes that differ by less than delta) are gathered.
+    The work runs on one flat batch axis: the node vectors and ``delta``
+    are broadcast to (B, m) once, and the result takes the batch shape at
+    the end.  Entries with |b - c| >= delta difference the first-order
+    tables, (g^[1](a, b) - g^[1](a, c)) / (b - c), one table when the
+    second and third node vectors are equal, and the close pairs take
+    ``_exp_pairs``' values.
     """
     batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
     size = math.prod(batch)
     a, b, c = (np.broadcast_to(v, batch + v.shape[-1:]).reshape(
         size, v.shape[-1]) for v in vecs)
     delta = np.broadcast_to(delta, batch).reshape(size)
-    if table is None:
-        table = _exp_dd1(f, a[:, :, None], b[:, None, :])
-    else:
-        table = np.broadcast_to(table, batch + table.shape[-2:]).reshape(
-            (size,) + table.shape[-2:])
-    same = np.array_equal(b, c)
-    d_ac = table if same else _exp_dd1(f, a[:, :, None], c[:, None, :])
-    bc = b[:, :, None] - c[:, None, :]                 # (B, m_1, m_2)
-    close = np.abs(bc) < delta[:, None, None]
+    table = _exp_dd1(f, a[:, :, None], b[:, None, :])
+    d_ac, bc, close, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
     out = table[:, :, :, None] - d_ac[:, :, None, :]
     out *= (1.0 / np.where(close, 1.0, bc))[:, None]
-    if same:
-        bn = b[:, None, :]
+    if diag is not None:
         d = np.arange(b.shape[-1])
-        out[:, :, d, d] = _exp_close(f, a[:, :, None], bn, bn, table, None,
-                                     delta[:, None, None])
-        close[:, d, d] = False
-    if np.any(close):
-        k, j, l = np.nonzero(close)
-        if same and np.array_equal(a, b):
-            d_bc = table[k, j, l]
-        else:
-            d_bc = _exp_dd1(f, b[k, j], c[k, l])
-        out[k, :, j, l] = _exp_close(
-            f, a[k], b[k, j, None], c[k, l, None], table[k, :, j],
-            d_bc[:, None], delta[k, None])
+        out[:, :, d, d] = diag
+    if gathered is not None:
+        k, j, l, g2 = gathered
+        out[k, :, j, l] = g2
     return out.reshape(batch + out.shape[1:])
 
 
-def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
-                      table: np.ndarray | None = None) -> np.ndarray:
+def _exp_moi2(f: ScalarFunctionSpec, a, b, c, table, x, tx, y,
+              delta) -> np.ndarray:
+    """sum_j g^[2](a_i, b_j, c_k) x[i, j] y[j, k] for the exponential sum
+    ``f``, on (B, m) node vectors, (B, m, m) matrices and (B,) ``delta``,
+    with ``table`` the g^[1](a, b) grid and ``tx`` its product with x.
+
+    No (B, m, m, m) kernel is made.  Where |b_j - c_k| >= delta the
+    recurrence g^[2] = (g^[1](a_i, b_j) - g^[1](a_i, c_k)) / (b_j - c_k)
+    splits the sum into two products: with D = 1 / (b - c) on those pairs
+    and 0 on the close ones, it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)),
+    the last product taken entrywise.  Each close pair adds its own terms
+    with the g^[2] of ``_exp_pairs``, as ``_exp_dd2`` has it: the b = c
+    diagonal on (B, m, m) arrays, the other close pairs with
+    ``np.add.at``."""
+    d_ac, bc, close, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
+    dy = np.divide(1.0, bc, out=np.zeros(bc.shape), where=~close)
+    dy = dy * y
+    out = tx @ dy
+    out -= d_ac * (x @ dy)
+    if diag is not None:
+        d = np.arange(b.shape[-1])
+        out += diag * x * y[:, d, d][:, None, :]
+    if gathered is not None:
+        k, j, l, g2 = gathered
+        np.add.at(out, (k, slice(None), l),
+                  g2 * x[k, :, j] * y[k, j, l][:, None])
+    return out
+
+
+def _confluent_delta(vecs) -> np.ndarray:
+    """``CONFLUENT_TOL`` times the largest |node| of each batch element's
+    node vectors (1 where they are all 0): the gap below which a pair of
+    nodes is close."""
+    scale = 0.0
+    for v in vecs:
+        scale = np.maximum(scale, np.max(np.abs(v), axis=-1, initial=0.0))
+    return CONFLUENT_TOL * np.where(scale == 0, 1.0, scale)
+
+
+def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
     """Divided difference f^[k] on the tensor grid of k+1 node vectors.
 
     Each vector has shape (..., m_j) with broadcastable leading batch axes,
     and the result has shape (..., m_0, ..., m_k); a batch element's entries
-    depend only on its own nodes.  Vectorized and cancellation-safe; this is
-    the kernel evaluation used by the MOI sums.  Supports k <= 2 for
-    exponential sums and any k for polynomials.  At k = 2 an exponential
-    sum reads the f^[1] grid of its first two vectors from ``table``, the
-    grid this function returns for them, when the caller has it (as
-    ``moi`` does for a sum of orders 1 and 2), and builds it otherwise; it
-    builds no second table when the second and third node vectors are
-    equal, as ``moi`` passes them for a repeated argument.  It works on one
-    flat batch axis, and every pair of nodes closer than ``CONFLUENT_TOL``
-    takes one rule, (f^[1](b, c) - f^[1](a, b)) / (c - a) (see
-    ``_exp_dd2``).  Every other case ignores ``table``.
+    depend only on its own nodes.  Vectorized and cancellation-safe.
+    Supports k <= 2 for exponential sums and any k for polynomials.  At
+    k = 2 an exponential sum builds one f^[1] table when the second and
+    third node vectors are equal, works on one flat batch axis, and every
+    pair of nodes closer than ``CONFLUENT_TOL`` takes one rule,
+    (f^[1](b, c) - f^[1](a, b)) / (c - a) (see ``_exp_dd2``).  ``moi``
+    contracts the second order of an exponential sum without this grid
+    (see ``_exp_moi2``); the polynomial kernels of every order are made
+    here.
     """
     k = len(vectors) - 1
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -488,12 +541,7 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
         a, b = _tensor_axes(vecs)
         return _exp_dd1(f, a, b)
     if k == 2:
-        scale = 0.0
-        for v in vecs:
-            scale = np.maximum(scale, np.max(np.abs(v), axis=-1, initial=0.0))
-        return _exp_dd2(f, vecs,
-                        CONFLUENT_TOL * np.where(scale == 0, 1.0, scale),
-                        table)
+        return _exp_dd2(f, vecs, _confluent_delta(vecs))
     raise NotImplementedError(
         "exp_sum divided differences support k <= 2 on grids"
     )
@@ -501,9 +549,9 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence,
 
 # -- spectral data and operator functions ---------------------------------
 
-# complex entries per block of an MOI kernel: ``moi`` builds the
-# (..., n, ..., n) divided-difference tables over at most this many entries
-# at a time, so its memory grows like batch * n^2 rather than batch * n^(k+1)
+# complex kernel entries per block of an MOI: ``moi`` works on blocks of at
+# most this many batch * n^(k+1) entries at a time, so the memory of a dense
+# kernel grows like batch * n^2 rather than batch * n^(k+1)
 MOI_BLOCK_ENTRIES = 2**16
 
 
@@ -596,8 +644,13 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     the k perturbation directions.  Every argument is a (..., n, n) stack
     (a Hermitian argument may be given as its ``SpectralData``); the
     leading batch axes broadcast, and the result has their shape followed
-    by (n, n).  The kernel is built in blocks of the flattened batch of at
-    most ``MOI_BLOCK_ENTRIES`` entries of the highest order.
+    by (n, n).  The work is done in blocks of the flattened batch of at
+    most ``MOI_BLOCK_ENTRIES`` kernel entries of the highest order.  A
+    polynomial's kernel is built (``divided_diff_grid``) and contracted
+    with one ``einsum``.  An exponential sum's first order is its f^[1]
+    table times the rotated direction, and its second order is two
+    batched matrix products of that and the rotated directions plus the
+    close node pairs' terms (``_exp_moi2``), with no (n, n, n) kernel.
 
     ``k`` may be a tuple of increasing orders, each at least 1: the result
     is then the sum, in that order, of the MOI of each order j over the
@@ -610,10 +663,10 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     each rotated direction U_m* b_m U_{m+1} per distinct (a_m, b_m,
     a_{m+1}) and block, which every order reads.  So ``moi(f, 1, (a, a),
     (b,))`` runs one ``eigh``, and ``moi(f, (1, 2), (sd, sd, sd), (b, b))``
-    rotates b once per block and, its node vectors being equal, builds one
-    f^[1] table per block: the first order's kernel, which the second
-    order's grid reads (see ``divided_diff_grid``).  Equal copies give the
-    same bits as one object.
+    of an exponential sum rotates b once per block and, its node vectors
+    being equal, builds one f^[1] table per block: the first order's
+    product with the rotated b is the first term of the second order's
+    products.  Equal copies give the same bits as one object.
     """
     orders = (k,) if isinstance(k, int) else tuple(k)
     if len(orders) > 1 and not (
@@ -657,13 +710,22 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
                 for key in set(rot_keys)}
         back = {i: adjoint(u[i]) for i in {ai[j] for j in orders}}
         v = [x[blk] for x in vecs]
-        phi = acc = None
+        tx = acc = None
         for j in orders:
-            # order 1's kernel is the f^[1] table of order 2's grid
-            phi = divided_diff_grid(f, [v[i] for i in ai[: j + 1]],
-                                    phi if j == 2 else None)
-            term = (u[ai[0]] @ np.einsum(specs[j], phi, *(
-                rots[key] for key in rot_keys[:j])) @ back[ai[j]])
+            nodes = [v[i] for i in ai[: j + 1]]
+            dirs = [rots[key] for key in rot_keys[:j]]
+            if f.kind == "exp_sum" and j <= 2:
+                if tx is None:  # order 1's term, which order 2's products read
+                    table = _exp_dd1(f, nodes[0][:, :, None],
+                                     nodes[1][:, None, :])
+                    tx = table * dirs[0]
+                inner = tx if j == 1 else _exp_moi2(
+                    f, *nodes, table, dirs[0], tx, dirs[1],
+                    _confluent_delta([v[i] for i in set(ai[:3])]))
+            else:
+                inner = np.einsum(specs[j], divided_diff_grid(f, nodes),
+                                  *dirs)
+            term = u[ai[0]] @ inner @ back[ai[j]]
             acc = term if acc is None else acc + term
         out[blk] = acc
     return out.reshape(batch + (n, n))

@@ -375,7 +375,8 @@ class HbmWalk:
     of at most ``block`` grid points: ``window`` is (paths, L, n, n) and
     holds the points i0 - 1 .. i1 - 1, except that the first window starts
     at t_0.  Each window is a new array (``buffers.empty``), so a recycled
-    buffer is overwritten only once the caller has let go of it.  A blocked
+    buffer is overwritten only once the caller has let go of it, and the
+    walk lets go of each window before it makes the next.  A blocked
     walk (``block`` below the grid's length) lays its windows out
     time-major, a whole-path walk path-major; each matrix is C-contiguous.
     The increments are written straight into the window's rows, a path at
@@ -441,40 +442,47 @@ class HbmWalk:
         return HbmWalk(n, dts, generators, block, method, start, stop)
 
     def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        for i0 in range(self.i0, self.stop, self._walk[2]):
+            i1, window = self._window(i0)
+            self.i0, self.carry = i1, window[:, -1].copy()
+            yield i0, i1, window
+            # let go of the window before the next one is made
+            del window
+
+    def _window(self, i0: int) -> tuple[int, np.ndarray]:
+        """The end of the window that starts at grid point ``i0``, and the
+        window, drawn and summed onto the carried point."""
         n, dts, block, method = self._walk
         T = len(dts) + 1
         paths = len(self.generators)
-        blocked = block < T
-        for i0 in range(self.i0, self.stop, block):
-            i1 = min(i0 + block, T)
-            lo = max(i0, 1) - 1
-            # (L, count, n, n) groups whose grid points each lie contiguous:
-            # the whole time-major window, or each path of a path-major one
-            if blocked:
-                points = buffers.empty((i1 - lo, paths, n, n))
-                window = points.swapaxes(0, 1)
-                groups = [(points, self.generators)]
+        i1 = min(i0 + block, T)
+        lo = max(i0, 1) - 1
+        # (L, count, n, n) groups whose grid points each lie contiguous:
+        # the whole time-major window, or each path of a path-major one
+        if block < T:
+            points = buffers.empty((i1 - lo, paths, n, n))
+            window = points.swapaxes(0, 1)
+            groups = [(points, self.generators)]
+        else:
+            window = buffers.empty((paths, i1 - lo, n, n))
+            groups = [(path[:, None], [rng])
+                      for path, rng in zip(window, self.generators)]
+        window[:, 0] = self.carry
+        for rows, generators in groups:
+            window_dts = dts[lo:i1 - 1]
+            if len(generators) > 1:
+                _hbm_increments_time_major(n, window_dts, generators,
+                                           rows[1:])
+            elif method == "basis":
+                _hbm_increments_basis(n, window_dts, generators[0],
+                                      rows[1:, 0])
             else:
-                window = buffers.empty((paths, i1 - lo, n, n))
-                groups = [(path[:, None], [rng])
-                          for path, rng in zip(window, self.generators)]
-            window[:, 0] = self.carry
-            for rows, generators in groups:
-                window_dts = dts[lo:i1 - 1]
-                if len(generators) > 1:
-                    _hbm_increments_time_major(n, window_dts, generators,
-                                               rows[1:])
-                elif method == "basis":
-                    _hbm_increments_basis(n, window_dts, generators[0],
+                _hbm_increments_entrywise(n, window_dts, generators[0],
                                           rows[1:, 0])
-                else:
-                    _hbm_increments_entrywise(n, window_dts, generators[0],
-                                              rows[1:, 0])
-                # the first window's t_0 is 0, which the sum leaves out
-                summed = rows[1:] if i0 == 0 else rows
-                running_sums(summed, summed)
-            self.i0, self.carry = i1, window[:, -1].copy()
-            yield i0, i1, window
+            # the first window's t_0 is 0, which the sum leaves out
+            summed = rows[1:] if i0 == 0 else rows
+            running_sums(summed, summed)
+        return i1, window
 
 
 def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,

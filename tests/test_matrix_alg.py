@@ -569,6 +569,61 @@ def test_sum_of_orders_has_the_bits_of_separate_moi_calls(monkeypatch, case):
             moi(EXP, orders, (sd,) * 3, (b, b))
 
 
+def _dense_moi2(f, a_tuple, b_tuple):
+    """I^{a_1, a_2, a_3} f^[2] [b_1, b_2] from ``divided_diff_grid``'s dense
+    (..., n, n, n) kernel and one ``einsum``."""
+    sds = [matrix_alg._spectral(a) for a in a_tuple]
+    u = [sd.eigenvectors for sd in sds]
+    x = adjoint(u[0]) @ b_tuple[0] @ u[1]
+    y = adjoint(u[1]) @ b_tuple[1] @ u[2]
+    kernel = divided_diff_grid(f, [sd.snapped for sd in sds])
+    return u[0] @ np.einsum("...abc,...ab,...bc->...ac", kernel, x, y) \
+        @ adjoint(u[2])
+
+
+@pytest.mark.parametrize("case", ["mixed", "zero", "n1", "distinct"])
+def test_second_order_products_match_the_dense_kernel(case):
+    # moi contracts an exponential sum's second order as two products plus
+    # the close pairs' terms; divided_diff_grid's dense kernel is the
+    # reference.  mixed_stack has the b = c diagonal, a snapped cluster and
+    # a pair 1e-7 apart; the zero stack makes every pair close
+    rng = np.random.default_rng(15)
+    values = {
+        "mixed": lambda: mixed_stack(rng).reshape(6, 6, 6),
+        "zero": lambda: np.zeros((3, 4, 4), dtype=complex),
+        "n1": lambda: simulate_hbm(1, TimeGrid.uniform(1.0, 5),
+                                   RngStream(3, 0)).values,
+        "distinct": lambda: mixed_stack(rng).reshape(6, 6, 6),
+    }[case]()
+    n = values.shape[-1]
+    sd = spectral_data(values)
+    args = ((values, sd, values[::-1].copy()) if case == "distinct"
+            else (values,) * 3)
+    b = np.stack([rand_hermitian(n, rng) for _ in values])
+    c = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
+    for f in (EXP, ScalarFunctionSpec.exp_sum([(0.3, 40.0)])):
+        for dirs in ((b, b), (b, c)):
+            assert_rel(moi(f, 2, args, dirs), _dense_moi2(f, args, dirs))
+
+
+def test_second_order_at_the_zero_matrix_is_half_the_second_derivative():
+    # every node is 0, so f^[2] is f''(0) / 2 throughout
+    rng = np.random.default_rng(16)
+    zero = np.zeros((5, 5), dtype=complex)
+    b = rand_hermitian(5, rng)
+    want = complex(EXP.derivative(2)(0.0)) / 2 * (b @ b)
+    assert_rel(moi(EXP, 2, (zero,) * 3, (b, b)), want, rel=1e-15)
+
+
+def test_functional_residual_builds_no_dense_second_order_kernel(monkeypatch):
+    calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd2")
+    path = simulate_hbm(8, TimeGrid.uniform(1.0, 200), RngStream(0, 0))
+    functional_ito_residual(EXP, path)
+    assert calls == []
+    divided_diff_grid(EXP, [np.zeros(2)] * 3)
+    assert calls == [(2, 2, 2)]
+
+
 def test_dk_operator_function_makes_each_distinct_ordering_once(monkeypatch):
     rng = np.random.default_rng(14)
     a, b, c = (rand_hermitian(5, rng) for _ in range(3))

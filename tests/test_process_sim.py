@@ -185,6 +185,22 @@ def test_a_blocked_walk_holds_only_its_window_between_windows(buffers_used):
     assert buffers_used(study) == 4
 
 
+def test_a_blocked_walk_lets_go_of_its_window_before_the_next(buffers_used):
+    # with one caller array the window and the array are all the walk and
+    # the caller hold; a walk that kept the window before while it made the
+    # next one read 3
+    grid = TimeGrid.uniform(1.0, 3 * 64)
+
+    def study():
+        with buffers.recycled((4, 65, 16, 16)):
+            (walk,) = hbm_windows(16, grid, 4, 0, 4, 64)
+            for _, _, window in walk:
+                work = buffers.empty(window.shape)
+                del window, work
+
+    assert buffers_used(study) == 2
+
+
 # n = 3 sums with np.cumsum, n = 33 one grid point at a time
 @pytest.mark.parametrize("n", [3, 33])
 @pytest.mark.parametrize("block", [1, 2, 64, "T"])
