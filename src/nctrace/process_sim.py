@@ -34,6 +34,19 @@ The entrywise sampler draws a whole path's diagonal before its
 off-diagonal entries, so it walks whole paths only; it lays its scaled
 draws out as the basis coefficients are and goes through the same
 scatter.
+
+``save_ncp1`` rewrites an existing file in place rather than truncating
+it.  Opening with ``O_TRUNC`` drops the old file's cached pages and
+blocks, the write then fills fresh pages, and ext4 starts writeback at
+the close of a file truncated and rewritten.  Over a 6.6 MB file of the
+same size (``nctrace sim`` at n = 64 over 100 steps), the syscalls took,
+truncating / in place, median ms of 60 rounds (2-core Intel Xeon, ext4,
+Linux 6.18, a shared host): open 1.7-1.9 / 0.014, write 1.7-2.1 /
+1.1-1.3, close 0.26 / 0.004.  A cut in place, even to the same length,
+took 1.6-2.5 ms (likely ext4 starting writeback on a truncate), so the
+file is cut only where the old one was longer.  The magic is written last, so a
+rewrite that stops part way leaves a file ``load_ncp1`` rejects, as it
+rejects a truncated one.  As before, nothing is fsynced.
 """
 
 from __future__ import annotations
@@ -74,6 +87,9 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("grid needs at least one time")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if len(bad):
+            raise ValueError(f"grid time {t[bad[0]]} is not finite")
         if t[0] != 0.0:
             raise ValueError("grid must start at 0")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
@@ -608,15 +624,32 @@ def _read_values(fh, count, n, block) -> np.ndarray:
 
 
 def save_ncp1(path: ProcessPath, filename: str) -> None:
-    """Write a path in the NCP1 little-endian binary format."""
-    with open(filename, "wb") as fh:
-        t = len(path.grid.times)
-        fh.write(_HEADER.pack(b"NCP1", path.n, t, _ROLE_CODES[path.role]))
+    """Write a path in the NCP1 little-endian binary format.
+
+    An existing file is rewritten in place, which keeps its cached pages
+    and blocks (the module docstring gives the syscall timings): it is
+    opened without ``O_TRUNC`` and its old size taken, the header goes
+    first with a zeroed magic, then the times and value blocks, the file
+    is cut only where the old one was longer (a cut to the same length
+    still took milliseconds on ext4, and fails on ``os.devnull``), and
+    ``b"NCP1"`` goes to offset 0 last.  A write that stops
+    part way thus leaves no valid magic, and ``load_ncp1`` rejects the
+    file.  Nothing is synced to disk: a file is not promised to survive a
+    power loss."""
+    t = len(path.grid.times)
+    fd = os.open(filename, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        old_size = os.fstat(fd).st_size
+        fh.write(_HEADER.pack(bytes(4), path.n, t, _ROLE_CODES[path.role]))
         fh.write(np.ascontiguousarray(path.grid.times, dtype="<f8"))
         _write_values(fh, path.values)
         if path.role == "decomposable":
             _write_values(fh, path.mart_part)
             _write_values(fh, path.fv_part)
+        if fh.tell() < old_size:
+            fh.truncate()
+        fh.seek(0)
+        fh.write(b"NCP1")
 
 
 def load_ncp1(filename: str) -> ProcessPath:
@@ -628,6 +661,8 @@ def load_ncp1(filename: str) -> ProcessPath:
         magic, n, t, role_code = _HEADER.unpack(header)
         if magic != b"NCP1":
             raise ValueError("not an NCP1 file")
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
         if role_code not in _ROLE_NAMES:
             raise ValueError(f"unknown role code {role_code}")
         times = _read_block(fh, (t,), "<f8", "times block")

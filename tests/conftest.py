@@ -1,9 +1,11 @@
+import errno
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nctrace import buffers
+from nctrace import buffers, process_sim
 
 
 @pytest.fixture
@@ -44,3 +46,15 @@ def buffers_used(monkeypatch):
         monkeypatch.setattr(buffers, "empty", empty)
         return max(counts)
     return used
+
+
+@pytest.fixture
+def tear_ncp1_writes(monkeypatch):
+    """Calling it makes each later NCP1 value-block write stop half way
+    through its block and raise OSError, as a full disk stops it."""
+    def torn(fh, values):
+        data = np.ascontiguousarray(values, dtype="<c16").view(np.uint8)
+        fh.write(data.reshape(-1)[:data.size // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    return lambda: monkeypatch.setattr(process_sim, "_write_values", torn)

@@ -260,6 +260,35 @@ def test_sim_matches_recorded_ncp1_hashes(tmp_path, capsys, n):
             assert hashlib.sha256(data).hexdigest() == SIM_SHA256[n, seed, i]
 
 
+# the first run's files are as long as the second's, longer or shorter
+@pytest.mark.parametrize("first_n", [8, 16, 2])
+def test_sim_over_earlier_files_matches_recorded_ncp1_hashes(
+        tmp_path, capsys, first_n):
+    prefix = str(tmp_path / "p")
+    for n, seed in ((first_n, 5), (8, 0)):
+        rc, _, _ = run(capsys, "sim", "--n", str(n), "--mesh", "0.05",
+                       "--paths", "2", "--seed", str(seed), "--out", prefix)
+        assert rc == 0
+    for i in range(2):
+        data = (tmp_path / f"p_{i:04d}.ncp1").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SIM_SHA256[8, 0, i]
+
+
+def test_sim_interrupted_over_an_earlier_file_exits_2(
+        tmp_path, capsys, tear_ncp1_writes):
+    prefix = str(tmp_path / "p")
+    args = ["sim", "--n", "4", "--mesh", "0.05", "--paths", "1",
+            "--out", prefix]
+    assert run(capsys, *args, "--seed", "1")[0] == 0
+    tear_ncp1_writes()
+    rc, out, err = run(capsys, *args, "--seed", "2")
+    assert rc == 2 and out == ""
+    assert err == (f"error: cannot write {prefix}_0000.ncp1: "
+                   "No space left on device\n")
+    with pytest.raises(ValueError, match="^not an NCP1 file$"):
+        load_ncp1(prefix + "_0000.ncp1")
+
+
 def test_sim_large_n(tmp_path, capsys):
     rc, _, _ = run(capsys, "sim", "--n", "256", "--mesh", "0.5",
                    "--paths", "1", "--out", str(tmp_path / "big"))

@@ -49,6 +49,16 @@ def test_time_grid_validation():
         TimeGrid.from_mesh(math.inf, 0.25)
 
 
+@pytest.mark.parametrize("times, bad", [
+    ([0.0, math.nan], "nan"),
+    ([0.0, math.inf], "inf"),
+    ([0.0, 0.5, math.nan, -math.inf], "nan"),
+])
+def test_time_grid_rejects_non_finite_times(times, bad):
+    with pytest.raises(ValueError, match=f"grid time {bad} is not finite"):
+        TimeGrid(np.array(times))
+
+
 def test_hbm_starts_at_zero_and_is_hermitian():
     grid = TimeGrid.uniform(1.0, 16)
     path = simulate_hbm(4, grid, RngStream(3, 0))
@@ -405,9 +415,9 @@ def test_ncp1_round_trip(tmp_path):
     assert f.read_bytes() == f2.read_bytes()
 
 
-def _decomposable_path() -> ProcessPath:
+def _decomposable_path(seed: int = 8) -> ProcessPath:
     grid = TimeGrid.uniform(1.0, 5)
-    mart = simulate_hbm(2, grid, RngStream(8, 0)).values
+    mart = simulate_hbm(2, grid, RngStream(seed, 0)).values
     fv = make_fv(grid, 2, g=lambda t: t).values
     fv = fv - fv[0]
     return ProcessPath(grid, mart + fv, "decomposable",
@@ -422,6 +432,66 @@ def test_ncp1_decomposable_round_trip(tmp_path):
     assert back.role == "decomposable"
     assert np.array_equal(back.mart_part, path.mart_part)
     assert np.array_equal(back.fv_part, path.fv_part)
+
+
+def _role_path(role: str, seed: int) -> ProcessPath:
+    if role == "decomposable":
+        return _decomposable_path(seed)
+    return simulate_hbm(3, TimeGrid.uniform(1.0, 7), RngStream(seed, 2))
+
+
+# the file a path is saved over, by its size against the new one's: another
+# n and T, or the same role and shape from another seed
+_OLD_FILES = {
+    "longer": (1, lambda role: simulate_hbm(4, TimeGrid.uniform(2.0, 10),
+                                            RngStream(1))),
+    "shorter": (-1, lambda role: simulate_hbm(1, TimeGrid.uniform(0.5, 2),
+                                              RngStream(1))),
+    "same-size": (0, lambda role: _role_path(role, seed=9)),
+}
+
+
+@pytest.mark.parametrize("old", sorted(_OLD_FILES))
+@pytest.mark.parametrize("role", ["martingale", "decomposable"])
+def test_ncp1_save_over_a_file_writes_the_bytes_of_a_fresh_one(
+        tmp_path, role, old):
+    path = _role_path(role, seed=4)
+    fresh = tmp_path / "fresh.ncp1"
+    save_ncp1(path, str(fresh))
+    want = fresh.read_bytes()
+    f = tmp_path / "over.ncp1"
+    sign, old_path = _OLD_FILES[old]
+    save_ncp1(old_path(role), str(f))
+    before = f.read_bytes()
+    assert np.sign(len(before) - len(want)) == sign
+    save_ncp1(path, str(f))
+    assert f.read_bytes() == want != before
+    back = load_ncp1(str(f))
+    assert back.role == role
+    assert back.grid == path.grid
+    assert back.values.tobytes() == path.values.tobytes()
+    if role == "decomposable":
+        assert back.mart_part.tobytes() == path.mart_part.tobytes()
+        assert back.fv_part.tobytes() == path.fv_part.tobytes()
+
+
+def test_ncp1_save_to_devnull():
+    # a character device cannot be cut to length; nothing is cut there
+    save_ncp1(_role_path("martingale", seed=4), os.devnull)
+
+
+def test_ncp1_interrupted_rewrite_is_not_an_ncp1_file(tmp_path,
+                                                      tear_ncp1_writes):
+    # a rewrite that stops half way through the value block, over a good
+    # file of the same shape: the old file's magic must not survive it
+    f = str(tmp_path / "torn.ncp1")
+    save_ncp1(_role_path("martingale", seed=9), f)
+    assert load_ncp1(f).n == 3
+    tear_ncp1_writes()
+    with pytest.raises(OSError):
+        save_ncp1(_role_path("martingale", seed=4), f)
+    with pytest.raises(ValueError, match="^not an NCP1 file$"):
+        load_ncp1(f)
 
 
 def _ncp1_bytes(tmp_path, role="martingale") -> bytes:
@@ -471,6 +541,24 @@ def test_ncp1_rejects_trailing_bytes(tmp_path):
         load_ncp1(str(f))
 
 
+def test_ncp1_rejects_non_finite_times(tmp_path):
+    # the times block begins after the 13-byte header, t_1 at byte 21
+    data = bytearray(_ncp1_bytes(tmp_path))
+    data[21:29] = np.array([math.nan], "<f8").tobytes()
+    f = tmp_path / "nan.ncp1"
+    f.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="grid time nan is not finite"):
+        load_ncp1(str(f))
+
+
+def test_ncp1_rejects_dimension_zero(tmp_path):
+    f = tmp_path / "empty.ncp1"
+    f.write_bytes(process_sim._HEADER.pack(b"NCP1", 0, 2, 0)
+                  + np.array([0.0, 1.0], "<f8").tobytes())
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        load_ncp1(str(f))
+
+
 def test_ncp1_rejects_garbage(tmp_path):
     f = tmp_path / "bad.ncp1"
     f.write_bytes(b"XXXX" + b"\0" * 16)
@@ -507,3 +595,15 @@ def test_ncp1_io_makes_no_copy_of_the_path(tmp_path, traced_peak):
     # reading makes the result and nothing the size of a path beside it
     assert traced_peak(
         lambda: load_ncp1(f).values[-1, 0, 0].real) <= PATH_BYTES + SMALL_BYTES
+
+
+def test_ncp1_rewrite_makes_no_copy_of_the_path(tmp_path, traced_peak):
+    path = simulate_hbm(MEM_N, TimeGrid.uniform(1.0, MEM_STEPS), RngStream(0))
+    f = str(tmp_path / "path.ncp1")
+    save_ncp1(path, f)
+
+    def save_again():
+        save_ncp1(path, f)
+        return os.path.getsize(f)
+
+    assert traced_peak(save_again) <= SMALL_BYTES
