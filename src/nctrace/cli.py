@@ -146,7 +146,7 @@ def _cmd_diff(cfg) -> int:
     if not cfg["expr"]:
         raise ConfigError("diff needs --expr")
     P = parse(cfg["expr"])
-    if cfg["order"]:
+    if cfg["order"] is not None:
         result = derive_k(P, int(cfg["order"]))
     elif cfg["var"]:
         var = str(cfg["var"])

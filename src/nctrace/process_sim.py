@@ -8,32 +8,29 @@ path format, whose arrays are written and read with no intermediate copy.
 Every HBM path comes from one window walk (``hbm_windows``).  For each
 chunk of paths it yields consecutive windows: the grid points [i0, i1) of
 a block plus the one point before them, as a (count, <= block + 1, n, n)
-array.  Each path draws from its own ``RngStream(seed, i)``, one window
-of increments at a time, and sums them onto the carried last point, so
-its bits do not depend on the chunk or block size.  A blocked walk stores
-its windows time-major: each is one (L, count, n, n) buffer, handed out
-as its (count, L, n, n) view, so the matrices of all paths at one grid
-point lie side by side, and a whole-path window is C-contiguous (with one
-path the two layouts are one).  The increments are scattered into the
-window a block of steps at a time, from rows ``[c, -c, 0]`` of scaled
-coefficients in a scratch of at most ``SCATTER_SCRATCH_BYTES``; one
-path's draws land in its window rows first, several paths' in the
-scratch, a block at a time.  The window is then summed along time by
-``running_sums``, one grid point at a time where the matrices at one grid
-point have ``WIDE_ROW_ENTRIES`` entries or more, with ``np.cumsum``
-below, and the two give the same bits.
-The time-blocked studies walk ``stoch_int.STUDY_TIME_BLOCK`` points at a
-time and never hold a whole path; a window that covers the whole path is what
+array.  Each path draws from its own ``RngStream(seed, i)``, one window of
+increments at a time, and sums them onto the carried last point, so its
+bits do not depend on the chunk or block size.  A blocked walk stores its
+windows time-major: each is one (L, count, n, n) buffer, handed out as its
+(count, L, n, n) view, so the matrices of all paths at one grid point lie
+side by side, and a whole-path window is C-contiguous (with one path the
+two layouts are one).  One basis sampler writes a window's increments,
+every path's a block of steps at a time, from rows ``[c, -c, 0]`` of
+scaled draws in a scratch of at most ``SCATTER_SCRATCH_BYTES``.
+``running_sums`` then sums the window along time, one grid point at a time
+where the matrices at one grid point have ``WIDE_ROW_ENTRIES`` entries or
+more, with ``np.cumsum`` below, to the same bits.  The time-blocked
+studies walk ``stoch_int.STUDY_TIME_BLOCK`` points at a time and never
+hold a whole path; a window that covers the whole path is what
 ``simulate_hbm`` and ``simulate_hbm_ensemble`` return, and what
-``hbm_windows`` yields with no block.  A walk (``HbmWalk``) can save
-where it stands between two windows (``WalkStart``: the carried point and
-each path's generator state) and be resumed from there, to the same bits.
+``hbm_windows`` yields with no block.  A walk (``HbmWalk``) can save where
+it stands between two windows (``WalkStart``: the carried point and each
+path's generator state) and be resumed from there, to the same bits.
 Windows are bitwise Hermitian by construction: the scatter writes
 conjugate entries from the same draws, and the sums keep the symmetry.
 The entrywise sampler draws a whole path's diagonal before its
 off-diagonal entries, so it walks whole paths only; it lays its scaled
-draws out as the basis coefficients are and goes through the same
-scatter.
+draws out as the basis coefficients are and goes through the same scatter.
 
 ``save_ncp1`` rewrites an existing file in place rather than truncating
 it.  Opening with ``O_TRUNC`` drops the old file's cached pages and
@@ -71,9 +68,8 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 # HbmWalk for the timings that set it).
 WIDE_ROW_ENTRIES = 256
 
-# The basis sampler scatters its increments through a scratch of at most
-# this many bytes: the [c, -c, 0] rows of a block of steps and, with several
-# paths, one path's draws (see _hbm_increments_basis for the timings).
+# The basis sampler scatters the [c, -c, 0] rows of a block of steps of
+# every path through at most this many bytes (_hbm_increments_basis times it).
 SCATTER_SCRATCH_BYTES = 2**20
 
 
@@ -220,11 +216,9 @@ class Ensemble:
 
 
 def _scatter_rows(n: int, steps: int, paths: int = 1) -> int:
-    """Steps of a scatter scratch for ``steps`` steps of ``paths`` paths at
-    n: as many as fit in ``SCATTER_SCRATCH_BYTES``, at least one.  A step
-    takes a row ``[c, -c, 0]`` of 2 n^2 + 1 floats per path, and with
-    several paths n^2 floats more for one path's draws."""
-    width = paths * (2 * n * n + 1) + (n * n if paths > 1 else 0)
+    """How many of ``steps`` steps fit in ``SCATTER_SCRATCH_BYTES``, at
+    least one, at a row ``[c, -c, 0]`` of 2 n^2 + 1 floats per path."""
+    width = paths * (2 * n * n + 1)
     return max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * width)))
 
 
@@ -238,31 +232,26 @@ def _scatter(src: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     np.take(src, index, axis=1, out=out, mode="clip")
 
 
-def _hbm_increments_basis(n, dts, rng, out: np.ndarray) -> None:
-    """Write one path's increments into ``out`` (C-contiguous (steps, n, n)).
+def _hbm_increments_basis(n, dts, generators, out: np.ndarray) -> None:
+    """Write the increments of one path per generator into ``out``
+    (C-contiguous (steps, paths, n, n); one path is paths = 1).
 
     Each entry is one scaled coefficient, rounded exactly as in the product
-    ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.  The standard
-    normal draws land in ``out`` itself, in its first steps * n^2 float64:
-    they are read into the scaled coefficients c before the scatter
-    overwrites them.  The scatter goes ``_scatter_rows`` steps at a time
-    through a scratch of 2 n^2 + 1 columns for the row ``[c, -c, 0]``.
-    The blocks go from the last step to the first: step j's draws sit in
-    row j // 2 of out, so a block's scatter to rows s0 .. s1 - 1 overwrites
-    only draws of steps from 2 s0 on, which are read already.  Drawing into
-    ``out`` spares the memory traffic of a separate draw buffer:
-    ``simulate_hbm`` at n = 64 over 100 steps ran 1-4 % slower with the
-    draws in the scratch.  The scratch (``buffers.empty``, so a study
-    recycles it) is made after ``out`` and dropped on return: one made
-    first and kept split the allocator's free space (repeated sim runs at
-    n = 64 peaked 7 MB higher), and one kept through a blocked walk held a
-    recycled buffer of its own, which it touched only in part.
-
-    A scratch for a whole path of wide rows spills out of the caches and is
-    faulted in anew at each call.  ``simulate_hbm`` by scratch size, best
-    of 30 runs of 10 calls, ms (1 BLAS thread, 2-core Intel Xeon, 2 MiB L2
-    per core, a shared host whose runs spread by up to 20 %); the last
-    column scatters the whole path at once:
+    ``coeffs @ hermitian_onb_array(n)``, in O(n^2) per step.  The steps go
+    forward in blocks of ``_scatter_rows`` steps.  In a block each path in
+    turn draws its normals into the start of the block's rows of ``out``
+    and scales them into its rows ``[c, -c, 0]`` of a scratch; one
+    ``_scatter`` then writes every path's rows over the draws, all read by
+    then.  A path drawn a block at a time reads the stream of one call, so
+    the bits do not depend on the block.  Draws in the scratch instead made
+    ``simulate_hbm`` (n = 64, 100 steps) 1-4 % slower.  The scratch
+    (``buffers.empty``, so a study recycles it) is made after ``out`` and
+    dropped on return; kept, it split the allocator's free space (sim runs
+    at n = 64 peaked 7 MB higher) and held a recycled buffer through a
+    blocked walk.  A whole-path scratch of wide rows spills out of the
+    caches.  ``simulate_hbm`` by scratch size, best of 30 runs of 10 calls,
+    ms (1 BLAS thread, 2-core Intel Xeon, 2 MiB L2 per core, a shared host
+    whose runs spread by up to 20 %):
 
     ==========  =======  =====  =====  ==========
     n, steps    256 KiB  1 MiB  4 MiB  whole path
@@ -272,53 +261,22 @@ def _hbm_increments_basis(n, dts, rng, out: np.ndarray) -> None:
     128, 50     22.3     22.1   23.7   26.4
     ==========  =======  =====  =====  ==========
     """
-    steps, nn = len(dts), n * n
-    scale, index = _basis_scatter(n)
-    scratch = buffers.empty((_scatter_rows(n, steps), 2 * nn + 1), float)
-    flat = out.view(np.float64).reshape(steps, 2 * nn)
-    draws = flat.reshape(-1)[:steps * nn].reshape(steps, nn)
-    rng.standard_normal(out=draws)
-    sd = np.sqrt(dts)[:, None]
-    for s0 in reversed(range(0, steps, len(scratch))):
-        s1 = min(s0 + len(scratch), steps)
-        src = scratch[:s1 - s0]
-        coeffs = src[:, :nn]
-        np.multiply(draws[s0:s1], sd[s0:s1], out=coeffs)
-        coeffs *= scale
-        _scatter(src, index, flat[s0:s1])
-
-
-def _hbm_increments_time_major(n, dts, generators, out: np.ndarray) -> None:
-    """Write the increments of one path per generator into ``out``
-    (C-contiguous (steps, paths, n, n), time-major), each path's entries
-    as ``_hbm_increments_basis`` writes them.
-
-    A path's rows are not contiguous in ``out``, so its draws cannot land
-    there.  The steps go ``_scatter_rows`` at a time through one scratch
-    that holds, for each step of a block, a row ``[c, -c, 0]`` per path and
-    after those rows one path's draws for the block: each path in turn
-    draws its block of normals and scales them into its rows, then one
-    ``np.take`` writes the block's rows of every path, which lie side by
-    side in ``out``.  A path drawn a block at a time reads the same stream
-    as in one call, so the bits do not depend on the block.  The scratch
-    is made as in ``_hbm_increments_basis``."""
     steps, paths, nn = len(dts), len(generators), n * n
     scale, index = _basis_scatter(n)
     rows = _scatter_rows(n, steps, paths)
-    scratch = buffers.empty((rows * (paths * (2 * nn + 1) + nn),), float)
+    scratch = buffers.empty((rows, paths, 2 * nn + 1), float)
     flat = out.view(np.float64).reshape(steps * paths, 2 * nn)
     sd = np.sqrt(dts)[:, None]
     for s0 in range(0, steps, rows):
         s1 = min(s0 + rows, steps)
-        size = (s1 - s0) * paths * (2 * nn + 1)
-        src = scratch[:size].reshape(s1 - s0, paths, 2 * nn + 1)
-        draws = scratch[size:size + (s1 - s0) * nn].reshape(s1 - s0, nn)
+        block = flat[s0 * paths:s1 * paths]
+        draws = block.reshape(-1)[:(s1 - s0) * nn].reshape(s1 - s0, nn)
+        src = scratch[:s1 - s0]
         for j, rng in enumerate(generators):
             rng.standard_normal(out=draws)
             np.multiply(draws, sd[s0:s1], out=src[:, j, :nn])
         src[..., :nn] *= scale
-        _scatter(src.reshape(-1, 2 * nn + 1), index,
-                 flat[s0 * paths:s1 * paths])
+        _scatter(src.reshape(-1, 2 * nn + 1), index, block)
 
 
 def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
@@ -345,10 +303,8 @@ def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
     np.multiply(im[:, k, l], -r2, out=src[:, n + 1:nn:2])
     src[:, n:nn] *= sd
     src[:, :nn] *= rn
-    np.negative(src[:, :nn], out=src[:, nn:2 * nn])
-    src[:, -1] = 0
     flat = out.view(np.float64).reshape(steps, 2 * nn)
-    np.take(src, _basis_scatter(n)[1], axis=1, out=flat, mode="clip")
+    _scatter(src, _basis_scatter(n)[1], flat)
 
 
 def _check_hbm_args(n: int, method: str) -> None:
@@ -392,14 +348,13 @@ class HbmWalk:
     holds the points i0 - 1 .. i1 - 1, except that the first window starts
     at t_0.  Each window is a new array (``buffers.empty``), so a recycled
     buffer is overwritten only once the caller has let go of it, and the
-    walk lets go of each window before it makes the next.  A blocked
-    walk (``block`` below the grid's length) lays its windows out
-    time-major, a whole-path walk path-major; each matrix is C-contiguous.
-    The increments are written straight into the window's rows, a path at
-    a time (``_hbm_increments_basis``) or, in a time-major window, the
-    paths of each block of steps together (``_hbm_increments_time_major``),
-    and summed in place onto the carried last point of the window before,
-    so the windows hold the bits of one cumsum over the whole path.
+    walk lets go of each window before it makes the next.  A blocked walk
+    (``block`` below the grid's length) lays its windows out time-major, a
+    whole-path walk path-major; each matrix is C-contiguous.  The
+    increments are written straight into the window's rows, by one basis
+    sampler call for all paths of a time-major window and one per path of
+    a path-major one, and summed in place onto the carried last point of
+    the window before, so the windows hold the bits of one whole-path cumsum.
     Between two windows, ``start()`` saves where the walk stands, and
     ``resumed`` walks the same paths on from there with generators of its
     own: its windows hold the bits of the uninterrupted walk's.
@@ -468,11 +423,12 @@ class HbmWalk:
     def _window(self, i0: int) -> tuple[int, np.ndarray]:
         """The end of the window that starts at grid point ``i0``, and the
         window, drawn and summed onto the carried point."""
-        n, dts, block, method = self._walk
-        T = len(dts) + 1
+        n, all_dts, block, method = self._walk
+        T = len(all_dts) + 1
         paths = len(self.generators)
         i1 = min(i0 + block, T)
         lo = max(i0, 1) - 1
+        dts = all_dts[lo:i1 - 1]
         # (L, count, n, n) groups whose grid points each lie contiguous:
         # the whole time-major window, or each path of a path-major one
         if block < T:
@@ -485,16 +441,10 @@ class HbmWalk:
                       for path, rng in zip(window, self.generators)]
         window[:, 0] = self.carry
         for rows, generators in groups:
-            window_dts = dts[lo:i1 - 1]
-            if len(generators) > 1:
-                _hbm_increments_time_major(n, window_dts, generators,
-                                           rows[1:])
-            elif method == "basis":
-                _hbm_increments_basis(n, window_dts, generators[0],
-                                      rows[1:, 0])
+            if method == "basis":
+                _hbm_increments_basis(n, dts, generators, rows[1:])
             else:
-                _hbm_increments_entrywise(n, window_dts, generators[0],
-                                          rows[1:, 0])
+                _hbm_increments_entrywise(n, dts, generators[0], rows[1:, 0])
             # the first window's t_0 is 0, which the sum leaves out
             summed = rows[1:] if i0 == 0 else rows
             running_sums(summed, summed)

@@ -190,7 +190,8 @@ def check_gamma_rules_mc(seed: int) -> dict:
     dx = np.empty((chunk, n, n), dtype=complex)
     stats = {name: [] for name in ("R1", "R2", "R3", "R4")}
     for c in range(total // chunk):
-        _hbm_increments_basis(n, dts, RngStream(seed + 5, c).generator, dx)
+        _hbm_increments_basis(n, dts, [RngStream(seed + 5, c).generator],
+                              dx[:, None])
         udxv = u @ dx @ v
         tr_udx = np.einsum("ij,pji->p", u, dx) / n
         tr_vdx = np.einsum("ij,pji->p", v, dx) / n

@@ -51,6 +51,22 @@ def test_diff_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("var", [[], ["--var", "x1"]], ids=["no-var", "var"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_diff_order_0_is_an_order(tmp_path, capsys, given, var):
+    # an order of 0 is given, not missing: derive_k rejects it, with --var
+    # or without
+    if given == "flag":
+        order = ["--order", "0"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"order": 0}))
+        order = ["--config", str(cfg)]
+    rc, out, err = run(capsys, "diff", "--expr", "x1^2", *var, *order)
+    assert rc == 2 and out == ""
+    assert err == "error: derivative order must be >= 1\n"
+
+
 def test_eval_diagonal(tmp_path, capsys):
     m = np.diag([1.0, 2.0])
     mats = tmp_path / "m.json"

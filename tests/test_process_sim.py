@@ -79,20 +79,27 @@ def test_hbm_reproducible_and_streams_independent():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
 def test_basis_increments_match_dense_basis_product(n, monkeypatch):
     # the scatter writes each coefficient exactly as the dense product
-    # coeffs @ basis rounds it, signed zeros included
+    # coeffs @ basis rounds it, signed zeros included, for every path of a
+    # (steps, paths, n, n) block; the steps are unequal, so a block that
+    # scaled by another block's steps would differ
+    basis = hermitian_onb_array(n).reshape(n * n, n * n)
     for steps in (1, 7, 50):
-        dts = np.diff(TimeGrid.uniform(1.0, steps).times)
-        coeffs = RngStream(4, n).generator.standard_normal((steps, n * n))
-        coeffs = coeffs * np.sqrt(dts)[:, None]
-        want = coeffs @ hermitian_onb_array(n).reshape(n * n, n * n)
-        # all steps in one block, then a few steps at a time, from the
-        # last block to the first
-        for rows in (steps, 1, 3):
-            monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
-                                rows * 8 * (2 * n * n + 1))
-            got = np.empty((steps, n, n), dtype=complex)
-            _hbm_increments_basis(n, dts, RngStream(4, n).generator, got)
-            assert got.tobytes() == want.tobytes()
+        dts = np.linspace(0.5, 2.0, steps) / steps
+        for paths in (1, 3):
+            want = [(RngStream(4, i).generator.standard_normal((steps, n * n))
+                     * np.sqrt(dts)[:, None]) @ basis for i in range(paths)]
+            # all steps in one block, then one and three steps at a time
+            for rows in (steps, 1, 3):
+                monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
+                                    rows * 8 * paths * (2 * n * n + 1))
+                assert process_sim._scatter_rows(n, steps, paths) == min(
+                    rows, steps)
+                got = np.empty((steps, paths, n, n), dtype=complex)
+                _hbm_increments_basis(
+                    n, dts, [RngStream(4, i).generator for i in range(paths)],
+                    got)
+                for i in range(paths):
+                    assert got[:, i].tobytes() == want[i].tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -107,9 +114,8 @@ def test_whole_paths_scatter_through_a_bounded_scratch(rows, monkeypatch):
     got = simulate_hbm(n, grid, RngStream(8, 1)).values
     assert got.tobytes() == want.tobytes()
     # and a time-major walk of 3 paths, whose scratch holds each step's
-    # rows of all 3 and one path's draws: a window of 16 steps goes in
-    # blocks of fewer steps
-    assert process_sim._scatter_rows(n, 16, 3) < 16
+    # rows of all 3: a window of 16 steps goes in blocks of fewer steps
+    assert process_sim._scatter_rows(n, 16, 3) == max(1, rows // 3)
     ens = simulate_hbm_ensemble(n, grid, 3, seed=8)
     (walk,) = hbm_windows(n, grid, 3, 8, 3, 16)
     glued = np.concatenate([w if i0 == 0 else w[:, 1:] for i0, _, w in walk],
@@ -222,7 +228,8 @@ def test_window_walk_sums_like_cumsum(n, block):
     dts = np.diff(grid.times)
     for i, got in enumerate(np.concatenate(glued)):
         inc = np.empty((steps, n, n), dtype=complex)
-        _hbm_increments_basis(n, dts, RngStream(29, i).generator, inc)
+        _hbm_increments_basis(n, dts, [RngStream(29, i).generator],
+                              inc[:, None])
         want = np.concatenate([np.zeros((1, n, n)), np.cumsum(inc, axis=0)])
         assert got.tobytes() == want.tobytes()
 
