@@ -1,9 +1,11 @@
-"""Recycled block buffers for the time-blocked studies.
+"""Recycled block buffers for the time-blocked studies and ``moi``.
 
 A blocked study makes the same few block-sized arrays at every block of
 grid points: the path window, the evaluator's registers and outputs, the
-carried sums and the reducer's copy.  Freed and made again, such arrays go
-back to the operating system and are faulted in anew at the next block.
+carried sums and the reducer's copy; ``matrix_alg.moi`` makes its
+rotations, tables and products at every block of its batch.  Freed and
+made again, such arrays go back to the operating system and are faulted
+in anew at the next block.
 Inside ``recycled(shape)``, ``empty`` instead carves every array of at most
 one complex ``shape``-sized array's bytes from a flat buffer of exactly
 that size which no live array uses any more.  When ``recycled`` exits, at
@@ -106,6 +108,12 @@ def empty_like(a: np.ndarray, shape=None) -> np.ndarray:
     out = empty([shape[i] for i in lead] + list(shape[-2:]))
     return out.transpose([lead.index(i) for i in range(len(lead))]
                          + [len(lead), len(lead) + 1])
+
+
+def zeros(shape, dtype=complex) -> np.ndarray:
+    out = empty(shape, dtype)
+    out.fill(0)
+    return out
 
 
 def zeros_like(a: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point, both orders in one
 ``moi`` pass that rotates each increment once, builds one f^[1] table
-per block and contracts the second order as two batched matrix
-products.  Residuals of the
+per block (one exp per atom and node vector) and contracts the second
+order as two batched matrix products over one reciprocal grid, which
+with the table's diagonal also gives the b = c diagonal; the blocks'
+arrays come from recycled buffers.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies (``convergence_study``, one
 ``stoch_int.mesh_study``); ``_residual_summary`` builds both residual

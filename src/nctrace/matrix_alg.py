@@ -18,19 +18,24 @@ shape (..., m) with leading batch axes, where a single matrix is the stack
 without batch axes.  Each batch element gives what a call on it alone gives.
 It shares what its arguments share: ``moi`` computes the spectral data,
 node vectors, eigenvector stacks and rotated directions once per distinct
-argument object, on one flat batch axis.  ``moi`` contracts an exponential
-sum's second order with no (n, n, n) kernel: the recurrence f^[2](a, b, c)
-= (f^[1](a, b) - f^[1](a, c)) / (b - c) turns the sum over the middle
-index into two batched matrix products, and every close pair of nodes
-adds its own terms by one rule, the recurrence of f^[2] over f^[1], which
-reads the f^[1] table when all three node vectors are equal
-(``_exp_moi2``).  ``divided_diff_grid`` still builds the dense grid, by
-the same rule (``_exp_dd2``), and the polynomial kernels of every order.
-A sum of orders (``moi(f, (1, 2), ...)``) shares the rotations between
-its orders, and its first order's kernel, the f^[1] table times the
-rotated direction, is what the second order's products read.  Equal
-copies of an argument give the same bits as one object passed in every
-slot.
+argument object, on one flat batch axis.  An exponential sum's f^[1]
+table (``_exp_dd1``) makes one exp per atom and distinct node vector, and
+its sinc as sin(y) / y; an atom with xi = 0 adds nothing.  ``moi``
+contracts an exponential sum's second order with no (n, n, n) kernel: the
+recurrence f^[2](a, b, c) = (f^[1](a, b) - f^[1](a, c)) / (b - c) turns
+the sum over the middle index into two batched matrix products with one
+reciprocal grid D = 1 / (b - c), and every close pair of nodes adds its
+own terms by one rule, the recurrence of f^[2] over f^[1] (``_exp_moi2``).
+When all three node vectors are equal, the b = c diagonal is
+(f^[1] - f') D, with f' the table's own diagonal.  ``divided_diff_grid``
+still builds the dense grid, by the same rule (``_exp_dd2``), and the
+polynomial kernels of every order.  A sum of orders (``moi(f, (1, 2),
+...)``) shares the rotations between its orders, and its first order's
+kernel, the f^[1] table times the rotated direction, is what the second
+order's products read.  The arrays of each block come from recycled
+buffers (``buffers``), so the next block and the next call reuse them.
+Equal copies of an argument give the same bits as one object passed in
+every slot.
 """
 
 from __future__ import annotations
@@ -378,17 +383,38 @@ def _compositions(total: int, parts: int):
 
 def _exp_dd1(f: ScalarFunctionSpec, a: np.ndarray,
              b: np.ndarray) -> np.ndarray:
-    """First divided difference of the exponential sum ``f`` on broadcast
-    node arrays, stable at coalescence:
-    g^[1](a, b) = i xi e^{i xi a/2} e^{i xi b/2} sinc(xi (a - b) / 2 pi)."""
-    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)),
-                   dtype=complex)
+    """First divided difference of the exponential sum ``f`` on the grid of
+    node vectors a (..., m_0) and b (..., m_1), of shape (..., m_0, m_1),
+    stable at coalescence: g^[1](a, b) is the sum over atoms (c, xi) of
+    c i xi e^{i xi a/2} e^{i xi b/2} sin(y) / y, y = xi (a - b) / 2.
+
+    a - b is made once, its exact zeros mapped to 1e-200, where sin(y) / y
+    is 1 for any |xi| from about 1e-108 to 1e192.  Each atom makes one exp
+    per distinct node vector (one when a and b are equal, as in every
+    table ``moi`` builds), folds its constant c i xi into a's factor, and
+    takes their outer product as a batched matrix product; an atom with
+    xi = 0 (a constant) is skipped, as its divided differences vanish."""
+    same = np.array_equal(a, b)
+    a, b = a[..., :, None], b[..., None, :]
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    diff = np.subtract(a, b, out=buffers.empty(shape, float))
+    diff[diff == 0] = 1e-200
+    y = buffers.empty(shape, float)
+    # sin(y) / y, held as complex so that the products need no cast
+    sinc = buffers.zeros(shape)
+    out = buffers.zeros(shape)
+    term = buffers.empty(shape)
     for c, xi in f.atoms:
-        out += (
-            (complex(c) * 1j * xi)
-            * (np.exp(0.5j * xi * a) * np.exp(0.5j * xi * b))
-            * np.sinc(xi * (a - b) / (2.0 * np.pi))
-        )
+        if xi == 0:
+            continue
+        ea = np.exp(0.5j * xi * a)
+        eb = ea.reshape(b.shape) if same else np.exp(0.5j * xi * b)
+        np.multiply(0.5 * xi, diff, out=y)
+        np.sin(y, out=sinc.real)
+        np.divide(sinc.real, y, out=sinc.real)
+        np.matmul((complex(c) * 1j * xi) * ea, eb, out=term)
+        term *= sinc
+        out += term
     return out
 
 
@@ -396,11 +422,12 @@ def _exp_close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc,
                delta) -> np.ndarray:
     """Second divided difference g^[2](a, b, c) of the exponential sum ``f``
     at node pairs with |b - c| < delta, on broadcast arrays, given
-    d_ab = g^[1](a, b): (g^[1](b, c) - g^[1](a, b)) / (c - a), or
-    g''((a + b + c) / 3) / 2 where a is within delta of c.  g^[1](b, c) is
-    g'(b) where b = c, and ``d_bc`` elsewhere (None where b = c throughout)."""
-    d_bc = f.derivative(1)(b) if d_bc is None else np.where(
-        b == c, f.derivative(1)(b), d_bc)
+    d_ab = g^[1](a, b) and d_bc = g^[1](b, c) (None where b = c throughout,
+    for g'(b)): (g^[1](b, c) - g^[1](a, b)) / (c - a), or
+    g''((a + b + c) / 3) / 2 where a is within delta of c.  A ``_exp_dd1``
+    value at b = c is g'(b) already."""
+    if d_bc is None:
+        d_bc = f.derivative(1)(b)
     ca = c - a
     near = np.abs(ca) < delta
     out = (d_bc - d_ab) / np.where(near, 1.0, ca)
@@ -414,37 +441,55 @@ def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
     """What both second-order routes of the exponential sum ``f`` need, on
     (B, m) node vectors, the g^[1](a, b) ``table`` and (B,) ``delta``.
 
-    Returns g^[1](a, c) (``table`` itself when b and c are equal), b - c,
-    the mask of close pairs |b - c| < delta, and g^[2](a, b, c) at the
-    close pairs, each by the one rule of ``_exp_close``: on the b = c
-    diagonal of equal b and c as a (B, m_0, m) array made in place (None
-    when b and c differ), and at the other close pairs (snapped clusters,
-    nodes less than delta apart, every pair of the zero matrix) gathered,
-    as their indices k, j, l and a (pairs, m_0) array (None when there are
-    none).  g^[1](b, c) is read from the table when all three node vectors
-    are equal and made by ``_exp_dd1`` for the close pairs otherwise."""
+    Returns g^[1](a, c) (``table`` itself when b and c are equal), the
+    reciprocal grid D = 1 / (b - c), 0 on the close pairs |b - c| < delta,
+    and g^[2](a, b, c) at the close pairs: on the b = c diagonal of equal b
+    and c as a (B, m_0, m) array (None when b and c differ), and at the
+    other close pairs (snapped clusters, nodes less than delta apart, every
+    pair of the zero matrix) gathered, as their indices k, j, l and a
+    (pairs, m_0) array (None when there are none).  When all three node
+    vectors are equal, g^[1](b, c) is read from the table and the diagonal
+    is G = (table - g'(b)) D, with g'(b) the table's own diagonal, g''/2
+    on G's diagonal and ``_exp_close``'s value at G's close pairs.
+    Otherwise each close pair takes ``_exp_close``, given g^[1](b, c) from
+    ``_exp_dd1``."""
     same = np.array_equal(b, c)
-    d_ac = table if same else _exp_dd1(f, a[:, :, None], c[:, None, :])
-    bc = b[:, :, None] - c[:, None, :]                 # (B, m_1, m_2)
-    close = np.abs(bc) < delta[:, None, None]
-    rest, diag, gathered = close, None, None
+    equal = same and np.array_equal(a, b)
+    d_ac = table if same else _exp_dd1(f, a, c)
+    shape = b.shape + c.shape[1:]                      # (B, m_1, m_2)
+    bc = np.subtract(b[:, :, None], c[:, None, :],
+                     out=buffers.empty(shape, float))
+    rest = np.abs(bc) < delta[:, None, None]           # the close pairs
+    bc[rest] = np.inf
+    # real, held as complex so that the products need no cast
+    recip = buffers.zeros(shape)
+    np.divide(1.0, bc, out=recip.real)
+    del bc
+    diag = gathered = None
     if same:
-        bn = b[:, None, :]
-        diag = _exp_close(f, a[:, :, None], bn, bn, table, None,
-                          delta[:, None, None])
         d = np.arange(b.shape[-1])
-        rest = close.copy()
         rest[:, d, d] = False
+        if equal:
+            diag = np.subtract(table, table[:, d, d][:, None, :],
+                               out=buffers.empty(table.shape))
+            diag *= recip
+            diag[:, d, d] = f.derivative(2)(b) / 2.0
+        else:
+            bn = b[:, None, :]
+            diag = _exp_close(f, a[:, :, None], bn, bn, table, None,
+                              delta[:, None, None])
     if np.any(rest):
         k, j, l = np.nonzero(rest)
-        if same and np.array_equal(a, b):
+        if equal:
             d_bc = table[k, j, l]
+            diag[k, j, l] = _exp_close(f, a[k, j], c[k, l], c[k, l], d_bc,
+                                       None, delta[k])
         else:
-            d_bc = _exp_dd1(f, b[k, j], c[k, l])
+            d_bc = _exp_dd1(f, b[k, j, None], c[k, l, None])[:, 0, 0]
         gathered = k, j, l, _exp_close(
             f, a[k], b[k, j, None], c[k, l, None], table[k, :, j],
             d_bc[:, None], delta[k, None])
-    return d_ac, bc, close, diag, gathered
+    return d_ac, recip, diag, gathered
 
 
 def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
@@ -463,10 +508,10 @@ def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
     a, b, c = (np.broadcast_to(v, batch + v.shape[-1:]).reshape(
         size, v.shape[-1]) for v in vecs)
     delta = np.broadcast_to(delta, batch).reshape(size)
-    table = _exp_dd1(f, a[:, :, None], b[:, None, :])
-    d_ac, bc, close, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
+    table = _exp_dd1(f, a, b)
+    d_ac, recip, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
     out = table[:, :, :, None] - d_ac[:, :, None, :]
-    out *= (1.0 / np.where(close, 1.0, bc))[:, None]
+    out *= recip[:, None]
     if diag is not None:
         d = np.arange(b.shape[-1])
         out[:, :, d, d] = diag
@@ -484,20 +529,25 @@ def _exp_moi2(f: ScalarFunctionSpec, a, b, c, table, x, tx, y,
 
     No (B, m, m, m) kernel is made.  Where |b_j - c_k| >= delta the
     recurrence g^[2] = (g^[1](a_i, b_j) - g^[1](a_i, c_k)) / (b_j - c_k)
-    splits the sum into two products: with D = 1 / (b - c) on those pairs
-    and 0 on the close ones, it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)),
-    the last product taken entrywise.  Each close pair adds its own terms
-    with the g^[2] of ``_exp_pairs``, as ``_exp_dd2`` has it: the b = c
-    diagonal on (B, m, m) arrays, the other close pairs with
-    ``np.add.at``."""
-    d_ac, bc, close, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
-    dy = np.divide(1.0, bc, out=np.zeros(bc.shape), where=~close)
-    dy = dy * y
-    out = tx @ dy
-    out -= d_ac * (x @ dy)
+    splits the sum into two products: with ``_exp_pairs``' reciprocal grid
+    D, it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)), the last product
+    taken entrywise.  Each close pair adds its own terms with the g^[2] of
+    ``_exp_pairs``, as ``_exp_dd2`` has it: the b = c diagonal on
+    (B, m, m) arrays, the other close pairs with ``np.add.at``."""
+    d_ac, recip, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
+    dy = np.multiply(recip, y, out=recip)
+    del recip
+    out = np.matmul(tx, dy, out=buffers.empty(tx.shape))
     if diag is not None:
         d = np.arange(b.shape[-1])
-        out += diag * x * y[:, d, d][:, None, :]
+        diag *= x
+        diag *= y[:, d, d][:, None, :]
+        out += diag
+    del diag
+    xdy = np.matmul(x, dy, out=buffers.empty(tx.shape))
+    del dy
+    xdy *= d_ac
+    out -= xdy
     if gathered is not None:
         k, j, l, g2 = gathered
         np.add.at(out, (k, slice(None), l),
@@ -538,8 +588,7 @@ def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
     if k == 0:
         return f(vecs[0]).astype(complex)
     if k == 1:
-        a, b = _tensor_axes(vecs)
-        return _exp_dd1(f, a, b)
+        return _exp_dd1(f, *vecs)
     if k == 2:
         return _exp_dd2(f, vecs, _confluent_delta(vecs))
     raise NotImplementedError(
@@ -651,6 +700,9 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     table times the rotated direction, and its second order is two
     batched matrix products of that and the rotated directions plus the
     close node pairs' terms (``_exp_moi2``), with no (n, n, n) kernel.
+    The blocks' rotations, tables and products are carved from recycled
+    buffers of one block's size (``buffers.recycled``), and each block
+    lets go of the last one's before it makes its own.
 
     ``k`` may be a tuple of increasing orders, each at least 1: the result
     is then the sum, in that order, of the MOI of each order j over the
@@ -703,31 +755,36 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     ) + "->..." + letters[0] + letters[j] for j in orders}
     out = np.empty((size, n, n), dtype=complex)
     step = max(1, MOI_BLOCK_ENTRIES // n ** (k + 1))
-    for lo in range(0, size, step):
-        blk = slice(lo, lo + step)
-        u = [x[blk] for x in us]
-        rots = {key: adjoint(u[key[0]]) @ bs[key[1]][blk] @ u[key[2]]
-                for key in set(rot_keys)}
-        back = {i: adjoint(u[i]) for i in {ai[j] for j in orders}}
-        v = [x[blk] for x in vecs]
-        tx = acc = None
-        for j in orders:
-            nodes = [v[i] for i in ai[: j + 1]]
-            dirs = [rots[key] for key in rot_keys[:j]]
-            if f.kind == "exp_sum" and j <= 2:
-                if tx is None:  # order 1's term, which order 2's products read
-                    table = _exp_dd1(f, nodes[0][:, :, None],
-                                     nodes[1][:, None, :])
-                    tx = table * dirs[0]
-                inner = tx if j == 1 else _exp_moi2(
-                    f, *nodes, table, dirs[0], tx, dirs[1],
-                    _confluent_delta([v[i] for i in set(ai[:3])]))
-            else:
-                inner = np.einsum(specs[j], divided_diff_grid(f, nodes),
-                                  *dirs)
-            term = u[ai[0]] @ inner @ back[ai[j]]
-            acc = term if acc is None else acc + term
-        out[blk] = acc
+    with buffers.recycled((min(step, size), n, n)):
+        for lo in range(0, size, step):
+            rots = table = tx = inner = None  # the last block's arrays
+            blk = slice(lo, lo + step)
+            u = [x[blk] for x in us]
+            rots = {key: np.matmul(adjoint(u[key[0]]) @ bs[key[1]][blk],
+                                   u[key[2]], out=buffers.empty(u[0].shape))
+                    for key in set(rot_keys)}
+            back = {i: adjoint(u[i]) for i in {ai[j] for j in orders}}
+            v = [x[blk] for x in vecs]
+            acc = None
+            for j in orders:
+                nodes = [v[i] for i in ai[: j + 1]]
+                dirs = [rots[key] for key in rot_keys[:j]]
+                if f.kind == "exp_sum" and j <= 2:
+                    if tx is None:  # order 1's term, read by order 2
+                        table = _exp_dd1(f, nodes[0], nodes[1])
+                        tx = np.multiply(table, dirs[0],
+                                         out=buffers.empty(table.shape))
+                    inner = tx if j == 1 else _exp_moi2(
+                        f, *nodes, table, dirs[0], tx, dirs[1],
+                        _confluent_delta([v[i] for i in set(ai[:3])]))
+                else:
+                    inner = np.einsum(specs[j], divided_diff_grid(f, nodes),
+                                      *dirs)
+                if acc is None:
+                    acc = np.matmul(u[ai[0]] @ inner, back[ai[j]],
+                                    out=out[blk])
+                else:
+                    acc += u[ai[0]] @ inner @ back[ai[j]]
     return out.reshape(batch + (n, n))
 
 

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import nctrace.ito
-from nctrace import matrix_alg
+from nctrace import buffers, matrix_alg
 from nctrace.ito import functional_ito_residual
 from nctrace.matrix_alg import (
     CLUSTER_TOL,
@@ -174,6 +174,20 @@ def test_divided_diff_grid_matches_scalar():
                 for k, c in enumerate(v3):
                     want = divided_diff(spec, [a, b, c])
                     assert grid[i, j, k] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("xi", [3.0, 40.0])
+def test_first_order_grid_keeps_its_digits_at_near_nodes(xi):
+    # a difference quotient (e^{i xi a} - e^{i xi b}) / (a - b) loses
+    # about eps / (xi |a - b|) of its digits: 1e-9 and more here
+    f = ScalarFunctionSpec.exp_sum([(1.0, xi), (0.3, -0.5 * xi)])
+    v = np.array([0.3, -0.7, 1.2])
+    w = v + np.array([1e-9, 1e-12, -1e-9])
+    grid = divided_diff_grid(f, [v, w])
+    for i, a in enumerate(v):
+        for j, b in enumerate(w):
+            assert grid[i, j] == pytest.approx(divided_diff(f, [a, b]),
+                                               rel=1e-12)
 
 
 def test_divided_diff_grid_is_stable_near_coalescence():
@@ -515,6 +529,18 @@ def test_functional_residual_makes_one_moi_pass_per_block(monkeypatch):
         [(128, 8, 8)] * 2 + [(72, 8, 8)] * 2
 
 
+def test_moi_blocks_share_recycled_buffers(buffers_used):
+    # n = 8, 200 steps: both blocks take their arrays from the same six
+    # buffers (a table held into the next block adds one), and the next
+    # call takes them again
+    path = simulate_hbm(8, TimeGrid.uniform(1.0, 200), RngStream(0, 0))
+    assert buffers_used(lambda: functional_ito_residual(EXP, path)) <= 6
+    kept = [id(buf) for buf in buffers._buffers]
+    assert kept
+    functional_ito_residual(EXP, path)
+    assert [id(buf) for buf in buffers._buffers] == kept
+
+
 def _two_call_residual(f, values):
     """``functional_ito_residual``'s per_time and increments, with the
     first- and second-order MOIs made by two calls."""
@@ -613,6 +639,23 @@ def test_second_order_at_the_zero_matrix_is_half_the_second_derivative():
     b = rand_hermitian(5, rng)
     want = complex(EXP.derivative(2)(0.0)) / 2 * (b @ b)
     assert_rel(moi(EXP, 2, (zero,) * 3, (b, b)), want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_constant_term_adds_nothing_to_the_functional_residual(n):
+    # a constant's divided differences vanish; f(X_t) - f(X_0) cancels it
+    # to the rounding of |f| <= 3
+    with_const = ScalarFunctionSpec.exp_sum([(2.0, 0.0), (1.0, 1.1)])
+    plain = ScalarFunctionSpec.exp_sum([(1.0, 1.1)])
+    path = simulate_hbm(n, TimeGrid.uniform(1.0, 50), RngStream(3, 0))
+    got = functional_ito_residual(with_const, path)["per_time"]
+    want = functional_ito_residual(plain, path)["per_time"]
+    assert np.max(np.abs(got - want)) < 1e-14
+    sd = spectral_data(path.values)[:-1]
+    dx = np.diff(path.values, axis=0)
+    both = moi(with_const, (1, 2), (sd,) * 3, (dx, dx))
+    assert np.isfinite(both).all()
+    assert_rel(both, moi(plain, (1, 2), (sd,) * 3, (dx, dx)))
 
 
 def test_functional_residual_builds_no_dense_second_order_kernel(monkeypatch):
