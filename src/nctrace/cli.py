@@ -107,8 +107,9 @@ def _effective(args, defaults: dict) -> dict:
 
 
 def _meshes(value) -> list[float]:
-    """The meshes as floats; ``stoch_int.mesh_study`` takes at least 3, and
-    ``TimeGrid.from_mesh`` checks that each divides the horizon."""
+    """The meshes as floats; ``stoch_int.mesh_study`` takes at least 3,
+    strictly decreasing, and ``TimeGrid.from_mesh`` checks that each
+    divides the horizon."""
     if isinstance(value, str):
         value = [float(v) for v in value.split(",") if v]
     return [float(v) for v in value]
@@ -259,15 +260,19 @@ def _cmd_esd(cfg) -> list[dict]:
 def _cmd_selftest(cfg) -> list[dict]:
     known = [c.__name__.removeprefix("check_") for c in ALL_CHECKS]
     checks = cfg["checks"]
-    if checks:
+    if checks is None:
+        checks = known
+    else:
         if isinstance(checks, str):
             checks = [c for c in checks.split(",") if c]
+        if not checks:
+            raise ConfigError("checks names no check; leave it out to run all")
         unknown = [c for c in checks if c not in known]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
     records = []
     for name in known:
-        if checks and name not in checks:
+        if name not in checks:
             continue
         start = time.perf_counter()
         records += run_selftest(seed=int(cfg["seed"]), checks=[name])

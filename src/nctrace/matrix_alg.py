@@ -26,6 +26,8 @@ recurrence f^[2](a, b, c) = (f^[1](a, b) - f^[1](a, c)) / (b - c) turns
 the sum over the middle index into two batched matrix products with one
 reciprocal grid D = 1 / (b - c), and every close pair of nodes adds its
 own terms by one rule, the recurrence of f^[2] over f^[1] (``_exp_moi2``).
+Near-equal eigenvalues, left as ``eigh`` gives them, are such close pairs
+when they are closer than ``CONFLUENT_TOL`` relative.
 When all three node vectors are equal, the b = c diagonal is
 (f^[1] - f') D, with f' the table's own diagonal.  ``divided_diff_grid``
 still builds the dense grid, by the same rule (``_exp_dd2``), and the
@@ -53,8 +55,6 @@ from . import buffers
 
 # relative gap below which divided differences switch to confluent entries
 CONFLUENT_TOL = 1e-6
-# relative tolerance for grouping near-degenerate eigenvalues
-CLUSTER_TOL = 1e-8
 
 
 def trace_n(a: np.ndarray) -> np.ndarray:
@@ -288,19 +288,18 @@ class ScalarFunctionSpec:
 
 def _cluster_nodes(nodes, tol_scale):
     """Snap near-equal nodes to their cluster mean; returns a sorted list."""
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i])
-    snapped = [nodes[i] for i in order]
+    z = sorted(nodes)
     i = 0
-    while i < len(snapped):
+    while i < len(z):
         j = i + 1
-        while j < len(snapped) and abs(snapped[j] - snapped[j - 1]) < tol_scale:
+        while j < len(z) and abs(z[j] - z[j - 1]) < tol_scale:
             j += 1
         if j - i > 1:
-            rep = sum(snapped[i:j]) / (j - i)
+            rep = sum(z[i:j]) / (j - i)
             for m in range(i, j):
-                snapped[m] = rep
+                z[m] = rep
         i = j
-    return snapped
+    return z
 
 
 def divided_diff(f: ScalarFunctionSpec, nodes: Sequence) -> complex:
@@ -445,12 +444,14 @@ def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
     reciprocal grid D = 1 / (b - c), 0 on the close pairs |b - c| < delta,
     and g^[2](a, b, c) at the close pairs: on the b = c diagonal of equal b
     and c as a (B, m_0, m) array (None when b and c differ), and at the
-    other close pairs (snapped clusters, nodes less than delta apart, every
-    pair of the zero matrix) gathered, as their indices k, j, l and a
-    (pairs, m_0) array (None when there are none).  When all three node
-    vectors are equal, g^[1](b, c) is read from the table and the diagonal
-    is G = (table - g'(b)) D, with g'(b) the table's own diagonal, g''/2
-    on G's diagonal and ``_exp_close``'s value at G's close pairs.
+    other close pairs (repeated or near-equal eigenvalues, every pair of the
+    zero matrix) gathered, as their indices k, j, l and a (pairs, m_0)
+    array (None when there are none).  delta, ``CONFLUENT_TOL`` times the
+    largest |node| (``_confluent_delta``), is the one near-equal rule for
+    eigenvalues.  When all three node vectors are equal, g^[1](b, c) is
+    read from the table and the diagonal is G = (table - g'(b)) D, with
+    g'(b) the table's own diagonal, g''/2 on G's diagonal and
+    ``_exp_close``'s value at G's close pairs.
     Otherwise each close pair takes ``_exp_close``, given g^[1](b, c) from
     ``_exp_dd1``."""
     same = np.array_equal(b, c)
@@ -608,29 +609,25 @@ MOI_BLOCK_ENTRIES = 2**16
 class SpectralData:
     """Eigendecomposition of a (..., n, n) stack of Hermitian matrices.
 
-    ``snapped`` is ``eigenvalues`` with each cluster of near-degenerate
-    eigenvalues replaced by its mean; the MOI kernels take their nodes from
-    it.  Indexing selects along the leading batch axes.
+    The MOI kernels take their nodes from ``eigenvalues`` as ``eigh`` gives
+    them: near-equal eigenvalues are left apart, and the kernels' close-pair
+    rule at ``CONFLUENT_TOL`` treats them.  Indexing selects along the
+    leading batch axes.
     """
 
     eigenvalues: np.ndarray   # (..., n), ascending
     eigenvectors: np.ndarray  # (..., n, n), one eigenvector per column
-    snapped: np.ndarray       # (..., n)
 
     def __getitem__(self, idx) -> "SpectralData":
-        return SpectralData(self.eigenvalues[idx], self.eigenvectors[idx],
-                            self.snapped[idx])
+        return SpectralData(self.eigenvalues[idx], self.eigenvectors[idx])
 
 
 def spectral_data(a: np.ndarray) -> SpectralData:
     """Eigendecomposition of each matrix of a (..., n, n) Hermitian stack,
-    with near-degenerate eigenvalues snapped to their cluster mean.
+    by ``eigh``.
 
     Raises ``ValueError`` if any entry is NaN or infinite, naming the first
-    such entries, and if any matrix is not Hermitian.  Neighbouring
-    eigenvalues join a cluster when they differ by at most ``CLUSTER_TOL``
-    times the matrix's spectral radius (or ``CLUSTER_TOL`` for the zero
-    matrix).
+    such entries, and if any matrix is not Hermitian.
     """
     a = np.asarray(a)
     bad = np.argwhere(~np.isfinite(a))
@@ -642,21 +639,7 @@ def spectral_data(a: np.ndarray) -> SpectralData:
             f"{named}{', ...' if len(bad) > 3 else ''}")
     if not _hermitian_mask(a, tol=1e-10).all():
         raise ValueError("spectral data requires a Hermitian matrix")
-    lam, u = np.linalg.eigh(a)
-    scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
-    scale = np.where(scale == 0, 1.0, scale)
-    joined = np.diff(lam, axis=-1) <= CLUSTER_TOL * scale[..., None]
-    if not np.any(joined):
-        return SpectralData(lam, u, lam)
-    # cluster id of each eigenvalue, unique across the flattened stack
-    n = lam.shape[-1]
-    flat = lam.reshape(-1, n)
-    ids = np.zeros(flat.shape, dtype=np.intp)
-    np.cumsum(~joined.reshape(-1, n - 1), axis=-1, out=ids[:, 1:])
-    ids += n * np.arange(flat.shape[0])[:, None]
-    sums = np.bincount(ids.ravel(), weights=flat.ravel())
-    counts = np.maximum(np.bincount(ids.ravel()), 1)
-    return SpectralData(lam, u, (sums / counts)[ids].reshape(lam.shape))
+    return SpectralData(*np.linalg.eigh(a))
 
 
 def _spectral(a) -> SpectralData:
@@ -702,7 +685,9 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     close node pairs' terms (``_exp_moi2``), with no (n, n, n) kernel.
     The blocks' rotations, tables and products are carved from recycled
     buffers of one block's size (``buffers.recycled``), and each block
-    lets go of the last one's before it makes its own.
+    lets go of the last one's before it makes its own.  The node vectors
+    are the arguments' eigenvalues as ``eigh`` gives them; near-equal ones
+    take the kernels' close-pair rule at ``CONFLUENT_TOL``.
 
     ``k`` may be a tuple of increasing orders, each at least 1: the result
     is then the sum, in that order, of the MOI of each order j over the
@@ -721,9 +706,10 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     products.  Equal copies give the same bits as one object.
     """
     orders = (k,) if isinstance(k, int) else tuple(k)
-    if len(orders) > 1 and not (
-            orders[0] >= 1 and all(i < j for i, j in zip(orders, orders[1:]))):
-        raise ValueError("a sum of MOIs takes increasing orders >= 1")
+    increasing = all(i < j for i, j in zip(orders, orders[1:]))
+    if not orders or (len(orders) > 1 and not (orders[0] >= 1 and increasing)):
+        raise ValueError("a sum of MOIs takes one or more increasing orders "
+                         f">= 1, got {orders}")
     k = orders[-1]
     if len(a_tuple) != k + 1 or len(b_tuple) != k:
         raise ValueError("need k+1 Hermitian arguments and k directions")
@@ -744,7 +730,7 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     def flat(x, tail):
         return np.broadcast_to(x, batch + tail).reshape((size,) + tail)
 
-    vecs = [flat(sd.snapped, (n,)) for sd in sds]
+    vecs = [flat(sd.eigenvalues, (n,)) for sd in sds]
     us = [flat(sd.eigenvectors, (n, n)) for sd in sds]
     bs = [flat(b, (n, n)) for b in b_objs]
     # each rotation U_m* b_m U_{m+1} by its distinct (a_m, b_m, a_{m+1})

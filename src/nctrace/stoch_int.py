@@ -257,10 +257,15 @@ def mesh_study(check: str, params: dict, figure, meshes,
     seed from ``params``: ``figure(i, grid)`` on the i-th mesh's grid, the
     first and last as its sides, their log-log slope, ``meshes`` and
     ``residuals`` (the figures), and ``passed`` as ``passes(figures,
-    slope)`` if given.  Fewer than 3 meshes raise ValueError."""
+    slope)`` if given.  Fewer than 3 meshes, or meshes that are not
+    strictly decreasing, raise ValueError: the record's ``mesh`` is the
+    last, and a pass rule compares the first figure with the last."""
     meshes = list(meshes)
     if len(meshes) < 3:
         raise ValueError("need at least 3 meshes")
+    if any(a <= b for a, b in zip(meshes, meshes[1:])):
+        raise ValueError("meshes must be distinct and strictly decreasing, "
+                         f"got {meshes}")
     figures = [figure(i, TimeGrid.from_mesh(1.0, m))
                for i, m in enumerate(meshes)]
     slope = fit_loglog_slope(meshes, figures)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nctrace
+from nctrace import cli
 from nctrace.cli import COMMANDS, build_parser, main
 from nctrace.process_sim import load_ncp1
 
@@ -548,6 +549,17 @@ def test_ito_small(capsys):
     assert rc == 2 and "distinct" in err
 
 
+@pytest.mark.parametrize("meshes", ["0.125,0.25,0.5", "0.5,0.125,0.25"])
+@pytest.mark.parametrize("cmd", ["ito", "qc"])
+def test_meshes_that_do_not_decrease_exit_2(capsys, cmd, meshes):
+    # the verdict compares the first residual with the last and the record
+    # names the last mesh, so increasing meshes failed a converging study
+    rc, _, err = run(capsys, cmd, "--n", "2", "--paths", "2",
+                     "--meshes", meshes)
+    assert rc == 2 and "decreasing" in err
+    assert str([float(m) for m in meshes.split(",")]) in err
+
+
 def test_ito_reads_starred_driver_letters_as_plain(capsys):
     # x1'^2 exited 2 ("starred slot letters are not allowed") while x1'
     # ran; the driver is self-adjoint, so it is the x1^2 study
@@ -613,6 +625,25 @@ def test_selftest_checks_drop_empty_entries(capsys):
     assert out.startswith("PASS  golden_partial\n[")
     assert [r["check"] for r in json.loads(out[out.index("["):])] == [
         "golden_partial"]
+
+
+@pytest.mark.parametrize("checks", [",", "", []],
+                         ids=["comma", "empty", "config_list"])
+def test_selftest_checks_that_name_no_check_exit_2(tmp_path, monkeypatch,
+                                                   capsys, checks):
+    # these ran all 18 checks, where run_selftest(checks=[]) runs none
+    ran = []
+    monkeypatch.setattr(cli, "run_selftest",
+                        lambda **kw: ran.append(kw) or [])
+    if isinstance(checks, list):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": checks}))
+        argv = ["--config", str(cfg)]
+    else:
+        argv = ["--checks", checks]
+    rc, _, err = run(capsys, "selftest", *argv)
+    assert rc == 2 and "names no check" in err
+    assert ran == []
 
 
 def test_selftest_unknown_check(capsys):

@@ -16,7 +16,6 @@ import nctrace.ito
 from nctrace import buffers, matrix_alg
 from nctrace.ito import functional_ito_residual
 from nctrace.matrix_alg import (
-    CLUSTER_TOL,
     CONFLUENT_TOL,
     ScalarFunctionSpec,
     adjoint,
@@ -323,9 +322,9 @@ CUBIC = ScalarFunctionSpec.polynomial([0.5, -1.0, 0.0, 2.0, 0.0, 1.0])
 
 
 def mixed_stack(rng, n=6):
-    """Hermitian (2, 3, n, n) stack: a generic spectrum, eigenvalues within
-    CLUSTER_TOL (snapped), within CONFLUENT_TOL but not CLUSTER_TOL, a
-    1e-3-scale matrix, an exact double eigenvalue, and the zero matrix."""
+    """Hermitian (2, 3, n, n) stack: a generic spectrum, a triple of
+    eigenvalues 1e-11 wide, a pair 1e-7 apart (both within CONFLUENT_TOL),
+    a 1e-3-scale matrix, an exact double eigenvalue, and the zero matrix."""
     def with_spectrum(lam):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         u, _ = np.linalg.qr(g)
@@ -363,17 +362,9 @@ def test_spectral_data_stack_matches_per_matrix():
         one = spectral_data(a[idx])
         assert np.array_equal(sd.eigenvalues[idx], one.eigenvalues)
         assert np.array_equal(sd.eigenvectors[idx], one.eigenvectors)
-        assert np.array_equal(sd.snapped[idx], one.snapped)
-    # snapping: the triple within CLUSTER_TOL shares its mean; the pair
-    # 1e-7 apart and the small-scale matrix are left alone
-    snapped = sd.snapped[0, 1]
-    assert snapped[0] == snapped[1] == snapped[2]
-    assert snapped[0] == pytest.approx(0.4 + 1e-11, abs=1e-14)
-    assert np.array_equal(sd.snapped[0, 2], sd.eigenvalues[0, 2])
-    assert np.array_equal(sd.snapped[1, 0], sd.eigenvalues[1, 0])
-    assert np.all(sd.snapped[1, 2] == 0.0)
+    # the pair 1e-7 apart is a close pair of the kernels
     gap = np.diff(sd.eigenvalues[0, 2])[0]
-    assert CLUSTER_TOL * 3.0 < gap < CONFLUENT_TOL * 3.0
+    assert gap < CONFLUENT_TOL * 3.0
 
 
 def test_op_function_stack_matches_per_matrix():
@@ -386,7 +377,7 @@ def test_op_function_stack_matches_per_matrix():
 
 def test_divided_diff_grid_stack_matches_per_row():
     sd = spectral_data(mixed_stack(np.random.default_rng(3)))
-    lam = sd.snapped.reshape(6, 6)
+    lam = sd.eigenvalues.reshape(6, 6)
     other = sd.eigenvalues.reshape(6, 6)[::-1]
     cases = [(CUBIC, [lam, other, lam, lam])]
     cases += [(EXP, [lam, other, lam][: k + 1]) for k in range(3)]
@@ -455,9 +446,9 @@ def test_moi_of_equal_copies_equals_moi_of_one_object():
 
 def test_same_node_second_divided_difference_matches_scalar():
     # every close pair takes g^[2](a, b, c) = (g^[1](b, c) - g^[1](a, b))
-    # / (c - a), with g^[1](b, c) = g'(b) on the b = c diagonal and the
-    # snapped triple, and the table's entry for the pair 1e-7 apart
-    lam = spectral_data(mixed_stack(np.random.default_rng(9))).snapped
+    # / (c - a), with g^[1](b, c) = g'(b) on the b = c diagonal, and the
+    # table's entry for the triple 1e-11 wide and the pair 1e-7 apart
+    lam = spectral_data(mixed_stack(np.random.default_rng(9))).eigenvalues
     lam = lam.reshape(6, 6)
     grid = divided_diff_grid(EXP, [lam, lam, lam])
     for r, row in enumerate(lam):
@@ -481,11 +472,11 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_same_node_grid_builds_one_first_order_table_per_block(monkeypatch):
-    # the whole mixed_stack: the snapped triple, the exact double and the
-    # pair 1e-7 apart all read their f^[1](b, c) from the one table
+    # the whole mixed_stack: the triple 1e-11 wide, the exact double and
+    # the pair 1e-7 apart all read their f^[1](b, c) from the one table
     a = mixed_stack(np.random.default_rng(10)).reshape(6, 6, 6)
     b = np.stack([rand_hermitian(6) for _ in range(6)])
-    lam = spectral_data(a).snapped
+    lam = spectral_data(a).eigenvalues
     calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd1")
     divided_diff_grid(EXP, [lam, lam, lam])
     assert calls == [(6, 6, 6)]
@@ -560,8 +551,8 @@ def _bits(x):
 @pytest.mark.parametrize("case", ["n1", "one_step", "zero", "mixed"])
 def test_sum_of_orders_has_the_bits_of_separate_moi_calls(monkeypatch, case):
     # the all-zero path makes every node pair confluent, so its off-diagonal
-    # pairs are gathered; mixed_stack has a snapped cluster and a pair 1e-7
-    # apart
+    # pairs are gathered; mixed_stack has a triple 1e-11 wide and a pair
+    # 1e-7 apart
     rng = np.random.default_rng(13)
     values = {
         "n1": lambda: simulate_hbm(1, TimeGrid.uniform(1.0, 20),
@@ -590,7 +581,7 @@ def test_sum_of_orders_has_the_bits_of_separate_moi_calls(monkeypatch, case):
             args = (values, sd, values[::-1].copy())
             want = moi(f, 1, args[:2], (b,)) + moi(f, 2, args, (b, c))
             assert _bits(moi(f, (1, 2), args, (b, c))) == _bits(want)
-    for orders in ((2, 1), (0, 1), (1, 1)):
+    for orders in ((2, 1), (0, 1), (1, 1), ()):
         with pytest.raises(ValueError):
             moi(EXP, orders, (sd,) * 3, (b, b))
 
@@ -602,7 +593,7 @@ def _dense_moi2(f, a_tuple, b_tuple):
     u = [sd.eigenvectors for sd in sds]
     x = adjoint(u[0]) @ b_tuple[0] @ u[1]
     y = adjoint(u[1]) @ b_tuple[1] @ u[2]
-    kernel = divided_diff_grid(f, [sd.snapped for sd in sds])
+    kernel = divided_diff_grid(f, [sd.eigenvalues for sd in sds])
     return u[0] @ np.einsum("...abc,...ab,...bc->...ac", kernel, x, y) \
         @ adjoint(u[2])
 
@@ -611,8 +602,8 @@ def _dense_moi2(f, a_tuple, b_tuple):
 def test_second_order_products_match_the_dense_kernel(case):
     # moi contracts an exponential sum's second order as two products plus
     # the close pairs' terms; divided_diff_grid's dense kernel is the
-    # reference.  mixed_stack has the b = c diagonal, a snapped cluster and
-    # a pair 1e-7 apart; the zero stack makes every pair close
+    # reference.  mixed_stack has the b = c diagonal, a triple 1e-11 wide
+    # and a pair 1e-7 apart; the zero stack makes every pair close
     rng = np.random.default_rng(15)
     values = {
         "mixed": lambda: mixed_stack(rng).reshape(6, 6, 6),
@@ -630,6 +621,35 @@ def test_second_order_products_match_the_dense_kernel(case):
     for f in (EXP, ScalarFunctionSpec.exp_sum([(0.3, 40.0)])):
         for dirs in ((b, b), (b, c)):
             assert_rel(moi(f, 2, args, dirs), _dense_moi2(f, args, dirs))
+
+
+def test_moi_orders_at_near_equal_eigenvalues():
+    # no eigenvalue is snapped: mixed_stack's triple 1e-11 wide, pair 1e-7
+    # apart, exact double and zero matrix take the kernels' close-pair rule
+    rng = np.random.default_rng(17)
+    a = mixed_stack(rng)
+    b = np.stack([rand_hermitian(6, rng) for _ in range(6)]).reshape(a.shape)
+    got = {}
+    for k in (1, 2, (1, 2)):
+        top = k if isinstance(k, int) else k[-1]
+        got[k] = moi(EXP, k, (a,) * (top + 1), (b,) * top)
+        want = per_matrix(
+            lambda m, x: moi(EXP, k, (m,) * (top + 1), (x,) * top), a, b)
+        assert_rel(got[k], want)
+    dense = _dense_moi2(EXP, (a,) * 3, (b, b))
+    assert_rel(got[2], dense)
+    assert_rel(got[(1, 2)], got[1] + dense)
+    # central differences of the operator function: the first and second
+    # derivatives along b are I f^[1] [b] and 2 I f^[2] [b, b]
+    h = 1e-5
+    fd1 = (op_function(EXP, a + h * b) - op_function(EXP, a - h * b)) / (2 * h)
+    assert np.max(np.abs(got[1] - fd1)) < 1e-6
+    h = 1e-4
+    fd2 = (op_function(EXP, a + h * b) - 2 * op_function(EXP, a)
+           + op_function(EXP, a - h * b)) / h**2
+    scale = max(1.0, float(np.max(np.abs(got[2]))))
+    assert np.max(np.abs(2 * got[2] - fd2)) < 1e-6 * scale
+    assert np.max(np.abs(got[(1, 2)] - fd1 - fd2 / 2)) < 1e-6 * scale
 
 
 def test_second_order_at_the_zero_matrix_is_half_the_second_derivative():
