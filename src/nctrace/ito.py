@@ -6,10 +6,11 @@ functions the derivative terms are multiple operator integrals with
 divided-difference kernels, evaluated for all time steps of a path at
 once from one eigendecomposition per grid point, both orders in one
 ``moi`` pass that rotates each increment once, builds one f^[1] table
-per block (one exp per atom and node vector) and contracts the second
-order as two batched matrix products over one reciprocal grid, which
-with the table's diagonal also gives the b = c diagonal; the blocks'
-arrays come from recycled buffers.  Residuals of the
+per block (a polynomial's closed form, or one exp per atom and node
+vector of an exponential sum) and contracts the second order as two
+batched matrix products over one reciprocal grid, which with the table's
+diagonal also gives the b = c diagonal, for either kind of function; the
+blocks' arrays come from recycled buffers.  Residuals of the
 discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
 and fed into mesh convergence studies (``convergence_study``, one
 ``stoch_int.mesh_study``); ``_residual_summary`` builds both residual
@@ -204,8 +205,8 @@ def functional_ito_residual(f: ScalarFunctionSpec, path: ProcessPath) -> dict:
     one ``moi`` call of orders (1, 2), batched over the time axis: per
     block it rotates each dX into the eigenbasis once, and the first
     order's f^[1] table times the rotated dX is what the second order's
-    two matrix products read; no (n, n, n) kernel is made for an
-    exponential sum.  Its steps have the bits of one call per order added
+    two matrix products read; no (n, n, n) kernel is made, for a
+    polynomial as for an exponential sum.  Its steps have the bits of one call per order added
     up.  A path with a NaN or infinite entry raises ``ValueError`` naming
     it."""
     values = path.values

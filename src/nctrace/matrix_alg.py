@@ -12,32 +12,33 @@ do for a self-adjoint P on a bitwise Hermitian path.
 ``l2_trace_norms`` is the tr_n-L^2 norm, an upper bound on tr_n |a| at
 O(n^2) per matrix, which tells the Ito study where its sup cannot be.
 
-The MOI route (``spectral_data``, ``op_function``, ``divided_diff_grid``,
-``moi``) works on stacks: matrices of shape (..., n, n) and node vectors of
-shape (..., m) with leading batch axes, where a single matrix is the stack
-without batch axes.  Each batch element gives what a call on it alone gives.
-It shares what its arguments share: ``moi`` computes the spectral data,
-node vectors, eigenvector stacks and rotated directions once per distinct
-argument object, on one flat batch axis.  An exponential sum's f^[1]
-table (``_exp_dd1``) makes one exp per atom and distinct node vector, and
-its sinc as sin(y) / y; an atom with xi = 0 adds nothing.  ``moi``
-contracts an exponential sum's second order with no (n, n, n) kernel: the
-recurrence f^[2](a, b, c) = (f^[1](a, b) - f^[1](a, c)) / (b - c) turns
-the sum over the middle index into two batched matrix products with one
-reciprocal grid D = 1 / (b - c), and every close pair of nodes adds its
-own terms by one rule, the recurrence of f^[2] over f^[1] (``_exp_moi2``).
-Near-equal eigenvalues, left as ``eigh`` gives them, are such close pairs
-when they are closer than ``CONFLUENT_TOL`` relative.
-When all three node vectors are equal, the b = c diagonal is
-(f^[1] - f') D, with f' the table's own diagonal.  ``divided_diff_grid``
-still builds the dense grid, by the same rule (``_exp_dd2``), and the
-polynomial kernels of every order.  A sum of orders (``moi(f, (1, 2),
-...)``) shares the rotations between its orders, and its first order's
-kernel, the f^[1] table times the rotated direction, is what the second
-order's products read.  The arrays of each block come from recycled
-buffers (``buffers``), so the next block and the next call reuse them.
-Equal copies of an argument give the same bits as one object passed in
-every slot.
+The MOI route (``spectral_data``, ``op_function``, ``moi``) works on
+stacks: matrices of shape (..., n, n) and node vectors of shape (..., m)
+with leading batch axes, where a single matrix is the stack without batch
+axes.  Each batch element gives what a call on it alone gives.  It shares
+what its arguments share: ``moi`` computes the spectral data, node
+vectors, eigenvector stacks and rotated directions once per distinct
+argument object, on one flat batch axis.  Every scalar function takes one
+route for orders 1 and 2, from its f^[1] table (``_dd1``): a polynomial's
+closed form, or an exponential sum's ``_exp_dd1``, which makes one exp per
+atom and distinct node vector and its sinc as sin(y) / y, and skips an
+atom with xi = 0.  The first order is the table times the rotated
+direction.  The second order has no (n, n, n) kernel: the recurrence
+f^[2](a, b, c) = (f^[1](a, b) - f^[1](a, c)) / (b - c) turns the sum over
+the middle index into two batched matrix products with one reciprocal grid
+D = 1 / (b - c), and every close pair of nodes adds its own terms by one
+rule, the recurrence of f^[2] over f^[1] (``_close``).  Near-equal
+eigenvalues, left as ``eigh`` gives them, are such close pairs when they
+are closer than ``CONFLUENT_TOL`` relative.  When all three node vectors
+are equal, the b = c diagonal is (f^[1] - f') D, with f' the table's own
+diagonal.  Orders above 2, which only polynomials have, contract the dense
+closed-form kernel of ``divided_diff_grid`` with one ``einsum``.  A sum of
+orders (``moi(f, (1, 2), ...)``) shares the rotations between its orders,
+and its first order's kernel, the f^[1] table times the rotated direction,
+is what the second order's products read.  The arrays of each block come
+from recycled buffers (``buffers``), so the next block and the next call
+reuse them.  Equal copies of an argument give the same bits as one object
+passed in every slot.
 """
 
 from __future__ import annotations
@@ -417,14 +418,24 @@ def _exp_dd1(f: ScalarFunctionSpec, a: np.ndarray,
     return out
 
 
-def _exp_close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc,
-               delta) -> np.ndarray:
-    """Second divided difference g^[2](a, b, c) of the exponential sum ``f``
-    at node pairs with |b - c| < delta, on broadcast arrays, given
-    d_ab = g^[1](a, b) and d_bc = g^[1](b, c) (None where b = c throughout,
-    for g'(b)): (g^[1](b, c) - g^[1](a, b)) / (c - a), or
-    g''((a + b + c) / 3) / 2 where a is within delta of c.  A ``_exp_dd1``
-    value at b = c is g'(b) already."""
+def _dd1(f: ScalarFunctionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The f^[1] table of ``f`` on the grid of node vectors a (..., m_0)
+    and b (..., m_1), of shape (..., m_0, m_1): a polynomial's closed form
+    (``_poly_divdiff_grid``), or an exponential sum's ``_exp_dd1``.  Both
+    are f'(b) where b = a."""
+    if f.kind == "polynomial":
+        return _poly_divdiff_grid(
+            f, _tensor_axes([a.astype(complex), b.astype(complex)]))
+    return _exp_dd1(f, a, b)
+
+
+def _close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc, delta) -> np.ndarray:
+    """Second divided difference g^[2](a, b, c) of ``f`` at node pairs with
+    |b - c| < delta, on broadcast arrays, given d_ab = g^[1](a, b) and
+    d_bc = g^[1](b, c) (None where b = c throughout, for g'(b)):
+    (g^[1](b, c) - g^[1](a, b)) / (c - a), or g''((a + b + c) / 3) / 2
+    where a is within delta of c.  A ``_dd1`` value at b = c is g'(b)
+    already."""
     if d_bc is None:
         d_bc = f.derivative(1)(b)
     ca = c - a
@@ -436,9 +447,9 @@ def _exp_close(f: ScalarFunctionSpec, a, b, c, d_ab, d_bc,
     return out
 
 
-def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
-    """What both second-order routes of the exponential sum ``f`` need, on
-    (B, m) node vectors, the g^[1](a, b) ``table`` and (B,) ``delta``.
+def _pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
+    """What ``_moi2`` needs besides its products, on (B, m) node vectors,
+    the g^[1](a, b) ``table`` and (B,) ``delta``.
 
     Returns g^[1](a, c) (``table`` itself when b and c are equal), the
     reciprocal grid D = 1 / (b - c), 0 on the close pairs |b - c| < delta,
@@ -450,13 +461,12 @@ def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
     largest |node| (``_confluent_delta``), is the one near-equal rule for
     eigenvalues.  When all three node vectors are equal, g^[1](b, c) is
     read from the table and the diagonal is G = (table - g'(b)) D, with
-    g'(b) the table's own diagonal, g''/2 on G's diagonal and
-    ``_exp_close``'s value at G's close pairs.
-    Otherwise each close pair takes ``_exp_close``, given g^[1](b, c) from
-    ``_exp_dd1``."""
+    g'(b) the table's own diagonal, g''/2 on G's diagonal and ``_close``'s
+    value at G's close pairs.  Otherwise each close pair takes ``_close``,
+    given g^[1](b, c) from ``_dd1``."""
     same = np.array_equal(b, c)
     equal = same and np.array_equal(a, b)
-    d_ac = table if same else _exp_dd1(f, a, c)
+    d_ac = table if same else _dd1(f, a, c)
     shape = b.shape + c.shape[1:]                      # (B, m_1, m_2)
     bc = np.subtract(b[:, :, None], c[:, None, :],
                      out=buffers.empty(shape, float))
@@ -477,65 +487,36 @@ def _exp_pairs(f: ScalarFunctionSpec, a, b, c, table, delta):
             diag[:, d, d] = f.derivative(2)(b) / 2.0
         else:
             bn = b[:, None, :]
-            diag = _exp_close(f, a[:, :, None], bn, bn, table, None,
-                              delta[:, None, None])
+            diag = _close(f, a[:, :, None], bn, bn, table, None,
+                          delta[:, None, None])
     if np.any(rest):
         k, j, l = np.nonzero(rest)
         if equal:
             d_bc = table[k, j, l]
-            diag[k, j, l] = _exp_close(f, a[k, j], c[k, l], c[k, l], d_bc,
-                                       None, delta[k])
+            diag[k, j, l] = _close(f, a[k, j], c[k, l], c[k, l], d_bc,
+                                   None, delta[k])
         else:
-            d_bc = _exp_dd1(f, b[k, j, None], c[k, l, None])[:, 0, 0]
-        gathered = k, j, l, _exp_close(
+            d_bc = _dd1(f, b[k, j, None], c[k, l, None])[:, 0, 0]
+        gathered = k, j, l, _close(
             f, a[k], b[k, j, None], c[k, l, None], table[k, :, j],
             d_bc[:, None], delta[k, None])
     return d_ac, recip, diag, gathered
 
 
-def _exp_dd2(f: ScalarFunctionSpec, vecs, delta: np.ndarray) -> np.ndarray:
-    """Second divided difference of the exponential sum ``f`` on the tensor
-    grid of node vectors (..., m_0), (..., m_1), (..., m_2).
-
-    The work runs on one flat batch axis: the node vectors and ``delta``
-    are broadcast to (B, m) once, and the result takes the batch shape at
-    the end.  Entries with |b - c| >= delta difference the first-order
-    tables, (g^[1](a, b) - g^[1](a, c)) / (b - c), one table when the
-    second and third node vectors are equal, and the close pairs take
-    ``_exp_pairs``' values.
-    """
-    batch = np.broadcast_shapes(delta.shape, *(v.shape[:-1] for v in vecs))
-    size = math.prod(batch)
-    a, b, c = (np.broadcast_to(v, batch + v.shape[-1:]).reshape(
-        size, v.shape[-1]) for v in vecs)
-    delta = np.broadcast_to(delta, batch).reshape(size)
-    table = _exp_dd1(f, a, b)
-    d_ac, recip, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
-    out = table[:, :, :, None] - d_ac[:, :, None, :]
-    out *= recip[:, None]
-    if diag is not None:
-        d = np.arange(b.shape[-1])
-        out[:, :, d, d] = diag
-    if gathered is not None:
-        k, j, l, g2 = gathered
-        out[k, :, j, l] = g2
-    return out.reshape(batch + out.shape[1:])
-
-
-def _exp_moi2(f: ScalarFunctionSpec, a, b, c, table, x, tx, y,
-              delta) -> np.ndarray:
-    """sum_j g^[2](a_i, b_j, c_k) x[i, j] y[j, k] for the exponential sum
+def _moi2(f: ScalarFunctionSpec, a, b, c, table, x, tx, y,
+          delta) -> np.ndarray:
+    """sum_j g^[2](a_i, b_j, c_k) x[i, j] y[j, k] for the scalar function
     ``f``, on (B, m) node vectors, (B, m, m) matrices and (B,) ``delta``,
     with ``table`` the g^[1](a, b) grid and ``tx`` its product with x.
 
     No (B, m, m, m) kernel is made.  Where |b_j - c_k| >= delta the
     recurrence g^[2] = (g^[1](a_i, b_j) - g^[1](a_i, c_k)) / (b_j - c_k)
-    splits the sum into two products: with ``_exp_pairs``' reciprocal grid
-    D, it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)), the last product
-    taken entrywise.  Each close pair adds its own terms with the g^[2] of
-    ``_exp_pairs``, as ``_exp_dd2`` has it: the b = c diagonal on
-    (B, m, m) arrays, the other close pairs with ``np.add.at``."""
-    d_ac, recip, diag, gathered = _exp_pairs(f, a, b, c, table, delta)
+    splits the sum into two products: with ``_pairs``' reciprocal grid D,
+    it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)), the last product taken
+    entrywise.  Each close pair adds its own terms with ``_pairs``' g^[2]:
+    the b = c diagonal on (B, m, m) arrays, the other close pairs with
+    ``np.add.at``."""
+    d_ac, recip, diag, gathered = _pairs(f, a, b, c, table, delta)
     dy = np.multiply(recip, y, out=recip)
     del recip
     out = np.matmul(tx, dy, out=buffers.empty(tx.shape))
@@ -567,34 +548,20 @@ def _confluent_delta(vecs) -> np.ndarray:
 
 
 def divided_diff_grid(f: ScalarFunctionSpec, vectors: Sequence) -> np.ndarray:
-    """Divided difference f^[k] on the tensor grid of k+1 node vectors.
+    """Divided difference f^[k] of the polynomial ``f`` on the tensor grid
+    of k+1 node vectors, in closed form (``_poly_divdiff_grid``).
 
     Each vector has shape (..., m_j) with broadcastable leading batch axes,
     and the result has shape (..., m_0, ..., m_k); a batch element's entries
-    depend only on its own nodes.  Vectorized and cancellation-safe.
-    Supports k <= 2 for exponential sums and any k for polynomials.  At
-    k = 2 an exponential sum builds one f^[1] table when the second and
-    third node vectors are equal, works on one flat batch axis, and every
-    pair of nodes closer than ``CONFLUENT_TOL`` takes one rule,
-    (f^[1](b, c) - f^[1](a, b)) / (c - a) (see ``_exp_dd2``).  ``moi``
-    contracts the second order of an exponential sum without this grid
-    (see ``_exp_moi2``); the polynomial kernels of every order are made
-    here.
+    depend only on its own nodes.  ``moi`` contracts this dense kernel for
+    orders above 2 only; its orders 1 and 2 read the f^[1] table (``_dd1``)
+    and make no (n, n, n) kernel.  An exponential sum raises
+    ``ValueError``: its MOIs, of orders 1 and 2, take that route.
     """
-    k = len(vectors) - 1
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if f.kind == "polynomial":
-        return _poly_divdiff_grid(
-            f, _tensor_axes([v.astype(complex) for v in vecs]))
-    if k == 0:
-        return f(vecs[0]).astype(complex)
-    if k == 1:
-        return _exp_dd1(f, *vecs)
-    if k == 2:
-        return _exp_dd2(f, vecs, _confluent_delta(vecs))
-    raise NotImplementedError(
-        "exp_sum divided differences support k <= 2 on grids"
-    )
+    if f.kind != "polynomial":
+        raise ValueError("divided_diff_grid builds polynomial kernels only")
+    return _poly_divdiff_grid(f, _tensor_axes(
+        [np.asarray(v, dtype=float).astype(complex) for v in vectors]))
 
 
 # -- spectral data and operator functions ---------------------------------
@@ -666,6 +633,14 @@ def _distinct(items) -> tuple[list, list[int]]:
     return objs, index
 
 
+def _check_order(f: ScalarFunctionSpec, k: int) -> None:
+    """An exponential sum's MOIs have orders up to 2: raise ``ValueError``
+    for a higher order ``k``."""
+    if f.kind != "polynomial" and k > 2:
+        raise ValueError("an exponential sum's MOI has orders up to 2, "
+                         f"got order {k}")
+
+
 def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
         b_tuple: Sequence[np.ndarray]) -> np.ndarray:
     """Multiple operator integral I^a f^[k] [b_1, ..., b_k], or a sum of
@@ -677,12 +652,14 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     (a Hermitian argument may be given as its ``SpectralData``); the
     leading batch axes broadcast, and the result has their shape followed
     by (n, n).  The work is done in blocks of the flattened batch of at
-    most ``MOI_BLOCK_ENTRIES`` kernel entries of the highest order.  A
-    polynomial's kernel is built (``divided_diff_grid``) and contracted
-    with one ``einsum``.  An exponential sum's first order is its f^[1]
-    table times the rotated direction, and its second order is two
-    batched matrix products of that and the rotated directions plus the
-    close node pairs' terms (``_exp_moi2``), with no (n, n, n) kernel.
+    most ``MOI_BLOCK_ENTRIES`` kernel entries of the highest order.  For
+    every scalar function the first order is its f^[1] table (``_dd1``)
+    times the rotated direction, and the second order is two batched
+    matrix products of that and the rotated directions plus the close node
+    pairs' terms (``_moi2``), with no (n, n, n) kernel.  A polynomial's
+    orders above 2 contract its dense kernel (``divided_diff_grid``) with
+    one ``einsum``; an exponential sum has no order above 2, and asking for
+    one raises ``ValueError`` before any ``eigh``.
     The blocks' rotations, tables and products are carved from recycled
     buffers of one block's size (``buffers.recycled``), and each block
     lets go of the last one's before it makes its own.  The node vectors
@@ -700,10 +677,10 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     each rotated direction U_m* b_m U_{m+1} per distinct (a_m, b_m,
     a_{m+1}) and block, which every order reads.  So ``moi(f, 1, (a, a),
     (b,))`` runs one ``eigh``, and ``moi(f, (1, 2), (sd, sd, sd), (b, b))``
-    of an exponential sum rotates b once per block and, its node vectors
-    being equal, builds one f^[1] table per block: the first order's
-    product with the rotated b is the first term of the second order's
-    products.  Equal copies give the same bits as one object.
+    rotates b once per block and, its node vectors being equal, builds one
+    f^[1] table per block: the first order's product with the rotated b is
+    the first term of the second order's products.  Equal copies give the
+    same bits as one object.
     """
     orders = (k,) if isinstance(k, int) else tuple(k)
     increasing = all(i < j for i, j in zip(orders, orders[1:]))
@@ -711,6 +688,7 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
         raise ValueError("a sum of MOIs takes one or more increasing orders "
                          f">= 1, got {orders}")
     k = orders[-1]
+    _check_order(f, k)
     if len(a_tuple) != k + 1 or len(b_tuple) != k:
         raise ValueError("need k+1 Hermitian arguments and k directions")
     shapes = [a.eigenvectors.shape if isinstance(a, SpectralData)
@@ -738,7 +716,7 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
     letters = "abcdefgh"
     specs = {j: "..." + letters[: j + 1] + "," + ",".join(
         "..." + letters[m] + letters[m + 1] for m in range(j)
-    ) + "->..." + letters[0] + letters[j] for j in orders}
+    ) + "->..." + letters[0] + letters[j] for j in orders if j > 2}
     out = np.empty((size, n, n), dtype=complex)
     step = max(1, MOI_BLOCK_ENTRIES // n ** (k + 1))
     with buffers.recycled((min(step, size), n, n)):
@@ -755,12 +733,12 @@ def moi(f: ScalarFunctionSpec, k: int | tuple[int, ...], a_tuple: Sequence,
             for j in orders:
                 nodes = [v[i] for i in ai[: j + 1]]
                 dirs = [rots[key] for key in rot_keys[:j]]
-                if f.kind == "exp_sum" and j <= 2:
+                if j <= 2:
                     if tx is None:  # order 1's term, read by order 2
-                        table = _exp_dd1(f, nodes[0], nodes[1])
+                        table = _dd1(f, nodes[0], nodes[1])
                         tx = np.multiply(table, dirs[0],
                                          out=buffers.empty(table.shape))
-                    inner = tx if j == 1 else _exp_moi2(
+                    inner = tx if j == 1 else _moi2(
                         f, *nodes, table, dirs[0], tx, dirs[1],
                         _confluent_delta([v[i] for i in set(ai[:3])]))
                 else:
@@ -783,6 +761,7 @@ def dk_operator_function(f: ScalarFunctionSpec, a: np.ndarray, k: int,
     and added once per ordering."""
     if len(b_tuple) != k:
         raise ValueError("need k directions")
+    _check_order(f, k)
     sd = spectral_data(a)
     _, bi = _distinct(b_tuple)
     terms = {}

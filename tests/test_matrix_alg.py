@@ -161,18 +161,16 @@ def test_divided_diff_confluent_fallback_is_continuous():
 
 def test_divided_diff_grid_matches_scalar():
     p = ScalarFunctionSpec.polynomial([1.0, 0.0, 2.0, 0.0, -1.0])
-    f = ScalarFunctionSpec.exp_sum([(1.0, 1.3), (0.5j, -2.1)])
     v1 = np.array([-1.1, 0.2, 0.9])
     v2 = np.array([0.4, 1.7])
     v3 = np.array([-0.6, 0.1, 0.8, 2.0])
-    for spec in (p, f):
-        grid = divided_diff_grid(spec, [v1, v2, v3])
-        assert grid.shape == (3, 2, 4)
-        for i, a in enumerate(v1):
-            for j, b in enumerate(v2):
-                for k, c in enumerate(v3):
-                    want = divided_diff(spec, [a, b, c])
-                    assert grid[i, j, k] == pytest.approx(want, rel=1e-9)
+    grid = divided_diff_grid(p, [v1, v2, v3])
+    assert grid.shape == (3, 2, 4)
+    for i, a in enumerate(v1):
+        for j, b in enumerate(v2):
+            for k, c in enumerate(v3):
+                want = divided_diff(p, [a, b, c])
+                assert grid[i, j, k] == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("xi", [3.0, 40.0])
@@ -182,26 +180,42 @@ def test_first_order_grid_keeps_its_digits_at_near_nodes(xi):
     f = ScalarFunctionSpec.exp_sum([(1.0, xi), (0.3, -0.5 * xi)])
     v = np.array([0.3, -0.7, 1.2])
     w = v + np.array([1e-9, 1e-12, -1e-9])
-    grid = divided_diff_grid(f, [v, w])
+    grid = matrix_alg._exp_dd1(f, v, w)
     for i, a in enumerate(v):
         for j, b in enumerate(w):
             assert grid[i, j] == pytest.approx(divided_diff(f, [a, b]),
                                                rel=1e-12)
 
 
+# nodes 1e-9 apart, and the exact confluent nodes they approach
+NEAR_NODES = [([0.3, 0.3 + 1e-9, 1.0], [0.3, 0.3, 1.0]),
+              ([0.3, 0.3 + 1e-9, 0.3 - 1e-9], [0.3, 0.3, 0.3])]
+
+
 def test_divided_diff_grid_is_stable_near_coalescence():
-    f = ScalarFunctionSpec.exp_sum([(1.0, 2.5)])
-    eps = 1e-9
-    grid = divided_diff_grid(
-        f, [np.array([0.3]), np.array([0.3 + eps]), np.array([1.0])]
-    )
-    conf = divided_diff(f, [0.3, 0.3, 1.0])
-    assert grid[0, 0, 0] == pytest.approx(conf, rel=1e-6)
-    grid3 = divided_diff_grid(
-        f, [np.array([0.3]), np.array([0.3 + eps]), np.array([0.3 - eps])]
-    )
-    conf3 = divided_diff(f, [0.3, 0.3, 0.3])
-    assert grid3[0, 0, 0] == pytest.approx(conf3, rel=1e-6)
+    # the closed form has no difference quotient to lose digits in
+    p = ScalarFunctionSpec.polynomial([1, 0, 2, 0, -1])
+    for near, _ in NEAR_NODES:
+        grid = divided_diff_grid(p, [np.array([v]) for v in near])
+        exact = divided_diff(p, [Fraction(v) for v in near])
+        assert grid[0, 0, 0] == pytest.approx(float(exact), rel=1e-14)
+
+
+def _moi2_at_nodes(f, a, b, c):
+    """f^[2](a, b, c) as the second-order MOI of 1 x 1 matrices."""
+    args = [np.array([[v]], dtype=complex) for v in (a, b, c)]
+    one = np.ones((1, 1), dtype=complex)
+    return moi(f, 2, args, (one, one))[0, 0]
+
+
+@pytest.mark.parametrize("f", [
+    ScalarFunctionSpec.exp_sum([(1.0, 2.5)]),
+    ScalarFunctionSpec.polynomial([1.0, 0.0, 2.0, 0.0, -1.0]),
+], ids=["exp_sum", "polynomial"])
+def test_second_order_moi_is_stable_near_coalescence(f):
+    for near, conf in NEAR_NODES:
+        assert _moi2_at_nodes(f, *near) == pytest.approx(
+            divided_diff(f, conf), rel=1e-6)
 
 
 # -- operator functions and MOIs ------------------------------------------
@@ -379,16 +393,21 @@ def test_divided_diff_grid_stack_matches_per_row():
     sd = spectral_data(mixed_stack(np.random.default_rng(3)))
     lam = sd.eigenvalues.reshape(6, 6)
     other = sd.eigenvalues.reshape(6, 6)[::-1]
-    cases = [(CUBIC, [lam, other, lam, lam])]
-    cases += [(EXP, [lam, other, lam][: k + 1]) for k in range(3)]
-    for f, vecs in cases:
-        got = divided_diff_grid(f, vecs)
-        want = np.stack([divided_diff_grid(f, [v[i] for v in vecs])
+    for k in range(4):
+        vecs = [lam, other, lam, lam][: k + 1]
+        got = divided_diff_grid(CUBIC, vecs)
+        want = np.stack([divided_diff_grid(CUBIC, [v[i] for v in vecs])
+                         for i in range(6)])
+        assert_rel(got, want)
+    # the f^[1] tables of moi's orders 1 and 2
+    for f in (EXP, CUBIC):
+        got = matrix_alg._dd1(f, lam, other)
+        want = np.stack([matrix_alg._dd1(f, lam[i], other[i])
                          for i in range(6)])
         assert_rel(got, want)
     # leading axes broadcast: one node vector against a batch of them
-    got = divided_diff_grid(EXP, [lam[2], lam, other])
-    want = np.stack([divided_diff_grid(EXP, [lam[2], lam[i], other[i]])
+    got = divided_diff_grid(CUBIC, [lam[2], lam, other])
+    want = np.stack([divided_diff_grid(CUBIC, [lam[2], lam[i], other[i]])
                      for i in range(6)])
     assert_rel(got, want)
 
@@ -444,17 +463,35 @@ def test_moi_of_equal_copies_equals_moi_of_one_object():
             assert_rel(moi(f, k, (sd,) * (k + 1), (b,) * k), shared, rel=0)
 
 
+def _moi2_kernel(f, sd):
+    """f^[2] at every triple of the eigenvalues of a (B, n, n) stack, shape
+    (B, n, n, n), read from second-order MOIs over (sd, sd, sd): directions
+    whose rotations are the ones of column j and the ones of row j give
+    f^[2](a_i, a_j, a_k) at entry (i, k)."""
+    u = sd.eigenvectors
+    n = u.shape[-1]
+    cols, rows = np.zeros((2, n, 1, n, n))
+    for j in range(n):
+        cols[j, 0, :, j] = rows[j, 0, j, :] = 1.0
+    b, c = (u @ e @ adjoint(u) for e in (cols, rows))
+    got = adjoint(u) @ moi(f, 2, (sd,) * 3, (b, c)) @ u   # (j, B, i, k)
+    return np.moveaxis(got, 0, -2)
+
+
 def test_same_node_second_divided_difference_matches_scalar():
     # every close pair takes g^[2](a, b, c) = (g^[1](b, c) - g^[1](a, b))
     # / (c - a), with g^[1](b, c) = g'(b) on the b = c diagonal, and the
     # table's entry for the triple 1e-11 wide and the pair 1e-7 apart
-    lam = spectral_data(mixed_stack(np.random.default_rng(9))).eigenvalues
-    lam = lam.reshape(6, 6)
-    grid = divided_diff_grid(EXP, [lam, lam, lam])
-    for r, row in enumerate(lam):
-        for idx in np.ndindex(6, 6, 6):
-            want = divided_diff(EXP, [row[i] for i in idx])
-            assert grid[(r,) + idx] == pytest.approx(want, rel=1e-9)
+    # (the polynomial's reference is exact, on the rationals of the nodes)
+    sd = spectral_data(mixed_stack(np.random.default_rng(9)).reshape(6, 6, 6))
+    exact = ScalarFunctionSpec.polynomial([Fraction(c) for c in CUBIC.coeffs])
+    for f, ref, node in ((EXP, EXP, float), (CUBIC, exact, Fraction)):
+        grid = _moi2_kernel(f, sd)
+        for r, row in enumerate(sd.eigenvalues):
+            for idx in np.ndindex(6, 6, 6):
+                want = complex(divided_diff(ref, [node(row[i]) for i in idx]))
+                assert grid[(r,) + idx] == pytest.approx(want, rel=1e-9,
+                                                         abs=1e-12)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -476,15 +513,17 @@ def test_same_node_grid_builds_one_first_order_table_per_block(monkeypatch):
     # the pair 1e-7 apart all read their f^[1](b, c) from the one table
     a = mixed_stack(np.random.default_rng(10)).reshape(6, 6, 6)
     b = np.stack([rand_hermitian(6) for _ in range(6)])
-    lam = spectral_data(a).eigenvalues
-    calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd1")
-    divided_diff_grid(EXP, [lam, lam, lam])
-    assert calls == [(6, 6, 6)]
-    # 216 kernel entries per matrix: blocks of one matrix each
-    monkeypatch.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", 300)
-    calls.clear()
-    moi(EXP, 2, (a, a, a), (b, b))
-    assert calls == [(1, 6, 6)] * 6
+    calls = _count_calls(monkeypatch, matrix_alg, "_dd1")
+    for f in (EXP, CUBIC):
+        calls.clear()
+        moi(f, 2, (a, a, a), (b, b))
+        assert calls == [(6, 6, 6)]
+        # 216 kernel entries per matrix: blocks of one matrix each
+        with monkeypatch.context() as m:
+            m.setattr(matrix_alg, "MOI_BLOCK_ENTRIES", 300)
+            calls.clear()
+            moi(f, 2, (a, a, a), (b, b))
+        assert calls == [(1, 6, 6)] * 6
 
 
 def test_moi_decomposes_and_rotates_each_distinct_argument_once(monkeypatch):
@@ -586,24 +625,46 @@ def test_sum_of_orders_has_the_bits_of_separate_moi_calls(monkeypatch, case):
             moi(EXP, orders, (sd,) * 3, (b, b))
 
 
-def _dense_moi2(f, a_tuple, b_tuple):
-    """I^{a_1, a_2, a_3} f^[2] [b_1, b_2] from ``divided_diff_grid``'s dense
-    (..., n, n, n) kernel and one ``einsum``."""
-    sds = [matrix_alg._spectral(a) for a in a_tuple]
+def _dense_kernel(f, sds):
+    """f^[2] on the eigenvalues of three (B, n, n) stacks' spectral data,
+    shape (B, n, n, n), by no code of moi's orders 1 and 2: a polynomial's
+    closed form (``divided_diff_grid``), and for an exponential sum the
+    scalar ``divided_diff`` entry by entry."""
+    vecs = [sd.eigenvalues for sd in sds]
+    if f.kind == "polynomial":
+        return divided_diff_grid(f, vecs)
+    n = vecs[0].shape[-1]
+    out = np.empty(vecs[0].shape + (n, n), dtype=complex)
+    for idx in np.ndindex(out.shape):
+        r, nodes = idx[:-3], idx[-3:]
+        out[idx] = divided_diff(f, [v[r][i] for v, i in zip(vecs, nodes)])
+    return out
+
+
+def _dense_moi2(kernel, sds, b_tuple):
+    """I^{a_1, a_2, a_3} f^[2] [b_1, b_2] from a dense (..., n, n, n)
+    ``kernel`` on the spectral data ``sds`` and one ``einsum``."""
     u = [sd.eigenvectors for sd in sds]
     x = adjoint(u[0]) @ b_tuple[0] @ u[1]
     y = adjoint(u[1]) @ b_tuple[1] @ u[2]
-    kernel = divided_diff_grid(f, [sd.eigenvalues for sd in sds])
     return u[0] @ np.einsum("...abc,...ab,...bc->...ac", kernel, x, y) \
         @ adjoint(u[2])
 
 
+# how near the scalar ``divided_diff`` comes to f^[2] of EXP and EXP_40:
+# its Newton table loses about eps / gap^2 at the 1e-3-scale matrix, and
+# snapping a pair 1e-7 apart to its mean moves it by about gap^2 times the
+# fourth derivative
+SCALAR_REL = 1e-9
+EXP_40 = ScalarFunctionSpec.exp_sum([(0.3, 40.0)])
+
+
 @pytest.mark.parametrize("case", ["mixed", "zero", "n1", "distinct"])
 def test_second_order_products_match_the_dense_kernel(case):
-    # moi contracts an exponential sum's second order as two products plus
-    # the close pairs' terms; divided_diff_grid's dense kernel is the
-    # reference.  mixed_stack has the b = c diagonal, a triple 1e-11 wide
-    # and a pair 1e-7 apart; the zero stack makes every pair close
+    # moi contracts the second order as two products plus the close
+    # pairs' terms; ``_dense_kernel`` is the reference.  mixed_stack has
+    # the b = c diagonal, a triple 1e-11 wide and a pair 1e-7 apart; the
+    # zero stack makes every pair close
     rng = np.random.default_rng(15)
     values = {
         "mixed": lambda: mixed_stack(rng).reshape(6, 6, 6),
@@ -618,12 +679,17 @@ def test_second_order_products_match_the_dense_kernel(case):
             else (values,) * 3)
     b = np.stack([rand_hermitian(n, rng) for _ in values])
     c = rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape)
-    for f in (EXP, ScalarFunctionSpec.exp_sum([(0.3, 40.0)])):
+    sds = [matrix_alg._spectral(x) for x in args]
+    for f, rel in ((EXP, SCALAR_REL), (EXP_40, SCALAR_REL), (CUBIC, 1e-12)):
+        kernel = _dense_kernel(f, sds)
         for dirs in ((b, b), (b, c)):
-            assert_rel(moi(f, 2, args, dirs), _dense_moi2(f, args, dirs))
+            assert_rel(moi(f, 2, args, dirs), _dense_moi2(kernel, sds, dirs),
+                       rel)
 
 
-def test_moi_orders_at_near_equal_eigenvalues():
+@pytest.mark.parametrize("f, rel", [(EXP, SCALAR_REL), (CUBIC, 1e-12)],
+                         ids=["EXP", "CUBIC"])
+def test_moi_orders_at_near_equal_eigenvalues(f, rel):
     # no eigenvalue is snapped: mixed_stack's triple 1e-11 wide, pair 1e-7
     # apart, exact double and zero matrix take the kernels' close-pair rule
     rng = np.random.default_rng(17)
@@ -632,21 +698,22 @@ def test_moi_orders_at_near_equal_eigenvalues():
     got = {}
     for k in (1, 2, (1, 2)):
         top = k if isinstance(k, int) else k[-1]
-        got[k] = moi(EXP, k, (a,) * (top + 1), (b,) * top)
+        got[k] = moi(f, k, (a,) * (top + 1), (b,) * top)
         want = per_matrix(
-            lambda m, x: moi(EXP, k, (m,) * (top + 1), (x,) * top), a, b)
+            lambda m, x: moi(f, k, (m,) * (top + 1), (x,) * top), a, b)
         assert_rel(got[k], want)
-    dense = _dense_moi2(EXP, (a,) * 3, (b, b))
-    assert_rel(got[2], dense)
-    assert_rel(got[(1, 2)], got[1] + dense)
+    sds = [spectral_data(a)] * 3
+    dense = _dense_moi2(_dense_kernel(f, sds), sds, (b, b))
+    assert_rel(got[2], dense, rel)
+    assert_rel(got[(1, 2)], got[1] + dense, rel)
     # central differences of the operator function: the first and second
     # derivatives along b are I f^[1] [b] and 2 I f^[2] [b, b]
     h = 1e-5
-    fd1 = (op_function(EXP, a + h * b) - op_function(EXP, a - h * b)) / (2 * h)
+    fd1 = (op_function(f, a + h * b) - op_function(f, a - h * b)) / (2 * h)
     assert np.max(np.abs(got[1] - fd1)) < 1e-6
     h = 1e-4
-    fd2 = (op_function(EXP, a + h * b) - 2 * op_function(EXP, a)
-           + op_function(EXP, a - h * b)) / h**2
+    fd2 = (op_function(f, a + h * b) - 2 * op_function(f, a)
+           + op_function(f, a - h * b)) / h**2
     scale = max(1.0, float(np.max(np.abs(got[2]))))
     assert np.max(np.abs(2 * got[2] - fd2)) < 1e-6 * scale
     assert np.max(np.abs(got[(1, 2)] - fd1 - fd2 / 2)) < 1e-6 * scale
@@ -678,13 +745,48 @@ def test_a_constant_term_adds_nothing_to_the_functional_residual(n):
     assert_rel(both, moi(plain, (1, 2), (sd,) * 3, (dx, dx)))
 
 
+@pytest.mark.parametrize("gap", [1.01e-6, 2e-6])
+def test_second_order_just_outside_the_close_pair_rule(gap):
+    # a pair of eigenvalues a little more than CONFLUENT_TOL apart, relative
+    # to the largest |eigenvalue| 3, takes the products over D = 1 / (b - c)
+    # of size 1 / gap, which cancel down to f^[2]
+    rng = np.random.default_rng(18)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    a = (u * [0.7, 0.7 + 3.0 * gap, -0.4, 1.2, 2.1, 3.0]) @ u.conj().T
+    a = (a + a.conj().T) / 2
+    sd = spectral_data(a)
+    assert CONFLUENT_TOL * 3.0 < np.diff(sd.eigenvalues)[1] < 3.0 * gap * 1.01
+    b = rand_hermitian(6, rng)
+    dense = _dense_moi2(_dense_kernel(CUBIC, [sd] * 3), [sd] * 3, (b, b))
+    assert_rel(moi(CUBIC, 2, (a,) * 3, (b, b)), dense, rel=1e-10)
+
+
 def test_functional_residual_builds_no_dense_second_order_kernel(monkeypatch):
-    calls = _count_calls(monkeypatch, matrix_alg, "_exp_dd2")
+    # orders 1 and 2 read f^[1] tables of (B, n, n) only, for a polynomial
+    # as for an exponential sum
+    grids = _count_calls(monkeypatch, matrix_alg, "divided_diff_grid")
+    closed = _count_calls(monkeypatch, matrix_alg, "_poly_divdiff_grid")
     path = simulate_hbm(8, TimeGrid.uniform(1.0, 200), RngStream(0, 0))
-    functional_ito_residual(EXP, path)
-    assert calls == []
-    divided_diff_grid(EXP, [np.zeros(2)] * 3)
-    assert calls == [(2, 2, 2)]
+    for f in (EXP, CUBIC):
+        functional_ito_residual(f, path)
+    assert grids == []
+    assert closed == [(128, 8, 8), (72, 8, 8)]
+
+
+def test_exponential_sum_orders_above_two_raise_before_eigh(monkeypatch):
+    rng = np.random.default_rng(19)
+    a, b = rand_hermitian(4, rng), rand_hermitian(4, rng)
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(ValueError, match="order 3"):
+        moi(EXP, 3, (a,) * 4, (b,) * 3)
+    with pytest.raises(ValueError, match="order 3"):
+        moi(EXP, (1, 3), (a,) * 4, (b,) * 3)
+    with pytest.raises(ValueError, match="order 3"):
+        dk_operator_function(EXP, a, 3, (b,) * 3)
+    assert eighs == []
+    for k in range(3):
+        with pytest.raises(ValueError, match="polynomial kernels only"):
+            divided_diff_grid(EXP, [np.zeros(2)] * (k + 1))
 
 
 def test_dk_operator_function_makes_each_distinct_ordering_once(monkeypatch):
