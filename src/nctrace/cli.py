@@ -10,9 +10,9 @@ the one master seed, at least 0, wherever the run draws random numbers;
 ``bdg`` and ``isometry`` make their ensemble and report params in
 ``_ensemble``.
 Exit codes: 0 all asserted tolerances pass, 1 a tolerance failed, 2 a
-configuration or parse error.  The parser is built once per process
-(``_parser``): ``parse_args`` makes a fresh namespace at each call, so
-calls share no parsed value.
+configuration or parse error or a failed allocation.  The parser is
+built once per process (``_parser``): ``parse_args`` makes a fresh
+namespace at each call, so calls share no parsed value.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         _emit(records, cfg, args)
         return 0 if all(r.get("passed", True) for r in records) else 1
     except (ConfigError, ParseError, LinearityError, EvalError,
-            ValueError) as e:
+            ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

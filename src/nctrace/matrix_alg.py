@@ -308,7 +308,11 @@ def divided_diff(f: ScalarFunctionSpec, nodes: Sequence) -> complex:
 
     Uses the confluent Newton table; repeated or near-equal nodes fall back
     to analytic derivatives.  When ``f`` is a polynomial and the nodes are
-    exact rationals, the computation is exact.
+    exact rationals, the computation is exact.  Float nodes just outside
+    ``CONFLUENT_TOL`` lose digits to the table's division by their gaps:
+    for e^{2iλ} + 0.5i e^{−1.3iλ} at 0.7, 0.7 + g and 0.7 + 2g, f^[2] is
+    7.2e-6, 3.3e-7 and 3.3e-9 relative off at g = 3e-6, 1e-5 and 1e-4, and
+    at well-separated nodes within 1e-13 of a contour integral.
     """
     nodes = list(nodes)
     if not nodes:

@@ -7,6 +7,11 @@ red test shows the measured numbers next to the tolerance that was
 violated.
 """
 
+import math
+
+import numpy as np
+import pytest
+
 from nctrace import selftest
 from nctrace.reports import to_json
 
@@ -43,6 +48,15 @@ def test_04_rank_one_magic_formula():
     # tr(m)/n^2 * I to 1e-12
     rec = _run(selftest.check_magic_formula)
     assert rec["gap"] <= 1e-12
+
+
+def test_04_a_nan_gap_fails_the_check(monkeypatch):
+    # Python's max(worst, gap) drops a NaN gap that is not its first
+    # argument; the check must carry it into the record and fail
+    monkeypatch.setattr(selftest, "magic_sum",
+                        lambda a: np.full_like(a, np.nan))
+    rec = selftest.check_magic_formula(SEED)
+    assert not rec["passed"] and math.isnan(rec["lhs"])
 
 
 def test_05_gamma_rules_match_increment_moments():
@@ -102,10 +116,20 @@ def test_12_substitution_and_qc_of_integrals():
 
 
 def test_13_divided_differences_exact_and_stable():
-    # exact rational values for polynomials, quadrature oracle for
-    # exponentials to 1e-8, and coalescence stability
+    # exact rational values for polynomials, and for exponential sums the
+    # Cauchy integral on a circle by the trapezoid rule, to 1e-8
     rec = _run(selftest.check_divided_differences)
     assert rec["lhs"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["divided_diff", "_contour_dd"])
+def test_13_a_nan_exponential_sum_gap_fails_the_check(monkeypatch, name):
+    # NaN from either side of the exponential-sum comparison
+    real = getattr(selftest, name)
+    monkeypatch.setattr(selftest, name, lambda f, nodes: (
+        real(f, nodes) if f.kind == "polynomial" else complex("nan")))
+    rec = selftest.check_divided_differences(SEED)
+    assert not rec["passed"] and math.isnan(rec["lhs"])
 
 
 def test_14_moi_matches_derivatives():

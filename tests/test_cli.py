@@ -681,17 +681,36 @@ def test_selftest_reports_byte_identical(tmp_path):
         assert reports[0] == reports[1]
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate took most of a second of every command's start-up;
-    # only the divided-differences check needs it, and imports it itself
+def test_the_divided_differences_check_loads_no_scipy_module():
+    # numpy is nctrace's one runtime dependency, in this check's oracle too
     src = os.path.dirname(os.path.dirname(os.path.abspath(nctrace.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nctrace.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, nctrace\n"
+         "from nctrace.selftest import run_selftest\n"
+         "[rec] = run_selftest(checks=['divided_differences'])\n"
+         "assert rec['passed'], rec\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m == 'scipy' or m.startswith('scipy.')))"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_a_failed_allocation_exits_2_and_names_its_size(monkeypatch, capsys):
+    # exit 1 is a failed tolerance; an ensemble too large to allocate is
+    # an error in the configuration
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 305. GiB for an array with "
+                          "shape (5000, 1001, 64, 64) and data type "
+                          "complex128")
+
+    monkeypatch.setattr(cli, "simulate_hbm_ensemble", too_large)
+    rc, out, err = run(capsys, "bdg", "--n", "64", "--paths", "5000",
+                       "--mesh", "0.001")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: Unable to allocate 305. GiB")
 
 
 def test_no_subcommand_exits_2(capsys):

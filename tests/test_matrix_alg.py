@@ -1,7 +1,8 @@
 """Matrix layer: norms, basis identities, divided differences, MOIs.
 
 Oracles: hand-computed values, scipy quadrature over the standard simplex,
-matrix exponentials, and finite differences of the operator function.
+the selftest's contour integral, matrix exponentials, and finite
+differences of the operator function.
 """
 
 import math
@@ -33,6 +34,7 @@ from nctrace.matrix_alg import (
     trace_n,
 )
 from nctrace.process_sim import ProcessPath, RngStream, TimeGrid, simulate_hbm
+from nctrace.selftest import _contour_dd
 from nctrace.stoch_int import cumulative_path
 
 RNG = np.random.default_rng(20240817)
@@ -149,6 +151,30 @@ def test_divided_diff_matches_simplex_quadrature():
     assert complex(divided_diff(p, [0.2, 0.9, -0.3])) == pytest.approx(
         _simplex_dd(p, [0.2, 0.9, -0.3]), rel=1e-8
     )
+
+
+# the divided-differences check's exponential sum
+CHECK_EXP = ScalarFunctionSpec.exp_sum([(1.0, 2.0), (0.5j, -1.3)])
+
+
+@pytest.mark.parametrize("gap, rel", [(3e-6, 7.2e-6), (1e-5, 3.3e-7),
+                                      (1e-4, 3.3e-9)])
+def test_divided_diff_loses_the_digits_its_docstring_states(gap, rel):
+    # float nodes just outside CONFLUENT_TOL, against the contour oracle
+    nodes = [0.7, 0.7 + gap, 0.7 + 2 * gap]
+    want = _contour_dd(CHECK_EXP, nodes)
+    err = abs(complex(divided_diff(CHECK_EXP, nodes)) - want) / abs(want)
+    assert rel / 2 <= err <= 2 * rel
+
+
+@pytest.mark.parametrize("nodes", [[0.3, -0.4], [0.3, -0.4, 0.95],
+                                   [-0.9, -0.2, 0.4, 1.0],
+                                   [-0.9, -0.4, 0.1, 0.5, 1.0]],
+                         ids=lambda nodes: f"k{len(nodes) - 1}")
+def test_divided_diff_matches_the_contour_oracle_at_separated_nodes(nodes):
+    want = _contour_dd(CHECK_EXP, nodes)
+    assert abs(complex(divided_diff(CHECK_EXP, nodes)) - want) <= (
+        1e-13 * abs(want))
 
 
 def test_divided_diff_confluent_fallback_is_continuous():

@@ -1,5 +1,6 @@
-"""The public API: ``nctrace.__all__`` lists each export once, and the
-package's version is the one ``pyproject.toml`` declares."""
+"""The public API: ``nctrace.__all__`` lists each export once, the
+package's version is the one ``pyproject.toml`` declares, and numpy is its
+only runtime dependency."""
 
 import collections
 from pathlib import Path
@@ -23,3 +24,11 @@ def test_version_matches_pyproject():
     with open(pyproject, "rb") as fh:
         declared = tomllib.load(fh)["project"]["version"]
     assert nctrace.__version__ == declared
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
