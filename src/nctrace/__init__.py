@@ -24,7 +24,6 @@ from .matrix_alg import (
     semicircle_cdf,
 )
 from .process_sim import (
-    Ensemble,
     ProcessPath,
     RngStream,
     TimeGrid,
@@ -74,7 +73,6 @@ __all__ = [
     "moi",
     "op_function",
     "semicircle_cdf",
-    "Ensemble",
     "ProcessPath",
     "RngStream",
     "TimeGrid",

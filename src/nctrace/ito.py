@@ -11,8 +11,9 @@ vector of an exponential sum) and contracts the second order as two
 batched matrix products over one reciprocal grid, which with the table's
 diagonal also gives the b = c diagonal, for either kind of function; the
 blocks' arrays come from recycled buffers.  Residuals of the
-discretized formula are measured in the ensemble-averaged tr_n-L^1 norm
-and fed into mesh convergence studies (``convergence_study``, one
+discretized formula are measured in the tr_n-L^1 norm, averaged over the
+paths of a batch ``ProcessPath`` (``ito_residual`` takes one path or a
+batch), and fed into mesh convergence studies (``convergence_study``, one
 ``stoch_int.mesh_study``); ``_residual_summary`` builds both residual
 reports.  The residual is P(X) - P(X_0) minus the running sums of the
 per-step terms dP[dX] plus the second-order term.  The studies stream
@@ -74,7 +75,7 @@ from .trace_poly import (
     is_self_adjoint,
     relabel_slot,
 )
-from .process_sim import Ensemble, ProcessPath, TimeGrid, hbm_windows
+from .process_sim import ProcessPath, TimeGrid, hbm_windows
 
 _HALF = QC(Fraction(1, 2))
 
@@ -186,13 +187,11 @@ def _residual_summary(per_time: np.ndarray) -> dict:
 
 def ito_residual(P: TracePolynomial, driver, model: ContractionModel,
                  second_order: str = "contracted") -> dict:
-    """Residual report for a simulated driver (path or ensemble)."""
-    if isinstance(driver, (ProcessPath, Ensemble)):
-        values, grid = driver.values, driver.grid
-    else:
-        raise TypeError("driver must be a ProcessPath or Ensemble")
-    per = l1_trace_norms(ito_residual_path(P, values, grid, model,
-                                           second_order))
+    """Residual report for a simulated driver (one path or a batch)."""
+    if not isinstance(driver, ProcessPath):
+        raise TypeError("driver must be a ProcessPath")
+    per = l1_trace_norms(ito_residual_path(P, driver.values, driver.grid,
+                                           model, second_order))
     return _residual_summary(np.mean(per, axis=tuple(range(per.ndim - 1))))
 
 

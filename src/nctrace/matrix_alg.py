@@ -63,6 +63,12 @@ def trace_n(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
 
 
+def _tr_quad(v: np.ndarray) -> np.ndarray:
+    """tr_n(v* v) per matrix of a (..., n, n) stack, real."""
+    n = v.shape[-1]
+    return np.einsum("...ij,...ij->...", np.conj(v), v).real / n
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2))
 
@@ -215,6 +221,7 @@ def hermitian_onb_array(n: int) -> np.ndarray:
         rows[e, e] = scale
         rows[e, nn + e] = -scale
         arr = np.take(rows, index, axis=1).view(complex).reshape(nn, n, n)
+        arr.setflags(write=False)
         _ONB_CACHE[n] = arr
     return arr
 

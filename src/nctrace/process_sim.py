@@ -1,9 +1,11 @@
 """Discretized matrix-valued processes.
 
-Hermitian matrix Brownian motion (HBM) normalized so E tr_n((X(t)-X(s))^2)
-equals t - s, finite-variation paths, ``kappa_estimate`` (a Monte-Carlo
-estimate of kappa((s, t]) = E tr_n |M(t) - M(s)|^2), and the NCP1 binary
-path format, whose arrays are written and read with no intermediate copy.
+``ProcessPath`` holds one path, values (T, n, n), or a batch of paths on
+one grid, (paths, T, n, n).  Hermitian matrix Brownian motion (HBM)
+normalized so E tr_n((X(t)-X(s))^2) equals t - s, finite-variation paths,
+``kappa_estimate`` (a Monte-Carlo estimate of kappa((s, t]) =
+E tr_n |M(t) - M(s)|^2 over a batch), and the NCP1 binary format of one
+path, whose arrays are written and read with no intermediate copy.
 
 Every HBM path comes from one window walk (``hbm_windows``).  For each
 chunk of paths it yields consecutive windows: the grid points [i0, i1) of
@@ -57,7 +59,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import buffers
-from .matrix_alg import _basis_scatter
+from .matrix_alg import _basis_scatter, _tr_quad
 
 _ROLE_CODES = {"martingale": 0, "fv": 1, "decomposable": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -122,7 +124,9 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        near = self.times[idx]
+        # a NaN gap fails the <=, an infinite one the finite tolerance
+        if not abs(near - t) <= 1e-9 * max(1.0, abs(near)):
             raise ValueError(f"time {t} is not on the grid")
         return idx
 
@@ -151,10 +155,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ProcessPath:
-    """One discretized path: values[i] is the matrix at grid.times[i]."""
+    """A discretized path, values (T, n, n), or a batch of paths on one
+    grid, (paths, T, n, n): values[..., i, :, :] is at grid.times[i]."""
 
     grid: TimeGrid
-    values: np.ndarray  # (T, n, n) complex
+    values: np.ndarray  # (..., T, n, n) complex
     role: str
     seed_info: tuple | None = None
     mart_part: np.ndarray | None = None
@@ -162,10 +167,10 @@ class ProcessPath:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 3 or v.shape[0] != len(self.grid.times) or (
-            v.shape[1] != v.shape[2]
+        if v.ndim < 3 or v.shape[-3] != len(self.grid.times) or (
+            v.shape[-2] != v.shape[-1]
         ):
-            raise ValueError("values must have shape (T, n, n)")
+            raise ValueError("values must have shape (..., T, n, n)")
         object.__setattr__(self, "values", v)
         if self.role not in _ROLE_CODES:
             raise ValueError(f"unknown role {self.role!r}")
@@ -175,44 +180,20 @@ class ProcessPath:
             total = self.mart_part + self.fv_part
             if not np.array_equal(total, v):
                 raise ValueError("decomposition must sum to the path values")
-            if np.any(self.fv_part[0] != 0):
+            if np.any(self.fv_part[..., 0, :, :] != 0):
                 raise ValueError("the FV part must start at 0")
 
     @property
     def n(self) -> int:
         return self.values.shape[-1]
 
+    @property
+    def batch(self) -> np.ndarray:
+        """``values`` as (paths, T, n, n): one path is a batch of one."""
+        return self.values.reshape((-1,) + self.values.shape[-3:])
+
     def at(self, t: float) -> np.ndarray:
-        return self.values[self.grid.index_of(t)]
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """A batch of independent paths on one grid: values (P, T, n, n)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    role: str
-    seed_info: tuple | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 4 or v.shape[1] != len(self.grid.times):
-            raise ValueError("values must have shape (paths, T, n, n)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
-
-    def path(self, index: int) -> ProcessPath:
-        return ProcessPath(
-            self.grid, self.values[index], self.role, self.seed_info
-        )
+        return self.values[..., self.grid.index_of(t), :, :]
 
 
 def _scatter_rows(n: int, steps: int, paths: int = 1) -> int:
@@ -506,14 +487,15 @@ def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
 
 
 def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
-                          method: str = "basis") -> Ensemble:
-    """Independent HBM paths; path i uses the stream keyed (seed, i), so
-    the result is identical no matter how generation is scheduled."""
+                          method: str = "basis") -> ProcessPath:
+    """Independent HBM paths as one (n_paths, T, n, n) batch; path i uses
+    the stream keyed (seed, i), so the result is identical no matter how
+    generation is scheduled."""
     empty = np.empty((0, len(grid.times), n, n), dtype=complex)
     # every path in one chunk, walked as one whole-path window
     values = next((values for ((_, _, values),) in hbm_windows(
         n, grid, n_paths, seed, max(n_paths, 1), method=method)), empty)
-    return Ensemble(grid, values, "martingale", seed_info=(seed, method))
+    return ProcessPath(grid, values, "martingale", seed_info=(seed, method))
 
 
 def make_fv(grid: TimeGrid, n: int,
@@ -525,18 +507,19 @@ def make_fv(grid: TimeGrid, n: int,
     return ProcessPath(grid, values, "fv")
 
 
-def kappa_estimate(ensemble: Ensemble, s: float, t: float):
+def kappa_estimate(paths: ProcessPath, s: float, t: float):
     """Monte-Carlo estimate of kappa((s, t]) = E tr_n |M(t) - M(s)|^2.
 
-    Returns (estimate, standard error); fewer than 2 paths have none.
+    Returns (estimate, standard error); fewer than 2 paths have none, and
+    one path is a batch of one.
     """
-    if ensemble.n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got {ensemble.n_paths}")
+    values = paths.batch
+    if len(values) < 2:
+        raise ValueError(f"need at least 2 paths, got {len(values)}")
     if not s < t:
         raise ValueError("need s < t")
-    i0, i1 = ensemble.grid.index_of(s), ensemble.grid.index_of(t)
-    d = ensemble.values[:, i1] - ensemble.values[:, i0]
-    per_path = np.einsum("pij,pij->p", d, np.conj(d)).real / ensemble.n
+    i0, i1 = paths.grid.index_of(s), paths.grid.index_of(t)
+    per_path = _tr_quad(values[:, i1] - values[:, i0])
     est = float(np.mean(per_path))
     se = float(np.std(per_path, ddof=1) / np.sqrt(len(per_path)))
     return est, se
@@ -574,7 +557,8 @@ def _read_values(fh, count, n, block) -> np.ndarray:
 
 
 def save_ncp1(path: ProcessPath, filename: str) -> None:
-    """Write a path in the NCP1 little-endian binary format.
+    """Write one path in the NCP1 little-endian binary format; a batch
+    raises ValueError, as the header has no path count.
 
     An existing file is rewritten in place, which keeps its cached pages
     and blocks (the module docstring gives the syscall timings): it is
@@ -586,6 +570,8 @@ def save_ncp1(path: ProcessPath, filename: str) -> None:
     part way thus leaves no valid magic, and ``load_ncp1`` rejects the
     file.  Nothing is synced to disk: a file is not promised to survive a
     power loss."""
+    if path.values.ndim != 3:
+        raise ValueError(f"NCP1 holds one path, not {path.values.shape}")
     t = len(path.grid.times)
     fd = os.open(filename, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:

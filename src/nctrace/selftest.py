@@ -36,7 +36,7 @@ from .matrix_alg import (
 )
 from .parsing import parse
 from .process_sim import (
-    Ensemble,
+    ProcessPath,
     RngStream,
     TimeGrid,
     _hbm_increments_basis,
@@ -327,8 +327,8 @@ def check_bdg(seed: int) -> dict:
     c = _rand_hermitian(rng, n)
     u_vals = rs_integral(
         ElementaryPredictable([(0.0, 0.5, parse("x1 y1"), {1: c})]), ens)
-    u_ens = Ensemble(grid, u_vals, "martingale")
-    rep_int = bdg_stats(u_ens, 2, 1.0, params)
+    rep_int = bdg_stats(ProcessPath(grid, u_vals, "martingale"), 2, 1.0,
+                        params)
     return _pair_report("bdg_pair", params, hbm=rep_hbm, integral=rep_int)
 
 

@@ -1,5 +1,7 @@
 """Left-endpoint stochastic integration on discretized paths.
 
+Drivers are ``ProcessPath`` objects (one path, or a batch with a leading
+path axis) or raw (..., T, n, n) values; integrals keep the leading axes.
 Bound bi-/triprocesses pair a 1- or 2-linear trace polynomial symbol with
 adapted argument paths, and elementary predictable integrands freeze a
 symbol on time windows.  ``rs_increments`` is the one function that turns
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import buffers
 from .evaluator import EvalContext, eval_multilinear, eval_poly
-from .matrix_alg import l1_trace_norms, trace_n
+from .matrix_alg import _tr_quad, l1_trace_norms, trace_n
 from .parsing import parse
 from .reports import fit_loglog_slope, make_report
 from .trace_poly import (
@@ -38,8 +40,7 @@ from .trace_poly import (
     compose_linear,
     gamma_contract,
 )
-from .process_sim import (Ensemble, ProcessPath, TimeGrid, hbm_windows,
-                          running_sums)
+from .process_sim import ProcessPath, TimeGrid, hbm_windows, running_sums
 
 # block length of the time-blocked studies: ``ito.ito_sup_residuals`` and
 # ``qc_gap_l1`` walk their paths in ``hbm_windows`` of this many grid
@@ -49,13 +50,13 @@ STUDY_TIME_BLOCK = 64
 
 
 def _values_of(X):
-    if isinstance(X, (ProcessPath, Ensemble)):
+    if isinstance(X, ProcessPath):
         return X.values
     return np.asarray(X, dtype=complex)
 
 
 def _grid_of(X):
-    if isinstance(X, (ProcessPath, Ensemble)):
+    if isinstance(X, ProcessPath):
         return X.grid
     raise ValueError("a grid is required for raw value arrays")
 
@@ -169,7 +170,7 @@ def rs_increments(H, *drivers) -> np.ndarray:
 
     A ``BoundBiprocess`` takes one driver and a ``BoundTriprocess`` two,
     bindings frozen at left endpoints.  An ``ElementaryPredictable`` takes
-    one path or ensemble; each piece adds its terms on the steps inside its
+    one path or batch; each piece adds its terms on the steps inside its
     window (s_i, t_i], clipped at the grid's end."""
     made = {}  # a driver of several slots has its increments made once
     for X in drivers:
@@ -218,7 +219,7 @@ def qc_closed_form(L: BoundBiprocess, model: ContractionModel) -> np.ndarray:
     return cumulative_path(eval_poly(G, ctx) * dts[:, None, None])
 
 
-# -- ensemble statistics --------------------------------------------------
+# -- batch statistics -----------------------------------------------------
 
 
 def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
@@ -296,8 +297,8 @@ def _paired_z_report(check: str, params: dict, a, b) -> dict:
 
     Raises ``ValueError`` for fewer than 2 paths, where there is no
     standard error to test against."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float).ravel()  # one path's is a scalar
+    b = np.asarray(b, dtype=float).ravel()
     diff = a - b
     if len(diff) < 2:
         raise ValueError(
@@ -306,12 +307,6 @@ def _paired_z_report(check: str, params: dict, a, b) -> dict:
     lhs, rhs = float(np.mean(a)), float(np.mean(b))
     return make_report(check, params, lhs, rhs, se,
                        passed=abs(lhs - rhs) <= 3 * se + 1e-12)
-
-
-def _tr_quad(v: np.ndarray) -> np.ndarray:
-    """Per-path tr_n(v* v), real."""
-    n = v.shape[-1]
-    return np.einsum("...ij,...ij->...", np.conj(v), v).real / n
 
 
 # -- identity checks ------------------------------------------------------
@@ -326,7 +321,7 @@ def _l1_gap_report(check: str, params: dict, lhs, rhs) -> dict:
                        extra={"l1_gap": float(np.mean(l1_trace_norms(gap)))})
 
 
-def ito_isometry_check(H, M: Ensemble, t: float, params: dict) -> dict:
+def ito_isometry_check(H, M: ProcessPath, t: float, params: dict) -> dict:
     """Compare ||int H[dM](t)||_2^2 against the QC form E int (H dM)*(H dM),
     both from the same ``rs_increments`` terms up to t."""
     terms = rs_increments(H, M)[..., :M.grid.index_of(t), :, :]
@@ -335,27 +330,25 @@ def ito_isometry_check(H, M: Ensemble, t: float, params: dict) -> dict:
                             np.sum(_tr_quad(terms), axis=-1))
 
 
-def bdg_stats(M: Ensemble, p: int, t: float, params: dict) -> dict:
-    """BDG statistics: the exact p=2 identity, the p=4 ratio reported."""
+def bdg_stats(M: ProcessPath, p: int, t: float, params: dict) -> dict:
+    """BDG statistics over the paths of ``M`` (one path is a batch of
+    one): the exact p=2 identity, the p=4 ratio reported."""
     if p not in (2, 4):
         raise ValueError("p must be 2 or 4")
+    values = M.batch
     idx = M.grid.index_of(t)
-    m_t = M.values[:, idx] - M.values[:, 0]
+    m_t = values[:, idx] - values[:, 0]
     inc = rs_increments(BoundBiprocess(parse("y1"), M.grid, M.n),
-                        M.values[:, :idx + 1])
+                        values[:, :idx + 1])
     qv_paths = np.sum(_tr_quad(inc), axis=-1)
     if p == 2:
         return _paired_z_report("bdg_p2", params, _tr_quad(m_t), qv_paths)
     # p = 4: fourth-moment norm against the H^4 proxy built from the
     # quadratic variation matrix; reported as a ratio, not asserted
-    n = M.n
     m2 = m_t @ np.conj(np.swapaxes(m_t, -1, -2))
-    lhs = float(np.mean(np.einsum("pij,pij->p", m2, np.conj(m2)).real / n)
-                ** 0.25)
+    lhs = float(np.mean(_tr_quad(m2)) ** 0.25)
     qv_mat = np.einsum("ptji,ptjk->pik", np.conj(inc), inc)
-    rhs = float(np.mean(
-        np.einsum("pij,pij->p", qv_mat, np.conj(qv_mat)).real / n
-    ) ** 0.25)
+    rhs = float(np.mean(_tr_quad(qv_mat)) ** 0.25)
     ratio = lhs / rhs if rhs else np.inf
     return make_report("bdg_p4", params, lhs, rhs, 0.0,
                        extra={"ratio": ratio})

@@ -584,6 +584,20 @@ def test_ito_passes_for_degree_at_most_one(capsys, argv):
     assert rec["residuals"] == [0.0, 0.0, 0.0]
 
 
+def test_ito_fails_on_a_nan_residual(monkeypatch, capsys):
+    # Python's max drops a NaN that is not first, so [1e-13, 1e-13, nan]
+    # passed as a polynomial whose residuals are all rounding
+    def nan_last(meshes, params):
+        return {"check": "convergence:ito_residual",
+                "residuals": [1e-13, 1e-13, float("nan")]}
+
+    monkeypatch.setattr(cli, "convergence_study", nan_last)
+    rc, out, _ = run(capsys, "ito", "--n", "2", "--paths", "2",
+                     "--meshes", "0.5,0.25,0.125")
+    assert rc == 1
+    assert json.loads(out)[0]["passed"] is False
+
+
 def test_esd(capsys):
     rc, out, _ = run(capsys, "esd", "--n", "128", "--seed", "4")
     assert rc == 0

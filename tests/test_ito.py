@@ -97,7 +97,7 @@ def test_constant_polynomial_residual_is_zero():
     grid = TimeGrid.uniform(1.0, 8)
     ens = simulate_hbm_ensemble(3, grid, 2, seed=4)
     model = ContractionModel.matrix(3)
-    for driver in (ens, ens.path(0)):
+    for driver in (ens, ProcessPath(grid, ens.values[0], ens.role)):
         for text in ("5", "0"):
             rep = ito_residual(parse(text), driver, model)
             assert rep["sup_norm"] == 0.0

@@ -60,6 +60,15 @@ def test_basis_is_orthonormal(n):
     assert np.max(np.abs(gram - np.eye(n * n))) < 1e-12
 
 
+def test_cached_basis_is_read_only():
+    # a write went into the cache: every later magic_sum was scaled by it
+    es = hermitian_onb_array(2)
+    with pytest.raises(ValueError, match="read-only"):
+        es *= 2
+    a = rand_hermitian(2, rng=np.random.default_rng(2))
+    assert np.max(np.abs(magic_sum(a) - trace_n(a) * np.eye(2))) < 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_magic_formula(n):
     a = rand_hermitian(n) + 1j * 0  # generic Hermitian

@@ -59,6 +59,35 @@ def test_time_grid_rejects_non_finite_times(times, bad):
         TimeGrid(np.array(times))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_off_grid_non_finite_times_raise(t):
+    # a NaN compares False with the tolerance, as inf - inf is NaN: both
+    # were read as grid time 0
+    grid = TimeGrid.uniform(1.0, 4)
+    with pytest.raises(ValueError, match="is not on the grid"):
+        grid.index_of(t)
+    path = simulate_hbm(2, grid, RngStream(3, 0))
+    with pytest.raises(ValueError, match="is not on the grid"):
+        path.at(t)
+
+
+def test_a_batch_is_a_process_path_with_a_leading_path_axis():
+    grid = TimeGrid.uniform(1.0, 4)
+    ens = simulate_hbm_ensemble(3, grid, 2, seed=6)
+    assert isinstance(ens, ProcessPath) and ens.seed_info == (6, "basis")
+    assert ens.values.shape == (2, 5, 3, 3) and ens.n == 3
+    assert ens.batch.shape == (2, 5, 3, 3)
+    assert ens.at(0.5).tobytes() == ens.values[:, 2].tobytes()
+    one = simulate_hbm(3, grid, RngStream(6, 1))
+    assert one.batch.shape == (1, 5, 3, 3)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., T, n, n\)"):
+        ProcessPath(grid, np.zeros((2, 4, 3, 3)), "martingale")
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., T, n, n\)"):
+        ProcessPath(grid, np.zeros((2, 5, 3, 2)), "martingale")
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., T, n, n\)"):
+        ProcessPath(grid, np.zeros((5, 3)), "martingale")
+
+
 def test_hbm_starts_at_zero_and_is_hermitian():
     grid = TimeGrid.uniform(1.0, 16)
     path = simulate_hbm(4, grid, RngStream(3, 0))
@@ -407,6 +436,13 @@ def test_kappa_on_one_path_raises_naming_the_path_count():
         kappa_estimate(ens, 0.0, 1.0)
 
 
+def test_kappa_reads_one_path_as_a_batch_of_one():
+    # a (T, n, n) path raised AttributeError (no n_paths)
+    path = simulate_hbm(2, TimeGrid.uniform(1.0, 2), RngStream(1, 0))
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        kappa_estimate(path, 0.0, 1.0)
+
+
 def test_ncp1_round_trip(tmp_path):
     grid = TimeGrid.uniform(1.0, 7)
     path = simulate_hbm(3, grid, RngStream(4, 2))
@@ -485,6 +521,15 @@ def test_ncp1_save_over_a_file_writes_the_bytes_of_a_fresh_one(
 def test_ncp1_save_to_devnull():
     # a character device cannot be cut to length; nothing is cut there
     save_ncp1(_role_path("martingale", seed=4), os.devnull)
+
+
+def test_ncp1_save_refuses_a_batch_before_opening_the_file(tmp_path):
+    # the header has no path count, so a batch would not read back
+    ens = simulate_hbm_ensemble(2, TimeGrid.uniform(1.0, 3), 2, seed=4)
+    f = tmp_path / "batch.ncp1"
+    with pytest.raises(ValueError, match="one path, not"):
+        save_ncp1(ens, str(f))
+    assert not f.exists()
 
 
 def test_ncp1_interrupted_rewrite_is_not_an_ncp1_file(tmp_path,

@@ -9,7 +9,7 @@ from nctrace import ContractionModel, parse
 from nctrace.matrix_alg import l1_trace_norms, trace_n
 from nctrace.process_sim import (
     WIDE_ROW_ENTRIES,
-    Ensemble,
+    ProcessPath,
     RngStream,
     TimeGrid,
     make_fv,
@@ -101,9 +101,9 @@ def test_elementary_martingale_property():
     H = ElementaryPredictable([(0.0, 1.0, parse("x1 y1"), {1: a})])
     path = rs_integral(H, ens)
     late = path[:, grid.index_of(1.0)] - path[:, grid.index_of(0.5)]
-    entries = late.reshape(ens.n_paths, -1)
+    entries = late.reshape(len(ens.values), -1)
     mean = np.mean(entries, axis=0)
-    se = np.std(entries, axis=0, ddof=1) / math.sqrt(ens.n_paths)
+    se = np.std(entries, axis=0, ddof=1) / math.sqrt(len(ens.values))
     assert np.all(np.abs(mean) <= 3 * se + 1e-12)
 
 
@@ -306,11 +306,40 @@ def test_bdg_p4_ratio_reported():
         bdg_stats(ens, 3, 1.0, {})
 
 
+def test_path_statistics_read_one_path_as_a_batch_of_one():
+    # bdg_stats read one path's matrix rows as paths
+    grid = TimeGrid.uniform(1.0, 4)
+    path = simulate_hbm(3, grid, RngStream(5, 0))
+    H = BoundBiprocess(identity_symbol(), grid, 3)
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        bdg_stats(path, 2, 1.0, {})
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        ito_isometry_check(H, path, 1.0, {})
+    # a batch of one gives the same p = 4 figures as the path itself
+    one = ProcessPath(grid, path.values[None], "martingale")
+    assert bdg_stats(path, 4, 1.0, {}) == bdg_stats(one, 4, 1.0, {})
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_statistics_at_an_off_grid_time_raise(t):
+    # NaN and inf were read as grid time 0: both sides 0, and passed
+    grid = TimeGrid.uniform(1.0, 4)
+    ens = simulate_hbm_ensemble(3, grid, 4, seed=5)
+    H = BoundBiprocess(identity_symbol(), grid, 3)
+    L = BoundTriprocess(parse("y1 y2"), grid, 3)
+    with pytest.raises(ValueError, match="is not on the grid"):
+        bdg_stats(ens, 2, t, {})
+    with pytest.raises(ValueError, match="is not on the grid"):
+        ito_isometry_check(H, ens, t, {})
+    with pytest.raises(ValueError, match="is not on the grid"):
+        quad_rs_sum(L, ens, ens, t)
+
+
 def test_constant_martingale_bdg():
     grid = TimeGrid.uniform(1.0, 4)
     c = rand_hermitian(3)
     vals = np.broadcast_to(c, (20, 5, 3, 3)).copy()
-    ens = Ensemble(grid, vals, "martingale")
+    ens = ProcessPath(grid, vals, "martingale")
     rep = bdg_stats(ens, 2, 1.0, {"n": 3, "paths": 20, "seed": 0, "t": 1.0})
     assert rep["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert rep["rhs"] == pytest.approx(0.0, abs=1e-12)
