@@ -342,13 +342,13 @@ def ito_sup_residuals(polys, n: int, grid: TimeGrid, paths: int, seed: int,
     return [float(np.max(row / paths)) for row in acc]
 
 
-def convergence_study(meshes, params: dict) -> dict:
+def convergence_study(meshes, params: dict, passes) -> dict:
     """The ``stoch_int.mesh_study`` of the sup residual of ``params["poly"]``
     on ``params["paths"]`` paths, seeded ``params["seed"]`` plus the grid's
-    step count."""
+    step count; ``passes`` is the caller's."""
     return mesh_study(
         "convergence:ito_residual", params,
         lambda i, grid: ito_sup_residuals(
             [params["poly"]], params["n"], grid, params["paths"],
             params["seed"] + grid.steps, params["model"])[0],
-        meshes)
+        meshes, passes)

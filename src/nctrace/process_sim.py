@@ -269,19 +269,27 @@ def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
     laid out as the basis coefficients are, the diagonal d and then
     (a, -b) for each k < l, so that ``_basis_scatter`` writes d, a + ib at
     (k, l) and a - ib at (l, k); -b is scaled from -1/sqrt(2), so its
-    negation is b exactly."""
+    negation is b exactly.  The stream gives the path's diagonal, then
+    every step's (n, n) ``re``, then every step's ``im``, of which only the
+    strict upper triangles are kept; ``re`` and ``im`` are drawn a block
+    of steps at a time into one scratch of at most
+    ``SCATTER_SCRATCH_BYTES``, which reads the same stream as whole-path
+    draws, so the bits do not depend on the block."""
     steps, nn = len(dts), n * n
     sd = np.sqrt(dts)[:, None]
     rn = 1.0 / np.sqrt(n)
     r2 = 1.0 / np.sqrt(2.0)
     diag = rng.standard_normal((steps, n))
-    re = rng.standard_normal((steps, n, n))
-    im = rng.standard_normal((steps, n, n))
     k, l = np.triu_indices(n, k=1)
     src = np.empty((steps, 2 * nn + 1))
     np.multiply(diag, sd, out=src[:, :n])
-    np.multiply(re[:, k, l], r2, out=src[:, n:nn:2])
-    np.multiply(im[:, k, l], -r2, out=src[:, n + 1:nn:2])
+    rows = max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * nn)))
+    scratch = np.empty((rows, n, n))
+    for cols, scale in ((slice(n, nn, 2), r2), (slice(n + 1, nn, 2), -r2)):
+        for s0 in range(0, steps, rows):
+            s1 = min(s0 + rows, steps)
+            draws = rng.standard_normal(out=scratch[:s1 - s0])
+            np.multiply(draws[:, k, l], scale, out=src[s0:s1, cols])
     src[:, n:nn] *= sd
     src[:, :nn] *= rn
     flat = out.view(np.float64).reshape(steps, 2 * nn)

@@ -252,15 +252,16 @@ def qc_gap_l1(n: int, grid: TimeGrid, paths: int, seed: int, a: np.ndarray,
     return float(np.mean(np.concatenate(gaps)))
 
 
-def mesh_study(check: str, params: dict, figure, meshes,
-               passes=None) -> dict:
+def mesh_study(check: str, params: dict, figure, meshes, passes) -> dict:
     """The ``check`` record of a study over meshes on [0, 1], n, paths and
     seed from ``params``: ``figure(i, grid)`` on the i-th mesh's grid, the
     first and last as its sides, their log-log slope, ``meshes`` and
-    ``residuals`` (the figures), and ``passed`` as ``passes(figures,
-    slope)`` if given.  Fewer than 3 meshes, or meshes that are not
-    strictly decreasing, raise ValueError: the record's ``mesh`` is the
-    last, and a pass rule compares the first figure with the last."""
+    ``residuals`` (the figures), and ``passed``.  The study passes when
+    every figure is finite and ``passes(figures, slope)`` holds, so a NaN
+    or infinite figure at any mesh fails whatever the rule reads; the
+    slope is the rule's to judge.  Fewer than 3 meshes, or meshes that are
+    not strictly decreasing, raise ValueError: the record's ``mesh`` is
+    the last, and a pass rule compares the first figure with the last."""
     meshes = list(meshes)
     if len(meshes) < 3:
         raise ValueError("need at least 3 meshes")
@@ -273,7 +274,7 @@ def mesh_study(check: str, params: dict, figure, meshes,
     return make_report(
         check, {**params, "mesh": meshes[-1], "t": 1.0},
         figures[0], figures[-1], 0.0, slope=slope,
-        passed=None if passes is None else passes(figures, slope),
+        passed=np.isfinite(figures).all() and passes(figures, slope),
         extra={"meshes": meshes, "residuals": figures})
 
 

@@ -387,7 +387,10 @@ def gamma_contract(P: TracePolynomial, model: ContractionModel) -> TracePolynomi
     inserts a trace of the between-word; both in one trace factor splits
     it; cross-trace and trace/outer patterns pick up an n^-2 factor in the
     matrix model and vanish in the free model.  Slot letters must be
-    unstarred (self-adjoint driver).
+    unstarred (self-adjoint driver).  Each variable x_i has its own
+    independent driver, which ``derive_k`` writes as the slot coordinate
+    i, so a term whose two slot letters differ in coordinate contracts to
+    0: the Ito correction of x1 x2 is 0.
     """
     if classify_linearity(P, 2) == "not-linear":
         raise LinearityError("gamma_contract input must be 2-linear in (y1, y2)")
@@ -405,6 +408,8 @@ def gamma_contract(P: TracePolynomial, model: ContractionModel) -> TracePolynomi
                 raise LinearityError(
                     "starred slot letters are not allowed (driver is self-adjoint)"
                 )
+            if loc1[3].coord != loc2[3].coord:
+                continue  # independent drivers have no covariation
             if loc1[0] == "outer" and loc2[0] == "outer":
                 p, q = sorted((loc1[1], loc2[1]))
                 u, v, w = outer[:p], outer[p + 1:q], outer[q + 1:]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nctrace
-from nctrace import cli
+from nctrace import cli, ito, stoch_int
 from nctrace.cli import COMMANDS, build_parser, main
 from nctrace.process_sim import load_ncp1
 
@@ -584,18 +584,39 @@ def test_ito_passes_for_degree_at_most_one(capsys, argv):
     assert rec["residuals"] == [0.0, 0.0, 0.0]
 
 
-def test_ito_fails_on_a_nan_residual(monkeypatch, capsys):
-    # Python's max drops a NaN that is not first, so [1e-13, 1e-13, nan]
-    # passed as a polynomial whose residuals are all rounding
-    def nan_last(meshes, params):
-        return {"check": "convergence:ito_residual",
-                "residuals": [1e-13, 1e-13, float("nan")]}
+NAN_FIGURES = [
+    # Python's max drops a NaN that is not first, so the ito rule alone
+    # passes this one as a polynomial whose residuals are all rounding
+    [1e-13, 1e-13, float("nan")],
+    # the first and last figures alone passed a NaN in the middle
+    [1e-3, float("nan"), 1e-4],
+    [1e-3, float("inf"), 1e-4],
+]
+MESH_OF_STEPS = {2: 0, 4: 1, 8: 2}  # meshes 0.5, 0.25 and 0.125
 
-    monkeypatch.setattr(cli, "convergence_study", nan_last)
-    rc, out, _ = run(capsys, "ito", "--n", "2", "--paths", "2",
-                     "--meshes", "0.5,0.25,0.125")
-    assert rc == 1
-    assert json.loads(out)[0]["passed"] is False
+
+def test_ito_fails_on_a_nan_residual(monkeypatch, capsys):
+    for figures in NAN_FIGURES:
+        def sups(polys, n, grid, paths, seed, model, figures=figures):
+            return [figures[MESH_OF_STEPS[grid.steps]]]
+
+        monkeypatch.setattr(ito, "ito_sup_residuals", sups)
+        rc, out, _ = run(capsys, "ito", "--n", "2", "--paths", "2",
+                         "--meshes", "0.5,0.25,0.125")
+        assert rc == 1, figures
+        assert json.loads(out)[0]["passed"] is False
+
+
+def test_qc_fails_on_a_nan_gap(monkeypatch, capsys):
+    for figures in NAN_FIGURES:
+        def gap(n, grid, paths, seed, a, figures=figures):
+            return figures[MESH_OF_STEPS[grid.steps]]
+
+        monkeypatch.setattr(stoch_int, "qc_gap_l1", gap)
+        rc, out, _ = run(capsys, "qc", "--n", "2", "--paths", "2",
+                         "--meshes", "0.5,0.25,0.125")
+        assert rc == 1, figures
+        assert json.loads(out)[0]["passed"] is False
 
 
 def test_esd(capsys):

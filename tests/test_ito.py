@@ -281,12 +281,13 @@ def test_convergence_study_reports_slope():
         [0.04, 0.02, 0.01],
         {"n": 6, "paths": 20, "seed": 5, "poly": parse("x1^2"),
          "model": ContractionModel.matrix(6)},
+        lambda res, slope: slope > 0.2,
     )
     assert rep["check"] == "convergence:ito_residual"
-    assert rep["slope"] > 0.2
+    assert rep["slope"] > 0.2 and rep["passed"] is True
     assert rep["residuals"][-1] < rep["residuals"][0]
     with pytest.raises(ValueError):
-        convergence_study([0.1], {})
+        convergence_study([0.1], {}, lambda res, slope: True)
 
 
 def test_sup_residuals_open_each_path_stream_once(monkeypatch):

@@ -988,18 +988,26 @@ def test_l1_trace_norms_of_finite_matrices_near_the_float_maximum(
     # |eigenvalues| or singular values before the / n below that, though
     # tr_n |a| of diag(1e308, -1e308) or of a 16 x 16 matrix near 3e307 is
     # finite; LAPACK fails on the overflowed Hermitian part at n = 16
+    # each matrix is divided by its largest |entry| before it is scaled up:
+    # 1e308 / max overflows to inf where max is below about 0.556.  The test
+    # draws from its own generator, so other tests' draws cannot move its
+    # matrices: at n = 16 about 3 % of draws give a Hermitian matrix of
+    # entries up to 1e308 whose tr_n |a| itself exceeds the float maximum
+    rng = np.random.default_rng(0)
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     spikes = np.diag(1e308 * sign).astype(complex)
-    herm = rand_hermitian(n)
-    herm *= 1e308 / np.max(np.abs(herm.view(np.float64)))
-    dense = rand_hermitian(n)
-    dense *= 3e307 / np.max(np.abs(dense.view(np.float64)))
-    normal = rand_hermitian(n)
+    herm = rand_hermitian(n, rng)
+    herm /= np.max(np.abs(herm.view(np.float64)))
+    herm *= 1e308
+    dense = rand_hermitian(n, rng)
+    dense /= np.max(np.abs(dense.view(np.float64)))
+    dense *= 3e307
+    normal = rand_hermitian(n, rng)
     mats = [spikes, herm, dense, normal]
     if not hermitian:
-        general = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-        mats.append(general * 3e307 / np.max(np.abs(general.view(
-            np.float64))))
+        general = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mats.append(general / np.max(np.abs(general.view(np.float64)))
+                    * 3e307)
     a = np.stack(mats)
     got = l1_trace_norms(a, hermitian)
     shift = 2.0**64

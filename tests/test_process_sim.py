@@ -334,6 +334,20 @@ def test_entrywise_increments_match_the_complex_formula(n):
     assert got.tobytes() == want.tobytes()
 
 
+def test_entrywise_increments_do_not_depend_on_the_block(monkeypatch):
+    # re and im drawn one and three steps at a time read the stream of one
+    # whole-path draw each, in the same order
+    n, steps = 5, 7
+    dts = np.linspace(0.5, 2.0, steps) / steps
+    want = _entrywise_reference(n, dts, RngStream(7, n).generator)
+    for rows in (1, 3):
+        monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
+                            rows * 8 * n * n)
+        got = np.empty((steps, n, n), dtype=complex)
+        _hbm_increments_entrywise(n, dts, RngStream(7, n).generator, got)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_hbm_large_n_builds_no_dense_basis(monkeypatch):
     def refuse(n):
         raise AssertionError("the sampler must not build the dense basis")
@@ -633,6 +647,19 @@ def test_simulate_holds_the_path_and_one_scratch(traced_peak):
     peak = traced_peak(lambda: simulate_hbm(
         MEM_N, grid, RngStream(0)).values[-1, 0, 0].real)
     assert peak <= PATH_BYTES + scratch_bytes + SMALL_BYTES
+
+
+def test_entrywise_simulate_holds_the_path_its_rows_and_one_scratch(
+        traced_peak):
+    # the [c, -c, 0] rows of the whole path, and re and im a scratch at a
+    # time: two whole (steps, n, n) draws would add 6.6 MB
+    grid = TimeGrid.uniform(1.0, MEM_STEPS)
+    simulate_hbm(MEM_N, TimeGrid.uniform(1.0, 1), RngStream(0))
+    rows_bytes = MEM_STEPS * (2 * MEM_N**2 + 1) * 8
+    scratch_bytes = process_sim.SCATTER_SCRATCH_BYTES
+    peak = traced_peak(lambda: simulate_hbm(
+        MEM_N, grid, RngStream(0), method="entrywise").values[-1, 0, 0].real)
+    assert peak <= PATH_BYTES + rows_bytes + 2 * scratch_bytes + SMALL_BYTES
 
 
 def test_ncp1_io_makes_no_copy_of_the_path(tmp_path, traced_peak):

@@ -218,6 +218,23 @@ def test_square_correction_is_the_unit():
     assert corr == TracePolynomial.constant(2).scale(half)
 
 
+def test_contract_pairs_only_equal_coordinates():
+    # each variable has its own independent driver
+    cases = [
+        (derive_k(parse("x1 x2"), 2), "0", "0"),
+        (derive_k(parse("x1 x2 x1 x2"), 2), "2 tr(x1) x1 + 2 tr(x2) x2",
+         "2 tr(x1) x1 + 2 tr(x2) x2"),
+        (derive_k(parse("tr(x1 x2) x1 x2"), 2), "1/8 x1 x1 + 1/8 x2 x2", "0"),
+        # both slots outer, in one trace, and one in a trace
+        (parse("x1 y1_1 x2 y2_2"), "0", "0"),
+        (parse("tr(x1 y1_2 y2_1)"), "0", "0"),
+        (parse("tr(y1_1) y2_3"), "0", "0"),
+    ]
+    for P, matrix, free in cases:
+        assert gamma_contract(P, ContractionModel.matrix(4)) == parse(matrix)
+        assert gamma_contract(P, ContractionModel.free()) == parse(free)
+
+
 def test_contract_rejects_starred_slots():
     with pytest.raises(LinearityError):
         gamma_contract(parse("x1 y1' x2 y2 x3"), ContractionModel.matrix(4))
