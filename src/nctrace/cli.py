@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -198,8 +199,7 @@ def _cmd_sim(cfg) -> int:
     paths = _paths(cfg)
     grid = TimeGrid.from_mesh(float(cfg["T"]), float(cfg["mesh"]))
     for i in range(paths):
-        p = simulate_hbm(int(cfg["n"]), grid, RngStream(cfg["seed"], i),
-                         method=cfg["method"])
+        p = simulate_hbm(int(cfg["n"]), grid, RngStream(cfg["seed"], i))
         _write(save_ncp1, p, f"{cfg['out']}_{i:04d}.ncp1")
     print(f"wrote {paths} path file(s) with prefix {cfg['out']}")
     return 0
@@ -245,11 +245,12 @@ def _cmd_isometry(cfg) -> list[dict]:
 
 def _cmd_esd(cfg) -> list[dict]:
     n, t = int(cfg["n"]), float(cfg["t"])
-    grid = TimeGrid.uniform(t, 1)
-    path = simulate_hbm(n, grid, RngStream(int(cfg["seed"]), 0),
-                        method="entrywise")
-    ks = esd_distance(path.values[-1], t)
     threshold = float(cfg["threshold"])
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
+    grid = TimeGrid.uniform(t, 1)
+    path = simulate_hbm(n, grid, RngStream(int(cfg["seed"]), 0))
+    ks = esd_distance(path.values[-1], t)
     return [make_report("esd", {"n": n, "seed": int(cfg["seed"]), "t": t},
                         ks, threshold, passed=ks <= threshold)]
 
@@ -302,7 +303,7 @@ COMMANDS = {
                        {"expr": None, "matrices": None}, reports=False),
     "sim": Subcommand(_cmd_sim, "simulate HBM paths to NCP1 files",
                       {"n": 8, "T": 1.0, "mesh": 0.01, "paths": 1, "seed": 0,
-                       "out": "path", "method": "basis"}, reports=False),
+                       "out": "path"}, reports=False),
     "qc": Subcommand(_cmd_qc, "run the qc check",
                      {"n": 16, "paths": 200, "seed": 0, "meshes": _MESHES}),
     "ito": Subcommand(_cmd_ito, "run the ito check",

@@ -524,7 +524,7 @@ def _moi2(f: ScalarFunctionSpec, a, b, c, table, x, tx, y,
     recurrence g^[2] = (g^[1](a_i, b_j) - g^[1](a_i, c_k)) / (b_j - c_k)
     splits the sum into two products: with ``_pairs``' reciprocal grid D,
     it is (tx @ (D y)) - g^[1](a, c) (x @ (D y)), the last product taken
-    entrywise.  Each close pair adds its own terms with ``_pairs``' g^[2]:
+    elementwise.  Each close pair adds its own terms with ``_pairs``' g^[2]:
     the b = c diagonal on (B, m, m) arrays, the other close pairs with
     ``np.add.at``."""
     d_ac, recip, diag, gathered = _pairs(f, a, b, c, table, delta)

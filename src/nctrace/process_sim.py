@@ -16,9 +16,9 @@ bits do not depend on the chunk or block size.  A blocked walk stores its
 windows time-major: each is one (L, count, n, n) buffer, handed out as its
 (count, L, n, n) view, so the matrices of all paths at one grid point lie
 side by side, and a whole-path window is C-contiguous (with one path the
-two layouts are one).  One basis sampler writes a window's increments,
-every path's a block of steps at a time, from rows ``[c, -c, 0]`` of
-scaled draws in a scratch of at most ``SCATTER_SCRATCH_BYTES``.
+two layouts are one).  The sampler writes a window's increments, every
+path's a block of steps at a time, from rows ``[c, -c, 0]`` of scaled
+draws in a scratch of at most ``SCATTER_SCRATCH_BYTES``.
 ``running_sums`` then sums the window along time, one grid point at a time
 where the matrices at one grid point have ``WIDE_ROW_ENTRIES`` entries or
 more, with ``np.cumsum`` below, to the same bits.  The time-blocked
@@ -30,9 +30,6 @@ it stands between two windows (``WalkStart``: the carried point and each
 path's generator state) and be resumed from there, to the same bits.
 Windows are bitwise Hermitian by construction: the scatter writes
 conjugate entries from the same draws, and the sums keep the symmetry.
-The entrywise sampler draws a whole path's diagonal before its
-off-diagonal entries, so it walks whole paths only; it lays its scaled
-draws out as the basis coefficients are and goes through the same scatter.
 
 ``save_ncp1`` rewrites an existing file in place rather than truncating
 it.  Opening with ``O_TRUNC`` drops the old file's cached pages and
@@ -97,8 +94,11 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
-        if steps < 1 or horizon <= 0:
-            raise ValueError("need a positive horizon and step count")
+        # a NaN horizon fails the comparison, an infinite one the bound
+        if not 0 < horizon < math.inf:
+            raise ValueError(f"horizon {horizon} is not positive and finite")
+        if steps < 1:
+            raise ValueError(f"need at least one step, got {steps}")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @classmethod
@@ -203,16 +203,6 @@ def _scatter_rows(n: int, steps: int, paths: int = 1) -> int:
     return max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * width)))
 
 
-def _scatter(src: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """Complete the rows ``[c, -c, 0]`` of ``src``, whose first n^2 columns
-    hold the scaled coefficients c, and write each as one matrix's float64
-    entries into the same row of ``out``."""
-    nn = src.shape[1] // 2
-    np.negative(src[:, :nn], out=src[:, nn:2 * nn])
-    src[:, 2 * nn] = 0
-    np.take(src, index, axis=1, out=out, mode="clip")
-
-
 def _hbm_increments_basis(n, dts, generators, out: np.ndarray) -> None:
     """Write the increments of one path per generator into ``out``
     (C-contiguous (steps, paths, n, n); one path is paths = 1).
@@ -222,8 +212,8 @@ def _hbm_increments_basis(n, dts, generators, out: np.ndarray) -> None:
     forward in blocks of ``_scatter_rows`` steps.  In a block each path in
     turn draws its normals into the start of the block's rows of ``out``
     and scales them into its rows ``[c, -c, 0]`` of a scratch; one
-    ``_scatter`` then writes every path's rows over the draws, all read by
-    then.  A path drawn a block at a time reads the stream of one call, so
+    ``np.take`` then writes each row as one matrix's float64 entries over
+    the draws, all read by then.  A path drawn a block at a time reads the stream of one call, so
     the bits do not depend on the block.  Draws in the scratch instead made
     ``simulate_hbm`` (n = 64, 100 steps) 1-4 % slower.  The scratch
     (``buffers.empty``, so a study recycles it) is made after ``out`` and
@@ -257,50 +247,15 @@ def _hbm_increments_basis(n, dts, generators, out: np.ndarray) -> None:
             rng.standard_normal(out=draws)
             np.multiply(draws, sd[s0:s1], out=src[:, j, :nn])
         src[..., :nn] *= scale
-        _scatter(src.reshape(-1, 2 * nn + 1), index, block)
+        np.negative(src[..., :nn], out=src[..., nn:2 * nn])
+        src[..., 2 * nn] = 0
+        np.take(src.reshape(-1, 2 * nn + 1), index, axis=1, out=block,
+                mode="clip")
 
 
-def _hbm_increments_entrywise(n, dts, rng, out: np.ndarray) -> None:
-    """Write GUE Brownian increments scaled by 1/sqrt(n) into ``out``
-    (C-contiguous (steps, n, n)): the off-diagonal (re + i im)/sqrt(2)
-    and the diagonal of standard normal draws, times sqrt(dt).  The draws
-    are scaled by multiplying with 1/sqrt(2) and 1/sqrt(n), which rounds as
-    NumPy's division of a complex array by a real scalar does.  They are
-    laid out as the basis coefficients are, the diagonal d and then
-    (a, -b) for each k < l, so that ``_basis_scatter`` writes d, a + ib at
-    (k, l) and a - ib at (l, k); -b is scaled from -1/sqrt(2), so its
-    negation is b exactly.  The stream gives the path's diagonal, then
-    every step's (n, n) ``re``, then every step's ``im``, of which only the
-    strict upper triangles are kept; ``re`` and ``im`` are drawn a block
-    of steps at a time into one scratch of at most
-    ``SCATTER_SCRATCH_BYTES``, which reads the same stream as whole-path
-    draws, so the bits do not depend on the block."""
-    steps, nn = len(dts), n * n
-    sd = np.sqrt(dts)[:, None]
-    rn = 1.0 / np.sqrt(n)
-    r2 = 1.0 / np.sqrt(2.0)
-    diag = rng.standard_normal((steps, n))
-    k, l = np.triu_indices(n, k=1)
-    src = np.empty((steps, 2 * nn + 1))
-    np.multiply(diag, sd, out=src[:, :n])
-    rows = max(1, min(steps, SCATTER_SCRATCH_BYTES // (8 * nn)))
-    scratch = np.empty((rows, n, n))
-    for cols, scale in ((slice(n, nn, 2), r2), (slice(n + 1, nn, 2), -r2)):
-        for s0 in range(0, steps, rows):
-            s1 = min(s0 + rows, steps)
-            draws = rng.standard_normal(out=scratch[:s1 - s0])
-            np.multiply(draws[:, k, l], scale, out=src[s0:s1, cols])
-    src[:, n:nn] *= sd
-    src[:, :nn] *= rn
-    flat = out.view(np.float64).reshape(steps, 2 * nn)
-    _scatter(src, _basis_scatter(n)[1], flat)
-
-
-def _check_hbm_args(n: int, method: str) -> None:
+def _check_hbm_args(n: int) -> None:
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if method not in ("basis", "entrywise"):
-        raise ValueError(f"unknown method {method!r}")
 
 
 def running_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -375,9 +330,8 @@ class HbmWalk:
     contiguous slices of a time-major one (``np.cumsum``: 0.65-0.70)."""
 
     def __init__(self, n: int, dts: np.ndarray, generators, block: int,
-                 method: str, start: WalkStart | None = None,
-                 stop: int | None = None):
-        self._walk = (n, dts, block, method)
+                 start: WalkStart | None = None, stop: int | None = None):
+        self._walk = (n, dts, block)
         self.generators = generators
         self.stop = len(dts) + 1 if stop is None else stop
         if start is None:
@@ -396,10 +350,10 @@ class HbmWalk:
 
     def resumed(self, start: WalkStart, stop: int | None = None) -> "HbmWalk":
         """The same paths walked on from a saved ``start``."""
-        n, dts, block, method = self._walk
+        n, dts, block = self._walk
         generators = [np.random.Generator(np.random.Philox())
                       for _ in start.states]
-        return HbmWalk(n, dts, generators, block, method, start, stop)
+        return HbmWalk(n, dts, generators, block, start, stop)
 
     def __iter__(self) -> Iterator[tuple[int, int, np.ndarray]]:
         for i0 in range(self.i0, self.stop, self._walk[2]):
@@ -412,7 +366,7 @@ class HbmWalk:
     def _window(self, i0: int) -> tuple[int, np.ndarray]:
         """The end of the window that starts at grid point ``i0``, and the
         window, drawn and summed onto the carried point."""
-        n, all_dts, block, method = self._walk
+        n, all_dts, block = self._walk
         T = len(all_dts) + 1
         paths = len(self.generators)
         i1 = min(i0 + block, T)
@@ -430,10 +384,7 @@ class HbmWalk:
                       for path, rng in zip(window, self.generators)]
         window[:, 0] = self.carry
         for rows, generators in groups:
-            if method == "basis":
-                _hbm_increments_basis(n, dts, generators, rows[1:])
-            else:
-                _hbm_increments_entrywise(n, dts, generators[0], rows[1:, 0])
+            _hbm_increments_basis(n, dts, generators, rows[1:])
             # the first window's t_0 is 0, which the sum leaves out
             summed = rows[1:] if i0 == 0 else rows
             running_sums(summed, summed)
@@ -441,7 +392,7 @@ class HbmWalk:
 
 
 def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
-                block: int | None = None, method: str = "basis"):
+                block: int | None = None):
     """HBM paths 0..n_paths-1 in chunks of at most ``chunk`` paths, each
     chunk walked ``block`` grid points at a time.
 
@@ -452,58 +403,49 @@ def hbm_windows(n: int, grid: TimeGrid, n_paths: int, seed: int, chunk: int,
     (see ``HbmWalk``).  Path i always draws from the stream keyed (seed, i),
     opened once per walk, and its windows hold the same bits whatever the
     chunk and block sizes.  ``block`` None (or at least the grid's length)
-    walks each chunk as one whole-path window.  The entrywise method draws
-    a whole path's diagonal before its off-diagonal entries, so its windows
-    could not hold the same bits: it walks whole paths only, and a smaller
-    ``block`` raises ValueError, as a ``chunk`` or ``block`` below 1
-    does."""
-    _check_hbm_args(n, method)
+    walks each chunk as one whole-path window.  A ``chunk`` or ``block``
+    below 1 raises ValueError."""
+    _check_hbm_args(n)
     T = len(grid.times)
     block = T if block is None else block
     if chunk < 1:
         raise ValueError("a chunk needs at least one path")
     if block < 1:
         raise ValueError("the block needs at least one grid point")
-    if method == "entrywise" and block < T:
-        raise ValueError("the entrywise sampler walks whole paths only")
     dts = np.diff(grid.times)
     return (HbmWalk(n, dts, [RngStream(seed, i).generator
                              for i in range(start,
                                             min(start + chunk, n_paths))],
-                    block, method)
+                    block)
             for start in range(0, n_paths, chunk))
 
 
-def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream,
-                 method: str = "basis") -> ProcessPath:
+def simulate_hbm(n: int, grid: TimeGrid, stream: RngStream) -> ProcessPath:
     """One Hermitian-BM path with X(0) = 0.
 
-    "basis" draws the coefficients over the orthonormal Hermitian basis,
-    which carries the normalization by construction, and writes each one
-    straight into its matrix entries: O(n^2) per step, with no dense basis
-    built.  "entrywise" scales a GUE Brownian motion by 1/sqrt(n).  The two
-    agree in law.  This is the whole-path, one-path window of the walk.
+    Its increments draw the coefficients over the orthonormal Hermitian
+    basis, which carries the normalization by construction, and write each
+    one straight into its matrix entries: O(n^2) per step, with no dense
+    basis built.  This is the whole-path, one-path window of the walk.
     """
-    _check_hbm_args(n, method)
+    _check_hbm_args(n)
     T = len(grid.times)
     ((_, _, values),) = HbmWalk(n, np.diff(grid.times), [stream.generator],
-                                T, method)
-    return ProcessPath(
-        grid, values[0], "martingale",
-        seed_info=(stream.master_seed, stream.path_index, method),
-    )
+                                T)
+    return ProcessPath(grid, values[0], "martingale",
+                       seed_info=(stream.master_seed, stream.path_index))
 
 
-def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int, seed: int,
-                          method: str = "basis") -> ProcessPath:
+def simulate_hbm_ensemble(n: int, grid: TimeGrid, n_paths: int,
+                          seed: int) -> ProcessPath:
     """Independent HBM paths as one (n_paths, T, n, n) batch; path i uses
     the stream keyed (seed, i), so the result is identical no matter how
     generation is scheduled."""
     empty = np.empty((0, len(grid.times), n, n), dtype=complex)
     # every path in one chunk, walked as one whole-path window
     values = next((values for ((_, _, values),) in hbm_windows(
-        n, grid, n_paths, seed, max(n_paths, 1), method=method)), empty)
-    return ProcessPath(grid, values, "martingale", seed_info=(seed, method))
+        n, grid, n_paths, seed, max(n_paths, 1))), empty)
+    return ProcessPath(grid, values, "martingale", seed_info=(seed,))
 
 
 def make_fv(grid: TimeGrid, n: int,

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -514,8 +515,7 @@ def check_moi_pairing(seed: int) -> dict:
 def check_semicircle(seed: int) -> dict:
     n = 512
     grid = TimeGrid.uniform(1.0, 1)
-    X = simulate_hbm(n, grid, RngStream(seed * 37 + 16, 0),
-                     method="entrywise")
+    X = simulate_hbm(n, grid, RngStream(seed * 37 + 16, 0))
     x1 = X.values[-1]
     ks = esd_distance(x1, 1.0)
     catalan = {2: 1.0, 4: 2.0, 6: 5.0}
@@ -536,6 +536,23 @@ def check_semicircle(seed: int) -> dict:
 # 17. free-limit scaling ---------------------------------------------------
 
 
+def _free_limit_terms(n: int, grid: TimeGrid, paths: int, seed: int,
+                      block: int = 8) -> Iterator[np.ndarray]:
+    """For each HBM path p of the stream keyed (seed, p), its steps'
+    tr_n(X_k (X_{k+1} - X_k)) / n, k = 0 .. T - 2, as one array.  The path
+    is walked ``block`` grid points at a time and never held whole: each
+    window starts at the point before its block, so the step across the
+    seam is the window's first, and the terms are the bits of the
+    whole-path ``einsum``."""
+    for walk in hbm_windows(n, grid, paths, seed, 1, block):
+        terms = []
+        for _, _, window in walk:
+            points = window[0]
+            left = points[:-1]
+            terms.append(np.einsum("tij,tji->t", left, points[1:] - left) / n)
+        yield np.concatenate(terms)
+
+
 def check_free_limit(seed: int) -> dict:
     dims = [4, 16, 64, 256]
     mesh = 0.02
@@ -543,16 +560,8 @@ def check_free_limit(seed: int) -> dict:
     mags = []
     for i, n in enumerate(dims):
         paths = 16 if n <= 64 else 6
-        vals = []
-        for p in range(paths):
-            Xv = simulate_hbm(
-                n, grid, RngStream(seed * 41 + 17 + i, p),
-                method="entrywise",
-            ).values
-            left = Xv[:-1]
-            delta = Xv[1:] - left
-            s = np.einsum("tij,tji->t", left, delta) / n
-            vals.append(abs(complex(np.sum(s * s))))
+        vals = [abs(complex(np.sum(s * s))) for s in
+                _free_limit_terms(n, grid, paths, seed * 41 + 17 + i)]
         mags.append(float(np.mean(vals)))
     slope = fit_loglog_slope(dims, mags)
     ok = -2.4 <= slope <= -1.6

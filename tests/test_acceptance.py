@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nctrace import selftest
+from nctrace.process_sim import RngStream, TimeGrid, simulate_hbm
 from nctrace.reports import to_json
 
 SEED = 0
@@ -157,6 +158,33 @@ def test_17_free_limit_scaling():
     # fitted slope in [-2.4, -1.6]
     rec = _run(selftest.check_free_limit)
     assert -2.4 <= rec["slope"] <= -1.6
+
+
+@pytest.mark.parametrize("block", [1, 3, "T"])
+def test_17_free_limit_terms_over_windows_equal_the_whole_path_formula(
+        block):
+    # each window starts at the point before its block, so the step across
+    # every seam is counted once; a walk that dropped it still fits the
+    # n^-2 slope, as every n loses the same share of its steps
+    n, grid, paths, seed = 3, TimeGrid.uniform(1.0, 10), 2, 5
+    block = len(grid.times) if block == "T" else block
+    got = list(selftest._free_limit_terms(n, grid, paths, seed, block))
+    assert len(got) == paths
+    for p, terms in enumerate(got):
+        Xv = simulate_hbm(n, grid, RngStream(seed, p)).values
+        left = Xv[:-1]
+        want = np.einsum("tij,tji->t", left, Xv[1:] - left) / n
+        assert terms.tobytes() == want.tobytes()
+
+
+def test_17_free_limit_terms_hold_one_window_not_a_whole_path(traced_peak):
+    # one n = 64 path over 400 steps is 26 MB; the walk holds a window of
+    # 9 points, its differences and the sampler's scratch, under 2 MB
+    n, grid = 64, TimeGrid.uniform(1.0, 400)
+    path_bytes = len(grid.times) * n * n * 16
+    peak = traced_peak(lambda: next(
+        selftest._free_limit_terms(n, grid, 1, 0))[-1].real)
+    assert peak <= path_bytes / 8
 
 
 def test_18_reports_are_byte_deterministic():

@@ -141,7 +141,7 @@ def test_eval_config_with_trace_mode_exits_2(tmp_path, capsys):
 _CONFIG_KEYS = {
     "diff": {"expr", "var", "order"},
     "eval": {"expr", "matrices"},
-    "sim": {"n", "T", "mesh", "paths", "seed", "out", "method"},
+    "sim": {"n", "T", "mesh", "paths", "seed", "out"},
     "qc": {"n", "paths", "seed", "meshes"},
     "ito": {"poly", "n", "paths", "seed", "meshes"},
     "bdg": {"n", "paths", "seed", "mesh", "p", "t"},
@@ -197,14 +197,20 @@ def test_a_seed_in_the_config_of_diff_or_eval_exits_2(tmp_path, capsys, cmd):
 
 
 def test_sim_with_an_unknown_method_exits_2(tmp_path, capsys):
-    try:
-        rc = main(["sim", "--n", "2", "--mesh", "0.5", "--method", "foo",
-                   "--out", str(tmp_path / "p")])
-    except SystemExit as e:
-        rc = e.code
-    out, err = capsys.readouterr()
-    assert rc == 2 and "'foo'" in err
-    assert out == "" and not list(tmp_path.iterdir())
+    # sim has one sampler: a method is an unknown key and an unknown flag
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"method": "basis"}))
+    rc, out, err = run(capsys, "sim", "--n", "2", "--mesh", "0.5",
+                       "--out", str(out_dir / "p"), "--config", str(cfg))
+    assert rc == 2 and "unknown config keys: method" in err
+    assert out == "" and not list(out_dir.iterdir())
+    with pytest.raises(SystemExit) as e:
+        main(["sim", "--n", "2", "--mesh", "0.5", "--method", "basis",
+              "--out", str(out_dir / "p")])
+    assert e.value.code == 2 and "--method" in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
 
 
 _ITO_SMALL = ["ito", "--n", "2", "--paths", "1", "--meshes", "0.5,0.25,0.125"]
@@ -624,6 +630,27 @@ def test_esd(capsys):
     assert rc == 0
     rec = json.loads(out)[0]
     assert rec["lhs"] <= 0.06
+
+
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan", "0"])
+def test_esd_at_a_time_that_is_not_positive_and_finite_exits_2(
+        capsys, recwarn, t):
+    # an infinite time warned from np.linspace, then named a grid time nan
+    rc, out, err = run(capsys, "esd", "--n", "2", f"--t={t}")
+    assert rc == 2 and f"horizon {float(t)} is not positive and finite" in err
+    assert out == "" and not recwarn.list
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_esd_with_a_threshold_that_is_not_finite_exits_2(
+        tmp_path, capsys, threshold):
+    # a NaN threshold exited 1 with "threshold": NaN, not strict JSON
+    rc, out, err = run(capsys, "esd", "--n", "2",
+                       f"--threshold={threshold}",
+                       "--json", str(tmp_path / "r.json"))
+    assert rc == 2
+    assert f"threshold must be finite, got {float(threshold)}" in err
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 def test_selftest_subset_and_reports(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Process simulation: normalization, law agreement, file IO."""
+"""Process simulation: normalization, the exact fourth moment, file IO."""
 
 import math
 import os
@@ -23,10 +23,7 @@ from nctrace.process_sim import (
     simulate_hbm,
     simulate_hbm_ensemble,
 )
-from nctrace.process_sim import (
-    _hbm_increments_basis,
-    _hbm_increments_entrywise,
-)
+from nctrace.process_sim import _hbm_increments_basis
 
 
 def test_time_grid_validation():
@@ -47,6 +44,18 @@ def test_time_grid_validation():
             TimeGrid.from_mesh(1.0, mesh)
     with pytest.raises(ValueError, match="horizon inf"):
         TimeGrid.from_mesh(math.inf, 0.25)
+
+
+@pytest.mark.parametrize("horizon",
+                         [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_uniform_grid_rejects_a_horizon_naming_it(horizon, recwarn):
+    # an infinite horizon made np.linspace warn and the grid then name a
+    # NaN time the caller never gave
+    with pytest.raises(ValueError, match=f"horizon {horizon} is not"):
+        TimeGrid.uniform(horizon, 1)
+    assert not recwarn.list
+    with pytest.raises(ValueError, match="need at least one step, got 0"):
+        TimeGrid.uniform(1.0, 0)
 
 
 @pytest.mark.parametrize("times, bad", [
@@ -74,7 +83,7 @@ def test_off_grid_non_finite_times_raise(t):
 def test_a_batch_is_a_process_path_with_a_leading_path_axis():
     grid = TimeGrid.uniform(1.0, 4)
     ens = simulate_hbm_ensemble(3, grid, 2, seed=6)
-    assert isinstance(ens, ProcessPath) and ens.seed_info == (6, "basis")
+    assert isinstance(ens, ProcessPath) and ens.seed_info == (6,)
     assert ens.values.shape == (2, 5, 3, 3) and ens.n == 3
     assert ens.batch.shape == (2, 5, 3, 3)
     assert ens.at(0.5).tobytes() == ens.values[:, 2].tobytes()
@@ -152,34 +161,32 @@ def test_whole_paths_scatter_through_a_bounded_scratch(rows, monkeypatch):
     assert glued.tobytes() == ens.values.tobytes()
 
 
-@pytest.mark.parametrize("method", ["basis", "entrywise"])
-def test_ensemble_paths_equal_single_paths(method):
+def test_ensemble_paths_equal_single_paths():
     grid = TimeGrid.uniform(1.0, 9)
-    ens = simulate_hbm_ensemble(5, grid, 3, seed=17, method=method)
+    ens = simulate_hbm_ensemble(5, grid, 3, seed=17)
     for i in range(3):
-        one = simulate_hbm(5, grid, RngStream(17, i), method=method)
+        one = simulate_hbm(5, grid, RngStream(17, i))
+        assert one.seed_info == (17, i)
         assert ens.values[i].tobytes() == one.values.tobytes()
 
 
-@pytest.mark.parametrize("method", ["basis", "entrywise"])
-def test_chunks_equal_the_ensemble(method):
+def test_chunks_equal_the_ensemble():
     # 7 paths in chunks of 3: the last chunk is short
     grid = TimeGrid.uniform(1.0, 9)
-    chunks = [values for ((_, _, values),)
-              in hbm_windows(4, grid, 7, 23, 3, method=method)]
+    chunks = [values for ((_, _, values),) in hbm_windows(4, grid, 7, 23, 3)]
     assert [len(c) for c in chunks] == [3, 3, 1]
-    ens = simulate_hbm_ensemble(4, grid, 7, seed=23, method=method)
+    ens = simulate_hbm_ensemble(4, grid, 7, seed=23)
     assert np.concatenate(chunks).tobytes() == ens.values.tobytes()
     assert simulate_hbm_ensemble(4, grid, 0, seed=23).values.shape == (
         0, 10, 4, 4)
 
 
-def _walk(n, steps, paths, chunk, block, method="basis"):
+def _walk(n, steps, paths, chunk, block):
     """The walk's windows, each chunk's checked and glued back into paths."""
     grid = TimeGrid.uniform(1.0, steps)
     T = steps + 1
     glued = []
-    for windows in hbm_windows(n, grid, paths, 29, chunk, block, method):
+    for windows in hbm_windows(n, grid, paths, 29, chunk, block):
         parts, i1 = [], 0
         for i0, i1_, window in windows:
             assert i0 == i1 and i1_ == min(i0 + block, T)
@@ -263,27 +270,15 @@ def test_window_walk_sums_like_cumsum(n, block):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("method", ["basis", "entrywise"])
 def test_n16_whole_path_sums_alike_on_either_side_of_the_threshold(
-        method, monkeypatch):
+        monkeypatch):
     # n = 16 has 256 entries: the smallest n summed one grid point at a time
     grid = TimeGrid.uniform(1.0, 40)
     walks = []
     for threshold in (16 * 16, 16 * 16 + 1):
         monkeypatch.setattr(process_sim, "WIDE_ROW_ENTRIES", threshold)
-        walks.append(simulate_hbm(16, grid, RngStream(31, 2), method).values)
+        walks.append(simulate_hbm(16, grid, RngStream(31, 2)).values)
     assert walks[0].tobytes() == walks[1].tobytes()
-
-
-def test_entrywise_walks_whole_paths_only():
-    grid, glued = _walk(4, 9, 3, 2, 10, "entrywise")
-    ens = simulate_hbm_ensemble(4, grid, 3, seed=29, method="entrywise")
-    assert np.concatenate(glued).tobytes() == ens.values.tobytes()
-    for block in (1, 9):
-        with pytest.raises(ValueError, match="whole paths"):
-            hbm_windows(4, grid, 3, 29, 2, block, "entrywise")
-    with pytest.raises(ValueError):
-        hbm_windows(4, grid, 3, 29, 2, 0)
 
 
 @pytest.mark.parametrize("n", [3, 16])
@@ -306,48 +301,6 @@ def test_resumed_walk_equals_the_uninterrupted_walk(n):
         assert stopped == windows[1:3]
 
 
-def _entrywise_reference(n, dts, rng):
-    """The entrywise increments as two full complex temporaries made them."""
-    steps = len(dts)
-    sd = np.sqrt(dts)
-    diag = rng.standard_normal((steps, n)) * sd[:, None]
-    re = rng.standard_normal((steps, n, n))
-    im = rng.standard_normal((steps, n, n))
-    h = np.zeros((steps, n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    g = (re[:, iu[0], iu[1]] + 1j * im[:, iu[0], iu[1]]) / np.sqrt(2.0)
-    h[:, iu[0], iu[1]] = g * sd[:, None]
-    h[:, iu[1], iu[0]] = np.conj(g) * sd[:, None]
-    h[:, np.arange(n), np.arange(n)] = diag
-    return h / np.sqrt(n)
-
-
-# sqrt(n) is a power of two at n = 1, 4, 16 and 256, where multiplying by
-# 1/sqrt(n) and dividing by sqrt(n) round alike; n = 3 tells them apart
-@pytest.mark.parametrize("n", [1, 3, 4, 16, 256])
-def test_entrywise_increments_match_the_complex_formula(n):
-    steps = 2 if n == 256 else 7
-    dts = np.diff(TimeGrid.uniform(1.0, steps).times)
-    got = np.empty((steps, n, n), dtype=complex)
-    _hbm_increments_entrywise(n, dts, RngStream(6, n).generator, got)
-    want = _entrywise_reference(n, dts, RngStream(6, n).generator)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_entrywise_increments_do_not_depend_on_the_block(monkeypatch):
-    # re and im drawn one and three steps at a time read the stream of one
-    # whole-path draw each, in the same order
-    n, steps = 5, 7
-    dts = np.linspace(0.5, 2.0, steps) / steps
-    want = _entrywise_reference(n, dts, RngStream(7, n).generator)
-    for rows in (1, 3):
-        monkeypatch.setattr(process_sim, "SCATTER_SCRATCH_BYTES",
-                            rows * 8 * n * n)
-        got = np.empty((steps, n, n), dtype=complex)
-        _hbm_increments_entrywise(n, dts, RngStream(7, n).generator, got)
-        assert got.tobytes() == want.tobytes()
-
-
 def test_hbm_large_n_builds_no_dense_basis(monkeypatch):
     def refuse(n):
         raise AssertionError("the sampler must not build the dense basis")
@@ -364,11 +317,26 @@ def test_hbm_argument_errors():
     grid = TimeGrid.uniform(1.0, 2)
     with pytest.raises(ValueError):
         simulate_hbm(0, grid, RngStream(0))
-    with pytest.raises(ValueError):
-        simulate_hbm_ensemble(2, grid, 1, seed=0, method="spectral")
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk needs at least one path"):
             hbm_windows(2, grid, 3, 0, chunk)
+    with pytest.raises(ValueError, match="at least one grid point"):
+        hbm_windows(2, grid, 3, 0, 2, 0)
+
+
+# tr_n X_1^4 of one path at n = 1 is a chi-square-like fourth power whose
+# long right tail leaves the z-test with 2000 paths too skewed (|z| > 3 at
+# 4 of 100 seeds); 20000 paths of 1 x 1 matrices cost next to nothing
+@pytest.mark.parametrize("n, paths", [(1, 20000), (6, 2000), (16, 2000)])
+def test_hbm_fourth_moment_matches_harer_zagier(n, paths):
+    # E tr_n X_t^4 = (2 + 1/n^2) t^2, the Harer-Zagier count of genus-0 and
+    # genus-1 pairings; over two steps, so the running sum is in the law
+    grid = TimeGrid.uniform(1.0, 2)
+    x1 = simulate_hbm_ensemble(n, grid, paths, seed=21).values[:, -1]
+    x2 = x1 @ x1
+    m4 = np.sum(np.abs(x2) ** 2, axis=(1, 2)) / n
+    se = np.std(m4, ddof=1) / math.sqrt(paths)
+    assert abs(np.mean(m4) - (2 + 1 / n**2)) <= 3.5 * se
 
 
 def test_hbm_increment_normalization():
@@ -379,36 +347,6 @@ def test_hbm_increment_normalization():
     assert abs(est - 1.0) <= 3 * se
     est_half, se_half = kappa_estimate(ens, 0.5, 1.0)
     assert abs(est_half - 0.5) <= 3 * se_half
-
-
-def test_hbm_methods_agree_in_law():
-    # two-sample moment test on tr_n(X(1)^2) and tr_n(X(1)^4)
-    grid = TimeGrid.uniform(1.0, 1)
-    n, paths = 6, 3000
-    ens_b = simulate_hbm_ensemble(n, grid, paths, seed=21, method="basis")
-    ens_e = simulate_hbm_ensemble(n, grid, paths, seed=22, method="entrywise")
-    for power in (2, 4):
-        def stat(ens):
-            x = ens.values[:, -1]
-            m = x
-            for _ in range(power - 1):
-                m = m @ x
-            vals = np.einsum("pii->p", m).real / n
-            return np.mean(vals), np.std(vals, ddof=1) / math.sqrt(paths)
-        mb, sb = stat(ens_b)
-        me, se = stat(ens_e)
-        assert abs(mb - me) <= 3 * math.hypot(sb, se)
-
-
-def test_entrywise_variances():
-    # diag and offdiag entries both have variance t/n
-    grid = TimeGrid.uniform(1.0, 1)
-    ens = simulate_hbm_ensemble(4, grid, 4000, seed=9, method="entrywise")
-    x1 = ens.values[:, -1]
-    vd = np.var(x1[:, 0, 0].real)
-    vo = np.var(x1[:, 0, 1].real) + np.var(x1[:, 0, 1].imag)
-    assert vd == pytest.approx(0.25, rel=0.15)
-    assert vo == pytest.approx(0.25, rel=0.15)
 
 
 def test_make_fv_scalar_and_variation():
@@ -647,19 +585,6 @@ def test_simulate_holds_the_path_and_one_scratch(traced_peak):
     peak = traced_peak(lambda: simulate_hbm(
         MEM_N, grid, RngStream(0)).values[-1, 0, 0].real)
     assert peak <= PATH_BYTES + scratch_bytes + SMALL_BYTES
-
-
-def test_entrywise_simulate_holds_the_path_its_rows_and_one_scratch(
-        traced_peak):
-    # the [c, -c, 0] rows of the whole path, and re and im a scratch at a
-    # time: two whole (steps, n, n) draws would add 6.6 MB
-    grid = TimeGrid.uniform(1.0, MEM_STEPS)
-    simulate_hbm(MEM_N, TimeGrid.uniform(1.0, 1), RngStream(0))
-    rows_bytes = MEM_STEPS * (2 * MEM_N**2 + 1) * 8
-    scratch_bytes = process_sim.SCATTER_SCRATCH_BYTES
-    peak = traced_peak(lambda: simulate_hbm(
-        MEM_N, grid, RngStream(0), method="entrywise").values[-1, 0, 0].real)
-    assert peak <= PATH_BYTES + rows_bytes + 2 * scratch_bytes + SMALL_BYTES
 
 
 def test_ncp1_io_makes_no_copy_of_the_path(tmp_path, traced_peak):
